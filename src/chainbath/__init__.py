@@ -53,6 +53,7 @@ from .kernels import (
 from .solution import (
     VolterraParams,
     mu_delta,
+    nested_convolve,
     solve_volterra_closed,
     solve_volterra_numeric,
     source_term,

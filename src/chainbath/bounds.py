@@ -23,21 +23,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .dynamics import (
     InitialState,
     Trajectory,
     assemble_extended_matrix,
+    evolve_raw,
+    evolve_truncated,
+    extended_initial_conditions,
     system_response,
 )
-from .errors import GridMismatch, GridTooCoarse, IndexOutOfRange, NonpositiveParameter
-from .kernels import (
-    convolve_on_grid,
-    kernel_closed_form,
-    kernel_taylor,
-    spline_quadrature_error_estimate,
-)
-from .solution import VolterraParams, coupling, resolvent_series
+from .errors import GridMismatch, IndexOutOfRange, NonpositiveParameter
+from .kernels import check_grid, convolve_on_grid, kernel_closed_form, kernel_taylor
+from .solution import VolterraParams, coupling_products, nested_convolve, resolvent_series
 from .spectral import ChainModel, IOModel, OrthogonalMap, char_poly_eval
 
 
@@ -87,36 +86,22 @@ def epsilon_empirical(full: Trajectory, truncated: Trajectory) -> np.ndarray:
     return np.abs(full.x - truncated.x)
 
 
-def _tail_prefactor(chain: ChainModel, n: int) -> float:
-    """prod_{l=0}^{n} D_l / Omega_l with D_0 the system coupling; zero at
-    n = N because D_N = 0."""
-    freqs = np.concatenate([[chain.Omega0], chain.Omega])
-    p = 1.0
-    for l in range(n + 1):
-        p *= coupling(chain, l) / freqs[l]
-    return p
-
-
 def epsilon1(chain: ChainModel, n: int, times, x_next) -> np.ndarray:
     """Direct tail error eps1(n, t) on the grid:
     (prod_{l<=n} D_l/Omega_l) int_0^t K_n(t-s) X_{n+1}(s) ds, with X_{n+1}
-    sampled from the full evolution.  Identically zero at n = N."""
+    sampled from the full evolution, through the nested_convolve cascade.
+    Identically zero at n = N."""
     if not 0 <= n <= chain.N:
         raise IndexOutOfRange(f"truncation index {n} outside [0, {chain.N}]")
     times = np.asarray(times, dtype=float)
     if n == chain.N:
         return np.zeros_like(times)
     x_next = np.asarray(x_next, dtype=float)
-    freqs = np.concatenate([[chain.Omega0], chain.Omega])[: n + 1]
-    est = spline_quadrature_error_estimate(times, x_next, float(freqs.max()))
-    vmax = np.abs(x_next).max()
-    if est > 1e-7 * max(vmax, 1e-300):
-        raise GridTooCoarse(
-            f"estimated quadrature error {est:.3e} > 1e-7 * max|X| = {1e-7 * vmax:.3e}"
-        )
-    ker = kernel_closed_form(freqs)
-    return _tail_prefactor(chain, n) * convolve_on_grid(ker.freqs, ker.coeffs,
-                                                        x_next, times)
+    freqs = chain.mode_freqs[: n + 1]
+    check_grid(times, float(np.abs(x_next).max()), float(freqs.max()))
+    hs = np.zeros((n + 1, len(times)))
+    hs[n] = coupling_products(chain, n)[n + 1] * x_next
+    return nested_convolve(freqs, hs, times)
 
 
 def epsilon1_pointwise(chain: ChainModel, n: int, t_points, x_next_eval,
@@ -128,20 +113,18 @@ def epsilon1_pointwise(chain: ChainModel, n: int, t_points, x_next_eval,
     cancellation of the sine series near the origin; x_next_eval(s) must
     return X_{n+1} at arbitrary times (e.g. from the eigendecomposition).
     """
-    from numpy.polynomial.legendre import leggauss
-
     if not 0 <= n <= chain.N:
         raise IndexOutOfRange(f"truncation index {n} outside [0, {chain.N}]")
     t_points = np.asarray(t_points, dtype=float)
     if n == chain.N:
         return np.zeros_like(t_points)
-    freqs = np.concatenate([[chain.Omega0], chain.Omega])[: n + 1]
+    freqs = chain.mode_freqs[: n + 1]
     wmax = float(freqs.max())
     ker = None if wmax * t_points.max() < 0.5 else kernel_closed_form(freqs)
     order = 2 * n + 21
 
     x, w = leggauss(nodes)
-    pref = _tail_prefactor(chain, n)
+    pref = coupling_products(chain, n)[n + 1]
     out = np.empty_like(t_points)
     for m, t in enumerate(t_points):
         if t == 0.0:
@@ -293,8 +276,6 @@ def error_report(io: IOModel, chain: ChainModel, omap: OrthogonalMap, n: int,
     numerically stable eps1 route (the trajectory difference there sits
     below the float64 subtraction floor).
     """
-    from .dynamics import evolve_raw, evolve_truncated
-
     times = np.asarray(times, dtype=float)
     full = evolve_truncated(chain, chain.N, init, omap, times)
     trunc = evolve_truncated(chain, n, init, omap, times)
@@ -304,17 +285,13 @@ def error_report(io: IOModel, chain: ChainModel, omap: OrthogonalMap, n: int,
 
     slope = math.nan
     if n < chain.N:
-        from .dynamics import chain_initial_conditions
-
         A_full = assemble_extended_matrix(chain, chain.N)
-        X0, Xdot0 = chain_initial_conditions(omap, init)
-        y0 = np.concatenate([[init.x0], X0])
-        ydot0 = np.concatenate([[init.xdot0], Xdot0])
+        y0, ydot0 = extended_initial_conditions(omap, init, chain.N)
 
         def x_next(s):
             return evolve_raw(A_full, y0, ydot0, s)[0][:, n + 1]
 
-        wmax = float(max(chain.Omega.max(), chain.Omega0))
+        wmax = float(chain.mode_freqs.max())
         ts = np.geomspace(1e-3 / wmax, 1e-2 / wmax, 9)
         e1 = np.abs(epsilon1_pointwise(chain, n, ts, x_next))
         if np.all(e1 > 0):

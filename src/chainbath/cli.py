@@ -20,7 +20,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -195,7 +194,7 @@ def cmd_simulate(cfg, out) -> int:
 def cmd_kernels(cfg, out) -> int:
     io = build_model(cfg)
     chain, _ = spectral.chain_from_io(io)
-    freqs = np.concatenate([[chain.Omega0], chain.Omega])
+    freqs = chain.mode_freqs
     orders = sorted({int(n) for n in cfg["truncations"]})
     times = time_grid(cfg)
     series = {}
@@ -210,6 +209,12 @@ def cmd_kernels(cfg, out) -> int:
     write_sidecar(out, cfg)
     print(f"kernel table written to {out}: orders {orders}")
     return 0
+
+
+def _ratio(eps, bound):
+    """eps/bound where the bound is positive, 0 where it vanishes."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(bound > 0, eps / np.where(bound > 0, bound, 1.0), 0.0)
 
 
 def cmd_bound(cfg, out) -> int:
@@ -228,8 +233,7 @@ def cmd_bound(cfg, out) -> int:
         eps = bounds.epsilon_empirical(full, trunc)
         b_det = bounds.bound_deterministic(io, chain, n, times, init)
         b_th = bounds.bound_thermal(io, chain, n, times, th)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.where(b_det > 0, eps / np.where(b_det > 0, b_det, 1.0), 0.0)
+        ratio = _ratio(eps, b_det)
         max_ratio = max(max_ratio, float(ratio.max()))
         header += [f"eps_n{n}", f"bound_det_n{n}", f"bound_thermal_n{n}", f"ratio_n{n}"]
         blocks.append((eps, b_det, b_th, ratio))
@@ -290,8 +294,7 @@ def _sweep_cell(args):
         trunc = dynamics.evolve_truncated(chain, min(n, chain.N), init, omap, times)
         eps = bounds.epsilon_empirical(full, trunc)
         b = bounds.bound_deterministic(io, chain, min(n, chain.N), times, init)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = float(np.max(np.where(b > 0, eps / np.where(b > 0, b, 1.0), 0.0)))
+        ratio = float(np.max(_ratio(eps, b)))
         return (N, n, kT, float(eps.max()), ratio, "ok", ""), time.perf_counter() - t0
     except ChainBathError as exc:
         return (N, n, kT, np.nan, np.nan, "error", type(exc).__name__), time.perf_counter() - t0
@@ -305,8 +308,7 @@ def cmd_sweep(cfg, out) -> int:
     )
     seqs = np.random.SeedSequence(cfg["seed"]).spawn(len(cells))
     jobs = [(N, n, kT, seq, cfg) for (N, n, kT), seq in zip(cells, seqs)]
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(_sweep_cell, jobs))
+    results = [_sweep_cell(job) for job in jobs]
 
     rows = [r for r, _ in results]
     write_csv(out, ["N", "n", "kT", "max_eps", "max_ratio", "status", "error"], rows)

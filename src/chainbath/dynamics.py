@@ -176,6 +176,14 @@ def chain_initial_conditions(omap: OrthogonalMap, init: InitialState):
     return -omap.O @ init.q0, -omap.O @ init.qdot0
 
 
+def extended_initial_conditions(omap: OrthogonalMap, init: InitialState, n: int):
+    """Initial data (y0, ydot0) of the system plus the first n chain modes,
+    system first, chain modes from `chain_initial_conditions`."""
+    X0, Xdot0 = chain_initial_conditions(omap, init)
+    return (np.concatenate([[init.x0], X0[:n]]),
+            np.concatenate([[init.xdot0], Xdot0[:n]]))
+
+
 def evolve_truncated(chain: ChainModel, n: int, init: InitialState,
                      omap: OrthogonalMap, times) -> Trajectory:
     """Evolution with the chain cut after mode n (coupling D_n dropped).
@@ -184,9 +192,7 @@ def evolve_truncated(chain: ChainModel, n: int, init: InitialState,
     orthogonal map; n = chain.N gives the untruncated dynamics.
     """
     A = assemble_extended_matrix(chain, n)
-    X0, Xdot0 = chain_initial_conditions(omap, init)
-    y0 = np.concatenate([[init.x0], X0[:n]])
-    ydot0 = np.concatenate([[init.xdot0], Xdot0[:n]])
+    y0, ydot0 = extended_initial_conditions(omap, init, n)
     return evolve_exact(A, y0, ydot0, times)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import InitialState, assemble_io_matrix
+from .kernels import sq_freq_gap
 from .spectral import IOModel, build_io_model, chain_from_io
 
 
@@ -44,9 +45,7 @@ def instance_ok(io: IOModel, chain, margin: float = 0.05) -> bool:
         return False
     if chain.D0 >= (1.0 - margin) * chain.Omega0 * chain.Omega[0]:
         return False
-    freqs2 = np.concatenate([[chain.Omega0], chain.Omega]) ** 2
-    gap = np.abs(freqs2[:, None] - freqs2[None, :]) + np.diag(np.full(len(freqs2), np.inf))
-    return bool(gap.min() > 1e-6 * freqs2.max())
+    return sq_freq_gap(chain.mode_freqs) > 1e-6
 
 
 def random_io_model(rng: np.random.Generator, N: int,

@@ -1,22 +1,30 @@
 """Nested memory kernels of the chain dynamics.
 
 K_0(tau) = sin(Omega_0 tau) and K_i = K_{i-1} * sin(Omega_i .) (convolution
-on [0, tau]), so each K_i is an i-fold nested integral of sines.  For
-pairwise-distinct frequencies the convolution unrolls by partial fractions
-into a finite sine series
+on [0, tau]), so each K_i is an i-fold nested integral of sines.  The
+Volterra source and the tail error never form K_i: they apply the nesting to
+sampled signals directly, one single-sine `convolve_on_grid` per level
+(`solution.nested_convolve`).
 
-    K_i(tau) = sum_j alpha_j sin(Omega_j tau),
-    alpha_j  = prod(Omega) / (Omega_j * prod_{l != j} (Omega_l^2 - Omega_j^2)),
+This module keeps three independent evaluations of K_i itself, which the
+tests use as oracles for one another and for the nesting:
 
-which is the primary representation (O(i) evaluation).  Derivatives at the
-origin follow from the Laplace picture prod_l Omega_l/(s^2 + Omega_l^2):
-all even derivatives vanish, the first 2i derivatives vanish, and
+- the closed form: for pairwise-distinct frequencies the nesting unrolls by
+  partial fractions into a finite sine series
 
-    K_i^(2m+1)(0) = (-1)^(m-i) * prod(Omega) * h_{m-i}(Omega_0^2, ..., Omega_i^2)
+      K_i(tau) = sum_j alpha_j sin(Omega_j tau),
+      alpha_j  = prod(Omega) / (Omega_j * prod_{l != j} (Omega_l^2 - Omega_j^2)),
 
-with h the complete homogeneous symmetric polynomial.  The h-route is
-numerically stable at high order and remains valid for coincident
-frequencies, where the sine series has a pole.
+  whose coefficients cancel catastrophically beyond order ~20;
+- the Taylor series at the origin, from the Laplace picture
+  prod_l Omega_l/(s^2 + Omega_l^2): all even derivatives vanish, the first
+  2i derivatives vanish, and
+
+      K_i^(2m+1)(0) = (-1)^(m-i) * prod(Omega) * h_{m-i}(Omega_0^2, ..., Omega_i^2)
+
+  with h the complete homogeneous symmetric polynomial, which is stable at
+  high order and valid for coincident frequencies;
+- nested Gauss-Legendre quadrature of the defining integrals.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DegenerateFrequencies, ToleranceNotReached
+from .errors import DegenerateFrequencies, GridTooCoarse, ToleranceNotReached
 
 
 @dataclass(frozen=True)
@@ -68,6 +76,14 @@ def _check_freqs(freqs) -> np.ndarray:
     return freqs
 
 
+def sq_freq_gap(freqs) -> float:
+    """Smallest separation of two squared frequencies, relative to the largest
+    squared frequency; inf for a single frequency."""
+    w2 = np.asarray(freqs, dtype=float) ** 2
+    gap = np.abs(w2[:, None] - w2[None, :]) + np.diag(np.full(len(w2), np.inf))
+    return float(gap.min() / w2.max())
+
+
 def kernel_closed_form(freqs) -> KernelRep:
     """Closed-form sine series of the nested kernel for frequencies
     (Omega_0, ..., Omega_i).
@@ -77,10 +93,10 @@ def kernel_closed_form(freqs) -> KernelRep:
     """
     freqs = _check_freqs(freqs)
     w2 = freqs**2
-    gap = np.abs(w2[:, None] - w2[None, :]) + np.diag(np.full(len(freqs), np.inf))
-    if gap.min() < 1e-9 * w2.max():
+    gap = sq_freq_gap(freqs)
+    if gap < 1e-9:
         raise DegenerateFrequencies(
-            f"squared frequencies separated by {gap.min():.3e} < 1e-9*max; "
+            f"squared frequencies separated by {gap:.3e} * max < 1e-9 * max; "
             "closed form has a pole"
         )
     prod = np.prod(freqs)
@@ -255,7 +271,7 @@ def convolve_on_grid(freqs, coeffs, values, times, nodes: int = 8) -> np.ndarray
     coeffs = np.asarray(coeffs, dtype=float)
 
     spline = CubicSpline(times, values)
-    x, w = leggauss(nodes)
+    x, w = _gl_rule(nodes)
     mid = 0.5 * (times[1:] + times[:-1])
     half = 0.5 * np.diff(times)
     s = mid[:, None] + half[:, None] * x[None, :]          # (M-1, nodes)
@@ -277,9 +293,15 @@ def convolve_on_grid(freqs, coeffs, values, times, nodes: int = 8) -> np.ndarray
     return conv
 
 
-def spline_quadrature_error_estimate(times, values, max_freq: float) -> float:
-    """Crude upper estimate of the spline-reconstruction error driving
-    convolve_on_grid: (5/384) h^4 max|v''''| with |v''''| ~ max_freq^4 max|v|."""
+def check_grid(times, vmax: float, max_freq: float) -> None:
+    """Raise GridTooCoarse when the spline reconstruction behind
+    convolve_on_grid is too coarse for signals of size vmax with frequencies
+    up to max_freq: its error estimate (5/384) h^4 max|v^(4)|, taking
+    |v^(4)| ~ max_freq^4 vmax, must stay within 1e-7 * vmax."""
     h = float(np.max(np.diff(times)))
-    vmax = float(np.max(np.abs(values))) if len(values) else 0.0
-    return (5.0 / 384.0) * (h * max_freq) ** 4 * vmax
+    est = (5.0 / 384.0) * (h * max_freq) ** 4 * vmax
+    if est > 1e-7 * max(vmax, 1e-300):
+        raise GridTooCoarse(
+            f"estimated spline-quadrature error {est:.3e} exceeds "
+            f"1e-7 * max|X| = {1e-7 * vmax:.3e}; refine the grid"
+        )

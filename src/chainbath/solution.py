@@ -7,6 +7,18 @@ dynamics into a Volterra equation of the second kind,
 
 whose source F collects everything independent of x: the free-mode ladder
 f-tilde plus convolutions of higher kernels with the chain trajectories.
+Every term of F is a nested kernel K_j = K_{j-1} * sin(Omega_j .) convolved
+with a sampled signal, so the whole source is one weighted sum
+sum_j K_j * h_j, which `nested_convolve` evaluates by the Horner nesting
+
+    S_0 * (h_0 + S_1 * (h_1 + ... + S_n * h_n)),
+    S_j * g = int_0^t sin(Omega_j (t-s)) g(s) ds.
+
+Each S_j is one single-sine grid convolution, so a level-n source costs
+n+1 of them, has no partial-fraction coefficients to cancel, and needs no
+distinct frequencies.  The closed-form kernels of `kernels` serve only as
+test oracles.
+
 Because K_1 is a two-sine kernel the equation solves in closed form with the
 resolvent kernel
 
@@ -28,21 +40,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import InitialState, Trajectory, chain_initial_conditions
+from .dynamics import (
+    InitialState,
+    Trajectory,
+    extended_initial_conditions,
+    free_mode_evolution,
+)
 from .errors import (
     ComplexResolvent,
-    DegenerateFrequencies,
     DegenerateResolvent,
-    GridTooCoarse,
     IndexOutOfRange,
     NonpositiveParameter,
 )
-from .kernels import (
-    KernelRep,
-    convolve_on_grid,
-    kernel_closed_form,
-    spline_quadrature_error_estimate,
-)
+from .kernels import KernelRep, check_grid, convolve_on_grid
 from .spectral import ChainModel, OrthogonalMap
 
 
@@ -107,73 +117,60 @@ def coupling(chain: ChainModel, l: int) -> float:
     return float(chain.D[l - 1])
 
 
-def _mode_freqs(chain: ChainModel) -> np.ndarray:
-    """(Omega_0, Omega_1, ..., Omega_N) with Omega_0 the system frequency."""
-    return np.concatenate([[chain.Omega0], chain.Omega])
+def coupling_products(chain: ChainModel, n: int) -> np.ndarray:
+    """p_i = prod_{l<i} D_l/Omega_l for i = 0..n+1 (p_0 = 1); p_{N+1} = 0
+    because D_N = 0."""
+    freqs = chain.mode_freqs
+    ratios = [coupling(chain, l) / freqs[l] for l in range(n + 1)]
+    return np.concatenate([[1.0], np.cumprod(ratios)])
 
 
-def _check_distinct(freqs):
-    w2 = np.asarray(freqs) ** 2
-    gap = np.abs(w2[:, None] - w2[None, :]) + np.diag(np.full(len(w2), np.inf))
-    if gap.min() < 1e-9 * w2.max():
-        raise DegenerateFrequencies(
-            "coincident mode frequencies; closed-form source not available"
-        )
+def nested_convolve(freqs, hs, times) -> np.ndarray:
+    """sum_j K_j * h_j on the grid, with K_j the nested kernel of
+    freqs[:j+1] and hs[j] sampled on `times`.
 
-
-class _TrigSeries:
-    """Finite sum a_j sin(w_j t) + b_j cos(w_j t), closed under convolution
-    with a sine.  Internal helper for the free-mode source ladder."""
-
-    def __init__(self, freqs=(), sin_coeffs=(), cos_coeffs=()):
-        self.terms = {}
-        for w, a, b in zip(freqs, sin_coeffs, cos_coeffs):
-            self.add(w, a, b)
-
-    def add(self, w, a=0.0, b=0.0):
-        sa, sb = self.terms.get(w, (0.0, 0.0))
-        self.terms[w] = (sa + a, sb + b)
-
-    def update(self, other, scale=1.0):
-        for w, (a, b) in other.terms.items():
-            self.add(w, scale * a, scale * b)
-
-    def eval(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for w, (a, b) in self.terms.items():
-            out += a * np.sin(w * t) + b * np.cos(w * t)
-        return out
-
-
-def _convolve_series_with_trig(ker_freqs, ker_coeffs, series: _TrigSeries) -> _TrigSeries:
-    """Exact convolution of a sine-series kernel with a trig series:
-    int_0^t K(t-s) g(s) ds for g = sum a sin(w s) + b cos(w s).
-
-    Uses, for a != b,
-        sin(a.) * sin(b.) -> [a sin(b t) - b sin(a t)] / (a^2 - b^2)
-        sin(a.) * cos(b.) -> a [cos(b t) - cos(a t)] / (a^2 - b^2).
+    Horner nesting S_0 * (h_0 + S_1 * (h_1 + ... + S_n * h_n)), each
+    S_j * g = int_0^t sin(freqs[j] (t-s)) g(s) ds one convolve_on_grid call.
     """
-    out = _TrigSeries()
-    for wk, alpha in zip(ker_freqs, ker_coeffs):
-        for wg, (a, b) in series.terms.items():
-            den = wk**2 - wg**2
-            if abs(den) < 1e-12 * max(wk**2, wg**2):
-                raise DegenerateFrequencies(
-                    f"kernel frequency {wk:g} coincides with source frequency {wg:g}"
-                )
-            # sine part of g
-            out.add(wg, a * alpha * wk / den, 0.0)
-            out.add(wk, -a * alpha * wg / den, 0.0)
-            # cosine part of g
-            out.add(wg, 0.0, b * alpha * wk / den)
-            out.add(wk, 0.0, -b * alpha * wk / den)
-    return out
+    acc = np.zeros(len(times))
+    for w, h in zip(freqs[::-1], hs[::-1]):
+        acc = convolve_on_grid([w], [1.0], h + acc, times)
+    return acc
+
+
+def _free_ladder(chain: ChainModel, n: int, init: InitialState,
+                 omap: OrthogonalMap, times):
+    """(f_0, hs) with f-tilde_n = f_0 + nested_convolve(freqs[:n+1], hs, times):
+    hs[j] = p_{j+1} f_{j+1} for j < n and hs[n] = 0, where f_i is the free
+    evolution of mode i from its initial data."""
+    freqs = chain.mode_freqs
+    p = coupling_products(chain, n)
+    y0, ydot0 = extended_initial_conditions(omap, init, n)
+    f = np.array([free_mode_evolution(freqs[i], y0[i], ydot0[i], times)
+                  for i in range(n + 1)])
+    hs = np.zeros_like(f)
+    hs[:-1] = p[1:-1, None] * f[1:]
+    return f[0], hs
+
+
+def _add_mode_terms(chain: ChainModel, traj: Trajectory, hs, lo: int):
+    """Add p_j (D_{j-1}/Omega_j) X_{j-1} to hs[j] for lo <= j <= n, with the
+    chain-mode trajectories injected from `traj`."""
+    n = len(hs) - 1
+    freqs = chain.mode_freqs
+    p = coupling_products(chain, n)
+    for j in range(lo, n + 1):
+        hs[j] += p[j] * (coupling(chain, j - 1) / freqs[j]) * traj.mode(j - 1)
+
+
+def _check_grid(chain: ChainModel, traj: Trajectory):
+    vmax = max(np.abs(traj.x).max(), np.abs(traj.X).max() if traj.X.size else 0.0)
+    check_grid(traj.times, vmax, float(chain.mode_freqs.max()))
 
 
 def free_source_series(chain: ChainModel, n: int, init: InitialState,
-                       omap: OrthogonalMap) -> _TrigSeries:
-    """The ladder f-tilde_n as an exact trig series.
+                       omap: OrthogonalMap, times) -> np.ndarray:
+    """The ladder f-tilde_n sampled on `times`.
 
     f-tilde_0 = f_0 and
     f-tilde_i = f-tilde_{i-1} + (prod_{l<i} D_l/Omega_l) K_{i-1} * f_i,
@@ -181,51 +178,9 @@ def free_source_series(chain: ChainModel, n: int, init: InitialState,
     """
     if not 0 <= n <= chain.N:
         raise IndexOutOfRange(f"level {n} outside [0, {chain.N}]")
-    freqs = _mode_freqs(chain)
-    _check_distinct(freqs[: n + 1])
-    X0, Xdot0 = chain_initial_conditions(omap, init)
-    mode0 = np.concatenate([[init.x0], X0])
-    modedot0 = np.concatenate([[init.xdot0], Xdot0])
-
-    total = _TrigSeries([freqs[0]], [modedot0[0] / freqs[0]], [mode0[0]])
-    pref = 1.0
-    for i in range(1, n + 1):
-        pref *= coupling(chain, i - 1) / freqs[i - 1]
-        ker = kernel_closed_form(freqs[:i])
-        f_i = _TrigSeries([freqs[i]], [modedot0[i] / freqs[i]], [mode0[i]])
-        total.update(_convolve_series_with_trig(ker.freqs, ker.coeffs, f_i), pref)
-    return total
-
-
-def _mode_convolution_terms(chain, n, traj: Trajectory, lo: int):
-    """Sum over i = lo..n of
-    (prod_{l<i} D_l/Omega_l)(D_{i-1}/Omega_i) int K_i(t-s) X_{i-1}(s) ds,
-    with the chain-mode trajectories injected from `traj`."""
-    freqs = _mode_freqs(chain)
-    times = traj.times
-    total = np.zeros_like(times)
-    pref = 1.0
-    for i in range(1, n + 1):
-        pref *= coupling(chain, i - 1) / freqs[i - 1]
-        if i < lo:
-            continue
-        ker = kernel_closed_form(freqs[: i + 1])
-        vals = traj.mode(i - 1)
-        total += pref * (coupling(chain, i - 1) / freqs[i]) * convolve_on_grid(
-            ker.freqs, ker.coeffs, vals, times
-        )
-    return total
-
-
-def _check_grid(chain: ChainModel, traj: Trajectory, rel_tol: float = 1e-7):
-    freqs = _mode_freqs(chain)
-    vmax = max(np.abs(traj.x).max(), np.abs(traj.X).max() if traj.X.size else 0.0)
-    est = spline_quadrature_error_estimate(traj.times, [vmax], float(freqs.max()))
-    if est > rel_tol * max(vmax, 1e-300):
-        raise GridTooCoarse(
-            f"estimated spline-quadrature error {est:.3e} exceeds "
-            f"{rel_tol:g} * max|X| = {rel_tol * vmax:.3e}; refine the grid"
-        )
+    times = np.asarray(times, dtype=float)
+    f0, hs = _free_ladder(chain, n, init, omap, times)
+    return f0 + nested_convolve(chain.mode_freqs[: n + 1], hs, times)
 
 
 def source_term(chain: ChainModel, n_used: int, traj: Trajectory,
@@ -236,19 +191,18 @@ def source_term(chain: ChainModel, n_used: int, traj: Trajectory,
            + sum_{i=2}^{n} (prod_{l<i} D_l/Omega_l)(D_{i-1}/Omega_i)
                            int_0^t K_i(t-s) X_{i-1}(s) ds,
 
-    with the X_{i-1} taken from the supplied (exact) trajectories.  The
-    free-mode part is evaluated in closed form; the trajectory convolutions
-    use per-interval Gauss-Legendre on a cubic-spline reconstruction.
-    Raises GridTooCoarse when the estimated quadrature error exceeds
-    1e-7 * max|X|.
+    with the X_{i-1} taken from the supplied (exact) trajectories.  The free
+    modes are sampled on the grid and both parts go through one
+    nested_convolve cascade of per-interval Gauss-Legendre convolutions on
+    cubic-spline reconstructions.  Raises GridTooCoarse when the estimated
+    quadrature error exceeds 1e-7 * max|X|.
     """
     if not 0 <= n_used <= chain.N:
         raise IndexOutOfRange(f"level {n_used} outside [0, {chain.N}]")
     _check_grid(chain, traj)
-    F = free_source_series(chain, n_used, init, omap).eval(traj.times)
-    if n_used >= 2:
-        F = F + _mode_convolution_terms(chain, n_used, traj, lo=2)
-    return F
+    f0, hs = _free_ladder(chain, n_used, init, omap, traj.times)
+    _add_mode_terms(chain, traj, hs, lo=2)
+    return f0 + nested_convolve(chain.mode_freqs[: n_used + 1], hs, traj.times)
 
 
 def x_reduced_form(chain: ChainModel, n: int, traj: Trajectory,
@@ -265,15 +219,11 @@ def x_reduced_form(chain: ChainModel, n: int, traj: Trajectory,
     if not 1 <= n <= chain.N:
         raise IndexOutOfRange(f"level {n} outside [1, {chain.N}]")
     _check_grid(chain, traj)
-    freqs = _mode_freqs(chain)
-    rhs = free_source_series(chain, n, init, omap).eval(traj.times)
-    rhs = rhs + _mode_convolution_terms(chain, n, traj, lo=1)
+    f0, hs = _free_ladder(chain, n, init, omap, traj.times)
+    _add_mode_terms(chain, traj, hs, lo=1)
     if n < chain.N:
-        p_n = np.prod([coupling(chain, l) / freqs[l] for l in range(n + 1)])
-        ker = kernel_closed_form(freqs[: n + 1])
-        rhs = rhs + p_n * convolve_on_grid(ker.freqs, ker.coeffs,
-                                           traj.mode(n + 1), traj.times)
-    return rhs
+        hs[n] += coupling_products(chain, n)[n + 1] * traj.mode(n + 1)
+    return f0 + nested_convolve(chain.mode_freqs[: n + 1], hs, traj.times)
 
 
 def solve_volterra_closed(params: VolterraParams, F, times) -> np.ndarray:

@@ -60,6 +60,11 @@ class ChainModel:
     def N(self) -> int:
         return len(self.Omega)
 
+    @property
+    def mode_freqs(self) -> np.ndarray:
+        """(Omega_0, Omega_1, ..., Omega_N) with Omega_0 the system frequency."""
+        return np.concatenate([[self.Omega0], self.Omega])
+
     def tridiagonal(self) -> np.ndarray:
         """The N x N symmetric tridiagonal frequency matrix (off-diag -D_j)."""
         T = np.diag(self.Omega**2)

@@ -1,9 +1,14 @@
 """Resolvent parameters, source construction, and the closed Volterra solution."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
+from chainbath.bounds import ThermalState, sample_thermal
 from chainbath.dynamics import (
     Trajectory,
     evolve_truncated,
@@ -15,6 +20,7 @@ from chainbath.errors import (
     GridTooCoarse,
     NonpositiveParameter,
 )
+from chainbath.instances import coupling_profile, linear_spectrum
 from chainbath.kernels import kernel_closed_form, kernel_eval
 from chainbath.solution import (
     coupling,
@@ -26,9 +32,27 @@ from chainbath.solution import (
     source_term,
     x_reduced_form,
 )
-from chainbath.spectral import build_io_model, chain_from_io
+from chainbath.spectral import ChainModel, OrthogonalMap, build_io_model, chain_from_io
 from chainbath.dynamics import InitialState
 from tests.conftest import make_instance
+
+
+def linear_instance(N, seed=0):
+    """The CLI's linear family (c0 = 0.5/sqrt(N), Omega0 = 1.2) with a
+    thermal draw at kT = 1."""
+    omega = linear_spectrum(N, 0.5, 2.5)
+    io = build_io_model(omega, coupling_profile(omega, 0.5 / math.sqrt(N)), 1.2)
+    chain, omap = chain_from_io(io)
+    return io, chain, omap, sample_thermal(io, ThermalState(1.0), seed)
+
+
+def volterra_error(chain, omap, init, times):
+    """(max |x_volterra - x_full|, max |x_full|) on the grid."""
+    full = evolve_truncated(chain, chain.N, init, omap, times)
+    F = source_term(chain, chain.N, full, init, omap)
+    p = mu_delta(chain.Omega0, chain.Omega[0], chain.D0)
+    x = solve_volterra_closed(p, F, times)
+    return np.abs(x - full.x).max(), np.abs(full.x).max()
 
 
 def gl_convolve(kernel_fn, values_fn, t, nodes=128):
@@ -139,7 +163,8 @@ class TestSourceTerm:
         # f-tilde_2 against a brute-force evaluation of the recurrence
         io, chain, omap, init = make_instance(31, 2)
         X0, Xdot0 = chain_initial_conditions(omap, init)
-        series = free_source_series(chain, 2, init, omap)
+        times = np.linspace(0, 2.9, 2901)
+        series = free_source_series(chain, 2, init, omap, times)
         freqs = np.concatenate([[chain.Omega0], chain.Omega])
         modes0 = np.concatenate([[init.x0], X0])
         modesd0 = np.concatenate([[init.xdot0], Xdot0])
@@ -149,13 +174,26 @@ class TestSourceTerm:
 
         k0 = kernel_closed_form(freqs[:1])
         k1 = kernel_closed_form(freqs[:2])
-        for t in (0.7, 2.9):
+        for m in (700, 2900):
+            t = times[m]
             val = f(0)(t)
             val += (coupling(chain, 0) / freqs[0]) * gl_convolve(
                 lambda u: kernel_eval(k0, u), f(1), t)
             val += (coupling(chain, 0) / freqs[0]) * (coupling(chain, 1) / freqs[1]) \
                 * gl_convolve(lambda u: kernel_eval(k1, u), f(2), t)
-            assert series.eval(np.array([t]))[0] == pytest.approx(val, abs=1e-10)
+            assert series[m] == pytest.approx(val, abs=1e-10)
+
+    def test_coincident_frequencies(self):
+        # three equal frequencies (system and the first two chain modes): the
+        # nested cascade needs no partial fractions, so it has no pole here
+        chain = ChainModel(Omega=np.array([1.5, 1.5, 2.0]), D=np.array([0.4, 0.3]),
+                           D0=0.5, Omega0=1.5)
+        omap = OrthogonalMap(np.eye(3))
+        init = InitialState(q0=np.array([0.3, -0.7, 0.5]),
+                            qdot0=np.array([0.2, 0.4, -0.6]), x0=0.8, xdot0=-0.1)
+        times = np.linspace(0, 10, 2048)
+        err, scale = volterra_error(chain, omap, init, times)
+        assert err <= 1e-9 * scale
 
 
 class TestVolterraSolvers:
@@ -179,6 +217,23 @@ class TestVolterraSolvers:
         p = mu_delta(chain.Omega0, chain.Omega[0], chain.D0)
         x = solve_volterra_closed(p, F, times)
         assert np.abs(x - full.x).max() < 1e-6
+        # long linear-family chains: the cascade keeps every digit with depth
+        for N in (32, 128):
+            _, chain, omap, init = linear_instance(N)
+            err, scale = volterra_error(chain, omap, init, np.linspace(0, 10, 2048))
+            assert err <= 1e-9 * scale, f"N={N}"
+
+    @pytest.mark.parametrize("N", [8, 64, 256])
+    def test_depth_at_coarsest_grid(self, N):
+        # 384 samples on [0, 10] is about the coarsest grid the 1e-7 grid
+        # check accepts for this family; 320 samples is refused
+        _, chain, omap, init = linear_instance(N)
+        coarse = np.linspace(0, 10, 320)
+        with pytest.raises(GridTooCoarse):
+            source_term(chain, chain.N,
+                        evolve_truncated(chain, chain.N, init, omap, coarse), init, omap)
+        err, scale = volterra_error(chain, omap, init, np.linspace(0, 10, 384))
+        assert err <= 1e-6 * scale
 
     def test_numeric_zero_kernel(self):
         k1 = kernel_closed_form([1.0, 2.0])
@@ -215,6 +270,16 @@ class TestVolterraSolvers:
 
 
 class TestReducedIdentity:
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 32))
+    def test_every_level_on_random_instances(self, seed, N):
+        io, chain, omap, init = make_instance(seed, N)
+        times = np.linspace(0, 4 / chain.Omega0, 513)
+        full = evolve_truncated(chain, chain.N, init, omap, times)
+        for n in range(1, N + 1):
+            rhs = x_reduced_form(chain, n, full, init, omap)
+            assert np.abs(rhs - full.x).max() <= 1e-9, f"N={N}, n={n}"
+
     def test_all_levels(self):
         for seed, N in ((11, 2), (12, 4), (13, 6)):
             io, chain, omap, init = make_instance(seed, N)
