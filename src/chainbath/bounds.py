@@ -34,7 +34,7 @@ from .dynamics import (
     extended_initial_conditions,
     system_response,
 )
-from .errors import GridMismatch, IndexOutOfRange, NonpositiveParameter
+from .errors import GridMismatch, NonpositiveParameter, check_index
 from .kernels import check_grid, convolve_on_grid, kernel_closed_form, kernel_taylor
 from .solution import VolterraParams, coupling_products, nested_convolve, resolvent_series
 from .spectral import ChainModel, IOModel, OrthogonalMap, char_poly_eval
@@ -91,8 +91,7 @@ def epsilon1(chain: ChainModel, n: int, times, x_next) -> np.ndarray:
     (prod_{l<=n} D_l/Omega_l) int_0^t K_n(t-s) X_{n+1}(s) ds, with X_{n+1}
     sampled from the full evolution, through the nested_convolve cascade.
     Identically zero at n = N."""
-    if not 0 <= n <= chain.N:
-        raise IndexOutOfRange(f"truncation index {n} outside [0, {chain.N}]")
+    check_index(n, chain.N, "truncation index")
     times = np.asarray(times, dtype=float)
     if n == chain.N:
         return np.zeros_like(times)
@@ -113,8 +112,7 @@ def epsilon1_pointwise(chain: ChainModel, n: int, t_points, x_next_eval,
     cancellation of the sine series near the origin; x_next_eval(s) must
     return X_{n+1} at arbitrary times (e.g. from the eigendecomposition).
     """
-    if not 0 <= n <= chain.N:
-        raise IndexOutOfRange(f"truncation index {n} outside [0, {chain.N}]")
+    check_index(n, chain.N, "truncation index")
     t_points = np.asarray(t_points, dtype=float)
     if n == chain.N:
         return np.zeros_like(t_points)
@@ -168,8 +166,7 @@ def bound_deterministic(io: IOModel, chain: ChainModel, n: int, t,
 
     t may be a scalar or an array; the return matches.
     """
-    if not 0 <= n <= chain.N:
-        raise IndexOutOfRange(f"truncation index {n} outside [0, {chain.N}]")
+    check_index(n, chain.N, "truncation index")
     t = np.asarray(t, dtype=float)
     weights = _minor_weights(io, chain, n)
     s_q = float(np.sum(weights * (np.abs(init.q0) + np.abs(init.qdot0) / io.omega)))
@@ -184,8 +181,7 @@ def bound_thermal(io: IOModel, chain: ChainModel, n: int, t, th: ThermalState):
     initial-data factor of the deterministic bound; scales exactly as
     sqrt(kT).
     """
-    if not 0 <= n <= chain.N:
-        raise IndexOutOfRange(f"truncation index {n} outside [0, {chain.N}]")
+    check_index(n, chain.N, "truncation index")
     t = np.asarray(t, dtype=float)
     weights = _minor_weights(io, chain, n)
     s_th = math.sqrt(8 * th.kT / math.pi) * float(np.sum(weights / io.omega))

@@ -30,6 +30,7 @@ from .errors import (
     ComplexResolvent,
     DegenerateResolvent,
     UnstableMode,
+    check_index,
 )
 
 _DEFAULTS = {
@@ -196,13 +197,19 @@ def cmd_kernels(cfg, out) -> int:
     chain, _ = spectral.chain_from_io(io)
     freqs = chain.mode_freqs
     orders = sorted({int(n) for n in cfg["truncations"]})
-    times = time_grid(cfg)
-    series = {}
     for i in orders:
-        if not 0 <= i <= chain.N:
-            raise ValueError(f"kernel order {i} outside [0, {chain.N}]")
-        rep = kernels.kernel_closed_form(freqs[: i + 1])
-        series[i] = kernels.kernel_eval(rep, times)
+        check_index(i, chain.N, "kernel order")
+    times = time_grid(cfg)
+    top = max(orders, default=0)
+    kernels.check_grid(times, 1.0, float(freqs[: top + 1].max()))
+    # K_0 = sin(Omega_0 t), K_i = K_{i-1} * sin(Omega_i .): one grid convolution per order
+    series = {}
+    k = np.sin(freqs[0] * times)
+    for i in range(top + 1):
+        if i:
+            k = kernels.convolve_on_grid([freqs[i]], [1.0], k, times)
+        if i in orders:
+            series[i] = k
     header = ["tau"] + [f"K_{i}" for i in orders]
     rows = [(times[m], *[series[i][m] for i in orders]) for m in range(len(times))]
     write_csv(out, header, rows)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, UnstableMode
+from .errors import DimensionMismatch, UnstableMode, check_index
 from .spectral import ChainModel, IOModel, OrthogonalMap
 
 
@@ -84,11 +84,8 @@ class Trajectory:
 
     def mode(self, i: int) -> np.ndarray:
         """Samples of X_i(t); mode(0) is the system coordinate x."""
-        if i == 0:
-            return self.x
-        if not 1 <= i <= self.n_modes:
-            raise IndexOutOfRange(f"mode index {i} outside [0, {self.n_modes}]")
-        return self.X[i - 1]
+        check_index(i, self.n_modes, "mode index")
+        return self.x if i == 0 else self.X[i - 1]
 
 
 def assemble_extended_matrix(chain: ChainModel, n: int) -> np.ndarray:
@@ -96,8 +93,7 @@ def assemble_extended_matrix(chain: ChainModel, n: int) -> np.ndarray:
     chain modes: diagonal (Omega0^2, Omega_1^2, ..., Omega_n^2),
     off-diagonal (-D0, -D_1, ..., -D_{n-1}).  n = 0 is the isolated system;
     truncation at n < N just drops the rows/columns past mode n."""
-    if not 0 <= n <= chain.N:
-        raise IndexOutOfRange(f"truncation index {n} outside [0, {chain.N}]")
+    check_index(n, chain.N, "truncation index")
     A = np.zeros((n + 1, n + 1))
     A[0, 0] = chain.Omega0**2
     for i in range(1, n + 1):

@@ -26,6 +26,12 @@ class IndexOutOfRange(ChainBathError, IndexError):
     """A mode or minor index lies outside [0, N]."""
 
 
+def check_index(i: int, hi: int, what: str, lo: int = 0) -> None:
+    """Raise IndexOutOfRange unless lo <= i <= hi."""
+    if not lo <= i <= hi:
+        raise IndexOutOfRange(f"{what} {i} outside [{lo}, {hi}]")
+
+
 class DegenerateFrequencies(ChainBathError):
     """Two kernel frequencies coincide; the sine-series closed form has a pole.
     Fall back to Taylor evaluation or quadrature."""

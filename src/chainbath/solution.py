@@ -49,8 +49,8 @@ from .dynamics import (
 from .errors import (
     ComplexResolvent,
     DegenerateResolvent,
-    IndexOutOfRange,
     NonpositiveParameter,
+    check_index,
 )
 from .kernels import KernelRep, check_grid, convolve_on_grid
 from .spectral import ChainModel, OrthogonalMap
@@ -108,12 +108,11 @@ def resolvent_series(params: VolterraParams):
 def coupling(chain: ChainModel, l: int) -> float:
     """D_l with the boundary conventions: D_0 is the system coupling and
     D_N = 0 terminates sums."""
+    check_index(l, chain.N, "coupling index")
     if l == 0:
         return chain.D0
     if l == chain.N:
         return 0.0
-    if not 1 <= l < chain.N:
-        raise IndexOutOfRange(f"coupling index {l} outside [0, {chain.N}]")
     return float(chain.D[l - 1])
 
 
@@ -176,8 +175,7 @@ def free_source_series(chain: ChainModel, n: int, init: InitialState,
     f-tilde_i = f-tilde_{i-1} + (prod_{l<i} D_l/Omega_l) K_{i-1} * f_i,
     where f_i is the free evolution of mode i from its initial data.
     """
-    if not 0 <= n <= chain.N:
-        raise IndexOutOfRange(f"level {n} outside [0, {chain.N}]")
+    check_index(n, chain.N, "level")
     times = np.asarray(times, dtype=float)
     f0, hs = _free_ladder(chain, n, init, omap, times)
     return f0 + nested_convolve(chain.mode_freqs[: n + 1], hs, times)
@@ -194,11 +192,10 @@ def source_term(chain: ChainModel, n_used: int, traj: Trajectory,
     with the X_{i-1} taken from the supplied (exact) trajectories.  The free
     modes are sampled on the grid and both parts go through one
     nested_convolve cascade of per-interval Gauss-Legendre convolutions on
-    cubic-spline reconstructions.  Raises GridTooCoarse when the estimated
-    quadrature error exceeds 1e-7 * max|X|.
+    local 6-point Lagrange reconstructions.  Raises GridTooCoarse when the
+    estimated interpolation error exceeds 1e-7 * max|X|.
     """
-    if not 0 <= n_used <= chain.N:
-        raise IndexOutOfRange(f"level {n_used} outside [0, {chain.N}]")
+    check_index(n_used, chain.N, "level")
     _check_grid(chain, traj)
     f0, hs = _free_ladder(chain, n_used, init, omap, traj.times)
     _add_mode_terms(chain, traj, hs, lo=2)
@@ -216,8 +213,7 @@ def x_reduced_form(chain: ChainModel, n: int, traj: Trajectory,
     where the last term vanishes for n = N (D_N = 0).  With exact
     trajectories this reproduces traj.x to quadrature precision for every n.
     """
-    if not 1 <= n <= chain.N:
-        raise IndexOutOfRange(f"level {n} outside [1, {chain.N}]")
+    check_index(n, chain.N, "level", lo=1)
     _check_grid(chain, traj)
     f0, hs = _free_ladder(chain, n, init, omap, traj.times)
     _add_mode_terms(chain, traj, hs, lo=1)
@@ -229,7 +225,7 @@ def x_reduced_form(chain: ChainModel, n: int, traj: Trajectory,
 def solve_volterra_closed(params: VolterraParams, F, times) -> np.ndarray:
     """Closed solution x = F + R * F with the two-sine resolvent kernel.
 
-    F is sampled on `times`; the convolution uses the same spline +
+    F is sampled on `times`; the convolution uses the same Lagrange +
     Gauss-Legendre machinery as the source construction.
     """
     freqs, coeffs = resolvent_series(params)

@@ -20,9 +20,9 @@ import numpy as np
 from .errors import (
     Breakdown,
     DimensionMismatch,
-    IndexOutOfRange,
     NonincreasingSpectrum,
     NonpositiveParameter,
+    check_index,
 )
 
 
@@ -182,8 +182,7 @@ def char_poly_eval(chain: ChainModel, j: int, lam):
     Three-term recurrence P_{j+1} = (Omega_{j+1}^2 - lam) P_j - D_j^2 P_{j-1}
     with P_0 = 1, P_{-1} = 0.  lam may be a scalar or an array.
     """
-    if not 0 <= j <= chain.N:
-        raise IndexOutOfRange(f"minor index {j} outside [0, {chain.N}]")
+    check_index(j, chain.N, "minor index")
     lam = np.asarray(lam, dtype=float)
     p_prev = np.zeros_like(lam)
     p = np.ones_like(lam)

@@ -2,11 +2,19 @@
 
 import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chainbath.cli import main
+import chainbath
+from chainbath.cli import build_model, main
+from chainbath.kernels import kernel_closed_form, kernel_eval
+from chainbath.spectral import chain_from_io
 
 
 def write_config(path, **overrides):
@@ -114,6 +122,65 @@ class TestSimulate:
         data = np.loadtxt(out.read_text().splitlines()[1:], delimiter=",")
         assert data[:, 1] == pytest.approx(np.cos(data[:, 0]), abs=1e-10)
         assert data[:, 4].max() <= 1e-6  # reconstruction error column ~ 0
+
+
+class TestKernelsCommand:
+    def test_cascade_to_order_128(self, tmp_path):
+        # the linear family at N = 128: every order obeys |K_i| <= tau^i/i!,
+        # which the closed form breaks from order ~6 on, and the low orders
+        # agree with the closed form where it still holds its digits
+        N = 128
+        cfg = tmp_path / "cfg.json"
+        conf = write_config(
+            cfg, model={"family": "linear", "N": N, "omega_min": 0.5,
+                        "omega_max": 2.5, "c0": 0.5 / math.sqrt(N)},
+            Omega0=1.2, t_max=10.0, samples=2048, truncations=list(range(1, N + 1)))
+        out = tmp_path / "kernels.csv"
+        assert main(["kernels", "--config", str(cfg), "--out", str(out)]) == 0
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        tau = data[:, 0]
+        log_tau = np.log(np.where(tau > 0, tau, 1e-300))
+        for i in range(1, N + 1):
+            envelope = np.exp(i * log_tau - math.lgamma(i + 1))
+            assert np.all(np.abs(data[:, i]) <= envelope + 1e-12), f"K_{i}"
+        chain, _ = chain_from_io(build_model(conf))
+        for i in range(1, 5):
+            ref = kernel_eval(kernel_closed_form(chain.mode_freqs[: i + 1]), tau)
+            assert np.abs(data[:, i] - ref).max() <= 1e-9, f"K_{i}"
+
+    def test_order_out_of_range(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, truncations=[1, 5])
+        assert main(["kernels", "--config", str(cfg),
+                     "--out", str(tmp_path / "k.csv")]) == 2
+
+    def test_grid_too_coarse(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, samples=16)
+        assert main(["kernels", "--config", str(cfg),
+                     "--out", str(tmp_path / "k.csv")]) == 2
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # numpy is the only runtime dependency: simulate and kernels, run in a
+    # fresh interpreter, never import scipy
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg)
+    out = str(tmp_path / "o.csv")
+    script = (
+        "import sys\n"
+        "from chainbath.cli import main\n"
+        "for cmd in ('simulate', 'kernels'):\n"
+        f"    assert main([cmd, '--config', {str(cfg)!r}, '--out', {out!r}]) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(Path(chainbath.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestBoundCommand:

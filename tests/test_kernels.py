@@ -6,6 +6,7 @@ from numpy.polynomial.legendre import leggauss
 
 from chainbath.errors import DegenerateFrequencies, ToleranceNotReached
 from chainbath.kernels import (
+    convolve_on_grid,
     kernel_closed_form,
     kernel_deriv_zero,
     kernel_eval,
@@ -212,3 +213,45 @@ class TestCrossRouteAgreement:
         k_lo = abs(kernel_eval(kernel_closed_form(freqs[: i + 1]), tau))
         k_hi = abs(kernel_eval(kernel_closed_form(freqs[: i + 1] + [new]), tau))
         assert k_hi <= 2.0 * ratio * k_lo
+
+
+def gl_sine_convolution(freq, values_fn, t, nodes=128):
+    """int_0^t sin(freq (t-s)) v(s) ds by one high-order Gauss-Legendre rule."""
+    x, w = leggauss(nodes)
+    s = 0.5 * t * (x + 1)
+    return 0.5 * t * np.sum(w * np.sin(freq * (t - s)) * values_fn(s))
+
+
+class TestConvolveOnGrid:
+    def test_quintic_exact_on_short_grids(self):
+        # the 6-point stencil reproduces a quintic exactly, from the
+        # shortest grid that holds one stencil up
+        quintic = np.poly1d([0.3, -1.1, 0.7, 1.9, -0.4, 0.8])
+        for M in range(6, 65):
+            times = np.linspace(0, 2, M)
+            conv = convolve_on_grid([1.3], [1.0], quintic(times), times)
+            ref = [gl_sine_convolution(1.3, quintic, t) for t in times]
+            assert np.abs(conv - ref).max() <= 1e-12, f"M={M}"
+
+    @pytest.mark.parametrize("M", [2, 3, 4, 5])
+    def test_fewer_points_than_stencil(self, M):
+        # below six samples the stencil is the whole grid: exact for
+        # polynomials of degree M-1
+        poly = np.poly1d(np.linspace(1.0, -0.5, M))
+        times = np.linspace(0, 1.5, M)
+        conv = convolve_on_grid([0.9], [1.0], poly(times), times)
+        ref = [gl_sine_convolution(0.9, poly, t) for t in times]
+        assert np.abs(conv - ref).max() <= 1e-13
+
+    def test_grid_must_be_uniform(self):
+        times = np.linspace(0, 3, 101)
+        v = np.sin(times)
+        convolve_on_grid([1.0], [1.0], v, times)
+        bent = times.copy()
+        bent[50] += 1e-6 * times[1]
+        with pytest.raises(ValueError, match="uniform"):
+            convolve_on_grid([1.0], [1.0], v, bent)
+        with pytest.raises(ValueError):
+            convolve_on_grid([1.0], [1.0], v, times + 0.5)
+        with pytest.raises(ValueError):
+            convolve_on_grid([1.0], [1.0], v[:1], times[:1])
