@@ -24,6 +24,7 @@ from .dynamics import (
     evolve_exact,
     evolve_io,
     evolve_truncated,
+    evolve_truncated_x,
     free_mode_evolution,
     total_energy,
 )

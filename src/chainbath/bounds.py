@@ -30,12 +30,12 @@ from .dynamics import (
     Trajectory,
     assemble_extended_matrix,
     evolve_raw,
-    evolve_truncated,
+    evolve_truncated_x,
     extended_initial_conditions,
     system_response,
 )
 from .errors import GridMismatch, NonpositiveParameter, check_index
-from .kernels import check_grid, convolve_on_grid, kernel_closed_form, kernel_taylor
+from .kernels import check_grid, convolve_on_grid, kernel_taylor
 from .solution import VolterraParams, coupling_products, nested_convolve, resolvent_series
 from .spectral import ChainModel, IOModel, OrthogonalMap, char_poly_eval
 
@@ -105,20 +105,25 @@ def epsilon1(chain: ChainModel, n: int, times, x_next) -> np.ndarray:
 
 def epsilon1_pointwise(chain: ChainModel, n: int, t_points, x_next_eval,
                        nodes: int = 32) -> np.ndarray:
-    """eps1(n, t) at arbitrary (typically very small) times.
+    """eps1(n, t) at arbitrary small times, max(Omega) * t < 0.5.
 
     Direct Gauss-Legendre on [0, t] with the kernel evaluated through its
-    Taylor series when max(Omega)*t is small, which avoids the 2n-order
-    cancellation of the sine series near the origin; x_next_eval(s) must
-    return X_{n+1} at arbitrary times (e.g. from the eigendecomposition).
+    Taylor series, which avoids the 2n-order cancellation of the sine series
+    near the origin; x_next_eval(s) must return X_{n+1} at arbitrary times
+    (e.g. from the eigendecomposition).  Raises ValueError at larger times,
+    where the Taylor series is not used: `epsilon1` on a grid covers those.
     """
     check_index(n, chain.N, "truncation index")
     t_points = np.asarray(t_points, dtype=float)
     if n == chain.N:
         return np.zeros_like(t_points)
     freqs = chain.mode_freqs[: n + 1]
-    wmax = float(freqs.max())
-    ker = None if wmax * t_points.max() < 0.5 else kernel_closed_form(freqs)
+    wt_max = float(freqs.max()) * float(t_points.max(initial=0.0))
+    if wt_max >= 0.5:
+        raise ValueError(
+            f"epsilon1_pointwise needs max(Omega)*t < 0.5, got {wt_max:.3g}; "
+            "use epsilon1 on a time grid for larger times"
+        )
     order = 2 * n + 21
 
     x, w = leggauss(nodes)
@@ -130,11 +135,7 @@ def epsilon1_pointwise(chain: ChainModel, n: int, t_points, x_next_eval,
             continue
         s = 0.5 * t * (x + 1)
         wt = 0.5 * t * w
-        tau = t - s
-        if ker is None:
-            kv = np.array([kernel_taylor(freqs, order, tv) for tv in tau])
-        else:
-            kv = ker.eval(tau)
+        kv = np.array([kernel_taylor(freqs, order, tv) for tv in t - s])
         out[m] = pref * float(np.sum(wt * kv * x_next_eval(s)))
     return out
 
@@ -273,9 +274,8 @@ def error_report(io: IOModel, chain: ChainModel, omap: OrthogonalMap, n: int,
     below the float64 subtraction floor).
     """
     times = np.asarray(times, dtype=float)
-    full = evolve_truncated(chain, chain.N, init, omap, times)
-    trunc = evolve_truncated(chain, n, init, omap, times)
-    eps = epsilon_empirical(full, trunc)
+    eps = np.abs(evolve_truncated_x(chain, chain.N, init, omap, times)
+                 - evolve_truncated_x(chain, n, init, omap, times))
     b_det = bound_deterministic(io, chain, n, times, init)
     b_th = bound_thermal(io, chain, n, times, th) if th is not None else None
 

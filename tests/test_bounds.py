@@ -26,7 +26,9 @@ from chainbath.dynamics import (
     evolve_truncated,
 )
 from chainbath.errors import GridMismatch, GridTooCoarse, NonpositiveParameter
+from chainbath.instances import coupling_profile, linear_spectrum
 from chainbath.solution import mu_delta, source_term
+from chainbath.spectral import build_io_model, chain_from_io
 from tests.conftest import make_instance
 
 
@@ -86,6 +88,45 @@ class TestEpsilon1:
         times = np.linspace(0, 20, 17)
         with pytest.raises(GridTooCoarse):
             epsilon1(chain, 1, times, np.cos(3 * times))
+
+
+class TestEpsilon1Pointwise:
+    @staticmethod
+    def linear_chain(N=128):
+        """The CLI's linear family (c0 = 0.5/sqrt(N), Omega0 = 1.2) with the
+        seed-0 thermal draw, and X_{n+1}(s) from the full eigensolution."""
+        omega = linear_spectrum(N, 0.5, 2.5)
+        io = build_io_model(omega, coupling_profile(omega, 0.5 / np.sqrt(N)), 1.2)
+        chain, omap = chain_from_io(io)
+        init = sample_thermal(io, ThermalState(1.0), 0)
+        A = assemble_extended_matrix(chain, chain.N)
+        X0, Xdot0 = chain_initial_conditions(omap, init)
+        y0 = np.concatenate([[init.x0], X0])
+        ydot0 = np.concatenate([[init.xdot0], Xdot0])
+
+        def x_next(n):
+            return lambda s: evolve_raw(A, y0, ydot0, s)[0][:, n + 1]
+
+        return chain, omap, init, x_next
+
+    def test_refuses_large_times(self):
+        # max(Omega) * t = 4.6, outside the Taylor range; the closed form
+        # cancels at this order (2.1e-3 against 4.4e-8 on the grid)
+        chain, _, _, x_next = self.linear_chain()
+        with pytest.raises(ValueError, match="epsilon1"):
+            epsilon1_pointwise(chain, 8, [2.5], x_next(8))
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_matches_grid_cascade(self, n):
+        chain, omap, init, x_next = self.linear_chain()
+        wmax = float(chain.mode_freqs[: n + 1].max())
+        times = np.linspace(0, 0.45 / wmax, 2049)
+        full = evolve_truncated(chain, chain.N, init, omap, times)
+        grid = epsilon1(chain, n, times, full.mode(n + 1))
+        # from t = 0.1125/wmax on, where the grid resolves eps1 ~ t^(2n+2)
+        idx = np.arange(512, 2049, 256)
+        point = epsilon1_pointwise(chain, n, times[idx], x_next(n))
+        assert np.all(np.abs(point - grid[idx]) <= 1e-9 * np.abs(grid[idx]))
 
 
 class TestEpsilon2:

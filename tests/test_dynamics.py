@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from chainbath.dynamics import (
@@ -14,6 +16,7 @@ from chainbath.dynamics import (
     evolve_io,
     evolve_raw,
     evolve_truncated,
+    evolve_truncated_x,
     free_mode_evolution,
     total_energy,
 )
@@ -149,6 +152,29 @@ class TestEvolveTruncated:
                      - evolve_raw(A_tr, yt, ydt, ts)[0][:, 0])
         slope = np.polyfit(np.log(ts), np.log(err), 1)[0]
         assert slope == pytest.approx(2 * n + 2, abs=0.2)
+
+
+class TestEvolveTruncatedX:
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), N=st.integers(2, 32))
+    def test_matches_full_trajectory(self, seed, N):
+        io, chain, omap, init = make_instance(seed, N)
+        times = np.linspace(0, 20 / chain.Omega0, 257)
+        for n in (0, 1, N // 2, N):
+            x = evolve_truncated_x(chain, n, init, omap, times)
+            ref = evolve_truncated(chain, n, init, omap, times).x
+            assert np.abs(x - ref).max() <= 1e-13 * np.abs(ref).max(), f"n={n}"
+
+    def test_initial_value_exact(self, small_instance):
+        _, chain, omap, init = small_instance
+        for n in range(chain.N + 1):
+            x = evolve_truncated_x(chain, n, init, omap, np.linspace(0, 3, 7))
+            assert x[0] == init.x0
+
+    def test_index_out_of_range(self, small_instance):
+        _, chain, omap, init = small_instance
+        with pytest.raises(IndexOutOfRange):
+            evolve_truncated_x(chain, chain.N + 1, init, omap, np.linspace(0, 1, 3))
 
 
 class TestPictures:

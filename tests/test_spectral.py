@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainbath.errors import (
     Breakdown,
@@ -10,6 +12,7 @@ from chainbath.errors import (
     NonincreasingSpectrum,
     NonpositiveParameter,
 )
+from chainbath.instances import coupling_profile, geometric_spectrum, linear_spectrum
 from chainbath.spectral import (
     build_io_model,
     chain_from_io,
@@ -101,6 +104,32 @@ class TestChainFromIO:
         io = build_io_model([1.0, 2.0], [1.0, 1e-13], 1.0)
         with pytest.raises(Breakdown):
             chain_from_io(io)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(data=st.data(), N=st.integers(1, 96))
+    def test_map_properties_on_random_baths(self, data, N):
+        # sorted frequencies with a minimum gap of 0.01, couplings
+        # log-uniform over [1e-6, 1]
+        gaps = data.draw(st.lists(st.floats(0.01, 0.2), min_size=N, max_size=N))
+        log_c = data.draw(st.lists(st.floats(-6.0, 0.0), min_size=N, max_size=N))
+        omega = 0.1 + np.cumsum(gaps)
+        c = 10.0 ** np.array(log_c)
+        io = build_io_model(omega, c, 1.0)
+        chain, omap = chain_from_io(io)
+        report = verify_equivalence(io, chain, omap)
+        assert report.orthogonality <= 1e-13
+        assert report.passed
+        assert np.abs(omap.O[0] - c / np.linalg.norm(c)).max() <= 1e-15
+        assert np.all(chain.D > 0)
+
+    @pytest.mark.parametrize("spectrum", [linear_spectrum, geometric_spectrum])
+    def test_long_chain_stays_orthogonal(self, spectrum):
+        N = 1024
+        omega = spectrum(N, 0.5, 2.5)
+        io = build_io_model(omega, coupling_profile(omega, 0.5 / np.sqrt(N)), 1.2)
+        report = verify_equivalence(io, *chain_from_io(io))
+        assert report.orthogonality <= 1e-13
+        assert report.passed
 
 
 class TestCharPoly:
