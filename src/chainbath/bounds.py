@@ -111,7 +111,7 @@ def epsilon1_pointwise(chain: ChainModel, n: int, t_points, x_next_eval,
     Taylor series, which avoids the 2n-order cancellation of the sine series
     near the origin; x_next_eval(s) must return X_{n+1} at arbitrary times
     (e.g. from the eigendecomposition).  Raises ValueError at larger times,
-    where the Taylor series is not used: `epsilon1` on a grid covers those.
+    which `epsilon1` covers on a time grid.
     """
     check_index(n, chain.N, "truncation index")
     t_points = np.asarray(t_points, dtype=float)
