@@ -19,6 +19,7 @@ a target time.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,8 +29,9 @@ from numpy.polynomial.legendre import leggauss
 from .dynamics import (
     InitialState,
     Trajectory,
+    _modal_data,
+    _modal_row,
     assemble_extended_matrix,
-    evolve_raw,
     evolve_truncated_x,
     extended_initial_conditions,
     system_response,
@@ -271,24 +273,23 @@ def error_report(io: IOModel, chain: ChainModel, omap: OrthogonalMap, n: int,
 
     The slope is measured on t in [1e-3, 1e-2]/Omega_max through the
     numerically stable eps1 route (the trajectory difference there sits
-    below the float64 subtraction floor).
+    below the float64 subtraction floor).  One eigendecomposition of the
+    full chain serves both x(t) and the slope's X_{n+1}(s).
     """
     times = np.asarray(times, dtype=float)
-    eps = np.abs(evolve_truncated_x(chain, chain.N, init, omap, times)
-                 - evolve_truncated_x(chain, n, init, omap, times))
+    y0, ydot0 = extended_initial_conditions(omap, init, chain.N)
+    full = _modal_data(assemble_extended_matrix(chain, chain.N), y0, ydot0)
+    x_full = _modal_row(full, y0, 0, times)
+    x_n = x_full if n == chain.N else evolve_truncated_x(chain, n, init, omap, times)
+    eps = np.abs(x_full - x_n)
     b_det = bound_deterministic(io, chain, n, times, init)
     b_th = bound_thermal(io, chain, n, times, th) if th is not None else None
 
     slope = math.nan
     if n < chain.N:
-        A_full = assemble_extended_matrix(chain, chain.N)
-        y0, ydot0 = extended_initial_conditions(omap, init, chain.N)
-
-        def x_next(s):
-            return evolve_raw(A_full, y0, ydot0, s)[0][:, n + 1]
-
         wmax = float(chain.mode_freqs.max())
         ts = np.geomspace(1e-3 / wmax, 1e-2 / wmax, 9)
+        x_next = functools.partial(_modal_row, full, y0, n + 1)
         e1 = np.abs(epsilon1_pointwise(chain, n, ts, x_next))
         if np.all(e1 > 0):
             slope = fit_loglog_slope(ts, e1)

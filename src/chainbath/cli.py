@@ -2,13 +2,13 @@
 
 Subcommands: build-chain, simulate, kernels, bound, min-modes, sweep.
 A JSON config describes the model, grids, temperature and seed; every
-command writes a CSV (UTF-8, LF, comma-separated, header row, floats with
-17 significant digits so they round-trip bit-exactly) plus a sidecar
-`<out>.resolved.json` echoing the fully resolved configuration, which
-reproduces the run when fed back as the config.  All randomness flows from
-the config seed through numpy SeedSequences, so identical config+seed gives
-byte-identical CSVs.  Sweep wall-times go to `<out>.timings.json`, which is
-the one deliberately non-deterministic output.
+command hands named columns to one `write_csv` (UTF-8, LF, header row,
+numbers with 17 significant digits so they round-trip bit-exactly; a name
+given twice is one column) plus a sidecar `<out>.resolved.json` echoing the
+fully resolved config, which reproduces the run when fed back as the config.
+All randomness flows from the config seed through numpy SeedSequences, so
+identical config+seed gives byte-identical CSVs.  Sweep wall-times go to
+`<out>.timings.json`, the one deliberately non-deterministic output.
 
 Exit codes: 0 ok, 2 validation failure, 3 chain-construction breakdown,
 4 unstable/complex-resolvent regime, 5 every sweep cell failed.
@@ -48,25 +48,31 @@ _DEFAULTS = {
 
 def fmt(x) -> str:
     """17-significant-digit decimal (round-trip exact for binary64)."""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     return f"{float(x):.17g}"
 
 
-def write_csv(path, header, rows):
+def write_csv(path, columns):
+    """Write `columns`, an ordered mapping of header name to 1-D column, as
+    one CSV table.  Numeric columns print as `fmt` does (integers below 2^53
+    print as integers), text columns as they are."""
+    cols = [np.asarray(col) for col in columns.values()]
+    line = ",".join("%s" if col.dtype.kind in "US" else "%.17g" for col in cols) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(line % row for row in zip(*(col.tolist() for col in cols), strict=True))
+
+
+def write_json(path, payload):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def write_sidecar(path, resolved, diagnostics=None):
     payload = {"resolved_config": resolved}
     if diagnostics:
         payload["diagnostics"] = diagnostics
-    with open(str(path) + ".resolved.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(str(path) + ".resolved.json", payload)
 
 
 def resolve_config(path, overrides) -> dict:
@@ -147,11 +153,9 @@ def cmd_build_chain(cfg, out) -> int:
     io = build_model(cfg)
     chain, omap = spectral.chain_from_io(io)
     report = spectral.verify_equivalence(io, chain, omap)
-    rows = []
-    for j in range(chain.N):
-        D_j = chain.D[j] if j < chain.N - 1 else 0.0
-        rows.append((j + 1, chain.Omega[j], D_j))
-    write_csv(out, ["j", "Omega_j", "D_j"], rows)
+    # the last mode has no outgoing coupling: D_N prints as 0
+    write_csv(out, {"j": np.arange(1, chain.N + 1), "Omega_j": chain.Omega,
+                    "D_j": np.append(chain.D, 0.0)})
     diag = {
         "D0": chain.D0,
         "orthogonality_residual": report.orthogonality,
@@ -176,19 +180,11 @@ def cmd_simulate(cfg, out) -> int:
     F = solution.source_term(chain, chain.N, full, init, omap)
     x_vol = solution.solve_volterra_closed(params, F, times)
 
-    ns = [int(n) for n in cfg["truncations"]]
-    cols = {}
-    for n in ns:
-        # n = N is the full trajectory, already at hand (and equal bitwise)
-        cols[f"x_n{n}"] = (full.x if n == chain.N
-                           else dynamics.evolve_truncated_x(chain, n, init, omap, times))
-    header = ["t", "x_full"] + list(cols) + ["x_volterra", "abs_err_volterra"]
+    cols = {"t": times, "x_full": full.x}
+    for n in (int(n) for n in cfg["truncations"]):
+        cols[f"x_n{n}"] = _truncated_x(chain, n, init, omap, times, full.x)
     err = np.abs(full.x - x_vol)
-    rows = [
-        (times[m], full.x[m], *[cols[k][m] for k in cols], x_vol[m], err[m])
-        for m in range(len(times))
-    ]
-    write_csv(out, header, rows)
+    write_csv(out, {**cols, "x_volterra": x_vol, "abs_err_volterra": err})
     write_sidecar(out, cfg, {"max_volterra_error": float(err.max())})
     print(f"simulation written to {out}: max |x_full - x_volterra| = {err.max():.3e}")
     return 0
@@ -205,19 +201,22 @@ def cmd_kernels(cfg, out) -> int:
     top = max(orders, default=0)
     kernels.check_grid(times, 1.0, float(freqs[: top + 1].max()))
     # K_0 = sin(Omega_0 t), K_i = K_{i-1} * sin(Omega_i .): one grid convolution per order
-    series = {}
+    cols = {"tau": times}
     k = np.sin(freqs[0] * times)
     for i in range(top + 1):
         if i:
             k = kernels.convolve_on_grid([freqs[i]], [1.0], k, times)
         if i in orders:
-            series[i] = k
-    header = ["tau"] + [f"K_{i}" for i in orders]
-    rows = [(times[m], *[series[i][m] for i in orders]) for m in range(len(times))]
-    write_csv(out, header, rows)
+            cols[f"K_{i}"] = k
+    write_csv(out, cols)
     write_sidecar(out, cfg)
     print(f"kernel table written to {out}: orders {orders}")
     return 0
+
+
+def _truncated_x(chain, n, init, omap, times, x_full):
+    """x(t) cut after mode n; n = N is `x_full` itself, with no second eigensolve."""
+    return x_full if n == chain.N else dynamics.evolve_truncated_x(chain, n, init, omap, times)
 
 
 def _ratio(eps, bound):
@@ -234,24 +233,19 @@ def cmd_bound(cfg, out) -> int:
     times = time_grid(cfg)
     x_full = dynamics.evolve_truncated_x(chain, chain.N, init, omap, times)
 
-    header = ["t"]
-    blocks = []
+    cols = {"t": times}
     max_ratio = 0.0
-    for n in (int(n) for n in cfg["truncations"]):
-        eps = np.abs(x_full - dynamics.evolve_truncated_x(chain, n, init, omap, times))
+    # a repeated index names the same columns: compute it once
+    for n in dict.fromkeys(int(n) for n in cfg["truncations"]):
+        eps = np.abs(x_full - _truncated_x(chain, n, init, omap, times, x_full))
         b_det = bounds.bound_deterministic(io, chain, n, times, init)
-        b_th = bounds.bound_thermal(io, chain, n, times, th)
         ratio = _ratio(eps, b_det)
         max_ratio = max(max_ratio, float(ratio.max()))
-        header += [f"eps_n{n}", f"bound_det_n{n}", f"bound_thermal_n{n}", f"ratio_n{n}"]
-        blocks.append((eps, b_det, b_th, ratio))
-    rows = []
-    for m in range(len(times)):
-        row = [times[m]]
-        for eps, b_det, b_th, ratio in blocks:
-            row += [eps[m], b_det[m], b_th[m], ratio[m]]
-        rows.append(tuple(row))
-    write_csv(out, header, rows)
+        cols[f"eps_n{n}"] = eps
+        cols[f"bound_det_n{n}"] = b_det
+        cols[f"bound_thermal_n{n}"] = bounds.bound_thermal(io, chain, n, times, th)
+        cols[f"ratio_n{n}"] = ratio
+    write_csv(out, cols)
     write_sidecar(out, cfg, {"max_ratio": max_ratio})
     print(f"error report written to {out}: max eps/bound ratio = {max_ratio:.6g}")
     return 0
@@ -265,9 +259,10 @@ def cmd_min_modes(cfg, out) -> int:
     tols = [float(v) for v in cfg["min_modes"]["tols"]]
     table = [[bounds.min_modes(io, chain, t, tol, th) for tol in tols] for t in ts]
 
-    header = ["t"] + [f"n_tol_{fmt(tol)}" for tol in tols]
-    rows = [(t, *[cell.n for cell in line]) for t, line in zip(ts, table)]
-    write_csv(out, header, rows)
+    cols = {"t": ts}
+    for j, tol in enumerate(tols):
+        cols[f"n_tol_{fmt(tol)}"] = [line[j].n for line in table]
+    write_csv(out, cols)
 
     monotone_t = all(
         table[i][j].n <= table[i + 1][j].n
@@ -289,7 +284,11 @@ def cmd_min_modes(cfg, out) -> int:
     return 0
 
 
+_SWEEP_COLUMNS = ("N", "n", "kT", "max_eps", "max_ratio", "status", "error")
+
+
 def _sweep_cell(args):
+    """One sweep cell's `_SWEEP_COLUMNS` values, and its wall time."""
     N, n, kT, seed_seq, cfg = args
     t0 = time.perf_counter()
     try:
@@ -299,8 +298,8 @@ def _sweep_cell(args):
         wmax = float(io.omega.max())
         times = np.linspace(0.0, 3.0 / wmax, int(cfg["samples"]))
         cut = min(n, chain.N)
-        eps = np.abs(dynamics.evolve_truncated_x(chain, chain.N, init, omap, times)
-                     - dynamics.evolve_truncated_x(chain, cut, init, omap, times))
+        x_full = dynamics.evolve_truncated_x(chain, chain.N, init, omap, times)
+        eps = np.abs(x_full - _truncated_x(chain, cut, init, omap, times, x_full))
         b = bounds.bound_deterministic(io, chain, cut, times, init)
         ratio = float(np.max(_ratio(eps, b)))
         return (N, n, kT, float(eps.max()), ratio, "ok", ""), time.perf_counter() - t0
@@ -318,16 +317,13 @@ def cmd_sweep(cfg, out) -> int:
     jobs = [(N, n, kT, seq, cfg) for (N, n, kT), seq in zip(cells, seqs)]
     results = [_sweep_cell(job) for job in jobs]
 
-    rows = [r for r, _ in results]
-    write_csv(out, ["N", "n", "kT", "max_eps", "max_ratio", "status", "error"], rows)
-    timings = {f"N{r[0]}_n{r[1]}_kT{fmt(r[2])}": dt for r, dt in results}
-    with open(str(out) + ".timings.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(timings, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    write_sidecar(out, cfg, {"cells": len(rows),
-                             "failed": sum(r[5] != "ok" for r in rows)})
-    ok = sum(r[5] == "ok" for r in rows)
-    print(f"sweep written to {out}: {ok}/{len(rows)} cells succeeded")
+    cols = {name: [r[j] for r, _ in results] for j, name in enumerate(_SWEEP_COLUMNS)}
+    write_csv(out, cols)
+    write_json(str(out) + ".timings.json",
+               {f"N{r[0]}_n{r[1]}_kT{fmt(r[2])}": dt for r, dt in results})
+    ok = cols["status"].count("ok")
+    write_sidecar(out, cfg, {"cells": len(cells), "failed": len(cells) - ok})
+    print(f"sweep written to {out}: {ok}/{len(cells)} cells succeeded")
     return 0 if ok > 0 else 5
 
 

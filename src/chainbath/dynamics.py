@@ -135,6 +135,18 @@ def _modal_data(A, y0, ydot0):
     return w, V, a, b
 
 
+def _modal_row(modal, y0, i, times) -> np.ndarray:
+    """Coordinate i alone, y0[i] + (cos(wt) - 1) @ (a V[i]) + sin(wt) @ (b V[i]),
+    of the evolution `_modal_data` describes: O(len(times) * dim), exact at t = 0."""
+    w, V, a, b = modal
+    wt = np.multiply.outer(np.asarray(times, dtype=float), w)
+    x_sin = np.sin(wt) @ (b * V[i])
+    # cos(wt) - 1 overwrites wt: no second (samples, dim) buffer
+    cosm1_wt = np.cos(wt, out=wt)
+    cosm1_wt -= 1.0
+    return y0[i] + cosm1_wt @ (a * V[i]) + x_sin
+
+
 def evolve_raw(A, y0, ydot0, times):
     """Positions and velocities of y'' = -A y at arbitrary increasing times.
 
@@ -202,21 +214,11 @@ def evolve_truncated(chain: ChainModel, n: int, init: InitialState,
 
 def evolve_truncated_x(chain: ChainModel, n: int, init: InitialState,
                        omap: OrthogonalMap, times) -> np.ndarray:
-    """System coordinate x(t) alone under `evolve_truncated`'s dynamics.
-
-    Only row 0 of the eigenvectors is needed, so after the eigensolve the
-    cost is O(len(times) * n) instead of the two (n+1)-wide products that
-    build every mode and velocity.  Exact at t = 0 like `evolve_raw`.
-    """
+    """System coordinate x(t) alone under `evolve_truncated`'s dynamics,
+    without the two (n+1)-wide products that build every mode and velocity."""
     A = assemble_extended_matrix(chain, n)
     y0, ydot0 = extended_initial_conditions(omap, init, n)
-    w, V, a, b = _modal_data(A, y0, ydot0)
-    wt = np.multiply.outer(np.asarray(times, dtype=float), w)
-    x_sin = np.sin(wt) @ (b * V[0])
-    # cos(wt) - 1 overwrites wt: no second (samples, n+1) buffer
-    cosm1_wt = np.cos(wt, out=wt)
-    cosm1_wt -= 1.0
-    return y0[0] + cosm1_wt @ (a * V[0]) + x_sin
+    return _modal_row(_modal_data(A, y0, ydot0), y0, 0, times)
 
 
 def evolve_io(io: IOModel, init: InitialState, times) -> Trajectory:

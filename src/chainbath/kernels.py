@@ -61,9 +61,6 @@ class KernelRep:
         """Nesting depth i (number of convolutions applied to the bare sine)."""
         return len(self.freqs) - 1
 
-    def eval(self, tau):
-        return kernel_eval(self, tau)
-
     def deriv_zero(self, k: int) -> float:
         """k-th derivative at 0 from the sine series: (-1)^m sum alpha_j Omega_j^(2m+1)."""
         if k % 2 == 0:

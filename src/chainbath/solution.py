@@ -52,7 +52,7 @@ from .errors import (
     NonpositiveParameter,
     check_index,
 )
-from .kernels import KernelRep, check_grid, convolve_on_grid
+from .kernels import KernelRep, check_grid, convolve_on_grid, kernel_eval
 from .spectral import ChainModel, OrthogonalMap
 
 
@@ -244,7 +244,7 @@ def solve_volterra_numeric(k1: KernelRep, prefactor: float, F, times) -> np.ndar
     F = np.asarray(F, dtype=float)
     M = len(times)
     h = times[1] - times[0]
-    K = k1.eval(times)  # K[m] = K_1(m h) on the uniform grid
+    K = kernel_eval(k1, times)  # K[m] = K_1(m h) on the uniform grid
     x = np.empty(M)
     x[0] = F[0]
     for m in range(1, M):

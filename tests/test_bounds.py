@@ -18,12 +18,14 @@ from chainbath.bounds import (
     sample_thermal,
     thermal_error_mc,
 )
+from chainbath import dynamics
 from chainbath.dynamics import (
     InitialState,
     assemble_extended_matrix,
     chain_initial_conditions,
     evolve_raw,
     evolve_truncated,
+    evolve_truncated_x,
 )
 from chainbath.errors import GridMismatch, GridTooCoarse, NonpositiveParameter
 from chainbath.instances import coupling_profile, linear_spectrum
@@ -343,6 +345,38 @@ class TestSmallTimeSlope:
         assert np.all(rep.eps_empirical <= rep.bound_det + 1e-12)
         assert rep.bound_thermal is not None
         assert rep.slope_smallt == pytest.approx(4.0, abs=0.15)
+
+    def test_error_report_decomposes_the_full_chain_once(self, monkeypatch):
+        # one eigensolve of the full chain serves x_full and X_{n+1}(s), one
+        # more the cut chain; the per-slope-time evolve_raw route made 11
+        N, n = 256, 2
+        omega = linear_spectrum(N, 0.5, 2.5)
+        io = build_io_model(omega, coupling_profile(omega, 0.5 / np.sqrt(N)), 1.2)
+        chain, omap = chain_from_io(io)
+        init = sample_thermal(io, ThermalState(1.0), 3)
+        times = np.linspace(0.0, 10.0, 257)
+        calls = []
+        decompose = dynamics._decompose
+        monkeypatch.setattr(dynamics, "_decompose",
+                            lambda A: calls.append(len(A)) or decompose(A))
+        rep = error_report(io, chain, omap, n, init, times)
+        assert sorted(calls) == [n + 1, N + 1]
+        monkeypatch.undo()
+
+        x_full = evolve_truncated_x(chain, N, init, omap, times)
+        x_n = evolve_truncated_x(chain, n, init, omap, times)
+        assert np.array_equal(rep.eps_empirical, np.abs(x_full - x_n))
+
+        A_full = assemble_extended_matrix(chain, N)
+        X0, Xdot0 = chain_initial_conditions(omap, init)
+        yf = np.concatenate([[init.x0], X0])
+        ydf = np.concatenate([[init.xdot0], Xdot0])
+        wmax = float(chain.mode_freqs.max())
+        ts = np.geomspace(1e-3 / wmax, 1e-2 / wmax, 9)
+        e1 = epsilon1_pointwise(
+            chain, n, ts, lambda s: evolve_raw(A_full, yf, ydf, s)[0][:, n + 1])
+        assert rep.slope_smallt == pytest.approx(fit_loglog_slope(ts, np.abs(e1)),
+                                                 rel=1e-9)
 
 
 @pytest.mark.xfail(strict=False, reason=(

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import chainbath
-from chainbath.cli import build_model, main
+from chainbath import dynamics
+from chainbath.cli import build_model, fmt, main, write_csv
 from chainbath.kernels import kernel_closed_form, kernel_eval
 from chainbath.spectral import chain_from_io
 
@@ -213,6 +214,36 @@ class TestBoundCommand:
         ratio = outs[1][1:] / outs[0][1:]
         assert ratio == pytest.approx(np.full_like(ratio, 2.0), rel=1e-12)
 
+    def test_full_cut_reuses_the_full_trajectory(self, tmp_path, monkeypatch):
+        # n = N is x_full itself: one eigensolve for x_full, one for n = 1
+        N = 8
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model={"family": "linear", "N": N, "omega_min": 0.8,
+                                 "omega_max": 2.4, "c0": 0.2},
+                     truncations=[1, N], t_max=2.5)
+        calls = []
+        decompose = dynamics._decompose
+        monkeypatch.setattr(dynamics, "_decompose",
+                            lambda A: calls.append(len(A)) or decompose(A))
+        out = tmp_path / "bound.csv"
+        assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 0
+        assert sorted(calls) == [2, N + 1]
+        lines = out.read_text().splitlines()
+        header = lines[0].split(",")
+        data = np.loadtxt(lines[1:], delimiter=",")
+        for name in (f"eps_n{N}", f"ratio_n{N}"):
+            assert np.all(data[:, header.index(name)] == 0.0)
+
+    def test_repeated_index_is_one_column(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, truncations=[1, 1, 2], t_max=2.5)
+        out = tmp_path / "bound.csv"
+        assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 0
+        header = out.read_text().splitlines()[0]
+        assert header == ",".join(
+            ["t"] + [f"{kind}_n{n}" for n in (1, 2)
+                     for kind in ("eps", "bound_det", "bound_thermal", "ratio")])
+
 
 class TestMinModesCommand:
     def test_huge_tolerance_all_zero(self, tmp_path):
@@ -222,6 +253,16 @@ class TestMinModesCommand:
         assert main(["min-modes", "--config", str(cfg), "--out", str(out)]) == 0
         data = np.loadtxt(out.read_text().splitlines()[1:], delimiter=",")
         assert np.all(data[:, 1] == 0)
+
+    def test_repeated_tolerance_is_one_column(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, min_modes={"times": [0.5, 1.0],
+                                     "tols": [1e-2, 1e-4, 1e-2]})
+        out = tmp_path / "mm.csv"
+        assert main(["min-modes", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "t,n_tol_0.01,n_tol_0.0001"
+        assert all(len(line.split(",")) == 3 for line in lines[1:])
 
     def test_interior_cells_match_direct_bound(self, tmp_path):
         from chainbath import bounds, spectral
@@ -306,16 +347,37 @@ class TestDeterminismAndRoundTrip:
                      "--seed", "99"]) == 0
         assert a.read_bytes() != b.read_bytes()
 
-    def test_float_format_round_trips(self, tmp_path):
+    @pytest.mark.parametrize("cmd", ["simulate", "build-chain", "kernels", "bound",
+                                     "min-modes", "sweep"])
+    def test_float_format_round_trips(self, tmp_path, cmd):
         cfg = tmp_path / "cfg.json"
         write_config(cfg, model={"omega": [1.0, 2.0], "c": [1 / 3, 2 / 7]},
                      truncations=[2])
-        out = tmp_path / "traj.csv"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        out = tmp_path / "out.csv"
+        assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
-        data = np.loadtxt(lines[1:], delimiter=",")
-        # re-serialize with the same format: identical text
-        from chainbath.cli import fmt
+        header = lines[0].split(",")
+        text = {header.index(name) for name in ("status", "error") if name in header}
+        # re-serialize every number with the same format: identical text
+        for line in lines[1:]:
+            cells = line.split(",")
+            assert len(cells) == len(header)
+            assert [c for j, c in enumerate(cells) if j not in text] == [
+                fmt(float(c)) for j, c in enumerate(cells) if j not in text]
 
-        first = lines[1].split(",")
-        assert [fmt(v) for v in data[0]] == first
+    def test_write_csv_text_contract(self, tmp_path):
+        # numbers print as the per-value formatting did: str(int) for
+        # integers, 17 significant digits for floats; text as it is
+        ints = np.array([0, -7, 2**53 - 1], dtype=np.int64)
+        floats = [0.1, -0.0, math.nan]
+        edges = [math.inf, -math.inf, 5e-324]
+        big = np.array([1e300, -1e-300, 1 / 3])
+        text = ["", "ok", "NonpositiveParameter"]
+        out = tmp_path / "t.csv"
+        write_csv(out, {"i": ints, "a": floats, "b": edges, "c": big, "s": text})
+        expect = "i,a,b,c,s\n" + "".join(
+            f"{int(i)},{a:.17g},{b:.17g},{c:.17g},{s}\n"
+            for i, a, b, c, s in zip(ints, floats, edges, big, text))
+        assert out.read_bytes() == expect.encode()
+        first = out.read_text().splitlines()[1]
+        assert first == "0,0.10000000000000001,inf,1.0000000000000001e+300,"
