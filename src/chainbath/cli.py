@@ -10,8 +10,16 @@ All randomness flows from the config seed through numpy SeedSequences, so
 identical config+seed gives byte-identical CSVs.  Sweep wall-times go to
 `<out>.timings.json`, the one deliberately non-deterministic output.
 
+Each command builds only the part of the chain it reads: `build-chain` and
+`simulate` the full Lanczos map, `bound` its first max(truncations) rows
+(x_full comes from the independent-oscillator picture), `kernels` its first
+max(orders) rows, and `min-modes` the coefficients alone, by RKPW.
+
 Exit codes: 0 ok, 2 validation failure, 3 chain-construction breakdown,
-4 unstable/complex-resolvent regime, 5 every sweep cell failed.
+4 unstable/complex-resolvent regime, 5 every sweep cell failed.  A
+breakdown is reported only where it happens inside the part of the chain
+the command builds: `min-modes` checks every coupling, `bound` and
+`kernels` only the couplings among the rows they build.
 """
 
 from __future__ import annotations
@@ -192,13 +200,14 @@ def cmd_simulate(cfg, out) -> int:
 
 def cmd_kernels(cfg, out) -> int:
     io = build_model(cfg)
-    chain, _ = spectral.chain_from_io(io)
-    freqs = chain.mode_freqs
     orders = sorted({int(n) for n in cfg["truncations"]})
     for i in orders:
-        check_index(i, chain.N, "kernel order")
-    times = time_grid(cfg)
+        check_index(i, io.N, "kernel order")
     top = max(orders, default=0)
+    # K_top reads Omega_0..Omega_top: the first `top` chain rows
+    chain, _ = spectral.chain_from_io(io, rows=max(top, 1))
+    freqs = chain.mode_freqs
+    times = time_grid(cfg)
     kernels.check_grid(times, 1.0, float(freqs[: top + 1].max()))
     # K_0 = sin(Omega_0 t), K_i = K_{i-1} * sin(Omega_i .): one grid convolution per order
     cols = {"tau": times}
@@ -215,8 +224,10 @@ def cmd_kernels(cfg, out) -> int:
 
 
 def _truncated_x(chain, n, init, omap, times, x_full):
-    """x(t) cut after mode n; n = N is `x_full` itself, with no second eigensolve."""
-    return x_full if n == chain.N else dynamics.evolve_truncated_x(chain, n, init, omap, times)
+    """x(t) cut after mode n; n = N, the bath size, is `x_full` itself, with
+    no second eigensolve.  `chain` and `omap` may hold only the leading n
+    modes."""
+    return x_full if n == init.N else dynamics.evolve_truncated_x(chain, n, init, omap, times)
 
 
 def _ratio(eps, bound):
@@ -227,16 +238,20 @@ def _ratio(eps, bound):
 
 def cmd_bound(cfg, out) -> int:
     io = build_model(cfg)
-    chain, omap = spectral.chain_from_io(io)
+    # a repeated index names the same columns: compute it once
+    truncations = list(dict.fromkeys(int(n) for n in cfg["truncations"]))
+    for n in truncations:
+        check_index(n, io.N, "truncation index")
+    # the cuts read the chain's first max(truncations) rows; x_full needs none
+    chain, omap = spectral.chain_from_io(io, rows=max([1, *truncations]))
     init = build_initial_state(cfg, io)
     th = bounds.ThermalState(cfg["kT"])
     times = time_grid(cfg)
-    x_full = dynamics.evolve_truncated_x(chain, chain.N, init, omap, times)
+    x_full = dynamics.evolve_io_x(io, init, times)
 
     cols = {"t": times}
     max_ratio = 0.0
-    # a repeated index names the same columns: compute it once
-    for n in dict.fromkeys(int(n) for n in cfg["truncations"]):
+    for n in truncations:
         eps = np.abs(x_full - _truncated_x(chain, n, init, omap, times, x_full))
         b_det = bounds.bound_deterministic(io, chain, n, times, init)
         ratio = _ratio(eps, b_det)
@@ -253,7 +268,7 @@ def cmd_bound(cfg, out) -> int:
 
 def cmd_min_modes(cfg, out) -> int:
     io = build_model(cfg)
-    chain, _ = spectral.chain_from_io(io)
+    chain = spectral.chain_coefficients(io)
     th = bounds.ThermalState(cfg["kT"])
     ts = [float(t) for t in cfg["min_modes"]["times"]]
     tols = [float(v) for v in cfg["min_modes"]["tols"]]

@@ -192,9 +192,11 @@ def chain_initial_conditions(omap: OrthogonalMap, init: InitialState):
 def extended_initial_conditions(omap: OrthogonalMap, init: InitialState, n: int):
     """Initial data (y0, ydot0) of the system plus the first n chain modes,
     system first, chain modes X(0) = -O[:n] q(0) (only the kept rows of the
-    map are applied)."""
-    if omap.N != init.N:
-        raise DimensionMismatch(f"map size {omap.N} != initial-state size {init.N}")
+    map are applied).  The map may hold only its leading rows; its bath
+    dimension must match the initial state's."""
+    if omap.O.shape[1] != init.N:
+        raise DimensionMismatch(
+            f"map bath size {omap.O.shape[1]} != initial-state size {init.N}")
     O = omap.O[:n]
     return (np.concatenate([[init.x0], -(O @ init.q0)]),
             np.concatenate([[init.xdot0], -(O @ init.qdot0)]))
@@ -221,13 +223,26 @@ def evolve_truncated_x(chain: ChainModel, n: int, init: InitialState,
     return _modal_row(_modal_data(A, y0, ydot0), y0, 0, times)
 
 
+def _io_initial_conditions(io: IOModel, init: InitialState):
+    """Initial data (y0, ydot0) in the independent-oscillator picture."""
+    if io.N != init.N:
+        raise DimensionMismatch(f"bath size {io.N} != initial-state size {init.N}")
+    return (np.concatenate([[init.x0], init.q0]),
+            np.concatenate([[init.xdot0], init.qdot0]))
+
+
 def evolve_io(io: IOModel, init: InitialState, times) -> Trajectory:
     """Evolution in the independent-oscillator picture (X holds the bath
     coordinates q here).  Used to cross-check picture equivalence."""
-    A = assemble_io_matrix(io)
-    y0 = np.concatenate([[init.x0], init.q0])
-    ydot0 = np.concatenate([[init.xdot0], init.qdot0])
-    return evolve_exact(A, y0, ydot0, times)
+    y0, ydot0 = _io_initial_conditions(io, init)
+    return evolve_exact(assemble_io_matrix(io), y0, ydot0, times)
+
+
+def evolve_io_x(io: IOModel, init: InitialState, times) -> np.ndarray:
+    """The untruncated x(t) from the independent-oscillator picture: one
+    eigensolve of the same size as the full chain's, and no chain map."""
+    y0, ydot0 = _io_initial_conditions(io, init)
+    return _modal_row(_modal_data(assemble_io_matrix(io), y0, ydot0), y0, 0, times)
 
 
 def free_mode_evolution(Omega_i: float, X0: float, Xdot0: float, t):

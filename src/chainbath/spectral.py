@@ -10,6 +10,15 @@ c/||c||, with full reorthogonalization (one classical Gram-Schmidt pass per
 step, a second only when the first cancels, per the DGKS criterion), and
 with row signs chosen so that every nearest-neighbor coupling D_j is
 positive while T carries -D_j on the off-diagonal.
+
+The map costs O(N^3), but the short chains of the truncated dynamics read
+only its leading rows: `chain_from_io(io, rows=k)` stops after k Lanczos
+vectors, at O(k^2 N), with rows and coefficients bitwise equal to the full
+map's.  Where no map row is read at all, `chain_coefficients` rebuilds
+Omega_j and D_j from the nodes omega_k^2 and weights c_k^2 alone in O(N^2),
+by Gautschi's square-root-free RKPW updating (Gragg & Harrod, Numer. Math.
+44, 1984; Gautschi, Orthogonal Polynomials: Computation and Approximation,
+OUP 2004, sec. 2.2.3).
 """
 
 from __future__ import annotations
@@ -55,7 +64,11 @@ class IOModel:
 @dataclass(frozen=True)
 class ChainModel:
     """Chain picture: mode frequencies Omega_j, nearest-neighbor couplings
-    D_j (length N-1), system-chain coupling D0, system frequency Omega0."""
+    D_j (length N-1), system-chain coupling D0, system frequency Omega0.
+
+    A chain cut by `chain_from_io(io, rows=k)` holds the first k modes, and
+    its N is k: functions that read n = N as the untruncated chain
+    (`epsilon1`, `error_report`, `source_term`) need the full chain."""
 
     Omega: np.ndarray
     D: np.ndarray
@@ -83,7 +96,8 @@ class ChainModel:
 @dataclass(frozen=True)
 class OrthogonalMap:
     """Row j holds the coefficients of chain mode j in bath coordinates:
-    X_j = sum_k O[j, k] q_k.  Row 0 is c/||c|| by construction."""
+    X_j = sum_k O[j, k] q_k.  Row 0 is c/||c|| by construction.  A cut map
+    holds the leading rows only; N counts rows, O.shape[1] the bath."""
 
     O: np.ndarray
 
@@ -126,7 +140,14 @@ def build_io_model(omega, c, Omega0) -> IOModel:
     return IOModel(_frozen_array(omega), _frozen_array(c), float(Omega0))
 
 
-def chain_from_io(io: IOModel) -> tuple[ChainModel, OrthogonalMap]:
+def _breakdown(j: int, d: float) -> Breakdown:
+    return Breakdown(
+        f"coupling D_{j} = {d:.3e} below 1e-12*max(omega^2); "
+        "spectrum/coupling combination is effectively reducible"
+    )
+
+
+def chain_from_io(io: IOModel, rows: int | None = None) -> tuple[ChainModel, OrthogonalMap]:
     """Construct the equivalent chain by Lanczos tridiagonalization.
 
     Runs Lanczos on diag(omega^2) seeded with v1 = c/||c||, with full
@@ -137,18 +158,26 @@ def chain_from_io(io: IOModel) -> tuple[ChainModel, OrthogonalMap]:
     assembled T has -D_j off the diagonal with D_j > 0 while row 0 stays
     +c/||c||.
 
+    `rows` (1 <= rows <= N, default N) stops after the first `rows` Lanczos
+    vectors, at O(rows^2 N): the returned chain holds Omega_1..Omega_rows
+    and D_1..D_{rows-1}, the map its first `rows` rows, each bitwise equal
+    to the full map's.
+
     Returns (ChainModel, OrthogonalMap).  Raises Breakdown when an
     intermediate coupling (the norm left after reorthogonalization) falls
     below 1e-12 * max(omega^2), which signals an effectively reducible
-    spectrum/coupling combination.
+    spectrum/coupling combination; a cut map checks only the couplings it
+    builds.
     """
     w2 = io.omega**2
     N = io.N
+    rows = N if rows is None else rows
+    check_index(rows, N, "map rows", lo=1)
     scale = w2.max()
 
-    V = np.zeros((N, N))
-    diag = np.zeros(N)
-    offdiag = np.zeros(max(N - 1, 0))
+    V = np.zeros((rows, N))
+    diag = np.zeros(rows)
+    offdiag = np.zeros(rows - 1)
 
     v = io.c / np.linalg.norm(io.c)
     V[0] = v
@@ -156,7 +185,7 @@ def chain_from_io(io: IOModel) -> tuple[ChainModel, OrthogonalMap]:
     diag[0] = v @ u
     v_prev = np.zeros(N)
     beta = 0.0
-    for j in range(1, N):
+    for j in range(1, rows):
         r = u - diag[j - 1] * v - beta * v_prev
         # full reorthogonalization; a second pass only if the first cancelled
         norm_r = np.linalg.norm(r)
@@ -166,10 +195,7 @@ def chain_from_io(io: IOModel) -> tuple[ChainModel, OrthogonalMap]:
             r -= V[:j].T @ (V[:j] @ r)
             beta = np.linalg.norm(r)
         if beta < 1e-12 * scale:
-            raise Breakdown(
-                f"coupling D_{j} = {beta:.3e} below 1e-12*max(omega^2); "
-                "spectrum/coupling combination is effectively reducible"
-            )
+            raise _breakdown(j, beta)
         v_prev, v = v, r / beta
         V[j] = v
         u = w2 * v
@@ -186,6 +212,59 @@ def chain_from_io(io: IOModel) -> tuple[ChainModel, OrthogonalMap]:
         Omega0=io.Omega0,
     )
     return chain, OrthogonalMap(V)
+
+
+def chain_coefficients(io: IOModel) -> ChainModel:
+    """The chain of `chain_from_io`, without the orthogonal map, in O(N^2).
+
+    Gautschi's square-root-free RKPW (Rutishauser-Kahan-Pal-Walker) updating
+    rebuilds the Jacobi matrix of the discrete measure sum_k c_k^2
+    delta(x - omega_k^2) one node at a time: node m enters at position 0
+    and chases its bulge down to position m.  The sweeps run on a skewed
+    wavefront, node m at position k at step m + k, so the nodes active at
+    one step touch distinct positions and one numpy statement advances them
+    all.  Raises Breakdown under `chain_from_io`'s criterion, at the first
+    D_j below 1e-12 * max(omega^2).
+    """
+    x = io.omega**2
+    w = io.c**2
+    N = io.N
+    alpha = x.copy()        # Omega_j^2, in place
+    beta = np.zeros(N)      # beta[0] = ||c||^2, beta[j] = D_j^2
+    beta[0] = w[0]
+    # per-node sweep state; node 0 starts the measure and sweeps nothing
+    gam = np.ones(N)
+    sig = np.zeros(N)
+    t = np.zeros(N)
+    pn = w.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step in range(1, 2 * N - 1):
+            lo, hi = (step + 1) // 2, min(step, N - 1)
+            m = slice(lo, hi + 1)
+            # node lo..hi sits at position step-lo..step-hi: reversed views
+            p0 = alpha[step - hi: step - lo + 1][::-1]
+            p1 = beta[step - hi: step - lo + 1][::-1]
+            rho = p1 + pn[m]
+            tmp = gam[m] * rho
+            old_sig = sig[m].copy()
+            pos = rho > 0
+            gam[m] = np.where(pos, p1 / rho, 1.0)
+            sig[m] = s = np.where(pos, pn[m] / rho, 0.0)
+            tk = s * (p0 - x[m]) - gam[m] * t[m]
+            p0 -= tk - t[m]
+            t[m] = tk
+            pn[m] = np.where(s > 0, tk * tk / s, old_sig * p1)
+            p1[:] = tmp
+    D = np.sqrt(beta[1:])
+    small = np.flatnonzero(D < 1e-12 * x.max())
+    if small.size:
+        raise _breakdown(int(small[0]) + 1, float(D[small[0]]))
+    return ChainModel(
+        Omega=_frozen_array(np.sqrt(alpha)),
+        D=_frozen_array(D),
+        D0=float(np.linalg.norm(io.c)),
+        Omega0=io.Omega0,
+    )
 
 
 def char_poly_eval(chain: ChainModel, j: int, lam):

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import chainbath
-from chainbath import dynamics
-from chainbath.cli import build_model, fmt, main, write_csv
+from chainbath import dynamics, spectral
+from chainbath.cli import build_initial_state, build_model, fmt, main, resolve_config, write_csv
 from chainbath.kernels import kernel_closed_form, kernel_eval
 from chainbath.spectral import chain_from_io
 
@@ -38,6 +38,18 @@ def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+LINEAR_16 = {"family": "linear", "N": 16, "omega_min": 0.5, "omega_max": 2.5, "c0": 0.125}
+
+
+@pytest.fixture
+def chain_builds(monkeypatch):
+    """The `rows` argument of every `spectral.chain_from_io` call."""
+    calls = []
+    monkeypatch.setattr(spectral, "chain_from_io",
+                        lambda io, rows=None: calls.append(rows) or chain_from_io(io, rows))
+    return calls
+
+
 class TestExitCodes:
     def test_validation_failure(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -50,6 +62,26 @@ class TestExitCodes:
         write_config(cfg, model={"omega": [1.0, 2.0], "c": [1.0, 1e-13]})
         assert main(["build-chain", "--config", str(cfg),
                      "--out", str(tmp_path / "o.csv")]) == 3
+
+    def test_min_modes_breakdown(self, tmp_path):
+        # min-modes builds the coefficients alone, and checks every coupling
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model={"omega": [1.0, 2.0], "c": [1.0, 1e-13]})
+        assert main(["min-modes", "--config", str(cfg),
+                     "--out", str(tmp_path / "o.csv")]) == 3
+
+    @pytest.mark.parametrize("command", ["bound", "kernels"])
+    def test_breakdown_only_inside_the_rows_built(self, tmp_path, command):
+        # D_1 is numerically zero: a cut at n = 1 builds one row and never
+        # meets it, a cut at n = 2 does
+        cfg = tmp_path / "cfg.json"
+        out = str(tmp_path / "o.csv")
+        write_config(cfg, model={"omega": [1.0, 2.0], "c": [1.0, 1e-13]},
+                     truncations=[1])
+        assert main([command, "--config", str(cfg), "--out", out]) == 0
+        write_config(cfg, model={"omega": [1.0, 2.0], "c": [1.0, 1e-13]},
+                     truncations=[1, 2])
+        assert main([command, "--config", str(cfg), "--out", out]) == 3
 
     def test_unstable_regime(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -149,6 +181,18 @@ class TestKernelsCommand:
             ref = kernel_eval(kernel_closed_form(chain.mode_freqs[: i + 1]), tau)
             assert np.abs(data[:, i] - ref).max() <= 1e-9, f"K_{i}"
 
+    def test_row_cut_matches_full_map(self, tmp_path, monkeypatch, chain_builds):
+        # kernels builds the first max(orders) rows; the full map gives the
+        # same bytes
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model=LINEAR_16, truncations=[1, 3, 6], samples=1024)
+        cut, full = tmp_path / "cut.csv", tmp_path / "full.csv"
+        assert main(["kernels", "--config", str(cfg), "--out", str(cut)]) == 0
+        assert chain_builds == [6]
+        monkeypatch.setattr(spectral, "chain_from_io", lambda io, rows=None: chain_from_io(io))
+        assert main(["kernels", "--config", str(cfg), "--out", str(full)]) == 0
+        assert cut.read_bytes() == full.read_bytes()
+
     def test_order_out_of_range(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(cfg, truncations=[1, 5])
@@ -233,6 +277,39 @@ class TestBoundCommand:
         data = np.loadtxt(lines[1:], delimiter=",")
         for name in (f"eps_n{N}", f"ratio_n{N}"):
             assert np.all(data[:, header.index(name)] == 0.0)
+
+    def test_short_cut_matches_full_map_route(self, tmp_path):
+        # a cut at n = 4 < N = 16 builds four map rows and takes x_full from
+        # the oscillator picture: eps_n4 agrees with x(t) of the full chain
+        # minus the cut, and is not the zero column of a mistaken reuse
+        N = LINEAR_16["N"]
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, model=LINEAR_16, truncations=[1, 4], t_max=4.0)
+        out = tmp_path / "bound.csv"
+        assert main(["bound", "--config", str(cfg_path), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        header = lines[0].split(",")
+        data = np.loadtxt(lines[1:], delimiter=",")
+        cfg = resolve_config(cfg_path, {})
+        io = build_model(cfg)
+        init = build_initial_state(cfg, io)
+        chain, omap = chain_from_io(io)
+        times = data[:, 0]
+        x_full = dynamics.evolve_truncated_x(chain, N, init, omap, times)
+        for n in (1, 4):
+            x_n = dynamics.evolve_truncated_x(chain, n, init, omap, times)
+            eps = data[:, header.index(f"eps_n{n}")]
+            assert np.abs(eps - np.abs(x_full - x_n)).max() <= 1e-13 * np.abs(x_full).max()
+            assert eps.max() > 1e-6 * np.abs(x_full).max()
+
+    def test_builds_only_the_rows_it_reads(self, tmp_path, chain_builds):
+        # bound builds max(truncations) < N rows; min-modes builds no map
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model=LINEAR_16, truncations=[4, 1], t_max=2.5)
+        assert main(["bound", "--config", str(cfg), "--out", str(tmp_path / "b.csv")]) == 0
+        assert chain_builds == [4]
+        assert main(["min-modes", "--config", str(cfg), "--out", str(tmp_path / "m.csv")]) == 0
+        assert chain_builds == [4]
 
     def test_repeated_index_is_one_column(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -15,10 +15,49 @@ from chainbath.errors import (
 from chainbath.instances import coupling_profile, geometric_spectrum, linear_spectrum
 from chainbath.spectral import (
     build_io_model,
+    chain_coefficients,
     chain_from_io,
     char_poly_eval,
     verify_equivalence,
 )
+
+
+def random_bath(data, N):
+    """Sorted frequencies with a minimum gap of 0.01, couplings log-uniform
+    over [1e-6, 1]."""
+    gaps = data.draw(st.lists(st.floats(0.01, 0.2), min_size=N, max_size=N))
+    log_c = data.draw(st.lists(st.floats(-6.0, 0.0), min_size=N, max_size=N))
+    return build_io_model(0.1 + np.cumsum(gaps), 10.0 ** np.array(log_c), 1.0)
+
+
+def long_chain(spectrum, N=1024):
+    omega = spectrum(N, 0.5, 2.5)
+    return build_io_model(omega, coupling_profile(omega, 0.5 / np.sqrt(N)), 1.2)
+
+
+def rkpw_scalar(x, w):
+    """Gautschi's RKPW as a plain double loop over nodes and positions:
+    returns (alpha, beta) with alpha_j = Omega_j^2, beta_0 = ||c||^2 and
+    beta_j = D_j^2."""
+    alpha = [float(v) for v in x]
+    beta = [0.0] * len(x)
+    beta[0] = float(w[0])
+    for m in range(1, len(x)):
+        pn, gam, sig, t = float(w[m]), 1.0, 0.0, 0.0
+        for k in range(m + 1):
+            rho = beta[k] + pn
+            tmp = gam * rho
+            old_sig = sig
+            if rho <= 0:
+                gam, sig = 1.0, 0.0
+            else:
+                gam, sig = beta[k] / rho, pn / rho
+            tk = sig * (alpha[k] - float(x[m])) - gam * t
+            alpha[k] -= tk - t
+            t = tk
+            pn = t * t / sig if sig > 0 else old_sig * beta[k]
+            beta[k] = tmp
+    return np.array(alpha), np.array(beta)
 
 
 class TestBuildIOModel:
@@ -108,28 +147,89 @@ class TestChainFromIO:
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(data=st.data(), N=st.integers(1, 96))
     def test_map_properties_on_random_baths(self, data, N):
-        # sorted frequencies with a minimum gap of 0.01, couplings
-        # log-uniform over [1e-6, 1]
-        gaps = data.draw(st.lists(st.floats(0.01, 0.2), min_size=N, max_size=N))
-        log_c = data.draw(st.lists(st.floats(-6.0, 0.0), min_size=N, max_size=N))
-        omega = 0.1 + np.cumsum(gaps)
-        c = 10.0 ** np.array(log_c)
-        io = build_io_model(omega, c, 1.0)
+        io = random_bath(data, N)
         chain, omap = chain_from_io(io)
         report = verify_equivalence(io, chain, omap)
         assert report.orthogonality <= 1e-13
         assert report.passed
-        assert np.abs(omap.O[0] - c / np.linalg.norm(c)).max() <= 1e-15
+        assert np.abs(omap.O[0] - io.c / np.linalg.norm(io.c)).max() <= 1e-15
         assert np.all(chain.D > 0)
 
     @pytest.mark.parametrize("spectrum", [linear_spectrum, geometric_spectrum])
     def test_long_chain_stays_orthogonal(self, spectrum):
-        N = 1024
-        omega = spectrum(N, 0.5, 2.5)
-        io = build_io_model(omega, coupling_profile(omega, 0.5 / np.sqrt(N)), 1.2)
+        io = long_chain(spectrum)
         report = verify_equivalence(io, *chain_from_io(io))
         assert report.orthogonality <= 1e-13
         assert report.passed
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(data=st.data(), N=st.integers(1, 96))
+    def test_row_cut_is_the_leading_rows(self, data, N):
+        io = random_bath(data, N)
+        rows = data.draw(st.integers(1, N))
+        chain, omap = chain_from_io(io)
+        cut, cut_map = chain_from_io(io, rows=rows)
+        assert cut.N == rows and cut_map.O.shape == (rows, N)
+        assert np.array_equal(cut_map.O, omap.O[:rows])
+        assert np.array_equal(cut.Omega, chain.Omega[:rows])
+        assert np.array_equal(cut.D, chain.D[: rows - 1])
+        assert (cut.D0, cut.Omega0) == (chain.D0, chain.Omega0)
+
+    def test_row_cut_out_of_range(self, small_instance):
+        io = small_instance[0]
+        for rows in (0, io.N + 1):
+            with pytest.raises(IndexOutOfRange):
+                chain_from_io(io, rows=rows)
+
+    def test_row_cut_checks_only_its_couplings(self):
+        # D_1 is numerically zero: one row never meets it, two rows do
+        io = build_io_model([1.0, 2.0], [1.0, 1e-13], 1.0)
+        assert chain_from_io(io, rows=1)[0].N == 1
+        with pytest.raises(Breakdown):
+            chain_from_io(io, rows=2)
+
+
+def assert_coefficients_match(chain, ref, rtol):
+    assert chain.N == ref.N and (chain.D0, chain.Omega0) == (ref.D0, ref.Omega0)
+    assert np.all(np.abs(chain.Omega / ref.Omega - 1.0) <= rtol)
+    assert np.all(np.abs(chain.D / ref.D - 1.0) <= rtol)
+
+
+class TestChainCoefficients:
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(data=st.data(), N=st.integers(1, 96))
+    def test_matches_lanczos_on_random_baths(self, data, N):
+        io = random_bath(data, N)
+        assert_coefficients_match(chain_coefficients(io), chain_from_io(io)[0], 1e-12)
+
+    @pytest.mark.parametrize("spectrum", [linear_spectrum, geometric_spectrum])
+    def test_matches_lanczos_on_long_chains(self, spectrum):
+        io = long_chain(spectrum)
+        assert_coefficients_match(chain_coefficients(io), chain_from_io(io)[0], 1e-12)
+
+    def test_wavefront_matches_scalar_loop(self):
+        rng = np.random.default_rng(11)
+        omega = np.sort(rng.uniform(0.5, 3.0, 64))
+        io = build_io_model(omega, rng.uniform(0.1, 1.0, 64), 1.0)
+        alpha, beta = rkpw_scalar(io.omega**2, io.c**2)
+        chain = chain_coefficients(io)
+        assert np.array_equal(chain.Omega, np.sqrt(alpha))
+        assert np.array_equal(chain.D, np.sqrt(beta[1:]))
+        assert beta[0] == pytest.approx(chain.D0**2, rel=1e-14)
+
+    def test_two_mode_hand_example(self):
+        chain = chain_coefficients(build_io_model([1.0, 2.0], [1.0, 1.0], 1.0))
+        assert chain.Omega == pytest.approx([np.sqrt(2.5), np.sqrt(2.5)], rel=1e-15)
+        assert chain.D == pytest.approx([1.5], rel=1e-15)
+
+    def test_single_mode(self):
+        chain = chain_coefficients(build_io_model([2.0], [1.0], 1.0))
+        assert chain.Omega[0] == 2.0 and chain.D.size == 0 and chain.D0 == 1.0
+
+    def test_breakdown_on_reducible_coupling(self):
+        io = build_io_model([1.0, 2.0], [1.0, 1e-13], 1.0)
+        with pytest.raises(Breakdown, match="D_1"):
+            chain_coefficients(io)
 
 
 class TestCharPoly:
