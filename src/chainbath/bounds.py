@@ -36,7 +36,7 @@ from .dynamics import (
     extended_initial_conditions,
     system_response,
 )
-from .errors import GridMismatch, NonpositiveParameter, check_index
+from .errors import DimensionMismatch, GridMismatch, NonpositiveParameter, check_index
 from .kernels import check_grid, convolve_on_grid, kernel_taylor
 from .solution import VolterraParams, coupling_products, nested_convolve, resolvent_series
 from .spectral import ChainModel, IOModel, OrthogonalMap, char_poly_eval
@@ -92,7 +92,9 @@ def epsilon1(chain: ChainModel, n: int, times, x_next) -> np.ndarray:
     """Direct tail error eps1(n, t) on the grid:
     (prod_{l<=n} D_l/Omega_l) int_0^t K_n(t-s) X_{n+1}(s) ds, with X_{n+1}
     sampled from the full evolution, through the nested_convolve cascade.
-    Identically zero at n = N."""
+    Identically zero at n = N, so `chain` must be the full chain: one cut
+    by `chain_from_io(io, rows=k)` returns zero at n = k, and with no map
+    in hand this function cannot tell."""
     check_index(n, chain.N, "truncation index")
     times = np.asarray(times, dtype=float)
     if n == chain.N:
@@ -274,8 +276,13 @@ def error_report(io: IOModel, chain: ChainModel, omap: OrthogonalMap, n: int,
     The slope is measured on t in [1e-3, 1e-2]/Omega_max through the
     numerically stable eps1 route (the trajectory difference there sits
     below the float64 subtraction floor).  One eigendecomposition of the
-    full chain serves both x(t) and the slope's X_{n+1}(s).
+    full chain serves both x(t) and the slope's X_{n+1}(s), so a chain cut
+    by `chain_from_io(io, rows=k)` raises DimensionMismatch for every n.
     """
+    if omap.is_cut:
+        raise DimensionMismatch(
+            f"error_report evolves the untruncated chain; the map holds only "
+            f"{omap.N} of {omap.O.shape[1]} rows")
     times = np.asarray(times, dtype=float)
     y0, ydot0 = extended_initial_conditions(omap, init, chain.N)
     full = _modal_data(assemble_extended_matrix(chain, chain.N), y0, ydot0)

@@ -183,7 +183,8 @@ def cmd_simulate(cfg, out) -> int:
     chain, omap = spectral.chain_from_io(io)
     init = build_initial_state(cfg, io)
     times = time_grid(cfg)
-    full = dynamics.evolve_truncated(chain, chain.N, init, omap, times)
+    # the source reads positions only: no velocities
+    full = dynamics.evolve_truncated(chain, chain.N, init, omap, times, velocities=False)
     params = solution.mu_delta(chain.Omega0, chain.Omega[0], chain.D0)
     F = solution.source_term(chain, chain.N, full, init, omap)
     x_vol = solution.solve_volterra_closed(params, F, times)

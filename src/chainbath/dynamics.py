@@ -58,13 +58,14 @@ class InitialState:
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled evolution on a uniform grid: system coordinate x(t) and the
-    chain coordinates X[i, m] = X_{i+1}(t_m), with velocities."""
+    chain coordinates X[i, m] = X_{i+1}(t_m), with velocities, which are
+    both None on a positions-only trajectory."""
 
     times: np.ndarray
     x: np.ndarray
-    xdot: np.ndarray
+    xdot: np.ndarray | None
     X: np.ndarray
-    Xdot: np.ndarray
+    Xdot: np.ndarray | None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -73,9 +74,10 @@ class Trajectory:
             raise ValueError("time grid must be strictly increasing")
         if not np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
             raise ValueError("time grid must have uniform step")
-        if not (self.x.shape == self.xdot.shape == t.shape
-                and self.X.shape == self.Xdot.shape
-                and self.X.shape[1:] == t.shape):
+        positions_only = self.xdot is None and self.Xdot is None
+        if not (self.x.shape == t.shape and self.X.shape[1:] == t.shape
+                and (positions_only or (np.shape(self.xdot) == t.shape
+                                        and np.shape(self.Xdot) == self.X.shape))):
             raise DimensionMismatch("trajectory array shapes are inconsistent")
 
     @property
@@ -147,11 +149,13 @@ def _modal_row(modal, y0, i, times) -> np.ndarray:
     return y0[i] + cosm1_wt @ (a * V[i]) + x_sin
 
 
-def evolve_raw(A, y0, ydot0, times):
+def evolve_raw(A, y0, ydot0, times, velocities: bool = True):
     """Positions and velocities of y'' = -A y at arbitrary increasing times.
 
-    Returns (Y, Ydot) with shape (len(times), dim).  Raises UnstableMode if
-    A has a non-positive eigenvalue.
+    Returns (Y, Ydot) with shape (len(times), dim); Ydot is None when
+    `velocities` is false, which skips the second (samples, dim) x
+    (dim, dim) product and leaves Y bitwise unchanged.  Raises UnstableMode
+    if A has a non-positive eigenvalue.
     """
     w, V, a, b = _modal_data(A, y0, ydot0)
     y0 = np.asarray(y0, dtype=float)
@@ -160,21 +164,25 @@ def evolve_raw(A, y0, ydot0, times):
     cosm1_wt, sin_wt = np.cos(wt) - 1.0, np.sin(wt)
     # written as increments from the initial data so that t = 0 is bit-exact
     Y = y0 + (cosm1_wt * a + sin_wt * b) @ V.T
+    if not velocities:
+        return Y, None
     Ydot = ydot0 + ((cosm1_wt * b - sin_wt * a) * w) @ V.T
     return Y, Ydot
 
 
-def evolve_exact(A, y0, ydot0, times) -> Trajectory:
+def evolve_exact(A, y0, ydot0, times, velocities: bool = True) -> Trajectory:
     """Trajectory of the extended linear system on a uniform grid.
 
     Coordinate 0 is the system; the rest are chain modes.  Total energy
     along the returned trajectory is conserved to eigensolver precision.
+    With `velocities` false the trajectory holds positions only (see
+    `evolve_raw`).
     """
-    Y, Ydot = evolve_raw(A, y0, ydot0, times)
+    Y, Ydot = evolve_raw(A, y0, ydot0, times, velocities)
     return Trajectory(
         times=np.asarray(times, dtype=float),
-        x=Y[:, 0], xdot=Ydot[:, 0],
-        X=Y[:, 1:].T, Xdot=Ydot[:, 1:].T,
+        x=Y[:, 0], xdot=None if Ydot is None else Ydot[:, 0],
+        X=Y[:, 1:].T, Xdot=None if Ydot is None else Ydot[:, 1:].T,
     )
 
 
@@ -203,15 +211,16 @@ def extended_initial_conditions(omap: OrthogonalMap, init: InitialState, n: int)
 
 
 def evolve_truncated(chain: ChainModel, n: int, init: InitialState,
-                     omap: OrthogonalMap, times) -> Trajectory:
+                     omap: OrthogonalMap, times, velocities: bool = True) -> Trajectory:
     """Evolution with the chain cut after mode n (coupling D_n dropped).
 
     Initial chain data come from the bath initial data through the
-    orthogonal map; n = chain.N gives the untruncated dynamics.
+    orthogonal map; n = chain.N gives the untruncated dynamics.  With
+    `velocities` false only the positions are built, bitwise as with them.
     """
     A = assemble_extended_matrix(chain, n)
     y0, ydot0 = extended_initial_conditions(omap, init, n)
-    return evolve_exact(A, y0, ydot0, times)
+    return evolve_exact(A, y0, ydot0, times, velocities)
 
 
 def evolve_truncated_x(chain: ChainModel, n: int, init: InitialState,

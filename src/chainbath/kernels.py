@@ -6,9 +6,12 @@ kernel the library computes applies that nesting to sampled signals, one
 single-sine `convolve_on_grid` per level: the Volterra source and the tail
 error through `solution.nested_convolve`, and the `kernels` command by
 convolving sin(Omega_0 t) up the chain.  `convolve_on_grid` needs only numpy:
-it reconstructs the uniformly sampled signal with a local 6-point Lagrange
-interpolant at per-interval Gauss-Legendre nodes and accumulates cos/sin
-moments, and `check_grid` refuses grids too coarse for it.
+it integrates the local 6-point Lagrange interpolant of the uniformly
+sampled signal against cos/sin by per-interval Gauss-Legendre and
+accumulates the moments.  Angle addition moves the trig to the grid points
+and folds the node weights into one small matrix per stencil offset, so a
+call costs O(M F) trig plus O(M STENCIL F) window products for M samples
+and F frequencies.  `check_grid` refuses grids too coarse for it.
 
 This module also keeps three independent evaluations of K_i itself, which
 the tests use as oracles for one another and for the nesting:
@@ -273,72 +276,61 @@ def _stencil_weights(P: int) -> dict[int, np.ndarray]:
     return weights
 
 
-def _interpolate_at_nodes(values) -> np.ndarray:
-    """Uniformly sampled values interpolated at the Gauss-Legendre nodes of
-    every grid interval, shape (M-1, NODES).
-
-    Interval [t_k, t_{k+1}] uses the STENCIL-point Lagrange interpolant
-    through t_{k-2}, ..., t_{k+3}, shifted one-sided at the ends of the grid
-    (all M points when M < STENCIL): one fixed weight matrix applied to the
-    sliding windows of the samples, plus a few end intervals.
-    """
-    M = len(values)
-    P = min(STENCIL, M)
-    c = P // 2 - 1                                          # centred stencil starts at t_{k-c}
-    W = _stencil_weights(P)
-    out = np.empty((M - 1, NODES))
-    out[c:M - P + c + 1] = sliding_window_view(values, P) @ W[-c].T
-    for k in range(c):                                      # stencil t_0 .. t_{P-1}
-        out[k] = W[-k] @ values[:P]
-    for k in range(M - P + c + 1, M - 1):                   # stencil t_{M-P} .. t_{M-1}
-        out[k] = W[M - P - k] @ values[M - P:]
-    return out
-
-
 def convolve_on_grid(freqs, coeffs, values, times) -> np.ndarray:
     """Convolution of a sine series with a sampled signal, on the signal's grid.
 
     Returns conv[m] = int_0^{t_m} sum_j coeffs[j] sin(freqs[j] (t_m - s)) v(s) ds
     where v is the local 6-point Lagrange interpolant of (times, values)
-    (exact for quintics).  Expanding the sine of a difference reduces the
-    whole family of integrals to two cumulative moments per frequency,
-    evaluated by per-interval Gauss-Legendre, so the cost is
-    O(len(times) * NODES * len(freqs)).
+    (exact for quintics): interval [t_k, t_{k+1}] uses the stencil
+    t_{k-2}, ..., t_{k+3}, shifted one-sided at the ends of the grid (all M
+    points when M < STENCIL).  Expanding the sine of a difference reduces the
+    whole family of integrals to two cumulative moments per frequency, each
+    interval's share by NODES-point Gauss-Legendre.  By angle addition the
+    cosine share is cos(f t_k) A_k - sin(f t_k) B_k and the sine share
+    sin(f t_k) A_k + cos(f t_k) B_k, where (A_k, B_k), the moments of
+    cos/sin(f (s - t_k)), are the stencil window of samples times one fixed
+    (STENCIL, 2) matrix per stencil offset.  The cost is O(M F) trig at the
+    grid points plus O(M STENCIL F) window products, for M samples and F
+    frequencies; no per-node array is formed.
 
     `times` must be uniform (to a relative 1e-8 in the step) and start at 0
     (the dynamics all start there); ValueError otherwise.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    if len(times) < 2 or times[0] != 0.0:
+    M = len(times)
+    if M < 2 or times[0] != 0.0:
         raise ValueError("convolution grid must start at t = 0 and have >= 2 samples")
-    steps = np.diff(times)
-    h = times[-1] / (len(times) - 1)
-    if not np.all(np.abs(steps - h) <= 1e-8 * h):
+    h = times[-1] / (M - 1)
+    if not np.all(np.abs(np.diff(times) - h) <= 1e-8 * h):
         raise ValueError("convolution grid must be uniform")
     freqs = np.asarray(freqs, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
+    F = len(freqs)
 
+    # Gauss-Legendre weights times [cos, sin](f (s - t_k)) at the nodes of one interval
     x, w = _gl_rule(NODES)
-    mid = 0.5 * (times[1:] + times[:-1])
-    half = 0.5 * steps
-    s = mid[:, None] + half[:, None] * x[None, :]          # (M-1, NODES)
-    wts = half[:, None] * w[None, :]
-    vs = _interpolate_at_nodes(values) * wts
+    fhu = np.multiply.outer(0.5 * h * (x + 1.0), freqs)    # (NODES, F)
+    E = (0.5 * h * w)[:, None] * np.concatenate([np.cos(fhu), np.sin(fhu)], axis=1)
+    P = min(STENCIL, M)
+    c = P // 2 - 1                                          # centred stencil starts at t_{k-c}
+    G = {d: W.T @ E for d, W in _stencil_weights(P).items()}  # (P, 2F) each
+    AB = np.empty((M - 1, 2 * F))
+    AB[c:M - P + c + 1] = sliding_window_view(values, P) @ G[-c]
+    for k in range(c):                                      # stencil t_0 .. t_{P-1}
+        AB[k] = values[:P] @ G[-k]
+    for k in range(M - P + c + 1, M - 1):                   # stencil t_{M-P} .. t_{M-1}
+        AB[k] = values[M - P:] @ G[M - P - k]
+    A, B = AB[:, :F], AB[:, F:]
 
-    # cumulative moments C_j(t_m) = int_0^{t_m} cos(f_j s) v(s) ds, same with sin
-    arg = np.multiply.outer(freqs, s)                       # (F, M-1, NODES)
-    Cm = np.concatenate(
-        [np.zeros((len(freqs), 1)), np.cumsum((np.cos(arg) * vs).sum(axis=2), axis=1)],
-        axis=1,
-    )
-    Sm = np.concatenate(
-        [np.zeros((len(freqs), 1)), np.cumsum((np.sin(arg) * vs).sum(axis=2), axis=1)],
-        axis=1,
-    )
-    ft = np.multiply.outer(freqs, times)
-    conv = (coeffs[:, None] * (np.sin(ft) * Cm - np.cos(ft) * Sm)).sum(axis=0)
-    return conv
+    # cumulative moments C(t_m) = int_0^{t_m} cos(f s) v(s) ds, S(t_m) likewise with sin
+    ft = np.multiply.outer(times, freqs)                    # (M, F)
+    cos_ft, sin_ft = np.cos(ft), np.sin(ft)
+    C = np.zeros((M, F))
+    S = np.zeros((M, F))
+    np.cumsum(cos_ft[:-1] * A - sin_ft[:-1] * B, axis=0, out=C[1:])
+    np.cumsum(sin_ft[:-1] * A + cos_ft[:-1] * B, axis=0, out=S[1:])
+    return (sin_ft * C - cos_ft * S) @ coeffs
 
 
 def check_grid(times, vmax: float, max_freq: float) -> None:

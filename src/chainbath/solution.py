@@ -49,6 +49,7 @@ from .dynamics import (
 from .errors import (
     ComplexResolvent,
     DegenerateResolvent,
+    DimensionMismatch,
     NonpositiveParameter,
     check_index,
 )
@@ -124,6 +125,17 @@ def coupling_products(chain: ChainModel, n: int) -> np.ndarray:
     return np.concatenate([[1.0], np.cumprod(ratios)])
 
 
+def _check_level(chain: ChainModel, n: int, omap: OrthogonalMap, lo: int = 0) -> None:
+    """Range check of a level n that reads n = chain.N as the untruncated
+    chain.  A map cut by `chain_from_io(io, rows=k)` gives a chain with
+    N = k whose level k is not untruncated: DimensionMismatch there."""
+    check_index(n, chain.N, "level", lo=lo)
+    if n == chain.N and omap.is_cut:
+        raise DimensionMismatch(
+            f"level {n} ends a chain cut at {omap.N} of {omap.O.shape[1]} modes, "
+            "not the untruncated chain; build the full map")
+
+
 def nested_convolve(freqs, hs, times) -> np.ndarray:
     """sum_j K_j * h_j on the grid, with K_j the nested kernel of
     freqs[:j+1] and hs[j] sampled on `times`.
@@ -175,7 +187,7 @@ def free_source_series(chain: ChainModel, n: int, init: InitialState,
     f-tilde_i = f-tilde_{i-1} + (prod_{l<i} D_l/Omega_l) K_{i-1} * f_i,
     where f_i is the free evolution of mode i from its initial data.
     """
-    check_index(n, chain.N, "level")
+    _check_level(chain, n, omap)
     times = np.asarray(times, dtype=float)
     f0, hs = _free_ladder(chain, n, init, omap, times)
     return f0 + nested_convolve(chain.mode_freqs[: n + 1], hs, times)
@@ -195,7 +207,7 @@ def source_term(chain: ChainModel, n_used: int, traj: Trajectory,
     local 6-point Lagrange reconstructions.  Raises GridTooCoarse when the
     estimated interpolation error exceeds 1e-7 * max|X|.
     """
-    check_index(n_used, chain.N, "level")
+    _check_level(chain, n_used, omap)
     _check_grid(chain, traj)
     f0, hs = _free_ladder(chain, n_used, init, omap, traj.times)
     _add_mode_terms(chain, traj, hs, lo=2)
@@ -213,7 +225,7 @@ def x_reduced_form(chain: ChainModel, n: int, traj: Trajectory,
     where the last term vanishes for n = N (D_N = 0).  With exact
     trajectories this reproduces traj.x to quadrature precision for every n.
     """
-    check_index(n, chain.N, "level", lo=1)
+    _check_level(chain, n, omap, lo=1)
     _check_grid(chain, traj)
     f0, hs = _free_ladder(chain, n, init, omap, traj.times)
     _add_mode_terms(chain, traj, hs, lo=1)

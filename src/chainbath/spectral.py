@@ -67,8 +67,10 @@ class ChainModel:
     D_j (length N-1), system-chain coupling D0, system frequency Omega0.
 
     A chain cut by `chain_from_io(io, rows=k)` holds the first k modes, and
-    its N is k: functions that read n = N as the untruncated chain
-    (`epsilon1`, `error_report`, `source_term`) need the full chain."""
+    its N is k: functions that read n = N as the untruncated chain need the
+    full chain.  Those that take the map (`source_term`, `x_reduced_form`,
+    `free_source_series`, `error_report`) raise DimensionMismatch on a cut
+    one; `epsilon1` takes no map and cannot tell."""
 
     Omega: np.ndarray
     D: np.ndarray
@@ -104,6 +106,11 @@ class OrthogonalMap:
     @property
     def N(self) -> int:
         return self.O.shape[0]
+
+    @property
+    def is_cut(self) -> bool:
+        """True when the map holds fewer rows than the bath has modes."""
+        return self.N < self.O.shape[1]
 
 
 @dataclass(frozen=True)

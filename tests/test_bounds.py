@@ -27,7 +27,12 @@ from chainbath.dynamics import (
     evolve_truncated,
     evolve_truncated_x,
 )
-from chainbath.errors import GridMismatch, GridTooCoarse, NonpositiveParameter
+from chainbath.errors import (
+    DimensionMismatch,
+    GridMismatch,
+    GridTooCoarse,
+    NonpositiveParameter,
+)
 from chainbath.instances import coupling_profile, linear_spectrum
 from chainbath.solution import mu_delta, source_term
 from chainbath.spectral import build_io_model, chain_from_io
@@ -377,6 +382,19 @@ class TestSmallTimeSlope:
             chain, n, ts, lambda s: evolve_raw(A_full, yf, ydf, s)[0][:, n + 1])
         assert rep.slope_smallt == pytest.approx(fit_loglog_slope(ts, np.abs(e1)),
                                                  rel=1e-9)
+
+    def test_error_report_refuses_a_cut_map(self):
+        # its x_full evolves the untruncated chain, which a cut map is not:
+        # refused at the cut's end n = 4 and below it alike
+        N = 16
+        omega = linear_spectrum(N, 0.5, 2.5)
+        io = build_io_model(omega, coupling_profile(omega, 0.5 / np.sqrt(N)), 1.2)
+        chain, omap = chain_from_io(io, rows=4)
+        init = sample_thermal(io, ThermalState(1.0), 0)
+        times = np.linspace(0.0, 5.0, 129)
+        for n in (4, 2):
+            with pytest.raises(DimensionMismatch):
+                error_report(io, chain, omap, n, init, times)
 
 
 @pytest.mark.xfail(strict=False, reason=(

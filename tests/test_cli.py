@@ -208,7 +208,8 @@ class TestKernelsCommand:
 
 def test_runtime_needs_no_scipy(tmp_path):
     # numpy is the only runtime dependency: simulate and kernels, run in a
-    # fresh interpreter, never import scipy
+    # fresh interpreter, never import scipy, nor numpy.ma (~30 ms of start-up,
+    # which np.unique, for one, loads)
     cfg = tmp_path / "cfg.json"
     write_config(cfg)
     out = str(tmp_path / "o.csv")
@@ -219,6 +220,7 @@ def test_runtime_needs_no_scipy(tmp_path):
         f"    assert main([cmd, '--config', {str(cfg)!r}, '--out', {out!r}]) == 0\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n"
+        "assert 'numpy.ma' not in sys.modules\n"
     )
     src = str(Path(chainbath.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

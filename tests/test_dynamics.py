@@ -128,6 +128,14 @@ class TestEvolveTruncated:
         b = evolve_truncated(chain, chain.N, init, omap, times)
         assert np.array_equal(a.x, b.x) and np.array_equal(a.X, b.X)
 
+    def test_positions_only_are_bitwise(self):
+        io, chain, omap, init = make_instance(5, 24)
+        times = np.linspace(0, 8, 257)
+        full = evolve_truncated(chain, chain.N, init, omap, times)
+        pos = evolve_truncated(chain, chain.N, init, omap, times, velocities=False)
+        assert np.array_equal(pos.x, full.x) and np.array_equal(pos.X, full.X)
+        assert pos.xdot is None and pos.Xdot is None
+
     def test_isolated_system_free_oscillation(self, small_instance):
         _, chain, omap, init = small_instance
         times = np.linspace(0, 5, 65)
@@ -225,3 +233,9 @@ class TestTrajectoryValidation:
         with pytest.raises(DimensionMismatch):
             Trajectory(times=times, x=np.zeros(3), xdot=np.zeros(3),
                        X=np.zeros((1, 4)), Xdot=np.zeros((1, 4)))
+
+    def test_one_missing_velocity_rejected(self):
+        times = np.linspace(0, 1, 3)
+        with pytest.raises(DimensionMismatch):
+            Trajectory(times=times, x=np.zeros(3), xdot=None,
+                       X=np.zeros((1, 3)), Xdot=np.zeros((1, 3)))

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from chainbath.errors import DegenerateFrequencies, ToleranceNotReached
 from chainbath.kernels import (
+    NODES,
+    STENCIL,
     convolve_on_grid,
     kernel_closed_form,
     kernel_deriv_zero,
@@ -222,6 +226,31 @@ def gl_sine_convolution(freq, values_fn, t, nodes=128):
     return 0.5 * t * np.sum(w * np.sin(freq * (t - s)) * values_fn(s))
 
 
+def convolve_per_node(freqs, coeffs, values, times):
+    """convolve_on_grid's sum in its per-node form: each interval's
+    STENCIL-point Lagrange interpolant (stencil t_{k-2}..t_{k+3}, one-sided
+    at the ends) evaluated at its NODES Gauss-Legendre nodes, and cos/sin of
+    every node."""
+    M = len(times)
+    P, h = min(STENCIL, M), times[-1] / (M - 1)
+    x, w = leggauss(NODES)
+    u = 0.5 * (x + 1.0)
+    vs = np.empty((M - 1, NODES))
+    for k in range(M - 1):
+        start = min(max(k - (P // 2 - 1), 0), M - P)
+        pts = np.arange(start, start + P) - k               # stencil in steps from t_k
+        lag = [np.prod([(u - pts[l]) / (pts[j] - pts[l]) for l in range(P) if l != j], axis=0)
+               for j in range(P)]
+        vs[k] = values[start:start + P] @ np.array(lag)
+    s = 0.5 * (times[1:] + times[:-1])[:, None] + 0.5 * h * x
+    out = np.zeros(M)
+    for f, a in zip(freqs, coeffs):
+        C = np.concatenate([[0.0], np.cumsum(np.cos(f * s) * vs @ (0.5 * h * w))])
+        S = np.concatenate([[0.0], np.cumsum(np.sin(f * s) * vs @ (0.5 * h * w))])
+        out += a * (np.sin(f * times) * C - np.cos(f * times) * S)
+    return out
+
+
 class TestConvolveOnGrid:
     def test_quintic_exact_on_short_grids(self):
         # the 6-point stencil reproduces a quintic exactly, from the
@@ -232,6 +261,35 @@ class TestConvolveOnGrid:
             conv = convolve_on_grid([1.3], [1.0], quintic(times), times)
             ref = [gl_sine_convolution(1.3, quintic, t) for t in times]
             assert np.abs(conv - ref).max() <= 1e-12, f"M={M}"
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1),
+           M=st.sampled_from([2, 3, 4, 5, 6, 7, 64, 2048]),
+           F=st.integers(1, 3), t_max=st.floats(0.1, 20.0))
+    def test_matches_per_node_form(self, seed, M, F, t_max):
+        # the grid-point trig regroups the per-node sum; on random signals,
+        # frequencies and coefficients the two agree to rounding, including
+        # the one-sided end windows and grids shorter than one stencil
+        rng = np.random.default_rng(seed)
+        times = np.linspace(0, t_max, M)
+        values = rng.standard_normal(M) * 10.0 ** rng.uniform(-3, 3)
+        freqs, coeffs = rng.uniform(0.05, 5.0, F), rng.uniform(-1.0, 1.0, F)
+        scale = np.abs(values).max() * t_max
+        conv = convolve_on_grid(freqs, coeffs, values, times)
+        ref = convolve_per_node(freqs, coeffs, values, times)
+        assert np.abs(conv - ref).max() <= 1e-13 * scale
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), M=st.sampled_from([3, 7, 64, 2048]))
+    def test_linear_in_the_sine_series(self, seed, M):
+        rng = np.random.default_rng(seed)
+        times = np.linspace(0, 10.0, M)
+        values = rng.standard_normal(M)
+        (f1, f2), (a1, a2) = rng.uniform(0.05, 5.0, 2), rng.uniform(-1.0, 1.0, 2)
+        both = convolve_on_grid([f1, f2], [a1, a2], values, times)
+        parts = (convolve_on_grid([f1], [a1], values, times)
+                 + convolve_on_grid([f2], [a2], values, times))
+        assert np.abs(both - parts).max() <= 1e-15 * np.abs(values).max() * times[-1]
 
     @pytest.mark.parametrize("M", [2, 3, 4, 5])
     def test_fewer_points_than_stencil(self, M):

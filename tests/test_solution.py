@@ -17,6 +17,7 @@ from chainbath.dynamics import (
 )
 from chainbath.errors import (
     ComplexResolvent,
+    DimensionMismatch,
     GridTooCoarse,
     NonpositiveParameter,
 )
@@ -301,3 +302,38 @@ class TestReducedIdentity:
             F = source_term(chain, chain.N, traj, ini, omap)
             xs.append(solve_volterra_closed(p, F, times))
         assert np.abs(xs[1] - 2 * xs[0]).max() < 1e-12 * max(1, np.abs(xs[1]).max())
+
+
+class TestCutMap:
+    """On the N = 16 linear chain cut at rows = 4, level 4 is the end of the
+    cut chain, not the untruncated chain: every function that takes the map
+    refuses it, and the levels below still match the full map."""
+
+    @pytest.fixture
+    def cut(self):
+        io, chain, omap, init = linear_instance(16)
+        cut_chain, cut_map = chain_from_io(io, rows=4)
+        times = np.linspace(0, 5, 513)
+        traj = evolve_truncated(chain, chain.N, init, omap, times, velocities=False)
+        return chain, omap, cut_chain, cut_map, init, traj
+
+    def test_source_term(self, cut):
+        chain, omap, cut_chain, cut_map, init, traj = cut
+        with pytest.raises(DimensionMismatch):
+            source_term(cut_chain, 4, traj, init, cut_map)
+        assert np.array_equal(source_term(cut_chain, 3, traj, init, cut_map),
+                              source_term(chain, 3, traj, init, omap))
+
+    def test_x_reduced_form(self, cut):
+        chain, omap, cut_chain, cut_map, init, traj = cut
+        with pytest.raises(DimensionMismatch):
+            x_reduced_form(cut_chain, 4, traj, init, cut_map)
+        assert np.array_equal(x_reduced_form(cut_chain, 3, traj, init, cut_map),
+                              x_reduced_form(chain, 3, traj, init, omap))
+
+    def test_free_source_series(self, cut):
+        chain, omap, cut_chain, cut_map, init, traj = cut
+        with pytest.raises(DimensionMismatch):
+            free_source_series(cut_chain, 4, init, cut_map, traj.times)
+        assert np.array_equal(free_source_series(cut_chain, 3, init, cut_map, traj.times),
+                              free_source_series(chain, 3, init, omap, traj.times))
