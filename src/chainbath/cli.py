@@ -11,15 +11,18 @@ identical config+seed gives byte-identical CSVs.  Sweep wall-times go to
 `<out>.timings.json`, the one deliberately non-deterministic output.
 
 Each command builds only the part of the chain it reads: `build-chain` and
-`simulate` the full Lanczos map, `bound` its first max(truncations) rows
-(x_full comes from the independent-oscillator picture), `kernels` its first
-max(orders) rows, and `min-modes` the coefficients alone, by RKPW.
+`simulate` the full Lanczos map, `bound` its rows up to the largest cut
+below N (and the coefficients alone, by RKPW, for a cut at n = N),
+`kernels` its first max(orders) rows, and `min-modes` the coefficients
+alone.  `bound` takes the untruncated x(t) from the secular equation of
+the independent-oscillator matrix, with no eigensolve.
 
 Exit codes: 0 ok, 2 validation failure, 3 chain-construction breakdown,
 4 unstable/complex-resolvent regime, 5 every sweep cell failed.  A
 breakdown is reported only where it happens inside the part of the chain
-the command builds: `min-modes` checks every coupling, `bound` and
-`kernels` only the couplings among the rows they build.
+the command builds: `min-modes` and `bound` with a cut at n = N check
+every coupling, `bound` otherwise and `kernels` only the couplings among
+the rows they build.
 """
 
 from __future__ import annotations
@@ -243,8 +246,11 @@ def cmd_bound(cfg, out) -> int:
     truncations = list(dict.fromkeys(int(n) for n in cfg["truncations"]))
     for n in truncations:
         check_index(n, io.N, "truncation index")
-    # the cuts read the chain's first max(truncations) rows; x_full needs none
-    chain, omap = spectral.chain_from_io(io, rows=max([1, *truncations]))
+    # a cut n < N reads the chain's first n rows; the cut n = N reads only
+    # the coefficients, and its x_n is x_full, which needs no chain
+    below = [n for n in truncations if n < io.N]
+    chain, omap = spectral.chain_from_io(io, rows=max([1, *below]))
+    full = spectral.chain_coefficients(io) if io.N in truncations else None
     init = build_initial_state(cfg, io)
     th = bounds.ThermalState(cfg["kT"])
     times = time_grid(cfg)
@@ -254,12 +260,13 @@ def cmd_bound(cfg, out) -> int:
     max_ratio = 0.0
     for n in truncations:
         eps = np.abs(x_full - _truncated_x(chain, n, init, omap, times, x_full))
-        b_det = bounds.bound_deterministic(io, chain, n, times, init)
+        cut = full if n == io.N else chain
+        b_det = bounds.bound_deterministic(io, cut, n, times, init)
         ratio = _ratio(eps, b_det)
         max_ratio = max(max_ratio, float(ratio.max()))
         cols[f"eps_n{n}"] = eps
         cols[f"bound_det_n{n}"] = b_det
-        cols[f"bound_thermal_n{n}"] = bounds.bound_thermal(io, chain, n, times, th)
+        cols[f"bound_thermal_n{n}"] = bounds.bound_thermal(io, cut, n, times, th)
         cols[f"ratio_n{n}"] = ratio
     write_csv(out, cols)
     write_sidecar(out, cfg, {"max_ratio": max_ratio})

@@ -15,7 +15,7 @@ import chainbath
 from chainbath import dynamics, spectral
 from chainbath.cli import build_initial_state, build_model, fmt, main, resolve_config, write_csv
 from chainbath.kernels import kernel_closed_form, kernel_eval
-from chainbath.spectral import chain_from_io
+from chainbath.spectral import chain_coefficients, chain_from_io
 
 
 def write_config(path, **overrides):
@@ -261,7 +261,7 @@ class TestBoundCommand:
         assert ratio == pytest.approx(np.full_like(ratio, 2.0), rel=1e-12)
 
     def test_full_cut_reuses_the_full_trajectory(self, tmp_path, monkeypatch):
-        # n = N is x_full itself: one eigensolve for x_full, one for n = 1
+        # n = N is x_full itself, which needs no eigensolve: one for n = 1
         N = 8
         cfg = tmp_path / "cfg.json"
         write_config(cfg, model={"family": "linear", "N": N, "omega_min": 0.8,
@@ -273,7 +273,7 @@ class TestBoundCommand:
                             lambda A: calls.append(len(A)) or decompose(A))
         out = tmp_path / "bound.csv"
         assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 0
-        assert sorted(calls) == [2, N + 1]
+        assert sorted(calls) == [2]
         lines = out.read_text().splitlines()
         header = lines[0].split(",")
         data = np.loadtxt(lines[1:], delimiter=",")
@@ -312,6 +312,42 @@ class TestBoundCommand:
         assert chain_builds == [4]
         assert main(["min-modes", "--config", str(cfg), "--out", str(tmp_path / "m.csv")]) == 0
         assert chain_builds == [4]
+
+    def test_full_cut_builds_no_full_map(self, tmp_path, monkeypatch, chain_builds):
+        # a cut at n = N reads the coefficients alone: one map row for the
+        # cut at n = 1, and RKPW for the bound columns at n = N
+        from chainbath import bounds
+
+        N = LINEAR_16["N"]
+        coefficient_builds = []
+        monkeypatch.setattr(spectral, "chain_coefficients",
+                            lambda io: coefficient_builds.append(io.N)
+                            or chain_coefficients(io))
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, model=LINEAR_16, truncations=[1, N], t_max=4.0)
+        out = tmp_path / "bound.csv"
+        assert main(["bound", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert chain_builds == [1] and coefficient_builds == [N]
+        lines = out.read_text().splitlines()
+        header = lines[0].split(",")
+        data = np.loadtxt(lines[1:], delimiter=",")
+        cfg = resolve_config(cfg_path, {})
+        io = build_model(cfg)
+        init = build_initial_state(cfg, io)
+        th = bounds.ThermalState(cfg["kT"])
+        times = data[:, 0]
+        routes = {"bound_det": lambda chain: bounds.bound_deterministic(io, chain, N, times, init),
+                  "bound_thermal": lambda chain: bounds.bound_thermal(io, chain, N, times, th)}
+        for kind, bound in routes.items():
+            got = data[:, header.index(f"{kind}_n{N}")]
+            assert np.array_equal(got, bound(chain_coefficients(io)))
+            # P_N vanishes on the bath spectrum, so both routes give only its
+            # rounding floor, and that floor is negligible beside the cut n = 1
+            floor = 1e-12 * data[:, header.index(f"{kind}_n1")].max()
+            assert got.max() <= floor
+            assert bound(chain_from_io(io)[0]).max() <= floor
+        for name in (f"eps_n{N}", f"ratio_n{N}"):
+            assert np.all(data[:, header.index(name)] == 0.0)
 
     def test_repeated_index_is_one_column(self, tmp_path):
         cfg = tmp_path / "cfg.json"

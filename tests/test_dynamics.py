@@ -9,11 +9,13 @@ from scipy.integrate import solve_ivp
 from chainbath.dynamics import (
     InitialState,
     Trajectory,
+    _secular_roots,
     assemble_extended_matrix,
     assemble_io_matrix,
     chain_initial_conditions,
     evolve_exact,
     evolve_io,
+    evolve_io_x,
     evolve_raw,
     evolve_truncated,
     evolve_truncated_x,
@@ -21,8 +23,9 @@ from chainbath.dynamics import (
     total_energy,
 )
 from chainbath.errors import DimensionMismatch, IndexOutOfRange, UnstableMode
+from chainbath.instances import geometric_spectrum, linear_spectrum, random_initial_state
 from chainbath.spectral import ChainModel, build_io_model, chain_from_io
-from tests.conftest import make_instance
+from tests.conftest import long_chain, make_instance, random_bath
 
 
 class TestAssembly:
@@ -183,6 +186,115 @@ class TestEvolveTruncatedX:
         _, chain, omap, init = small_instance
         with pytest.raises(IndexOutOfRange):
             evolve_truncated_x(chain, chain.N + 1, init, omap, np.linspace(0, 1, 3))
+
+
+def schur(io):
+    """sum c_k^2/omega_k^2: the system's Omega0^2 must exceed it."""
+    return float(np.sum(io.c**2 / io.omega**2))
+
+
+def assert_matches_dense(io, init, times):
+    """`evolve_io_x` against the dense eigensolve of `evolve_io`: x to
+    1e-12 max|x|, the eigenvalues to 1e-13 lambda_max, x0 exact at t = 0."""
+    x = evolve_io_x(io, init, times)
+    ref = evolve_io(io, init, times).x
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert x[0] == init.x0
+    sigma, tau = _secular_roots(io.omega**2, io.c**2, io.Omega0**2)
+    lam = np.linalg.eigvalsh(assemble_io_matrix(io))
+    assert np.abs(sigma + tau - lam).max() <= 1e-13 * lam.max()
+    return sigma + tau
+
+
+class TestEvolveIoX:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data(), N=st.integers(1, 96), seed=st.integers(0, 2**32 - 1),
+           margin=st.floats(1e-3, 4.0))
+    def test_matches_dense_route_on_random_baths(self, data, N, seed, margin):
+        # Omega0^2 = sum c_k^2/omega_k^2 + margin keeps the bath stable
+        bath = random_bath(data, N)
+        io = build_io_model(bath.omega, bath.c, np.sqrt(schur(bath) + margin))
+        init = random_initial_state(np.random.default_rng(seed), N)
+        assert_matches_dense(io, init, np.linspace(0.0, 10.0, 257))
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(data=st.data(), N=st.integers(1, 96), below=st.floats(1e-9, 0.9))
+    def test_unstable_random_baths(self, data, N, below):
+        bath = random_bath(data, N)
+        io = build_io_model(bath.omega, bath.c, np.sqrt(schur(bath) * (1.0 - below)))
+        init = random_initial_state(np.random.default_rng(N), N)
+        for evolve in (evolve_io_x, evolve_io):
+            with pytest.raises(UnstableMode):
+                evolve(io, init, np.linspace(0.0, 1.0, 3))
+
+    @pytest.mark.parametrize("omega, c", [([0.7], [0.3]), ([0.7, 1.3], [0.3, 0.5])])
+    def test_one_and_two_modes(self, omega, c):
+        io = build_io_model(omega, c, 1.1)
+        init = random_initial_state(np.random.default_rng(len(c)), len(c))
+        assert_matches_dense(io, init, np.linspace(0.0, 20.0, 257))
+
+    def test_system_frequency_on_a_bath_frequency(self):
+        io = build_io_model([0.5, 1.0, 1.5, 2.0], [0.1, 0.2, 0.1, 0.05], 1.0)
+        init = random_initial_state(np.random.default_rng(7), io.N)
+        assert_matches_dense(io, init, np.linspace(0.0, 20.0, 257))
+
+    def test_strong_coupling_lifts_the_top_root(self):
+        # Omega0^2 = 100 against sum c_k^2/omega_k^2 = 79.4: stable, and the
+        # top eigenvalue sits two hundred times above omega_N^2
+        io = build_io_model([0.5, 0.6, 0.7], [3.0, 3.0, 3.0], 10.0)
+        init = random_initial_state(np.random.default_rng(8), io.N)
+        lam = assert_matches_dense(io, init, np.linspace(0.0, 5.0, 1025))
+        assert lam.max() > 200 * io.omega[-1] ** 2
+
+    @pytest.mark.parametrize("spectrum", [linear_spectrum, geometric_spectrum])
+    def test_long_chains(self, spectrum):
+        io = long_chain(spectrum)
+        init = random_initial_state(np.random.default_rng(9), io.N)
+        assert_matches_dense(io, init, np.linspace(0.0, 10.0, 513))
+
+    @pytest.mark.parametrize("gap, coupling", [(1e-6, 1e-6), (1e-7, 1e-5), (1e-8, 1e-6)])
+    def test_weak_mode_beside_a_root_of_the_rest(self, gap, coupling):
+        # a weakly coupled bath mode just above an eigenvalue of the other
+        # modes: lambda_j - omega_k^2 is then known to few digits, and with
+        # the given couplings (not those the computed roots are exact for)
+        # the eigenvectors lose orthogonality, x by up to 6e-12
+        omega, c = np.array([0.5, 0.8, 1.1, 1.5]), np.array([0.3, 0.2, 0.25, 0.3])
+        lam = np.linalg.eigvalsh(assemble_io_matrix(build_io_model(omega, c, 1.2)))
+        w_k = np.sqrt(lam[2] + gap)
+        k = np.searchsorted(omega, w_k)
+        io = build_io_model(np.insert(omega, k, w_k), np.insert(c, k, coupling), 1.2)
+        init = random_initial_state(np.random.default_rng(3), io.N)
+        times = np.linspace(0.0, 20.0, 513)
+        x = evolve_io_x(io, init, times)
+        ref = evolve_io(io, init, times).x
+        assert np.abs(x - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("tiny", [1e-13, 1e-200])
+    def test_vanishing_couplings(self, tiny):
+        # at 1e-200 the root would sit closer to its pole than a double
+        # resolves; that mode decouples, and with every coupling that small
+        # the system oscillates freely
+        init = random_initial_state(np.random.default_rng(11), 3)
+        times = np.linspace(0.0, 10.0, 257)
+        for c in ([0.5, tiny, 0.4], [tiny] * 3):
+            io = build_io_model([1.0, 2.0, 3.0], c, 1.5)
+            x = evolve_io_x(io, init, times)
+            assert np.abs(x - evolve_io(io, init, times).x).max() <= 1e-12 * np.abs(x).max()
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_unstable_mode_at_the_schur_threshold(self, side):
+        # the smallest eigenvalue crosses zero at Omega0^2 = sum c_k^2/omega_k^2
+        omega, c = np.array([0.5, 1.0, 1.5]), np.array([0.2, 0.4, 0.3])
+        alpha = np.sum(c**2 / omega**2) * (1.0 + side * 1e-9)
+        io = build_io_model(omega, c, np.sqrt(alpha))
+        init = random_initial_state(np.random.default_rng(10), io.N)
+        times = np.linspace(0.0, 10.0, 257)
+        if side < 0:
+            with pytest.raises(UnstableMode):
+                evolve_io_x(io, init, times)
+        else:
+            lam = assert_matches_dense(io, init, times)
+            assert 0.0 < lam.min() < 1e-8
 
 
 class TestPictures:

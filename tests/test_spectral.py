@@ -12,7 +12,7 @@ from chainbath.errors import (
     NonincreasingSpectrum,
     NonpositiveParameter,
 )
-from chainbath.instances import coupling_profile, geometric_spectrum, linear_spectrum
+from chainbath.instances import geometric_spectrum, linear_spectrum
 from chainbath.spectral import (
     build_io_model,
     chain_coefficients,
@@ -20,19 +20,7 @@ from chainbath.spectral import (
     char_poly_eval,
     verify_equivalence,
 )
-
-
-def random_bath(data, N):
-    """Sorted frequencies with a minimum gap of 0.01, couplings log-uniform
-    over [1e-6, 1]."""
-    gaps = data.draw(st.lists(st.floats(0.01, 0.2), min_size=N, max_size=N))
-    log_c = data.draw(st.lists(st.floats(-6.0, 0.0), min_size=N, max_size=N))
-    return build_io_model(0.1 + np.cumsum(gaps), 10.0 ** np.array(log_c), 1.0)
-
-
-def long_chain(spectrum, N=1024):
-    omega = spectrum(N, 0.5, 2.5)
-    return build_io_model(omega, coupling_profile(omega, 0.5 / np.sqrt(N)), 1.2)
+from tests.conftest import long_chain, random_bath
 
 
 def rkpw_scalar(x, w):
