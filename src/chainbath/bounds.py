@@ -169,7 +169,10 @@ def bound_deterministic(io: IOModel, chain: ChainModel, n: int, t,
                         init: InitialState):
     """Deterministic truncation-error bound for given bath initial data.
 
-    t may be a scalar or an array; the return matches.
+    t may be a scalar or an array; the return matches.  At n = N the
+    weights |P_N(omega_k^2)| are the N-th minor on its own spectrum, zero
+    in exact arithmetic, so the bound holds rounding noise only (it differs
+    by up to 1.67x between the Lanczos and RKPW coefficients of one bath).
     """
     check_index(n, chain.N, "truncation index")
     t = np.asarray(t, dtype=float)
@@ -184,7 +187,8 @@ def bound_thermal(io: IOModel, chain: ChainModel, n: int, t, th: ThermalState):
 
     sqrt(8 kT / pi) * sum_k |P_n(omega_k^2)|/omega_k replaces the
     initial-data factor of the deterministic bound; scales exactly as
-    sqrt(kT).
+    sqrt(kT).  At n = N it holds rounding noise only, as
+    `bound_deterministic` does.
     """
     check_index(n, chain.N, "truncation index")
     t = np.asarray(t, dtype=float)

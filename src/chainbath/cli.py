@@ -18,7 +18,9 @@ alone.  `bound` takes the untruncated x(t) from the secular equation of
 the independent-oscillator matrix, with no eigensolve.
 
 Exit codes: 0 ok, 2 validation failure, 3 chain-construction breakdown,
-4 unstable/complex-resolvent regime, 5 every sweep cell failed.  A
+4 unstable/complex-resolvent regime, 5 every sweep cell failed, 6 a
+numerical check failed: outputs written but not certified (`build-chain`
+when its equivalence check fails; stderr names the failing residuals).  A
 breakdown is reported only where it happens inside the part of the chain
 the command builds: `min-modes` and `bound` with a cut at n = N check
 every coupling, `bound` otherwise and `kernels` only the couplings among
@@ -178,6 +180,11 @@ def cmd_build_chain(cfg, out) -> int:
     print(f"chain written to {out}: N={chain.N}, D0={fmt(chain.D0)}, "
           f"residuals (orth {report.orthogonality:.3e}, tri {report.tridiagonal_residual:.3e}, "
           f"eig {report.eigenvalue_mismatch:.3e}), passed={report.passed}")
+    if not report.passed:
+        failed = ", ".join(report.failures((io.omega**2).max()))
+        print(f"error: equivalence check failed ({failed}); "
+              "outputs written but not certified", file=sys.stderr)
+        return 6
     return 0
 
 

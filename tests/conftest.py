@@ -19,6 +19,15 @@ def make_instance(seed, N, **kwargs):
 
 
 @pytest.fixture
+def no_eigensolve(monkeypatch):
+    """np.linalg.eigvalsh and eigh raise for the length of the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigensolve called")
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+
+
+@pytest.fixture
 def small_instance():
     return make_instance(1234, 4)
 

@@ -95,6 +95,24 @@ class TestExitCodes:
         assert main(["bound", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "o.csv")]) == 2
 
+    def test_uncertified_chain(self, tmp_path, monkeypatch, capsys):
+        # a failed certificate still writes both files, then exits 6
+        def failed(io, chain, omap, rtol=1e-9):
+            return spectral.EquivalenceReport(orthogonality=1e-16, tridiagonal_residual=0.5,
+                                              eigenvalue_mismatch=1e-16, tolerance=rtol,
+                                              passed=False)
+        monkeypatch.setattr(spectral, "verify_equivalence", failed)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg)
+        out = tmp_path / "chain.csv"
+        assert main(["build-chain", "--config", str(cfg), "--out", str(out)]) == 6
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: equivalence check failed (tridiagonal_residual); "
+                       "outputs written but not certified"]
+        assert len(out.read_text().splitlines()) == 5
+        side = json.loads((tmp_path / "chain.csv.resolved.json").read_text())
+        assert side["diagnostics"]["passed"] is False
+
 
 class TestBuildChain:
     def test_single_mode_file(self, tmp_path):
@@ -117,6 +135,14 @@ class TestBuildChain:
         assert main(["build-chain", "--config", str(cfg), "--out", str(out)]) == 0
         diag = json.loads((out.parent / "chain.csv.resolved.json").read_text())
         assert diag["diagnostics"]["eigenvalue_mismatch"] <= 1e-9 * 9.0
+
+    def test_certifies_without_eigensolve(self, tmp_path, no_eigensolve):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model={**LINEAR_16, "N": 64})
+        out = tmp_path / "chain.csv"
+        assert main(["build-chain", "--config", str(cfg), "--out", str(out)]) == 0
+        diag = json.loads((tmp_path / "chain.csv.resolved.json").read_text())
+        assert diag["diagnostics"]["passed"] is True
 
     def test_large_random_config_bit_identical(self, tmp_path):
         cfg = tmp_path / "cfg.json"

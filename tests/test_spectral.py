@@ -1,5 +1,7 @@
 """Chain construction, characteristic-minor polynomials, and equivalence checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from chainbath.errors import (
 )
 from chainbath.instances import geometric_spectrum, linear_spectrum
 from chainbath.spectral import (
+    ChainModel,
     build_io_model,
     chain_coefficients,
     chain_from_io,
@@ -146,9 +149,11 @@ class TestChainFromIO:
     @pytest.mark.parametrize("spectrum", [linear_spectrum, geometric_spectrum])
     def test_long_chain_stays_orthogonal(self, spectrum):
         io = long_chain(spectrum)
-        report = verify_equivalence(io, *chain_from_io(io))
+        report = assert_matches_oracle(io, *chain_from_io(io))
         assert report.orthogonality <= 1e-13
         assert report.passed
+        # the Sturm check measures T's own spectrum, not eigvalsh's rounding
+        assert report.eigenvalue_mismatch <= 1e-14 * (io.omega**2).max()
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(data=st.data(), N=st.integers(1, 96))
@@ -288,3 +293,117 @@ class TestVerifyEquivalence:
         other = build_io_model([1.0, 2.0], [1.0, 1.0], 1.0)
         with pytest.raises(DimensionMismatch):
             verify_equivalence(other, chain, omap)
+
+
+def dense_oracle(io, chain, omap, rtol=1e-9):
+    """The dense check: (passed, eigenvalue mismatch) with T's spectrum from
+    eigvalsh and both residuals from dense N x N products."""
+    w2 = io.omega**2
+    bound = rtol * w2.max()
+    T = chain.tridiagonal()
+    ortho = np.abs(omap.O @ omap.O.T - np.eye(io.N)).max()
+    tri = np.abs(T - (omap.O * w2) @ omap.O.T).max()
+    eig = np.abs(np.sort(np.linalg.eigvalsh(T)) - w2).max()
+    return (ortho <= max(rtol, 1e-10) and tri <= bound and eig <= bound), eig
+
+
+def assert_matches_oracle(io, chain, omap):
+    report = verify_equivalence(io, chain, omap)
+    passed, eig = dense_oracle(io, chain, omap)
+    assert report.passed == passed
+    assert abs(report.eigenvalue_mismatch - eig) <= 1e-13 * (io.omega**2).max()
+    return report
+
+
+def shifted(chain, j, shift):
+    """The chain with Omega_j^2 (0-based j) moved by `shift`."""
+    Omega2 = chain.Omega**2
+    Omega2[j] += shift
+    return ChainModel(Omega=np.sqrt(Omega2), D=chain.D, D0=chain.D0, Omega0=chain.Omega0)
+
+
+class TestSpectrumCheck:
+    """The Sturm-count spectrum check against the dense eigvalsh oracle."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data(), N=st.integers(1, 96))
+    def test_matches_dense_oracle_on_random_baths(self, data, N):
+        io = random_bath(data, N)
+        assert_matches_oracle(io, *chain_from_io(io))
+
+    @pytest.mark.parametrize("omega, c", [([2.0], [1.0]), ([1.0, 2.0], [1.0, 1.0])])
+    def test_one_and_two_modes(self, omega, c):
+        io = build_io_model(omega, c, 1.0)
+        assert assert_matches_oracle(io, *chain_from_io(io)).passed
+
+    def test_near_degenerate_pair(self):
+        # the delta-intervals of omega_2^2 and omega_3^2 overlap
+        omega = np.array([0.5, 1.0, 1.0 + 1e-10, 1.7, 2.5])
+        io = build_io_model(omega, np.full(5, 0.3), 1.0)
+        assert assert_matches_oracle(io, *chain_from_io(io)).passed
+
+    def test_shifted_diagonal(self):
+        # the weakly coupled top mode sits at the chain's end, so moving the
+        # last Omega_j^2 moves its eigenvalue by nearly as much
+        io = build_io_model([1.0, 2.0, 4.0, 8.0], [1.0, 1.0, 1.0, 1e-3], 1.0)
+        chain, omap = chain_from_io(io)
+        assert omap.O[3, 3] ** 2 > 0.98
+        delta = 1e-9 * (io.omega**2).max()
+        close = assert_matches_oracle(io, shifted(chain, 3, 0.5 * delta), omap)
+        assert close.passed and close.eigenvalue_mismatch <= delta
+        far = assert_matches_oracle(io, shifted(chain, 3, 2.0 * delta), omap)
+        assert not far.passed and far.eigenvalue_mismatch >= delta
+        assert far.failures((io.omega**2).max()) == ["tridiagonal_residual",
+                                                      "eigenvalue_mismatch"]
+
+    def test_flat_determinant_is_capped_at_delta(self):
+        # eigenvalues 1 -/+ 0.495 delta, both within delta of omega_1^2 = 1
+        # and omega_2^2: det(T - x) is nearly flat at x = 1, so the Newton
+        # step overshoots, and the counts cap it at delta
+        io = build_io_model([1.0, 1.0 + 1e-11], [1.0, 1.0], 1.0)
+        omap = chain_from_io(io)[1]
+        delta = 1e-9 * (io.omega**2).max()
+        t = 0.35 * delta
+        chain = ChainModel(Omega=np.sqrt([1.0 + t, 1.0 - t]), D=np.array([t]),
+                           D0=1.0, Omega0=1.0)
+        report = verify_equivalence(io, chain, omap)
+        assert dense_oracle(io, chain, omap)[1] <= delta
+        assert report.eigenvalue_mismatch <= delta
+        assert "eigenvalue_mismatch" not in report.failures((io.omega**2).max())
+
+    def test_failed_count_is_reported_above_delta(self):
+        # Omega_1^2 lies on the lower probe point fl(1 - delta), where a
+        # zero pivot counts as below: the count fails, and the value must
+        # say so although 1 - Omega_1^2 rounds below delta
+        rtol = 5e-9
+        io = build_io_model([1.0], [1.0], 1.0)
+        chain = ChainModel(Omega=np.array([0.9999999975]), D=np.zeros(0), D0=1.0, Omega0=1.0)
+        assert chain.Omega[0] ** 2 == 1.0 - rtol and 1.0 - (1.0 - rtol) < rtol
+        report = verify_equivalence(io, chain, chain_from_io(io)[1], rtol=rtol)
+        assert report.failures(1.0) == ["eigenvalue_mismatch"] and not report.passed
+
+    def test_nan_coefficient_fails(self):
+        io = build_io_model([1.0, 2.0], [1.0, 1.0], 1.0)
+        chain, omap = chain_from_io(io)
+        bad = ChainModel(Omega=np.array([np.nan, chain.Omega[1]]), D=chain.D,
+                         D0=chain.D0, Omega0=chain.Omega0)
+        report = verify_equivalence(io, bad, omap)
+        assert not report.passed
+        assert report.failures(4.0) == ["tridiagonal_residual", "eigenvalue_mismatch"]
+
+    def test_runs_no_dense_eigensolve(self, no_eigensolve):
+        io = long_chain(linear_spectrum, 64)
+        chain, omap = chain_from_io(io)
+        assert verify_equivalence(io, chain, omap).passed
+
+    def test_two_work_arrays(self):
+        N = 512
+        io = long_chain(linear_spectrum, N)
+        chain, omap = chain_from_io(io)
+        tracemalloc.start()
+        try:
+            verify_equivalence(io, chain, omap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * N * N * 8
