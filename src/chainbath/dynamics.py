@@ -28,7 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, UnstableMode, check_index
-from .spectral import ChainModel, IOModel, OrthogonalMap
+from .spectral import (
+    ChainModel,
+    IOModel,
+    OrthogonalMap,
+    _loewner_couplings,
+    _secular_roots,
+)
 
 
 @dataclass(frozen=True)
@@ -251,109 +257,19 @@ def evolve_io(io: IOModel, init: InitialState, times) -> Trajectory:
     return evolve_exact(assemble_io_matrix(io), y0, ydot0, times)
 
 
-def _secular_roots(d, c2, alpha):
-    """Eigenvalues of the arrowhead matrix [[alpha, c^T], [c, diag(d)]]
-    (d strictly increasing, every c_k^2 > 0), each as an origin sigma_j and
-    an offset tau_j, lambda_j = sigma_j + tau_j, in O(N^2).
-
-    The eigenvalues are the N+1 roots of the secular function
-    g(lam) = lam - alpha + sum_k c_k^2 / (d_k - lam), which rises from -inf
-    to +inf between adjacent poles d_k, below the first and above the last.
-    g at the middle of each bracket tells which end the root is nearer;
-    that end becomes the origin, so that the distance d_k - lam to the
-    nearest pole, which sets the eigenvector, is (d_k - sigma) - tau
-    without cancellation (LAPACK dlaed4's device).  Each pass keeps the
-    origin's pole term c_o^2 / (-tau) exact, linearizes the rest and steps
-    to the root of that model, a quadratic; a step that leaves the bracket,
-    or that is not at most half the previous one, bisects instead, so every
-    root converges.  A root is done when |g| is within its rounding bound,
-    or the step is below one ulp of tau; only the roots not done are
-    evaluated again.  Raises UnstableMode unless every root is positive,
-    which by the Schur complement is alpha > sum_k c_k^2 / d_k.
-    """
-    schur = float(np.sum(c2 / d))
-    if alpha <= schur:
-        raise UnstableMode(
-            f"Omega0^2 = {alpha:.6g} <= sum c_k^2/omega_k^2 = {schur:.6g}: the "
-            "evolution matrix has an eigenvalue <= 0; outside the oscillatory regime")
-    N = len(d)
-    # brackets: (floor, d_0), (d_0, d_1), ..., (d_{N-1}, ceiling) by Weyl's
-    # bound |lam - diag| <= ||c||, with a factor 2 of room
-    spread = 2.0 * float(np.sqrt(np.sum(c2)))
-    lo_end = np.concatenate([[max(0.0, np.min(d, initial=alpha) - spread)], d])
-    hi_end = np.concatenate([d, [np.max(d, initial=alpha) + spread]])
-    mid = 0.5 * (lo_end + hi_end)
-    inv = d - mid[:, None]
-    g_mid = mid - alpha + np.reciprocal(inv, out=inv) @ c2
-    del inv
-    # the nearer end is the origin; its pole (none at the outer ends) is
-    # column `pole` with weight p
-    lower = g_mid >= 0
-    sigma = np.where(lower, lo_end, hi_end)
-    pole = np.arange(N + 1) - lower
-    has_pole = (pole >= 0) & (pole < N)
-    p = np.where(has_pole, c2[np.clip(pole, 0, N - 1)], 0.0)
-    tau = mid - sigma
-    lo = np.where(lower, 0.0, tau)
-    hi = np.where(lower, tau, 0.0)
-    last_step = np.full(N + 1, np.inf)
-    eps = np.finfo(float).eps
-
-    todo = np.arange(N + 1)
-    while todo.size:
-        s, t = sigma[todo], tau[todo]
-        # rest terms c_k^2 / (d_k - lam) with the origin's pole zeroed
-        inv = d - s[:, None]
-        inv -= t[:, None]
-        np.reciprocal(inv, out=inv)
-        at = np.flatnonzero(has_pole[todo])
-        inv[at, pole[todo[at]]] = 0.0
-        s1 = inv @ c2
-        np.abs(inv, out=inv)
-        s_abs = inv @ c2
-        np.square(inv, out=inv)
-        s2 = inv @ c2
-        del inv
-        pole_term = p[todo] / t
-        shift = s - alpha
-        rest = shift + t + s1
-        g = rest - pole_term
-        done = np.abs(g) <= 8 * eps * (np.abs(shift) + np.abs(t) + s_abs + np.abs(pole_term))
-        lo[todo] = np.where(g < 0, t, lo[todo])
-        hi[todo] = np.where(g > 0, t, hi[todo])
-        # root of -p/tau' + rest + a (tau' - t) = 0 on the origin's side
-        a = 1.0 + s2
-        b = rest - a * t
-        q = -0.5 * (b + np.copysign(np.sqrt(b * b + 4.0 * a * p[todo]), b))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(lower[todo] == (q > 0), q / a, -p[todo] / q)
-        l, h = lo[todo], hi[todo]
-        bisect = ~((step > l) & (step < h) & (np.abs(step - t) <= 0.5 * last_step[todo]))
-        step = np.where(bisect, 0.5 * (l + h), step)
-        moved = np.abs(step - t)
-        done |= moved <= eps * np.abs(t)
-        tau[todo] = np.where(done, t, step)
-        last_step[todo] = moved
-        todo = todo[~done]
-    return sigma, tau
-
-
 def evolve_io_x(io: IOModel, init: InitialState, times) -> np.ndarray:
     """The untruncated x(t) from the independent-oscillator picture, with no
     eigensolve and no chain map: O(N^2) besides the samples.
 
-    Eigenvalues come from `_secular_roots`.  The eigenvector of lambda_j is
+    Eigenvalues come from `_secular_roots`, once the Schur complement
+    Omega0^2 - sum_k c_k^2 / omega_k^2 > 0 shows that they are all positive
+    (UnstableMode otherwise).  The eigenvector of lambda_j is
     (1, c_k / (lambda_j - omega_k^2)) over its norm, so with
     Q[j, k] = 1 / (lambda_j - omega_k^2) the system row holds
     V[0, j] = (1 + sum_k c_k^2 Q[j, k]^2)^(-1/2), and the modal amplitudes
     are a_j = V[0, j] (x0 + sum_k Q[j, k] c_k q0_k), b_j likewise from the
     velocities over w_j.  The c_k used there are those for which the
-    computed roots are the exact eigenvalues (Gu & Eisenstat): by Loewner's
-    formula c_k^2 = -prod_j (d_k - lambda_j) / prod_{i != k} (d_k - d_i),
-    taken as a product of ratios near one.  A root close to a pole pins
-    lambda_j - d_k to only a few digits when its neighbours crowd it, and
-    with the given c_k the vectors would then lose orthogonality; with
-    these they stay orthogonal to working precision.
+    computed roots are the exact eigenvalues, from `_loewner_couplings`.
     """
     y0, ydot0 = _io_initial_conditions(io, init)
     # a coupling below the matrix's rounding level decouples its bath mode
@@ -363,22 +279,17 @@ def evolve_io_x(io: IOModel, init: InitialState, times) -> np.ndarray:
     keep = io.c > eps * (max(io.Omega0**2, io.omega[-1] ** 2) + np.linalg.norm(io.c))
     if not keep.any():
         return free_mode_evolution(io.Omega0, init.x0, init.xdot0, times)
-    d, c = io.omega[keep] ** 2, io.c[keep]
-    sigma, tau = _secular_roots(d, c**2, io.Omega0**2)
-    N = len(d)
+    d, c2, alpha = io.omega[keep] ** 2, io.c[keep] ** 2, io.Omega0**2
+    schur = float(np.sum(c2 / d))
+    if alpha <= schur:
+        raise UnstableMode(
+            f"Omega0^2 = {alpha:.6g} <= sum c_k^2/omega_k^2 = {schur:.6g}: the "
+            "evolution matrix has an eigenvalue <= 0; outside the oscillatory regime")
+    sigma, tau = _secular_roots(d, c2, alpha)
     # dist[j, k] = d_k - lambda_j, from the root's own origin
     dist = d - sigma[:, None]
     dist -= tau[:, None]
-    # pair d_k - lambda_j with d_k - d_j below the pole and d_k - d_{j-1}
-    # above it; the two roots that straddle d_k keep their own distance
-    row, col = np.arange(N + 1)[:, None], np.arange(N)
-    ratio = np.where(row <= col, d[np.minimum(row, N - 1)], d[np.maximum(row - 1, 0)])
-    np.subtract(d, ratio, out=ratio)
-    ratio[col, col] = ratio[col + 1, col] = -1.0
-    np.divide(dist, ratio, out=ratio)
-    ratio[col, col] *= -1.0
-    c_hat = np.sqrt(np.prod(ratio, axis=0))
-    del ratio
+    c_hat = _loewner_couplings(d, dist)
     Q = np.divide(-1.0, dist, out=dist)
     amp = Q @ (c_hat[:, None] * np.stack([init.q0[keep], init.qdot0[keep]], axis=1))
     np.square(Q, out=Q)

@@ -63,6 +63,16 @@ class TestExitCodes:
         assert main(["build-chain", "--config", str(cfg),
                      "--out", str(tmp_path / "o.csv")]) == 3
 
+    def test_breakdown_above_leaf(self, tmp_path):
+        # a full map above LEAF modes takes its chain from RKPW, which
+        # breaks down at the same D_1 = 7.2e-14 as Lanczos
+        N = spectral.LEAF + 88
+        c = [1.0] + [1e-15] * (N - 1)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model={"omega": np.linspace(0.5, 2.5, N).tolist(), "c": c})
+        assert main(["build-chain", "--config", str(cfg),
+                     "--out", str(tmp_path / "o.csv")]) == 3
+
     def test_min_modes_breakdown(self, tmp_path):
         # min-modes builds the coefficients alone, and checks every coupling
         cfg = tmp_path / "cfg.json"
@@ -181,6 +191,35 @@ class TestSimulate:
         data = np.loadtxt(out.read_text().splitlines()[1:], delimiter=",")
         assert data[:, 1] == pytest.approx(np.cos(data[:, 0]), abs=1e-10)
         assert data[:, 4].max() <= 1e-6  # reconstruction error column ~ 0
+
+
+class TestSimulateVerdict:
+    def test_certified_run_passes(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, truncations=[1])
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        diag = json.loads((tmp_path / "traj.csv.resolved.json").read_text())["diagnostics"]
+        assert diag["passed"] is True and diag["max_volterra_error"] <= 1e-13
+
+    def test_long_time_failure_exits_6(self, tmp_path, capsys):
+        # the Volterra cascade amplifies rounding at long times: at t_max 100
+        # its residual is about 330 against max|x_full| of 1.76
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model={"family": "linear", "N": 64, "omega_min": 0.5,
+                                 "omega_max": 2.5, "c0": 0.5 / 8},
+                     Omega0=1.2, t_max=100.0, samples=8192, truncations=[1], seed=1)
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 6
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: max_volterra_error ")
+        assert err[0].endswith("outputs written but not certified")
+        assert len(out.read_text().splitlines()) == 8193
+        diag = json.loads((tmp_path / "traj.csv.resolved.json").read_text())["diagnostics"]
+        data = np.loadtxt(out.read_text().splitlines()[1:], delimiter=",")
+        assert diag["passed"] is False
+        assert diag["max_volterra_error"] > 1e-9 * np.abs(data[:, 1]).max()
 
 
 class TestKernelsCommand:
@@ -329,6 +368,27 @@ class TestBoundCommand:
             eps = data[:, header.index(f"eps_n{n}")]
             assert np.abs(eps - np.abs(x_full - x_n)).max() <= 1e-13 * np.abs(x_full).max()
             assert eps.max() > 1e-6 * np.abs(x_full).max()
+
+    def test_max_ratio_reads_only_above_the_floor(self, tmp_path):
+        # at N = 1024 eps_n32 sits at the float64 floor while bound_det_n32
+        # is near 1e-236: their ratio, read there, would be about 1e219
+        N = 1024
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model={"family": "linear", "N": N, "omega_min": 0.5,
+                                 "omega_max": 2.5, "c0": 0.5 / np.sqrt(N)},
+                     Omega0=1.2, t_max=10.0, samples=2048, truncations=[1, 4, 16, 32])
+        out = tmp_path / "bound.csv"
+        assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 0
+        diag = json.loads((tmp_path / "bound.csv.resolved.json").read_text())["diagnostics"]
+        assert math.isfinite(diag["max_ratio"]) and 0.0 < diag["max_ratio"] <= 1.0
+        lines = out.read_text().splitlines()
+        header = lines[0].split(",")
+        data = np.loadtxt(lines[1:], delimiter=",")
+        eps = data[:, [header.index(f"eps_n{n}") for n in (1, 4, 16, 32)]]
+        floor = 1e-12 * eps.max()
+        assert diag["samples_below_floor"] == np.count_nonzero(eps <= floor)
+        # the CSV's ratio columns are unchanged: there, the floor dominates
+        assert data[:, header.index("ratio_n32")].max() > 1.0
 
     def test_builds_only_the_rows_it_reads(self, tmp_path, chain_builds):
         # bound builds max(truncations) < N rows; min-modes builds no map

@@ -2,11 +2,13 @@
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainbath import spectral
 from chainbath.errors import (
     Breakdown,
     DimensionMismatch,
@@ -16,34 +18,41 @@ from chainbath.errors import (
 )
 from chainbath.instances import geometric_spectrum, linear_spectrum
 from chainbath.spectral import (
+    LEAF,
     ChainModel,
+    OrthogonalMap,
     build_io_model,
     chain_coefficients,
     chain_from_io,
     char_poly_eval,
+    lanczos_chain,
     verify_equivalence,
+    _dense_tridiagonal,
+    _secular_roots,
+    _tridiagonal_eigh,
 )
 from tests.conftest import long_chain, random_bath
 
 
-def rkpw_scalar(x, w):
-    """Gautschi's RKPW as a plain double loop over nodes and positions:
-    returns (alpha, beta) with alpha_j = Omega_j^2, beta_0 = ||c||^2 and
-    beta_j = D_j^2."""
-    alpha = [float(v) for v in x]
-    beta = [0.0] * len(x)
-    beta[0] = float(w[0])
+def rkpw_scalar(x, w, num=float):
+    """Gautschi's RKPW as a plain double loop over nodes and positions, in
+    the number type `num` (float, or mpmath.mpf for an extended-precision
+    oracle): returns (alpha, beta) with alpha_j = Omega_j^2,
+    beta_0 = ||c||^2 and beta_j = D_j^2."""
+    alpha = [num(v) for v in x]
+    beta = [num(0)] * len(x)
+    beta[0] = num(w[0])
     for m in range(1, len(x)):
-        pn, gam, sig, t = float(w[m]), 1.0, 0.0, 0.0
+        pn, gam, sig, t = num(w[m]), num(1), num(0), num(0)
         for k in range(m + 1):
             rho = beta[k] + pn
             tmp = gam * rho
             old_sig = sig
             if rho <= 0:
-                gam, sig = 1.0, 0.0
+                gam, sig = num(1), num(0)
             else:
                 gam, sig = beta[k] / rho, pn / rho
-            tk = sig * (alpha[k] - float(x[m])) - gam * t
+            tk = sig * (alpha[k] - num(x[m])) - gam * t
             alpha[k] -= tk - t
             t = tk
             pn = t * t / sig if sig > 0 else old_sig * beta[k]
@@ -198,7 +207,24 @@ class TestChainCoefficients:
     @pytest.mark.parametrize("spectrum", [linear_spectrum, geometric_spectrum])
     def test_matches_lanczos_on_long_chains(self, spectrum):
         io = long_chain(spectrum)
-        assert_coefficients_match(chain_coefficients(io), chain_from_io(io)[0], 1e-12)
+        assert_coefficients_match(chain_coefficients(io), lanczos_chain(io)[0], 1e-12)
+
+    @pytest.mark.parametrize("spectrum", [linear_spectrum, geometric_spectrum])
+    def test_against_50_digit_oracle(self, spectrum):
+        # the same updating in 50 digits on the same doubles (70 digits give
+        # the same rounded coefficients).  At N = 200 RKPW is within 2.7e-15
+        # (linear) and 5.8e-15 (geometric) in Omega_j and 1.3e-14 and
+        # 2.9e-14 in D_j; Lanczos within 8.9e-16 and 6.7e-16, 3.5e-15 and
+        # 2.3e-15
+        io = long_chain(spectrum, 200)
+        with mpmath.workdps(50):
+            alpha, beta = rkpw_scalar([mpmath.mpf(v) ** 2 for v in io.omega],
+                                      [mpmath.mpf(v) ** 2 for v in io.c], mpmath.mpf)
+            Omega = np.array([float(mpmath.sqrt(v)) for v in alpha])
+            D = np.array([float(mpmath.sqrt(v)) for v in beta[1:]])
+        oracle = ChainModel(Omega=Omega, D=D, D0=float(np.linalg.norm(io.c)), Omega0=io.Omega0)
+        assert_coefficients_match(chain_coefficients(io), oracle, 1e-13)
+        assert_coefficients_match(lanczos_chain(io)[0], oracle, 1e-14)
 
     def test_wavefront_matches_scalar_loop(self):
         rng = np.random.default_rng(11)
@@ -396,6 +422,38 @@ class TestSpectrumCheck:
         chain, omap = chain_from_io(io)
         assert verify_equivalence(io, chain, omap).passed
 
+    @pytest.mark.parametrize("where", [None, (1, 0), (150, 20), (199, 198)])
+    def test_blocks_match_whole_products(self, monkeypatch, where):
+        # blocks of 64 at N = 200, where T's band crosses from one block
+        # into the next: an intact map, and a defect in a block on the
+        # diagonal or below it, read as with whole products
+        monkeypatch.setattr(spectral, "_CHECK_BLOCK", 64)
+        io = long_chain(linear_spectrum, 200)
+        chain, omap = chain_from_io(io)
+        O = omap.O.copy()
+        if where is not None:
+            O[where] += 1e-6
+        report = verify_equivalence(io, chain, OrthogonalMap(O))
+        ortho = np.abs(O @ O.T - np.eye(io.N)).max()
+        tri = np.abs(chain.tridiagonal() - (O * io.omega**2) @ O.T).max()
+        assert report.orthogonality == pytest.approx(ortho, rel=1e-9, abs=1e-15)
+        assert report.tridiagonal_residual == pytest.approx(tri, rel=1e-9, abs=1e-14)
+        assert report.passed is (where is None)
+
+    def test_residuals_work_in_blocks(self):
+        # the residual products go a block of rows and columns at a time:
+        # 1.25 N^2 doubles at N = 1024, where whole products take 2
+        N = 2 * LEAF
+        io = long_chain(linear_spectrum, N)
+        chain, omap = chain_from_io(io)
+        tracemalloc.start()
+        try:
+            assert verify_equivalence(io, chain, omap).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * N * N * 8
+
     def test_two_work_arrays(self):
         N = 512
         io = long_chain(linear_spectrum, N)
@@ -407,3 +465,132 @@ class TestSpectrumCheck:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * N * N * 8
+
+
+def assert_eigh_matches_dense(a, b):
+    """`_tridiagonal_eigh` against eigvalsh of the dense matrix: ascending
+    eigenvalues and the residual T Q - Q diag(lam) to 1e-14 of the largest
+    eigenvalue, orthogonality to 1e-14."""
+    lam, Q = _tridiagonal_eigh(a, b)
+    T = _dense_tridiagonal(a, b)
+    ref = np.linalg.eigvalsh(T)
+    scale = np.abs(ref).max()
+    assert np.all(np.diff(lam) >= 0)
+    assert np.abs(lam - ref).max() <= 1e-14 * scale
+    assert np.abs(Q.T @ Q - np.eye(len(a))).max() <= 1e-14
+    assert np.abs(T @ Q - Q * lam).max() <= 1e-14 * scale
+    return lam
+
+
+@pytest.fixture
+def small_leaf(monkeypatch):
+    """Leaves of 8 sites, so that small matrices take several merges."""
+    monkeypatch.setattr(spectral, "LEAF", 8)
+
+
+@pytest.fixture
+def secular_calls(monkeypatch):
+    """(d, c2, alpha) of every secular equation a merge solves."""
+    calls = []
+    solve = spectral._secular_roots
+    monkeypatch.setattr(spectral, "_secular_roots", lambda d, c2, alpha, **kw:
+                        calls.append((d, c2, alpha)) or solve(d, c2, alpha, **kw))
+    return calls
+
+
+class TestDivideAndConquer:
+    """Full maps above LEAF modes: eigenvectors of T by arrowhead merges."""
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), N=st.integers(LEAF + 1, 3 * LEAF))
+    def test_map_on_random_baths(self, seed, N):
+        # `random_bath`'s distribution, drawn by numpy: gaps in [0.01, 0.2],
+        # couplings log-uniform over [1e-6, 1]
+        rng = np.random.default_rng(seed)
+        io = build_io_model(0.1 + np.cumsum(rng.uniform(0.01, 0.2, N)),
+                            10.0 ** rng.uniform(-6.0, 0.0, N), 1.0)
+        chain, omap = chain_from_io(io)
+        ref = chain_coefficients(io)
+        assert np.array_equal(chain.Omega, ref.Omega) and np.array_equal(chain.D, ref.D)
+        report = verify_equivalence(io, chain, omap)
+        assert report.passed and report.orthogonality <= 1e-13
+        # row 0 is c/||c|| only as far as RKPW's T pins it: 6.5e-13 at most
+        # over seeds 0-7
+        assert np.abs(omap.O[0] - io.c / np.linalg.norm(io.c)).max() <= 1e-11
+
+    @pytest.mark.parametrize("spectrum", [linear_spectrum, geometric_spectrum])
+    def test_long_chains_match_lanczos(self, spectrum):
+        # measured: 9.5e-14 (linear) and 2.2e-13 (geometric) entrywise
+        io = long_chain(spectrum)
+        omap = chain_from_io(io)[1]
+        assert np.abs(omap.O - lanczos_chain(io)[1].O).max() <= 1e-12
+        # a cut is Lanczos: its rows agree with the full map's to the same
+        assert np.abs(chain_from_io(io, rows=32)[1].O - omap.O[:32]).max() <= 1e-12
+
+    def test_route_switches_above_leaf(self):
+        small = long_chain(linear_spectrum, LEAF)
+        (chain, omap), (ref, ref_map) = chain_from_io(small), lanczos_chain(small)
+        assert np.array_equal(omap.O, ref_map.O) and np.array_equal(chain.D, ref.D)
+        large = long_chain(linear_spectrum, LEAF + 1)
+        chain = chain_from_io(large)[0]
+        assert np.array_equal(chain.Omega, chain_coefficients(large).Omega)
+
+    @pytest.mark.parametrize("coupling", [0.0, 1e-30])
+    def test_vanishing_couplings_deflate(self, small_leaf, secular_calls, coupling):
+        # a vanishing b at a split point zeroes (or nearly) a whole half of
+        # z: those poles deflate, and the secular equation never sees them
+        rng = np.random.default_rng(5)
+        a, b = rng.uniform(1.0, 3.0, 37), rng.uniform(0.1, 1.0, 36)
+        b[17] = coupling    # between site 17 and the middle site 18
+        assert_eigh_matches_dense(a, b)
+        assert len(secular_calls[-1][0]) == 18    # the top merge: half 1's 18 poles gone
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-16])
+    def test_tied_poles_rotate(self, small_leaf, secular_calls, offset):
+        # a uniform chain's two halves share their spectrum (exactly, or to
+        # 1e-16): each pair of tied poles rotates into one
+        a, b = np.full(35, 2.0), np.ones(34)
+        a[18:] += offset
+        assert_eigh_matches_dense(a, b)
+        assert len(secular_calls[-1][0]) == 17    # of 34 poles, one per tied pair
+
+    def test_near_singular_merge(self, small_leaf, secular_calls):
+        # the uniform chain shifted by its lowest eigenvalue: positive
+        # definite, but at the top merge alpha - sum z_k^2/d_k rounds to
+        # <= 0, so a Schur check there would refuse it
+        a, b = np.full(143, 2.0), np.ones(142)
+        a -= np.linalg.eigvalsh(_dense_tridiagonal(a, b))[0]
+        lam = assert_eigh_matches_dense(a, b)
+        assert abs(lam[0]) <= 1e-14 * lam[-1]
+        d, c2, alpha = secular_calls[-1]
+        assert alpha <= np.sum(c2 / d)
+
+    def test_secular_roots_leave_the_schur_check_to_the_caller(self):
+        # at the Schur threshold the lowest root is 0: the solver returns it
+        d, c2 = np.array([0.5, 1.0, 1.5]), np.array([0.04, 0.16, 0.09])
+        sigma, tau = _secular_roots(d, c2, float(np.sum(c2 / d)))
+        assert abs(sigma[0] + tau[0]) <= 1e-15
+
+    def test_breakdown_keeps_its_criterion(self):
+        # one heavy mode: D_1 = 7.2e-14 < 1e-12 max(omega^2), on both routes
+        omega = np.linspace(0.5, 2.5, LEAF + 88)
+        c = np.full(omega.size, 1e-15)
+        c[0] = 1.0
+        io = build_io_model(omega, c, 1.2)
+        for build in (chain_from_io, lanczos_chain):
+            with pytest.raises(Breakdown, match="D_1 "):
+                build(io)
+
+    def test_at_most_three_work_arrays(self):
+        # the halves' vectors share the output array, and the top merge adds
+        # one work array and blocks of a few hundred rows: 2.77 N^2 doubles
+        # measured at N = 1024, 2.26 at N = 2048
+        N = 2 * LEAF
+        io = long_chain(linear_spectrum, N)
+        tracemalloc.start()
+        try:
+            chain_from_io(io)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * N * N * 8
