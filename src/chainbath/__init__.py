@@ -61,11 +61,13 @@ from .solution import (
     x_reduced_form,
 )
 from .spectral import (
+    ChainCertificate,
     ChainModel,
     EquivalenceReport,
     IOModel,
     OrthogonalMap,
     build_io_model,
+    certify_chain,
     chain_from_io,
     char_poly_eval,
     verify_equivalence,

@@ -10,20 +10,22 @@ All randomness flows from the config seed through numpy SeedSequences, so
 identical config+seed gives byte-identical CSVs.  Sweep wall-times go to
 `<out>.timings.json`, the one deliberately non-deterministic output.
 
-Each command builds only the part of the chain it reads: `build-chain` and
-`simulate` the full map (by Lanczos up to `spectral.LEAF` modes, above it
-the RKPW coefficients and the eigenvectors of their tridiagonal matrix by
-divide and conquer), `bound` its rows up to the largest cut below N (and
-the coefficients alone, by RKPW, for a cut at n = N), `kernels` its first
-max(orders) rows, and `min-modes` the coefficients alone.  Cut rows come
-from Lanczos, so above `LEAF` modes they agree with the full map's to
-rounding, not bitwise.  `bound` takes the untruncated x(t) from the
-secular equation of the independent-oscillator matrix, with no eigensolve.
+Each command builds only the part of the chain it reads: `simulate` the
+full map, `bound` its rows up to the largest cut below N (and the
+coefficients alone, for a cut at n = N), `kernels` its first max(orders)
+rows, and `build-chain` and `min-modes` the coefficients alone.  Maps come
+from Lanczos, whose cut rows are bitwise the full map's; coefficients
+alone come from RKPW in O(N^2).  `bound` takes the untruncated x(t) from
+the secular equation of the independent-oscillator matrix, with no
+eigensolve.
 
-Verdicts: `build-chain` writes its equivalence residuals and `passed`;
-`simulate` writes `max_volterra_error` and `passed`, which holds when
-max|x_full - x_volterra| <= 1e-9 max|x_full|; `bound` writes `max_ratio`,
-the largest eps/bound_det over the samples whose eps is above
+Verdicts: `build-chain` writes `D0`, `eigenvalue_mismatch`,
+`weight_mismatch` and `passed`, which holds when T's eigenvalues lie within
+1e-9 max(omega^2) of the omega_k^2 and its weights D0^2 w_k within
+1e-9 max(c_k^2) of the c_k^2 (`spectral.certify_chain`: no map, no
+eigensolve); `simulate` writes `max_volterra_error` and `passed`, which
+holds when max|x_full - x_volterra| <= 1e-9 max|x_full|; `bound` writes
+`max_ratio`, the largest eps/bound_det over the samples whose eps is above
 1e-12 * max(eps) (below it eps sits at the float64 rounding floor), and
 `samples_below_floor`, the count of the others over every eps column.
 The CSV's `ratio_n*` columns keep every sample.
@@ -31,12 +33,12 @@ The CSV's `ratio_n*` columns keep every sample.
 Exit codes: 0 ok, 2 validation failure, 3 chain-construction breakdown,
 4 unstable/complex-resolvent regime, 5 every sweep cell failed, 6 a
 numerical check failed: outputs written but not certified (`build-chain`
-when its equivalence check fails, `simulate` when its Volterra residual
+when its certificate fails, `simulate` when its Volterra residual
 is above its bound; one stderr line names what failed).  A breakdown is
 reported only where it happens inside the part of the chain the command
-builds: `min-modes` and `bound` with a cut at n = N check every coupling,
-`bound` otherwise and `kernels` only the couplings among the rows they
-build.
+builds: `build-chain`, `min-modes` and `bound` with a cut at n = N check
+every coupling, `bound` otherwise and `kernels` only the couplings among
+the rows they build.
 """
 
 from __future__ import annotations
@@ -182,22 +184,21 @@ def time_grid(cfg) -> np.ndarray:
 
 def cmd_build_chain(cfg, out) -> int:
     io = build_model(cfg)
-    chain, omap = spectral.chain_from_io(io)
-    report = spectral.verify_equivalence(io, chain, omap)
+    chain = spectral.chain_coefficients(io)
+    report = spectral.certify_chain(io, chain)
     # the last mode has no outgoing coupling: D_N prints as 0
     write_csv(out, {"j": np.arange(1, chain.N + 1), "Omega_j": chain.Omega,
                     "D_j": np.append(chain.D, 0.0)})
     diag = {
         "D0": chain.D0,
-        "orthogonality_residual": report.orthogonality,
-        "tridiagonal_residual": report.tridiagonal_residual,
         "eigenvalue_mismatch": report.eigenvalue_mismatch,
+        "weight_mismatch": report.weight_mismatch,
         "passed": report.passed,
     }
     write_sidecar(out, cfg, diag)
     print(f"chain written to {out}: N={chain.N}, D0={fmt(chain.D0)}, "
-          f"residuals (orth {report.orthogonality:.3e}, tri {report.tridiagonal_residual:.3e}, "
-          f"eig {report.eigenvalue_mismatch:.3e}), passed={report.passed}")
+          f"mismatch (eig {report.eigenvalue_mismatch:.3e}, weight {report.weight_mismatch:.3e}), "
+          f"passed={report.passed}")
     if not report.passed:
         failed = ", ".join(report.failures((io.omega**2).max()))
         print(f"error: equivalence check failed ({failed}); "

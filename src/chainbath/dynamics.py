@@ -28,13 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, UnstableMode, check_index
-from .spectral import (
-    ChainModel,
-    IOModel,
-    OrthogonalMap,
-    _loewner_couplings,
-    _secular_roots,
-)
+from .spectral import ChainModel, IOModel, OrthogonalMap
 
 
 @dataclass(frozen=True)
@@ -299,6 +293,114 @@ def evolve_io_x(io: IOModel, init: InitialState, times) -> np.ndarray:
     a = v0 * (init.x0 + amp[:, 0])
     b = v0 * (init.xdot0 + amp[:, 1]) / w
     return _modal_row((w, v0[None, :], a, b), y0, 0, times)
+
+
+def _secular_roots(d, c2, alpha):
+    """Eigenvalues of the arrowhead matrix [[alpha, c^T], [c, diag(d)]]
+    (d strictly increasing, every c_k^2 > 0), each as an origin sigma_j and
+    an offset tau_j, lambda_j = sigma_j + tau_j, in O(N^2).
+
+    The eigenvalues are the N+1 roots of the secular function
+    g(lam) = lam - alpha + sum_k c_k^2 / (d_k - lam), which rises from -inf
+    to +inf between adjacent poles d_k, below the first and above the last.
+    g at the middle of each bracket tells which end the root is nearer;
+    that end becomes the origin, so that the distance d_k - lam to the
+    nearest pole, which sets the eigenvector, is (d_k - sigma) - tau
+    without cancellation (LAPACK dlaed4's device).  Each pass keeps the
+    origin's pole term c_o^2 / (-tau) exact, linearizes the rest and steps
+    to the root of that model, a quadratic; a step that leaves the bracket,
+    or that is not at most half the previous one, bisects instead, so every
+    root converges.  A root is done when |g| is within its rounding bound,
+    or the step is below one ulp of tau; only the roots not done are
+    evaluated again.  The lowest bracket starts at 0 where that is above
+    Weyl's bound, which needs every root positive: the caller makes sure
+    of it.
+    """
+    N = len(d)
+    # brackets: (0, d_0), (d_0, d_1), ..., (d_{N-1}, ceiling) by Weyl's
+    # bound |lam - diag| <= ||c||, with a factor 2 of room
+    spread = 2.0 * float(np.sqrt(np.sum(c2)))
+    lo_end = np.concatenate([[max(0.0, np.min(d, initial=alpha) - spread)], d])
+    hi_end = np.concatenate([d, [np.max(d, initial=alpha) + spread]])
+    mid = 0.5 * (lo_end + hi_end)
+    inv = d - mid[:, None]
+    g_mid = mid - alpha + np.reciprocal(inv, out=inv) @ c2
+    del inv
+    # the nearer end is the origin; its pole (none at the outer ends) is
+    # column `pole` with weight p
+    lower = g_mid >= 0
+    sigma = np.where(lower, lo_end, hi_end)
+    pole = np.arange(N + 1) - lower
+    has_pole = (pole >= 0) & (pole < N)
+    p = np.where(has_pole, c2[np.clip(pole, 0, N - 1)], 0.0)
+    tau = mid - sigma
+    lo = np.where(lower, 0.0, tau)
+    hi = np.where(lower, tau, 0.0)
+    last_step = np.full(N + 1, np.inf)
+    eps = np.finfo(float).eps
+
+    todo = np.arange(N + 1)
+    while todo.size:
+        s, t = sigma[todo], tau[todo]
+        # rest terms c_k^2 / (d_k - lam) with the origin's pole zeroed
+        inv = d - s[:, None]
+        inv -= t[:, None]
+        np.reciprocal(inv, out=inv)
+        at = np.flatnonzero(has_pole[todo])
+        inv[at, pole[todo[at]]] = 0.0
+        s1 = inv @ c2
+        np.abs(inv, out=inv)
+        s_abs = inv @ c2
+        np.square(inv, out=inv)
+        s2 = inv @ c2
+        del inv
+        pole_term = p[todo] / t
+        shift = s - alpha
+        rest = shift + t + s1
+        g = rest - pole_term
+        done = np.abs(g) <= 8 * eps * (np.abs(shift) + np.abs(t) + s_abs + np.abs(pole_term))
+        lo[todo] = np.where(g < 0, t, lo[todo])
+        hi[todo] = np.where(g > 0, t, hi[todo])
+        # root of -p/tau' + rest + a (tau' - t) = 0 on the origin's side
+        a = 1.0 + s2
+        b = rest - a * t
+        q = -0.5 * (b + np.copysign(np.sqrt(b * b + 4.0 * a * p[todo]), b))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(lower[todo] == (q > 0), q / a, -p[todo] / q)
+        l, h = lo[todo], hi[todo]
+        bisect = ~((step > l) & (step < h) & (np.abs(step - t) <= 0.5 * last_step[todo]))
+        step = np.where(bisect, 0.5 * (l + h), step)
+        moved = np.abs(step - t)
+        done |= moved <= eps * np.abs(t)
+        tau[todo] = np.where(done, t, step)
+        last_step[todo] = moved
+        todo = todo[~done]
+    return sigma, tau
+
+
+def _loewner_couplings(d, dist):
+    """The couplings c_hat (positive) of the arrowhead with poles d whose
+    exact eigenvalues are the roots lambda_j of `_secular_roots`
+    (Gu & Eisenstat), from the distances dist[j, k] = d_k - lambda_j.
+
+    By Loewner's formula c_hat_k^2 = -prod_j (d_k - lambda_j) /
+    prod_{i != k} (d_k - d_i), taken as a product of ratios near one.  A
+    root close to a pole pins lambda_j - d_k to only a few digits when its
+    neighbours crowd it, and with the given couplings the eigenvectors
+    (1, c_k / (lambda_j - d_k)) would then lose orthogonality; with these
+    they stay orthogonal to working precision.
+    """
+    N = len(d)
+    col = np.arange(N)
+    # pair d_k - lambda_j with d_k - d_j below the pole and d_k - d_{j-1}
+    # above it; the two roots that straddle d_k keep their own distance
+    row = np.arange(N + 1)[:, None]
+    ratio = np.where(row <= col, d[np.minimum(row, N - 1)], d[np.maximum(row - 1, 0)])
+    np.subtract(d, ratio, out=ratio)
+    ratio[col, col] = ratio[col + 1, col] = -1.0
+    np.divide(dist, ratio, out=ratio)
+    ratio[col, col] *= -1.0
+    return np.sqrt(np.prod(ratio, axis=0))
 
 
 def free_mode_evolution(Omega_i: float, X0: float, Xdot0: float, t):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -64,9 +65,9 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o.csv")]) == 3
 
     def test_breakdown_above_leaf(self, tmp_path):
-        # a full map above LEAF modes takes its chain from RKPW, which
-        # breaks down at the same D_1 = 7.2e-14 as Lanczos
-        N = spectral.LEAF + 88
+        # build-chain takes its chain from RKPW at every N, which breaks
+        # down at the same D_1 = 7.2e-14 as Lanczos
+        N = 600
         c = [1.0] + [1e-15] * (N - 1)
         cfg = tmp_path / "cfg.json"
         write_config(cfg, model={"omega": np.linspace(0.5, 2.5, N).tolist(), "c": c})
@@ -107,21 +108,52 @@ class TestExitCodes:
 
     def test_uncertified_chain(self, tmp_path, monkeypatch, capsys):
         # a failed certificate still writes both files, then exits 6
-        def failed(io, chain, omap, rtol=1e-9):
-            return spectral.EquivalenceReport(orthogonality=1e-16, tridiagonal_residual=0.5,
-                                              eigenvalue_mismatch=1e-16, tolerance=rtol,
-                                              passed=False)
-        monkeypatch.setattr(spectral, "verify_equivalence", failed)
+        def failed(io, chain, rtol=1e-9):
+            return spectral.ChainCertificate(eigenvalue_mismatch=1e-16, weight_mismatch=0.5,
+                                             tolerance=rtol, passed=False)
+        monkeypatch.setattr(spectral, "certify_chain", failed)
         cfg = tmp_path / "cfg.json"
         write_config(cfg)
         out = tmp_path / "chain.csv"
         assert main(["build-chain", "--config", str(cfg), "--out", str(out)]) == 6
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: equivalence check failed (tridiagonal_residual); "
+        assert err == ["error: equivalence check failed (weight_mismatch); "
                        "outputs written but not certified"]
         assert len(out.read_text().splitlines()) == 5
         side = json.loads((tmp_path / "chain.csv.resolved.json").read_text())
         assert side["diagnostics"]["passed"] is False
+
+
+def _scaled(chain, name, j, factor):
+    """The chain with entry j of its field `name` times `factor`."""
+    values = getattr(chain, name).copy()
+    values[j] *= factor
+    return replace(chain, **{name: values})
+
+
+def _swapped(chain, j):
+    Omega = chain.Omega.copy()
+    Omega[[j, j + 1]] = Omega[[j + 1, j]]
+    return replace(chain, Omega=Omega)
+
+
+def _other_bath(io, chain):
+    """The chain of a bath with the same omega_k and ||c||, its couplings
+    scaled 1x to 3x across the band: only the weights tell the two apart."""
+    c = io.c * np.linspace(1.0, 3.0, io.N)
+    c *= np.linalg.norm(io.c) / np.linalg.norm(c)
+    return chain_coefficients(spectral.build_io_model(io.omega, c, io.Omega0))
+
+
+# wrong chains for a bath, each of which the certificate must refuse
+CHAIN_MUTANTS = {
+    "other_bath": _other_bath,
+    "D0": lambda io, chain: replace(chain, D0=chain.D0 * (1 + 1e-8)),
+    "D_j": lambda io, chain: _scaled(chain, "D", io.N // 2, 1 + 1e-9),
+    "Omega_j": lambda io, chain: _scaled(chain, "Omega", io.N // 2, 1 + 1e-9),
+    "swap": lambda io, chain: _swapped(chain, io.N // 2),
+    "nan": lambda io, chain: _scaled(chain, "D", io.N // 2, np.nan),
+}
 
 
 class TestBuildChain:
@@ -136,7 +168,7 @@ class TestBuildChain:
         assert len(lines) == 2
         diag = json.loads((tmp_path / "chain.csv.resolved.json").read_text())
         assert diag["diagnostics"]["passed"] is True
-        assert diag["diagnostics"]["tridiagonal_residual"] <= 1e-12
+        assert diag["diagnostics"]["weight_mismatch"] <= 1e-12
 
     def test_residuals_reported_random(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -153,6 +185,32 @@ class TestBuildChain:
         assert main(["build-chain", "--config", str(cfg), "--out", str(out)]) == 0
         diag = json.loads((tmp_path / "chain.csv.resolved.json").read_text())
         assert diag["diagnostics"]["passed"] is True
+
+    def test_builds_no_map(self, tmp_path, monkeypatch, no_eigensolve):
+        # above 512 modes too: coefficients by RKPW, certified without a map
+        def refuse(*args, **kwargs):
+            raise AssertionError("map built or checked")
+        monkeypatch.setattr(spectral, "chain_from_io", refuse)
+        monkeypatch.setattr(spectral, "verify_equivalence", refuse)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model={**LINEAR_16, "N": 600})
+        out = tmp_path / "chain.csv"
+        assert main(["build-chain", "--config", str(cfg), "--out", str(out)]) == 0
+        diag = json.loads((tmp_path / "chain.csv.resolved.json").read_text())["diagnostics"]
+        assert set(diag) == {"D0", "eigenvalue_mismatch", "weight_mismatch", "passed"}
+        assert diag["passed"] is True and diag["weight_mismatch"] <= 1e-11
+
+    @pytest.mark.parametrize("mutant", sorted(CHAIN_MUTANTS))
+    def test_certificate_ties_the_chain_to_the_bath(self, tmp_path, monkeypatch, capsys,
+                                                    mutant):
+        monkeypatch.setattr(spectral, "chain_coefficients",
+                            lambda io: CHAIN_MUTANTS[mutant](io, chain_coefficients(io)))
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model={**LINEAR_16, "N": 64})
+        out = tmp_path / "chain.csv"
+        assert main(["build-chain", "--config", str(cfg), "--out", str(out)]) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error: equivalence check failed (") and "weight_mismatch" in err
 
     def test_large_random_config_bit_identical(self, tmp_path):
         cfg = tmp_path / "cfg.json"

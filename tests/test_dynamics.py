@@ -296,6 +296,12 @@ class TestEvolveIoX:
             lam = assert_matches_dense(io, init, times)
             assert 0.0 < lam.min() < 1e-8
 
+    def test_secular_roots_leave_the_schur_check_to_the_caller(self):
+        # at the Schur threshold the lowest root is 0: the solver returns it
+        d, c2 = np.array([0.5, 1.0, 1.5]), np.array([0.04, 0.16, 0.09])
+        sigma, tau = _secular_roots(d, c2, float(np.sum(c2 / d)))
+        assert abs(sigma[0] + tau[0]) <= 1e-15
+
 
 class TestPictures:
     def test_equivalence_of_pictures(self):
