@@ -28,9 +28,10 @@ and O(N) memory, with no map and no eigensolve: Sturm counts, the signs of
 T's LDL^T pivots, place each eigenvalue lambda_k within delta of
 omega_k^2, and the same pivot recurrence run from T's far end gives each
 weight as -1/dm_0'(lambda_k), dm_0 being the top pivot (Golub & Welsch,
-Math. Comp. 23, 1969).  `verify_equivalence` checks a full map instead:
-the residuals of O O^T and (O omega)(O omega)^T in blocks, and the same
-Sturm counts.
+Math. Comp. 23, 1969).  Where nodes nearly coincide, a rounding of T
+turns their eigenvectors, and each weight is allowed what that moves it.
+`verify_equivalence` checks a full map instead: the residuals of O O^T
+and (O omega)(O omega)^T in blocks, and the same Sturm counts.
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ from .errors import (
 # a second Gram-Schmidt pass is needed only when the first one leaves less
 # than this share of the vector's norm.
 DGKS_KEEP = 1.0 / np.sqrt(2.0)
+
+# The certificates' tolerance, relative to max(omega^2) for T's eigenvalues
+# and to max(c_k^2) for its weights
+_RTOL = 1e-9
 
 # Rows (and columns) per block of `verify_equivalence`'s products, which
 # run when nothing but the map is held: larger blocks make faster products
@@ -143,39 +148,27 @@ class EquivalenceReport:
     def failures(self, scale: float) -> list[str]:
         """Names of the residuals above their bounds (a NaN is above), for
         a bath whose largest omega^2 is `scale`."""
-        return _above({
+        bounds = {
             "orthogonality_residual": (self.orthogonality, max(self.tolerance, 1e-10)),
             "tridiagonal_residual": (self.tridiagonal_residual, self.tolerance * scale),
             "eigenvalue_mismatch": (self.eigenvalue_mismatch, self.tolerance * scale),
-        })
+        }
+        return [name for name, (value, bound) in bounds.items() if not value <= bound]
 
 
 @dataclass(frozen=True)
 class ChainCertificate:
-    """Backward-error certificate of chain coefficients against a bath.
-    `passed` holds when T's eigenvalues lie within tolerance * max(omega^2)
-    of omega_k^2 (`eigenvalue_mismatch`) and D0^2 times its weights within
-    tolerance * max(c_k^2) of c_k^2 (`weight_mismatch`, already relative)."""
+    """Backward-error certificate of chain coefficients against a bath, from
+    `certify_chain`.  `failed` names, as in the `build-chain` sidecar, the
+    mismatches above their bounds; `passed` holds when it is empty."""
 
     eigenvalue_mismatch: float
     weight_mismatch: float
-    tolerance: float
-    passed: bool
+    failed: tuple[str, ...]
 
-    def failures(self, scale: float) -> list[str]:
-        """Names, as in the `build-chain` sidecar, of the mismatches above
-        their bounds (a NaN is above), for a bath whose largest omega^2 is
-        `scale`."""
-        return _above({
-            "eigenvalue_mismatch": (self.eigenvalue_mismatch, self.tolerance * scale),
-            "weight_mismatch": (self.weight_mismatch, self.tolerance),
-        })
-
-
-def _above(bounds) -> list[str]:
-    """The names whose value, of a {name: (value, bound)} mapping, is not
-    at or below its bound."""
-    return [name for name, (value, bound) in bounds.items() if not value <= bound]
+    @property
+    def passed(self) -> bool:
+        return not self.failed
 
 
 def build_io_model(omega, c, Omega0) -> IOModel:
@@ -412,7 +405,32 @@ def _spectrum_mismatch(chain: ChainModel, w2: np.ndarray, delta: float):
     return float(mismatch.max()), step
 
 
-def certify_chain(io: IOModel, chain: ChainModel, rtol: float = 1e-9) -> ChainCertificate:
+def _weight_allowance(io: IOModel) -> np.ndarray:
+    """How far rounding alone moves each weight `certify_chain` reads.
+
+    A float T is the bath's chain only to about eps max(omega^2), as its
+    eigenvalues show; take T and the reading point each off by twice that,
+    eta.  To first order, with d_j = omega_j^2 - omega_k^2, T's eigenvector
+    turns towards its neighbours' and the reading picks up their poles,
+    moving D0^2 w_k by at most 2 e_k, e_k = eta (c_k (sum_{j != k}
+    c_j^2 / d_j^2)^(1/2) + |sum_{j != k} c_j^2 / d_j|); e_k^2 / c_k^2 adds
+    the second order.  Tiny where the nodes are resolved, large where they
+    nearly coincide.  O(N^2) time, O(N) memory.
+    """
+    w2 = io.omega**2
+    c = io.c
+    eta = 2.0 * np.finfo(float).eps * w2.max()
+    e = np.empty(io.N)
+    for k in range(io.N):
+        d = w2 - w2[k]
+        d[k] = np.inf
+        with np.errstate(divide="ignore"):  # omega_k^2 rounded onto its neighbour's
+            q = c / d
+        e[k] = eta * (c[k] * np.sqrt(q @ q) + abs(c @ q))
+    return 2.0 * e + e**2 / c**2
+
+
+def certify_chain(io: IOModel, chain: ChainModel) -> ChainCertificate:
     """Certify that `chain` is the bath's chain, from its coefficients alone.
 
     The chain is the bath's exactly when T's eigenvalues are the omega_k^2
@@ -424,33 +442,40 @@ def certify_chain(io: IOModel, chain: ChainModel, rtol: float = 1e-9) -> ChainCe
     (Golub & Welsch): one pass of the same pivot recurrence over T reversed,
     at the points one Newton step on det(T - x) moves omega_k^2 to.  At
     omega_k^2 itself a weight far below its neighbours' would come out
-    wrong, because dm_0 has a pole beside each such zero.  Reports
-    `weight_mismatch` = max_k |D0^2 w_k - c_k^2| / max_k c_k^2.
+    wrong, because dm_0 has a pole beside each such zero.  The weights sum
+    to one, so D0^2, their total, is checked against sum_k c_k^2 too:
+    `weight_mismatch` = max(max_k |D0^2 w_k - c_k^2|, |D0^2 - sum_k c_k^2|)
+    / max_k c_k^2.
 
-    `passed` holds when eigenvalue_mismatch <= rtol * max(omega^2) and
-    weight_mismatch <= rtol; a NaN mismatch fails.  O(N^2) time, O(N)
-    memory.
+    `passed` holds when eigenvalue_mismatch <= 1e-9 max(omega^2) and each of
+    those differences is within 1e-9 max(c_k^2), plus `_weight_allowance`
+    for the w_k: near-degenerate nodes may pass above 1e-9.  A NaN fails.
+    O(N^2) time, O(N) memory.
     """
     if io.N != chain.N:
         raise DimensionMismatch(f"sizes disagree: io N={io.N}, chain N={chain.N}")
     w2 = io.omega**2
     scale = w2.max()
-    eig_mis, step = _spectrum_mismatch(chain, w2, rtol * scale)
+    eig_mis, step = _spectrum_mismatch(chain, w2, _RTOL * scale)
     pivmin = np.finfo(float).eps ** 2 * scale
     _, _, dm0 = _sturm_newton(chain.Omega[::-1] ** 2, chain.D[::-1] ** 2, w2 - step, pivmin)
     c2 = io.c**2
-    weight_mis = np.max(np.abs(chain.D0**2 / -dm0 - c2)) / c2.max()
-    report = ChainCertificate(
+    error = np.abs(chain.D0**2 / -dm0 - c2)
+    total = abs(chain.D0**2 - c2.sum())
+    bound = _RTOL * c2.max()
+    checks = {
+        "eigenvalue_mismatch": eig_mis <= _RTOL * scale,
+        "weight_mismatch": total <= bound and np.all(error <= bound + _weight_allowance(io)),
+    }
+    return ChainCertificate(
         eigenvalue_mismatch=eig_mis,
-        weight_mismatch=float(weight_mis),
-        tolerance=rtol,
-        passed=False,
+        weight_mismatch=float(np.maximum(error.max(), total) / c2.max()),
+        failed=tuple(name for name, ok in checks.items() if not ok),
     )
-    return replace(report, passed=not report.failures(scale))
 
 
 def verify_equivalence(io: IOModel, chain: ChainModel, omap: OrthogonalMap,
-                       rtol: float = 1e-9) -> EquivalenceReport:
+                       rtol: float = _RTOL) -> EquivalenceReport:
     """Residuals of the defining relations of the chain map.
 
     Checks ||O O^T - I||_max, ||T - O diag(omega^2) O^T||_max, and the

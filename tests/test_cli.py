@@ -66,7 +66,8 @@ class TestExitCodes:
 
     def test_breakdown_above_leaf(self, tmp_path):
         # build-chain takes its chain from RKPW at every N, which breaks
-        # down at the same D_1 = 7.2e-14 as Lanczos
+        # down at the same D_1 = 7.2e-14 as Lanczos; the name recalls the
+        # 512-mode route switch (LEAF) that this 600-mode bath once crossed
         N = 600
         c = [1.0] + [1e-15] * (N - 1)
         cfg = tmp_path / "cfg.json"
@@ -108,9 +109,9 @@ class TestExitCodes:
 
     def test_uncertified_chain(self, tmp_path, monkeypatch, capsys):
         # a failed certificate still writes both files, then exits 6
-        def failed(io, chain, rtol=1e-9):
+        def failed(io, chain):
             return spectral.ChainCertificate(eigenvalue_mismatch=1e-16, weight_mismatch=0.5,
-                                             tolerance=rtol, passed=False)
+                                             failed=("weight_mismatch",))
         monkeypatch.setattr(spectral, "certify_chain", failed)
         cfg = tmp_path / "cfg.json"
         write_config(cfg)
@@ -211,6 +212,20 @@ class TestBuildChain:
         assert main(["build-chain", "--config", str(cfg), "--out", str(out)]) == 6
         err = capsys.readouterr().err
         assert err.startswith("error: equivalence check failed (") and "weight_mismatch" in err
+
+    @pytest.mark.parametrize("omega, c", [
+        ([0.5, 1.0, 1.0 + 1e-10, 1.7, 2.5], [0.3] * 5),
+        ([1.0, 1.0 + 1e-11], [1.0, 1.0]),
+    ])
+    def test_certifies_near_degenerate_baths(self, tmp_path, omega, c):
+        # nodes 2e-10 and 2e-11 apart: their single weights are fixed only
+        # up to the rounding allowance, which the certificate grants
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model={"omega": omega, "c": c})
+        out = tmp_path / "chain.csv"
+        assert main(["build-chain", "--config", str(cfg), "--out", str(out)]) == 0
+        diag = json.loads((tmp_path / "chain.csv.resolved.json").read_text())["diagnostics"]
+        assert diag["passed"] is True
 
     def test_large_random_config_bit_identical(self, tmp_path):
         cfg = tmp_path / "cfg.json"
