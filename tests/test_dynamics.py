@@ -1,5 +1,6 @@
 """Exact linear evolution: assembly, trivial solutions, oracles, invariants."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,6 +189,19 @@ class TestEvolveTruncatedX:
             evolve_truncated_x(chain, chain.N + 1, init, omap, np.linspace(0, 1, 3))
 
 
+def x_mpmath(io, init, times, dps=40):
+    """x(t) from a `dps`-digit eigendecomposition of the oscillator-picture
+    matrix (mpmath's Jacobi `eigsy`), rounded to doubles."""
+    with mpmath.workdps(dps):
+        lam, V = mpmath.eigsy(mpmath.matrix(assemble_io_matrix(io).tolist()))
+        a = V.T * mpmath.matrix(np.concatenate([[init.x0], init.q0]).tolist())
+        b = V.T * mpmath.matrix(np.concatenate([[init.xdot0], init.qdot0]).tolist())
+        w = [mpmath.sqrt(v) for v in lam]
+        return np.array([float(mpmath.fsum(
+            V[0, j] * (a[j] * mpmath.cos(w[j] * t) + b[j] * mpmath.sin(w[j] * t) / w[j])
+            for j in range(len(w)))) for t in map(mpmath.mpf, times)])
+
+
 def schur(io):
     """sum c_k^2/omega_k^2: the system's Omega0^2 must exceed it."""
     return float(np.sum(io.c**2 / io.omega**2))
@@ -268,6 +282,25 @@ class TestEvolveIoX:
         x = evolve_io_x(io, init, times)
         ref = evolve_io(io, init, times).x
         assert np.abs(x - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("gap, coupling", [(1e-7, 1e-5), (1e-8, 1e-6)])
+    def test_weak_mode_against_40_digits(self, gap, coupling):
+        # the case above on a 24-mode random bath, against a 40-digit
+        # eigendecomposition: measured 1.6e-15 and 2.3e-15 relative to
+        # max|x| before the blocked rewrite (the dense route: 2.7e-14, 1.1e-14)
+        N = 24
+        rng = np.random.default_rng(N)
+        omega = 0.5 + np.cumsum(rng.uniform(0.01, 0.2, N))
+        c = 10.0 ** rng.uniform(-2.0, -0.5, N)
+        Omega0 = np.sqrt(np.sum(c**2 / omega**2) + 0.5)
+        lam = np.linalg.eigvalsh(assemble_io_matrix(build_io_model(omega, c, Omega0)))
+        w_k = np.sqrt(lam[N // 2] + gap)
+        k = np.searchsorted(omega, w_k)
+        io = build_io_model(np.insert(omega, k, w_k), np.insert(c, k, coupling), Omega0)
+        init = random_initial_state(np.random.default_rng(3), io.N)
+        times = np.linspace(0.0, 20.0, 129)
+        ref = x_mpmath(io, init, times)
+        assert np.abs(evolve_io_x(io, init, times) - ref).max() <= 5e-15 * np.abs(ref).max()
 
     @pytest.mark.parametrize("tiny", [1e-13, 1e-200])
     def test_vanishing_couplings(self, tiny):
