@@ -31,7 +31,8 @@ holds when max|x_full - x_volterra| <= 1e-9 max|x_full|; `bound` writes
 `samples_below_floor`, the count of the others over every eps column.
 The CSV's `ratio_n*` columns keep every sample.
 
-Exit codes: 0 ok, 2 validation failure, 3 chain-construction breakdown,
+Exit codes: 0 ok, 2 validation failure (a NaN or infinite `t_max`,
+`min_modes` time or tolerance among them), 3 chain-construction breakdown,
 4 unstable/complex-resolvent regime, 5 every sweep cell failed, 6 a
 numerical check failed: outputs written but not certified (`build-chain`
 when its certificate fails, `simulate` when its Volterra residual
@@ -178,9 +179,10 @@ def time_grid(cfg) -> np.ndarray:
     samples = int(cfg["samples"])
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    if cfg["t_max"] <= 0:
-        raise ValueError("t_max must be positive")
-    return np.linspace(0.0, float(cfg["t_max"]), samples)
+    t_max = float(cfg["t_max"])
+    if not 0.0 < t_max < np.inf:
+        raise ValueError(f"t_max must be positive and finite, not {t_max}")
+    return np.linspace(0.0, t_max, samples)
 
 
 def cmd_build_chain(cfg, out) -> int:

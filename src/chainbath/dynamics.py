@@ -11,8 +11,12 @@ the coupling D_n, i.e. keeping the leading (n+1) x (n+1) block of the
 extended matrix.  The untruncated x(t) alone (`evolve_io_x`) needs no
 eigensolve: the independent-oscillator matrix is an arrowhead, whose
 eigenvalues are the roots of a secular equation and whose eigenvectors
-follow from them in closed form, all in O(N^2); the dense route
-(`evolve_io`) stays as its cross-check.
+follow from them in closed form, all in O(N^2) time; every sweep over the
+(root, pole) pairs goes BLOCK rows at a time, so no (N+1) x N array is
+formed.  The dense route (`evolve_io`) stays as its cross-check.  The
+single-coordinate sums (`evolve_io_x`, `evolve_truncated_x`) take a uniform
+grid from 0 by angle addition, as one matrix product with trig on about
+2 sqrt(M) points per mode for M samples instead of M.
 
 Sign conventions: the extended chain matrix carries -D0 and -D_j off the
 diagonal (so the equations of motion read x'' = -Omega0^2 x + D0 X_1 with
@@ -23,12 +27,18 @@ are X(0) = -O q(0); `extended_initial_conditions` applies that once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, UnstableMode, check_index
+from .kernels import _uniform_step
 from .spectral import ChainModel, IOModel, OrthogonalMap
+
+# Rows per block of `evolve_io_x`'s O(N^2) sweeps over (root, pole) pairs:
+# one or two BLOCK x N arrays are live at a time, 2 MB each at N = 2048
+BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -142,15 +152,39 @@ def _modal_data(A, y0, ydot0):
 
 
 def _modal_row(modal, y0, i, times) -> np.ndarray:
-    """Coordinate i alone, y0[i] + (cos(wt) - 1) @ (a V[i]) + sin(wt) @ (b V[i]),
-    of the evolution `_modal_data` describes: O(len(times) * dim), exact at t = 0."""
+    """Coordinate i alone, y0[i] + sum_j (a_j (cos(w_j t) - 1) + b_j sin(w_j t)) V[i, j],
+    of the evolution `_modal_data` describes, exact at t = 0.
+
+    On a uniform grid from 0 (`kernels._uniform_step`) the samples go by
+    angle addition: sample p B + q sits at t_pB + t_q, B = ceil(sqrt(M))
+    for M samples, and a cos(w t) + b sin(w t) there is
+    (a cos(w t_pB) + b sin(w t_pB)) cos(w t_q)
+    + (b cos(w t_pB) - a sin(w t_pB)) sin(w t_q), so x is one
+    (P, 2 dim) x (2 dim, B) product, P = ceil(M / B), with trig on
+    (P + B) dim points instead of M dim and no (M, dim) array; the
+    increment is taken from the product's own t = 0 entry.  Any other grid
+    takes the direct form, O(len(times) * dim) trig and memory.
+    """
     w, V, a, b = modal
-    wt = np.multiply.outer(np.asarray(times, dtype=float), w)
-    x_sin = np.sin(wt) @ (b * V[i])
-    # cos(wt) - 1 overwrites wt: no second (samples, dim) buffer
-    cosm1_wt = np.cos(wt, out=wt)
-    cosm1_wt -= 1.0
-    return y0[i] + cosm1_wt @ (a * V[i]) + x_sin
+    alpha, beta = a * V[i], b * V[i]
+    times = np.asarray(times, dtype=float)
+    if _uniform_step(times) is None:
+        wt = np.multiply.outer(times, w)
+        x_sin = np.sin(wt) @ beta
+        # cos(wt) - 1 overwrites wt: no second (samples, dim) buffer
+        cosm1_wt = np.cos(wt, out=wt)
+        cosm1_wt -= 1.0
+        return y0[i] + cosm1_wt @ alpha + x_sin
+    M = len(times)
+    B = math.isqrt(M - 1) + 1
+    phase = np.multiply.outer(times[::B], w)
+    cos_p, sin_p = np.cos(phase), np.sin(phase, out=phase)
+    coarse = np.concatenate([alpha * cos_p + beta * sin_p, beta * cos_p - alpha * sin_p], axis=1)
+    del cos_p, sin_p, phase
+    phase = np.multiply.outer(w, times[:B])
+    fine = np.concatenate([np.cos(phase), np.sin(phase, out=phase)])
+    x = (coarse @ fine).ravel()[:M]
+    return y0[i] + (x - x[0])
 
 
 def evolve_raw(A, y0, ydot0, times, velocities: bool = True):
@@ -253,7 +287,8 @@ def evolve_io(io: IOModel, init: InitialState, times) -> Trajectory:
 
 def evolve_io_x(io: IOModel, init: InitialState, times) -> np.ndarray:
     """The untruncated x(t) from the independent-oscillator picture, with no
-    eigensolve and no chain map: O(N^2) besides the samples.
+    eigensolve and no chain map: O(N^2) time besides the samples, and
+    O(BLOCK N) memory besides `_modal_row`'s.
 
     Eigenvalues come from `_secular_roots`, once the Schur complement
     Omega0^2 - sum_k c_k^2 / omega_k^2 > 0 shows that they are all positive
@@ -264,6 +299,7 @@ def evolve_io_x(io: IOModel, init: InitialState, times) -> np.ndarray:
     are a_j = V[0, j] (x0 + sum_k Q[j, k] c_k q0_k), b_j likewise from the
     velocities over w_j.  The c_k used there are those for which the
     computed roots are the exact eigenvalues, from `_loewner_couplings`.
+    Q is rebuilt a BLOCK of rows at a time for the amplitudes and V[0].
     """
     y0, ydot0 = _io_initial_conditions(io, init)
     # a coupling below the matrix's rounding level decouples its bath mode
@@ -280,25 +316,48 @@ def evolve_io_x(io: IOModel, init: InitialState, times) -> np.ndarray:
             f"Omega0^2 = {alpha:.6g} <= sum c_k^2/omega_k^2 = {schur:.6g}: the "
             "evolution matrix has an eigenvalue <= 0; outside the oscillatory regime")
     sigma, tau = _secular_roots(d, c2, alpha)
-    # dist[j, k] = d_k - lambda_j, from the root's own origin
-    dist = d - sigma[:, None]
-    dist -= tau[:, None]
-    c_hat = _loewner_couplings(d, dist)
-    Q = np.divide(-1.0, dist, out=dist)
-    amp = Q @ (c_hat[:, None] * np.stack([init.q0[keep], init.qdot0[keep]], axis=1))
-    np.square(Q, out=Q)
-    v0 = 1.0 / np.sqrt(1.0 + Q @ c_hat**2)
-    del Q, dist
+    c_hat = _loewner_couplings(d, sigma, tau)
+    weighted = c_hat[:, None] * np.stack([init.q0[keep], init.qdot0[keep]], axis=1)
+    c2_hat = c_hat**2
+    amp, norm2 = np.empty((len(sigma), 2)), np.empty(len(sigma))
+    for rows, Q in _distance_blocks(d, sigma, tau):
+        np.divide(-1.0, Q, out=Q)
+        amp[rows] = Q @ weighted
+        np.square(Q, out=Q)
+        norm2[rows] = Q @ c2_hat
+    v0 = 1.0 / np.sqrt(1.0 + norm2)
     w = np.sqrt(sigma + tau)
     a = v0 * (init.x0 + amp[:, 0])
     b = v0 * (init.xdot0 + amp[:, 1]) / w
     return _modal_row((w, v0[None, :], a, b), y0, 0, times)
 
 
+def _distance_blocks(d, sigma, tau):
+    """Yield (rows, dist) for each BLOCK of rows: dist[r, k] = d_k - lambda_r
+    for the rows' roots lambda = sigma + tau, taken from each root's origin
+    as (d_k - sigma_r) - tau_r.  Each block is a fresh BLOCK x len(d)
+    array, free once the caller lets it go."""
+    for start in range(0, len(sigma), BLOCK):
+        rows = slice(start, min(start + BLOCK, len(sigma)))
+        dist = d - sigma[rows, None]
+        dist -= tau[rows, None]
+        yield rows, dist
+
+
+def _bracket_poles(rows, N):
+    """Block-local indices (r, k) of the poles that bound the brackets of
+    the roots j in `rows`: the upper pole k = j (j < N), then the lower
+    pole k = j - 1 (j > 0)."""
+    j = np.arange(rows.start, rows.stop)
+    upper, lower = j[j < N], j[j > 0]
+    return (upper - rows.start, upper), (lower - rows.start, lower - 1)
+
+
 def _secular_roots(d, c2, alpha):
     """Eigenvalues of the arrowhead matrix [[alpha, c^T], [c, diag(d)]]
     (d strictly increasing, every c_k^2 > 0), each as an origin sigma_j and
-    an offset tau_j, lambda_j = sigma_j + tau_j, in O(N^2).
+    an offset tau_j, lambda_j = sigma_j + tau_j, in O(N^2) time and
+    O(BLOCK N) memory.
 
     The eigenvalues are the N+1 roots of the secular function
     g(lam) = lam - alpha + sum_k c_k^2 / (d_k - lam), which rises from -inf
@@ -306,36 +365,56 @@ def _secular_roots(d, c2, alpha):
     g at the middle of each bracket tells which end the root is nearer;
     that end becomes the origin, so that the distance d_k - lam to the
     nearest pole, which sets the eigenvector, is (d_k - sigma) - tau
-    without cancellation (LAPACK dlaed4's device).  Each pass keeps the
-    origin's pole term c_o^2 / (-tau) exact, linearizes the rest and steps
-    to the root of that model, a quadratic; a step that leaves the bracket,
-    or that is not at most half the previous one, bisects instead, so every
-    root converges.  A root is done when |g| is within its rounding bound,
-    or the step is below one ulp of tau; only the roots not done are
-    evaluated again.  The lowest bracket starts at 0 where that is above
-    Weyl's bound, which needs every root positive: the caller makes sure
-    of it.
+    without cancellation (LAPACK dlaed4's device).  Each root starts from
+    dlaed4's two-pole model: the bracket's two pole terms exact, the rest
+    of g frozen at its midpoint value, a quadratic whose root in the
+    bracket is kept when it lies on the root's side of the middle (the
+    middle itself otherwise).  Each pass keeps the origin's pole term
+    c_o^2 / (-tau) exact, linearizes the rest and steps to the root of
+    that model, a quadratic; a step that leaves the bracket, or that is
+    not at most half the previous one, bisects instead, so every root
+    converges.  A root is done when |g| is within its rounding bound, or
+    the step is below one ulp of tau; only the roots not done are
+    evaluated again, a BLOCK of them at a time.  The lowest bracket
+    starts at 0 where that is above Weyl's bound, which needs every root
+    positive: the caller makes sure of it.
     """
     N = len(d)
     # brackets: (0, d_0), (d_0, d_1), ..., (d_{N-1}, ceiling) by Weyl's
-    # bound |lam - diag| <= ||c||, with a factor 2 of room
+    # bound |lam - diag| <= ||c||, with a factor 2 of room; the outer ends
+    # are no poles and weigh 0
     spread = 2.0 * float(np.sqrt(np.sum(c2)))
     lo_end = np.concatenate([[max(0.0, np.min(d, initial=alpha) - spread)], d])
     hi_end = np.concatenate([d, [np.max(d, initial=alpha) + spread]])
+    p_lo, p_hi = np.concatenate([[0.0], c2]), np.concatenate([c2, [0.0]])
     mid = 0.5 * (lo_end + hi_end)
-    inv = d - mid[:, None]
-    g_mid = mid - alpha + np.reciprocal(inv, out=inv) @ c2
-    del inv
+    # g at the middle without the bracket's own poles
+    rest = np.empty(N + 1)
+    for rows, inv in _distance_blocks(d, mid, np.zeros(N + 1)):
+        np.reciprocal(inv, out=inv)
+        for own in _bracket_poles(rows, N):
+            inv[own] = 0.0
+        rest[rows] = inv @ c2
+    rest += mid - alpha
+    g_mid = rest + p_lo / (lo_end - mid) + p_hi / (hi_end - mid)
     # the nearer end is the origin; its pole (none at the outer ends) is
     # column `pole` with weight p
     lower = g_mid >= 0
     sigma = np.where(lower, lo_end, hi_end)
     pole = np.arange(N + 1) - lower
     has_pole = (pole >= 0) & (pole < N)
-    p = np.where(has_pole, c2[np.clip(pole, 0, N - 1)], 0.0)
+    p = np.where(lower, p_lo, p_hi)
     tau = mid - sigma
     lo = np.where(lower, 0.0, tau)
     hi = np.where(lower, tau, 0.0)
+    # two-pole start: rest - p/t + p_far/(far - t) = 0 with the far end at
+    # t = far, i.e. rest t^2 - (rest far + p + p_far) t + p far = 0
+    far = np.where(lower, hi_end, lo_end) - sigma
+    A = rest * far + p + np.where(lower, p_hi, p_lo)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = 0.5 * (A + np.copysign(np.sqrt(A * A - 4.0 * rest * p * far), A))
+        for root in (p * far / q, q / rest):
+            tau = np.where((root > lo) & (root < hi), root, tau)
     last_step = np.full(N + 1, np.inf)
     eps = np.finfo(float).eps
 
@@ -343,17 +422,16 @@ def _secular_roots(d, c2, alpha):
     while todo.size:
         s, t = sigma[todo], tau[todo]
         # rest terms c_k^2 / (d_k - lam) with the origin's pole zeroed
-        inv = d - s[:, None]
-        inv -= t[:, None]
-        np.reciprocal(inv, out=inv)
-        at = np.flatnonzero(has_pole[todo])
-        inv[at, pole[todo[at]]] = 0.0
-        s1 = inv @ c2
-        np.abs(inv, out=inv)
-        s_abs = inv @ c2
-        np.square(inv, out=inv)
-        s2 = inv @ c2
-        del inv
+        s1, s_abs, s2 = np.empty((3, todo.size))
+        for rows, inv in _distance_blocks(d, s, t):
+            np.reciprocal(inv, out=inv)
+            at = np.flatnonzero(has_pole[todo[rows]])
+            inv[at, pole[todo[rows]][at]] = 0.0
+            s1[rows] = inv @ c2
+            np.abs(inv, out=inv)
+            s_abs[rows] = inv @ c2
+            np.square(inv, out=inv)
+            s2[rows] = inv @ c2
         pole_term = p[todo] / t
         shift = s - alpha
         rest = shift + t + s1
@@ -378,29 +456,40 @@ def _secular_roots(d, c2, alpha):
     return sigma, tau
 
 
-def _loewner_couplings(d, dist):
+def _loewner_couplings(d, sigma, tau):
     """The couplings c_hat (positive) of the arrowhead with poles d whose
-    exact eigenvalues are the roots lambda_j of `_secular_roots`
-    (Gu & Eisenstat), from the distances dist[j, k] = d_k - lambda_j.
+    exact eigenvalues are the roots lambda_j = sigma_j + tau_j of
+    `_secular_roots` (Gu & Eisenstat).
 
     By Loewner's formula c_hat_k^2 = -prod_j (d_k - lambda_j) /
-    prod_{i != k} (d_k - d_i), taken as a product of ratios near one.  A
-    root close to a pole pins lambda_j - d_k to only a few digits when its
+    prod_{i != k} (d_k - d_i), taken as a product of ratios near one,
+    accumulated over j in row order a BLOCK of rows at a time.  A root
+    close to a pole pins lambda_j - d_k to only a few digits when its
     neighbours crowd it, and with the given couplings the eigenvectors
     (1, c_k / (lambda_j - d_k)) would then lose orthogonality; with these
     they stay orthogonal to working precision.
     """
     N = len(d)
     col = np.arange(N)
-    # pair d_k - lambda_j with d_k - d_j below the pole and d_k - d_{j-1}
-    # above it; the two roots that straddle d_k keep their own distance
-    row = np.arange(N + 1)[:, None]
-    ratio = np.where(row <= col, d[np.minimum(row, N - 1)], d[np.maximum(row - 1, 0)])
-    np.subtract(d, ratio, out=ratio)
-    ratio[col, col] = ratio[col + 1, col] = -1.0
-    np.divide(dist, ratio, out=ratio)
-    ratio[col, col] *= -1.0
-    return np.sqrt(np.prod(ratio, axis=0))
+    prod = np.ones(N)
+    for rows, dist in _distance_blocks(d, sigma, tau):
+        # row 0 carries the product so far, so that one reduction
+        # continues it in row order
+        ratio = np.empty((len(dist) + 1, N))
+        ratio[0] = prod
+        # pair d_k - lambda_j with d_k - d_j below the pole and d_k - d_{j-1}
+        # above it; the two roots that straddle d_k keep their own
+        # distance, the upper one with its sign turned
+        j = np.arange(rows.start, rows.stop)[:, None]
+        den = ratio[1:]
+        np.subtract(d, d[np.minimum(j, N - 1)], out=den)
+        np.subtract(d, d[j - 1], out=den, where=j > col)
+        below, above = _bracket_poles(rows, N)
+        den[below] = 1.0
+        den[above] = -1.0
+        np.divide(dist, den, out=den)
+        prod = np.prod(ratio, axis=0)
+    return np.sqrt(prod)
 
 
 def free_mode_evolution(Omega_i: float, X0: float, Xdot0: float, t):

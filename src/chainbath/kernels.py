@@ -255,6 +255,17 @@ def kernel_taylor_remainder(freqs, max_order: int, tau) -> float:
         / float(math.factorial(2 * k - 1))
 
 
+def _uniform_step(times) -> float | None:
+    """The step h of a grid t_m = m h that starts at 0, has at least two
+    samples and keeps every step within 1e-8 h of h; None for any other
+    grid (NaN times included)."""
+    times = np.asarray(times, dtype=float)
+    if len(times) < 2 or times[0] != 0.0:
+        return None
+    h = times[-1] / (len(times) - 1)
+    return float(h) if np.all(np.abs(np.diff(times) - h) <= 1e-8 * h) else None
+
+
 @lru_cache(maxsize=8)
 def _stencil_weights(P: int) -> dict[int, np.ndarray]:
     """Weights (NODES, P) of the P-point Lagrange interpolant through
@@ -299,11 +310,10 @@ def convolve_on_grid(freqs, coeffs, values, times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     M = len(times)
-    if M < 2 or times[0] != 0.0:
-        raise ValueError("convolution grid must start at t = 0 and have >= 2 samples")
-    h = times[-1] / (M - 1)
-    if not np.all(np.abs(np.diff(times) - h) <= 1e-8 * h):
-        raise ValueError("convolution grid must be uniform")
+    h = _uniform_step(times)
+    if h is None:
+        raise ValueError("convolution grid must be uniform, start at t = 0 "
+                         "and have >= 2 samples")
     freqs = np.asarray(freqs, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
     F = len(freqs)

@@ -300,6 +300,14 @@ class TestMinModes:
         assert np.all(np.diff(arr, axis=0) >= 0)   # later time: more modes
         assert np.all(np.diff(arr, axis=1) >= 0)   # tighter tol: more modes
 
+    @pytest.mark.parametrize("t, tol", [(np.nan, 1e-3), (np.inf, 1e-3), (1.0, np.nan),
+                                        (1.0, np.inf), (1.0, -np.inf)])
+    def test_non_finite_time_or_tolerance(self, small_instance, t, tol):
+        # NaN slips past a bare `tol <= 0`: it once returned n = N, uncertified
+        io, chain, _, _ = small_instance
+        with pytest.raises(ValueError, match="finite"):
+            min_modes(io, chain, t, tol, ThermalState(1.0))
+
     def test_not_certified_flag(self, small_instance):
         io, chain, _, _ = small_instance
         res = min_modes(io, chain, 2.0, 1e-300, ThermalState(1.0))

@@ -107,6 +107,31 @@ class TestExitCodes:
         assert main(["bound", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "o.csv")]) == 2
 
+    @pytest.mark.parametrize("tmax", ["nan", "inf", "-inf"])
+    def test_non_finite_tmax_flag(self, tmp_path, tmax):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg)
+        out = tmp_path / "o.csv"
+        assert main(["bound", "--config", str(cfg), "--out", str(out), f"--tmax={tmax}"]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["bound", "simulate"])
+    def test_non_finite_tmax_in_config(self, tmp_path, command):
+        # json writes and reads NaN: the config takes the flag's path
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, t_max=math.nan)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("section", [{"times": [1.0], "tols": [math.nan]},
+                                         {"times": [math.nan, 1.0], "tols": [1e-3]},
+                                         {"times": [1.0], "tols": [math.inf]}])
+    def test_non_finite_min_modes_entries(self, tmp_path, section):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, min_modes=section)
+        out = tmp_path / "o.csv"
+        assert main(["min-modes", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_uncertified_chain(self, tmp_path, monkeypatch, capsys):
         # a failed certificate still writes both files, then exits 6
         def failed(io, chain):

@@ -1,5 +1,7 @@
 """Exact linear evolution: assembly, trivial solutions, oracles, invariants."""
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -8,8 +10,11 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from chainbath.dynamics import (
+    BLOCK,
     InitialState,
     Trajectory,
+    _modal_data,
+    _modal_row,
     _secular_roots,
     assemble_extended_matrix,
     assemble_io_matrix,
@@ -26,7 +31,7 @@ from chainbath.dynamics import (
 from chainbath.errors import DimensionMismatch, IndexOutOfRange, UnstableMode
 from chainbath.instances import geometric_spectrum, linear_spectrum, random_initial_state
 from chainbath.spectral import ChainModel, build_io_model, chain_from_io
-from tests.conftest import long_chain, make_instance, random_bath
+from tests.conftest import long_chain, make_instance, numpy_bath, random_bath
 
 
 class TestAssembly:
@@ -202,6 +207,24 @@ def x_mpmath(io, init, times, dps=40):
             for j in range(len(w)))) for t in map(mpmath.mpf, times)])
 
 
+def chain_modal_data(seed):
+    """A seeded 12-mode instance, its untruncated chain's initial data y0
+    and the `_modal_data` of that chain."""
+    io, chain, omap, init = make_instance(seed, 12)
+    X0, Xdot0 = chain_initial_conditions(omap, init)
+    y0 = np.concatenate([[init.x0], X0])
+    modal = _modal_data(assemble_extended_matrix(chain, chain.N), y0,
+                        np.concatenate([[init.xdot0], Xdot0]))
+    return io, init, y0, modal
+
+
+def direct_row(modal, y0, times):
+    """`_modal_row`'s direct form for coordinate 0, written out."""
+    w, V, a, b = modal
+    wt = np.multiply.outer(times, w)
+    return y0[0] + (np.cos(wt) - 1.0) @ (a * V[0]) + np.sin(wt) @ (b * V[0])
+
+
 def schur(io):
     """sum c_k^2/omega_k^2: the system's Omega0^2 must exceed it."""
     return float(np.sum(io.c**2 / io.omega**2))
@@ -240,6 +263,67 @@ class TestEvolveIoX:
         for evolve in (evolve_io_x, evolve_io):
             with pytest.raises(UnstableMode):
                 evolve(io, init, np.linspace(0.0, 1.0, 3))
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), N=st.integers(97, 640),
+           margin=st.floats(1e-3, 4.0))
+    def test_matches_dense_route_on_large_random_baths(self, seed, N, margin):
+        # above the sizes hypothesis can draw, and across several blocks
+        bath = numpy_bath(seed, N)
+        io = build_io_model(bath.omega, bath.c, np.sqrt(schur(bath) + margin))
+        init = random_initial_state(np.random.default_rng(seed), N)
+        assert_matches_dense(io, init, np.linspace(0.0, 10.0, 257))
+
+    @pytest.mark.parametrize("N", [BLOCK - 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1])
+    def test_block_edges(self, N):
+        # N + 1 roots: one short of a block, a block, one over, two and one over
+        io = long_chain(linear_spectrum, N)
+        init = random_initial_state(np.random.default_rng(N), N)
+        assert_matches_dense(io, init, np.linspace(0.0, 10.0, 257))
+
+    @pytest.mark.parametrize("M", [2, 3, 101, 1024])
+    def test_sample_counts(self, M):
+        # 101 leaves the angle-addition product's last row part-filled,
+        # 1024 = 32^2 fills it
+        io = long_chain(linear_spectrum, BLOCK + 1)
+        init = random_initial_state(np.random.default_rng(M), io.N)
+        assert_matches_dense(io, init, np.linspace(0.0, 10.0, M))
+
+    def test_nonuniform_grid_takes_the_direct_form(self):
+        # a geometric grid, and a uniform one with one step off by 1e-6:
+        # x is the direct sum over the modes, bitwise, and still x(t)
+        io, init, y0, modal = chain_modal_data(21)
+        bent = np.linspace(0.0, 10.0, 257)
+        bent[100] += 1e-6 * bent[1]
+        for times in (np.geomspace(1e-3, 10.0, 65), bent):
+            assert np.array_equal(_modal_row(modal, y0, 0, times), direct_row(modal, y0, times))
+            ref = evolve_raw(assemble_io_matrix(io), np.concatenate([[init.x0], init.q0]),
+                             np.concatenate([[init.xdot0], init.qdot0]), times)[0][:, 0]
+            assert np.abs(evolve_io_x(io, init, times) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_uniform_grid_matches_the_direct_form(self):
+        _, _, y0, modal = chain_modal_data(22)
+        times = np.linspace(0.0, 100.0, 8192)
+        x, direct = _modal_row(modal, y0, 0, times), direct_row(modal, y0, times)
+        assert x[0] == y0[0]
+        assert np.abs(x - direct).max() <= 1e-13 * np.abs(direct).max()
+
+    def test_memory_is_a_few_blocks(self):
+        # no (N+1) x N and no samples x (N+1) array: the O(N^2) sweeps hold
+        # BLOCK rows at a time and the modal sums 2 sqrt(M) rows; measured
+        # 0.20 (N+1) N doubles, where whole arrays took 2.13
+        N = 2048
+        io = long_chain(linear_spectrum, N)
+        init = random_initial_state(np.random.default_rng(12), N)
+        times = np.linspace(0.0, 10.0, 2048)
+        tracemalloc.start()
+        try:
+            x = evolve_io_x(io, init, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x[0] == init.x0
+        assert peak <= 0.25 * (N + 1) * N * 8
 
     @pytest.mark.parametrize("omega, c", [([0.7], [0.3]), ([0.7, 1.3], [0.3, 0.5])])
     def test_one_and_two_modes(self, omega, c):

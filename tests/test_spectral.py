@@ -27,7 +27,7 @@ from chainbath.spectral import (
     char_poly_eval,
     verify_equivalence,
 )
-from tests.conftest import long_chain, random_bath
+from tests.conftest import long_chain, numpy_bath, random_bath
 
 
 def rkpw_scalar(x, w, num=float):
@@ -548,12 +548,8 @@ class TestCertifyChain:
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), N=st.integers(97, 1536))
     def test_passes_on_large_random_baths(self, seed, N):
-        # `random_bath`'s distribution, drawn by numpy (hypothesis cannot
-        # draw lists this long): gaps in [0.01, 0.2], couplings log-uniform
-        # over [1e-6, 1]; measured at most 3.1e-11 over 180 such baths
-        rng = np.random.default_rng(seed)
-        io = build_io_model(0.1 + np.cumsum(rng.uniform(0.01, 0.2, N)),
-                            10.0 ** rng.uniform(-6.0, 0.0, N), 1.0)
+        # measured at most 3.1e-11 over 180 such baths
+        io = numpy_bath(seed, N)
         report = certify_chain(io, chain_coefficients(io))
         assert report.passed and report.weight_mismatch <= 1e-10
 
@@ -607,10 +603,7 @@ class TestCertifyChain:
         # zero, so at omega_k^2, which RKPW's T reproduces only to about
         # eps max(omega^2), dm_0' is far off; one Newton step on det(T - x)
         # first lands where the formula holds
-        N = 1024
-        rng = np.random.default_rng(2)
-        io = build_io_model(0.1 + np.cumsum(rng.uniform(0.01, 0.2, N)),
-                            10.0 ** rng.uniform(-6.0, 0.0, N), 1.0)
+        io = numpy_bath(2, 1024)
         chain = chain_coefficients(io)
         w2, c2 = io.omega**2, io.c**2
         _, _, dm0 = spectral._sturm_newton(chain.Omega[::-1] ** 2, chain.D[::-1] ** 2, w2,
