@@ -20,7 +20,6 @@ from .dynamics import (
     Trajectory,
     assemble_extended_matrix,
     assemble_io_matrix,
-    chain_initial_conditions,
     evolve_exact,
     evolve_io,
     evolve_truncated,

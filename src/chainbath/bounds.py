@@ -245,11 +245,11 @@ def min_modes(io: IOModel, chain: ChainModel, t: float, tol: float,
     """Smallest n whose thermal bound at time t is within tol (linear scan).
 
     Returns certified=False with n = N when even the untruncated chain's
-    rounding-level bound exceeds tol.  A non-finite t or tol raises
-    ValueError.
+    rounding-level bound exceeds tol.  A negative or non-finite t, or a
+    non-finite tol, raises ValueError: the bound is even in t.
     """
-    if not (math.isfinite(t) and math.isfinite(tol)):
-        raise ValueError(f"t = {t} and tol = {tol} must be finite")
+    if not (0.0 <= t < math.inf and math.isfinite(tol)):
+        raise ValueError(f"t = {t} must be finite and >= 0, and tol = {tol} finite")
     if tol <= 0:
         raise NonpositiveParameter("tol must be positive")
     b = math.inf

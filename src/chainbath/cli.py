@@ -10,13 +10,14 @@ All randomness flows from the config seed through numpy SeedSequences, so
 identical config+seed gives byte-identical CSVs.  Sweep wall-times go to
 `<out>.timings.json`, the one deliberately non-deterministic output.
 
-Each command builds only the part of the chain it reads: `simulate` the
-full map, `bound` its rows up to the largest cut below N (and the
-coefficients alone, for a cut at n = N), `kernels` its first max(orders)
-rows, and `build-chain` and `min-modes` the coefficients alone.  Maps come
-from Lanczos, whose cut rows are bitwise the full map's; coefficients
-alone come from RKPW in O(N^2).  `bound` takes the untruncated x(t) from
-the secular equation of the independent-oscillator matrix, with no
+Each command builds only the part of the chain it reads: `simulate` and
+`bound` the map rows up to the largest cut below N (`simulate` at least
+two), `kernels` its first max(orders) rows; `build-chain`, `min-modes`,
+`simulate` (for its grid gate) and `bound` with a cut at n = N the
+coefficients alone, by RKPW in O(N^2).  Map rows come from Lanczos,
+bitwise those of the full map.  The untruncated x(t), and the X_2(t) of
+`simulate`'s level-1 Volterra source F_1 + eps1(1) (which is F_N), come
+from the secular equation of the independent-oscillator matrix, with no
 eigensolve.
 
 Verdicts: `build-chain` writes `D0`, `eigenvalue_mismatch`,
@@ -24,23 +25,25 @@ Verdicts: `build-chain` writes `D0`, `eigenvalue_mismatch`,
 1e-9 max(omega^2) of the omega_k^2 and its weights D0^2 w_k, and their
 total D0^2, within 1e-9 max(c_k^2) of the c_k^2 and their sum; at nearly
 coincident omega_k a weight may also be off by as much as rounding T moves
-it (`spectral.certify_chain`: no map, no eigensolve); `simulate` writes `max_volterra_error` and `passed`, which
-holds when max|x_full - x_volterra| <= 1e-9 max|x_full|; `bound` writes
-`max_ratio`, the largest eps/bound_det over the samples whose eps is above
+it (`spectral.certify_chain`: no map, no eigensolve).  `simulate` writes
+`max_volterra_error` and `passed`, which holds when
+max|x_full - x_volterra| <= 1e-9 max|x_full|.  `bound` writes `max_ratio`,
+the largest eps/bound_det over the samples whose eps is above
 1e-12 * max(eps) (below it eps sits at the float64 rounding floor), and
 `samples_below_floor`, the count of the others over every eps column.
 The CSV's `ratio_n*` columns keep every sample.
 
-Exit codes: 0 ok, 2 validation failure (a NaN or infinite `t_max`,
-`min_modes` time or tolerance among them), 3 chain-construction breakdown,
-4 unstable/complex-resolvent regime, 5 every sweep cell failed, 6 a
+Exit codes: 0 ok, 2 validation failure (fewer than 2 `samples`, a NaN or
+infinite `t_max`, a negative or non-finite `min_modes` time, a non-finite
+tolerance among them), 3 chain-construction breakdown, 4
+unstable/complex-resolvent regime, 5 every sweep cell failed, 6 a
 numerical check failed: outputs written but not certified (`build-chain`
-when its certificate fails, `simulate` when its Volterra residual
-is above its bound; one stderr line names what failed).  A breakdown is
-reported only where it happens inside the part of the chain the command
-builds: `build-chain`, `min-modes` and `bound` with a cut at n = N check
-every coupling, `bound` otherwise and `kernels` only the couplings among
-the rows they build.
+when its certificate fails, `simulate` when its Volterra residual is above
+its bound; one stderr line names what failed).  A breakdown is reported
+only where it happens inside the part of the chain the command builds:
+`build-chain`, `min-modes`, `simulate` and `bound` with a cut at n = N
+check every coupling, `bound` otherwise and `kernels` only the couplings
+among the rows they build.
 """
 
 from __future__ import annotations
@@ -175,10 +178,14 @@ def build_initial_state(cfg, io) -> dynamics.InitialState:
     raise ValueError(f"unknown initial_state kind {kind!r}")
 
 
-def time_grid(cfg) -> np.ndarray:
-    samples = int(cfg["samples"])
-    if samples < 2:
+def _sample_count(cfg) -> int:
+    if int(cfg["samples"]) < 2:
         raise ValueError("samples must be >= 2")
+    return int(cfg["samples"])
+
+
+def time_grid(cfg) -> np.ndarray:
+    samples = _sample_count(cfg)
     t_max = float(cfg["t_max"])
     if not 0.0 < t_max < np.inf:
         raise ValueError(f"t_max must be positive and finite, not {t_max}")
@@ -209,23 +216,37 @@ def cmd_build_chain(cfg, out) -> int:
     return 0
 
 
+def _truncations(cfg, N):
+    """The cut indices, each once (one name, one column), and those below N."""
+    truncations = list(dict.fromkeys(int(n) for n in cfg["truncations"]))
+    for n in truncations:
+        check_index(n, N, "truncation index")
+    return truncations, [n for n in truncations if n < N]
+
+
 def cmd_simulate(cfg, out) -> int:
     io = build_model(cfg)
-    chain, omap = spectral.chain_from_io(io)
+    # the grid gate reads every Omega_j, from RKPW, which checks every coupling
+    top = float(spectral.chain_coefficients(io).mode_freqs.max())
+    truncations, below = _truncations(cfg, io.N)
+    # the level-1 source reads Omega_1, D_1 and X_2; a cut, its own rows
+    chain, omap = spectral.chain_from_io(io, rows=min(io.N, max([2, *below])))
     init = build_initial_state(cfg, io)
     times = time_grid(cfg)
-    # the source reads positions only: no velocities
-    full = dynamics.evolve_truncated(chain, chain.N, init, omap, times, velocities=False)
+    x_full, *X_2 = dynamics.evolve_io_modes(io, init, omap.O[1:2], times)
     params = solution.mu_delta(chain.Omega0, chain.Omega[0], chain.D0)
-    F = solution.source_term(chain, chain.N, full, init, omap)
+    kernels.check_grid(times, 1.0, top)
+    # F_N = F_1 + eps1(1), the tail's reach through X_2 (none for N = 1)
+    F = solution.free_source_series(chain, 1, init, omap, times)
+    F += sum(bounds.epsilon1(chain, 1, times, X) for X in X_2)
     x_vol = solution.solve_volterra_closed(params, F, times)
 
-    cols = {"t": times, "x_full": full.x}
-    for n in (int(n) for n in cfg["truncations"]):
-        cols[f"x_n{n}"] = _truncated_x(chain, n, init, omap, times, full.x)
-    err = np.abs(full.x - x_vol)
+    cols = {"t": times, "x_full": x_full}
+    for n in truncations:
+        cols[f"x_n{n}"] = _truncated_x(chain, n, init, omap, times, x_full)
+    err = np.abs(x_full - x_vol)
     write_csv(out, {**cols, "x_volterra": x_vol, "abs_err_volterra": err})
-    bound = VOLTERRA_RTOL * float(np.abs(full.x).max())
+    bound = VOLTERRA_RTOL * float(np.abs(x_full).max())
     passed = bool(err.max() <= bound)
     write_sidecar(out, cfg, {"max_volterra_error": float(err.max()), "passed": passed})
     print(f"simulation written to {out}: max |x_full - x_volterra| = {err.max():.3e}")
@@ -277,13 +298,9 @@ def _ratio(eps, bound):
 
 def cmd_bound(cfg, out) -> int:
     io = build_model(cfg)
-    # a repeated index names the same columns: compute it once
-    truncations = list(dict.fromkeys(int(n) for n in cfg["truncations"]))
-    for n in truncations:
-        check_index(n, io.N, "truncation index")
+    truncations, below = _truncations(cfg, io.N)
     # a cut n < N reads the chain's first n rows; the cut n = N reads only
     # the coefficients, and its x_n is x_full, which needs no chain
-    below = [n for n in truncations if n < io.N]
     chain, omap = spectral.chain_from_io(io, rows=max([1, *below]))
     full = spectral.chain_coefficients(io) if io.N in truncations else None
     init = build_initial_state(cfg, io)
@@ -353,14 +370,14 @@ _SWEEP_COLUMNS = ("N", "n", "kT", "max_eps", "max_ratio", "status", "error")
 
 def _sweep_cell(args):
     """One sweep cell's `_SWEEP_COLUMNS` values, and its wall time."""
-    N, n, kT, seed_seq, cfg = args
+    N, n, kT, seed_seq, samples = args
     t0 = time.perf_counter()
     try:
         rng = np.random.default_rng(seed_seq)
         io, chain, omap = instances.random_io_model(rng, N)
         init = bounds.sample_thermal(io, bounds.ThermalState(kT), seed_seq.spawn(1)[0])
         wmax = float(io.omega.max())
-        times = np.linspace(0.0, 3.0 / wmax, int(cfg["samples"]))
+        times = np.linspace(0.0, 3.0 / wmax, samples)
         cut = min(n, chain.N)
         x_full = dynamics.evolve_truncated_x(chain, chain.N, init, omap, times)
         eps = np.abs(x_full - _truncated_x(chain, cut, init, omap, times, x_full))
@@ -372,13 +389,14 @@ def _sweep_cell(args):
 
 
 def cmd_sweep(cfg, out) -> int:
+    samples = _sample_count(cfg)
     sw = cfg["sweep"]
     cells = sorted(
         (int(N), int(n), float(kT))
         for N in sw["N"] for n in sw["n"] for kT in sw["kT"]
     )
     seqs = np.random.SeedSequence(cfg["seed"]).spawn(len(cells))
-    jobs = [(N, n, kT, seq, cfg) for (N, n, kT), seq in zip(cells, seqs)]
+    jobs = [(N, n, kT, seq, samples) for (N, n, kT), seq in zip(cells, seqs)]
     results = [_sweep_cell(job) for job in jobs]
 
     cols = {name: [r[j] for r, _ in results] for j, name in enumerate(_SWEEP_COLUMNS)}

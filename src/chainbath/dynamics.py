@@ -8,15 +8,14 @@ spectral decomposition:
 which is exact up to eigensolver precision, has no time-step error, and can
 be sampled on any grid.  Truncating the chain after mode n means dropping
 the coupling D_n, i.e. keeping the leading (n+1) x (n+1) block of the
-extended matrix.  The untruncated x(t) alone (`evolve_io_x`) needs no
-eigensolve: the independent-oscillator matrix is an arrowhead, whose
-eigenvalues are the roots of a secular equation and whose eigenvectors
-follow from them in closed form, all in O(N^2) time; every sweep over the
-(root, pole) pairs goes BLOCK rows at a time, so no (N+1) x N array is
-formed.  The dense route (`evolve_io`) stays as its cross-check.  The
-single-coordinate sums (`evolve_io_x`, `evolve_truncated_x`) take a uniform
-grid from 0 by angle addition, as one matrix product with trig on about
-2 sqrt(M) points per mode for M samples instead of M.
+extended matrix.  The untruncated x(t), and any chain coordinate whose
+map row is given (`evolve_io_modes`), need no eigensolve: the
+independent-oscillator matrix is an arrowhead, whose eigenvalues are the
+roots of a secular equation and whose eigenvectors follow from them in
+closed form, in O(N^2) time and BLOCK rows at a time; the dense route
+(`evolve_io`) is its cross-check.  Single coordinates (`_modal_row`) take a
+uniform grid from 0 by angle addition, with trig on about 2 sqrt(M)
+points per mode for M samples instead of M.
 
 Sign conventions: the extended chain matrix carries -D0 and -D_j off the
 diagonal (so the equations of motion read x'' = -Omega0^2 x + D0 X_1 with
@@ -72,14 +71,13 @@ class InitialState:
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled evolution on a uniform grid: system coordinate x(t) and the
-    chain coordinates X[i, m] = X_{i+1}(t_m), with velocities, which are
-    both None on a positions-only trajectory."""
+    chain coordinates X[i, m] = X_{i+1}(t_m), with their velocities."""
 
     times: np.ndarray
     x: np.ndarray
-    xdot: np.ndarray | None
+    xdot: np.ndarray
     X: np.ndarray
-    Xdot: np.ndarray | None
+    Xdot: np.ndarray
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -88,19 +86,13 @@ class Trajectory:
             raise ValueError("time grid must be strictly increasing")
         if not np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
             raise ValueError("time grid must have uniform step")
-        positions_only = self.xdot is None and self.Xdot is None
-        if not (self.x.shape == t.shape and self.X.shape[1:] == t.shape
-                and (positions_only or (np.shape(self.xdot) == t.shape
-                                        and np.shape(self.Xdot) == self.X.shape))):
+        if not (self.x.shape == np.shape(self.xdot) == t.shape
+                and self.X.shape[1:] == t.shape and np.shape(self.Xdot) == self.X.shape):
             raise DimensionMismatch("trajectory array shapes are inconsistent")
-
-    @property
-    def n_modes(self) -> int:
-        return self.X.shape[0]
 
     def mode(self, i: int) -> np.ndarray:
         """Samples of X_i(t); mode(0) is the system coordinate x."""
-        check_index(i, self.n_modes, "mode index")
+        check_index(i, len(self.X), "mode index")
         return self.x if i == 0 else self.X[i - 1]
 
 
@@ -187,52 +179,31 @@ def _modal_row(modal, y0, i, times) -> np.ndarray:
     return y0[i] + (x - x[0])
 
 
-def evolve_raw(A, y0, ydot0, times, velocities: bool = True):
+def evolve_raw(A, y0, ydot0, times):
     """Positions and velocities of y'' = -A y at arbitrary increasing times.
 
-    Returns (Y, Ydot) with shape (len(times), dim); Ydot is None when
-    `velocities` is false, which skips the second (samples, dim) x
-    (dim, dim) product and leaves Y bitwise unchanged.  Raises UnstableMode
-    if A has a non-positive eigenvalue.
+    Returns (Y, Ydot) with shape (len(times), dim).  Raises UnstableMode if
+    A has a non-positive eigenvalue.
     """
     w, V, a, b = _modal_data(A, y0, ydot0)
-    y0 = np.asarray(y0, dtype=float)
-    ydot0 = np.asarray(ydot0, dtype=float)
+    y0, ydot0 = np.asarray(y0, dtype=float), np.asarray(ydot0, dtype=float)
     wt = np.multiply.outer(np.asarray(times, dtype=float), w)
     cosm1_wt, sin_wt = np.cos(wt) - 1.0, np.sin(wt)
     # written as increments from the initial data so that t = 0 is bit-exact
     Y = y0 + (cosm1_wt * a + sin_wt * b) @ V.T
-    if not velocities:
-        return Y, None
     Ydot = ydot0 + ((cosm1_wt * b - sin_wt * a) * w) @ V.T
     return Y, Ydot
 
 
-def evolve_exact(A, y0, ydot0, times, velocities: bool = True) -> Trajectory:
+def evolve_exact(A, y0, ydot0, times) -> Trajectory:
     """Trajectory of the extended linear system on a uniform grid.
 
     Coordinate 0 is the system; the rest are chain modes.  Total energy
     along the returned trajectory is conserved to eigensolver precision.
-    With `velocities` false the trajectory holds positions only (see
-    `evolve_raw`).
     """
-    Y, Ydot = evolve_raw(A, y0, ydot0, times, velocities)
-    return Trajectory(
-        times=np.asarray(times, dtype=float),
-        x=Y[:, 0], xdot=None if Ydot is None else Ydot[:, 0],
-        X=Y[:, 1:].T, Xdot=None if Ydot is None else Ydot[:, 1:].T,
-    )
-
-
-def chain_initial_conditions(omap: OrthogonalMap, init: InitialState):
-    """Chain-mode initial data equivalent to the given bath initial data.
-
-    X(0) = -O q(0) and likewise for velocities; the sign matches the
-    extended matrix convention, where the system-chain coupling enters as
-    -D0 while the oscillator picture carries +c_k.
-    """
-    y0, ydot0 = extended_initial_conditions(omap, init, omap.N)
-    return y0[1:], ydot0[1:]
+    Y, Ydot = evolve_raw(A, y0, ydot0, times)
+    return Trajectory(times=np.asarray(times, dtype=float),
+                      x=Y[:, 0], xdot=Ydot[:, 0], X=Y[:, 1:].T, Xdot=Ydot[:, 1:].T)
 
 
 def extended_initial_conditions(omap: OrthogonalMap, init: InitialState, n: int):
@@ -241,33 +212,29 @@ def extended_initial_conditions(omap: OrthogonalMap, init: InitialState, n: int)
     map are applied).  The map may hold only its leading rows; its bath
     dimension must match the initial state's."""
     if omap.O.shape[1] != init.N:
-        raise DimensionMismatch(
-            f"map bath size {omap.O.shape[1]} != initial-state size {init.N}")
+        raise DimensionMismatch(f"map bath size {omap.O.shape[1]} != initial-state size {init.N}")
     O = omap.O[:n]
     return (np.concatenate([[init.x0], -(O @ init.q0)]),
             np.concatenate([[init.xdot0], -(O @ init.qdot0)]))
 
 
 def evolve_truncated(chain: ChainModel, n: int, init: InitialState,
-                     omap: OrthogonalMap, times, velocities: bool = True) -> Trajectory:
+                     omap: OrthogonalMap, times) -> Trajectory:
     """Evolution with the chain cut after mode n (coupling D_n dropped).
 
     Initial chain data come from the bath initial data through the
-    orthogonal map; n = chain.N gives the untruncated dynamics.  With
-    `velocities` false only the positions are built, bitwise as with them.
+    orthogonal map; n = chain.N gives the untruncated dynamics.
     """
-    A = assemble_extended_matrix(chain, n)
-    y0, ydot0 = extended_initial_conditions(omap, init, n)
-    return evolve_exact(A, y0, ydot0, times, velocities)
+    return evolve_exact(assemble_extended_matrix(chain, n),
+                        *extended_initial_conditions(omap, init, n), times)
 
 
 def evolve_truncated_x(chain: ChainModel, n: int, init: InitialState,
                        omap: OrthogonalMap, times) -> np.ndarray:
     """System coordinate x(t) alone under `evolve_truncated`'s dynamics,
     without the two (n+1)-wide products that build every mode and velocity."""
-    A = assemble_extended_matrix(chain, n)
     y0, ydot0 = extended_initial_conditions(omap, init, n)
-    return _modal_row(_modal_data(A, y0, ydot0), y0, 0, times)
+    return _modal_row(_modal_data(assemble_extended_matrix(chain, n), y0, ydot0), y0, 0, times)
 
 
 def _io_initial_conditions(io: IOModel, init: InitialState):
@@ -286,9 +253,16 @@ def evolve_io(io: IOModel, init: InitialState, times) -> Trajectory:
 
 
 def evolve_io_x(io: IOModel, init: InitialState, times) -> np.ndarray:
-    """The untruncated x(t) from the independent-oscillator picture, with no
-    eigensolve and no chain map: O(N^2) time besides the samples, and
-    O(BLOCK N) memory besides `_modal_row`'s.
+    """The untruncated x(t), with no eigensolve and no chain map: row 0 of
+    `evolve_io_modes` with no map rows."""
+    return evolve_io_modes(io, init, np.empty((0, io.N)), times)[0]
+
+
+def evolve_io_modes(io: IOModel, init: InitialState, O, times) -> np.ndarray:
+    """Rows x(t) and -O[i] . q(t), the chain coordinates of the map rows O,
+    from the independent-oscillator picture with no eigensolve:
+    O((N + len(O)) N) time besides the samples, O(BLOCK N) memory besides
+    `_modal_row`'s, and row 0 bitwise the same for any O.
 
     Eigenvalues come from `_secular_roots`, once the Schur complement
     Omega0^2 - sum_k c_k^2 / omega_k^2 > 0 shows that they are all positive
@@ -297,39 +271,51 @@ def evolve_io_x(io: IOModel, init: InitialState, times) -> np.ndarray:
     Q[j, k] = 1 / (lambda_j - omega_k^2) the system row holds
     V[0, j] = (1 + sum_k c_k^2 Q[j, k]^2)^(-1/2), and the modal amplitudes
     are a_j = V[0, j] (x0 + sum_k Q[j, k] c_k q0_k), b_j likewise from the
-    velocities over w_j.  The c_k used there are those for which the
-    computed roots are the exact eigenvalues, from `_loewner_couplings`.
-    Q is rebuilt a BLOCK of rows at a time for the amplitudes and V[0].
+    velocities over w_j; a map row weighs mode j by
+    -V[0, j] sum_k O[i, k] c_k Q[j, k].  Those c_k make the computed roots
+    exact eigenvalues (`_loewner_couplings`), and Q is rebuilt a BLOCK of
+    rows at a time.
     """
-    y0, ydot0 = _io_initial_conditions(io, init)
-    # a coupling below the matrix's rounding level decouples its bath mode
-    # (deflation): the mode keeps its own frequency and never reaches x,
-    # while its root would sit closer to the pole than a double resolves
+    y0, _ = _io_initial_conditions(io, init)
+    if O.ndim != 2 or O.shape[1] != io.N:
+        raise DimensionMismatch(f"map rows of shape {O.shape} do not act on {io.N} bath modes")
+    # a coupling below the matrix's rounding level decouples its mode
+    # (deflation): its root would sit closer to the pole than a double
+    # resolves; it keeps its frequency and reaches the chain rows alone
     eps = np.finfo(float).eps
     keep = io.c > eps * (max(io.Omega0**2, io.omega[-1] ** 2) + np.linalg.norm(io.c))
-    if not keep.any():
-        return free_mode_evolution(io.Omega0, init.x0, init.xdot0, times)
     d, c2, alpha = io.omega[keep] ** 2, io.c[keep] ** 2, io.Omega0**2
     schur = float(np.sum(c2 / d))
     if alpha <= schur:
         raise UnstableMode(
             f"Omega0^2 = {alpha:.6g} <= sum c_k^2/omega_k^2 = {schur:.6g}: the "
             "evolution matrix has an eigenvalue <= 0; outside the oscillatory regime")
-    sigma, tau = _secular_roots(d, c2, alpha)
-    c_hat = _loewner_couplings(d, sigma, tau)
+    if keep.any():
+        sigma, tau = _secular_roots(d, c2, alpha)
+        c_hat = _loewner_couplings(d, sigma, tau)
+    else:  # the system oscillates alone
+        sigma, tau, c_hat = np.array([alpha]), np.zeros(1), np.empty(0)
     weighted = c_hat[:, None] * np.stack([init.q0[keep], init.qdot0[keep]], axis=1)
+    weighted_O = -c_hat[:, None] * O[:, keep].T
     c2_hat = c_hat**2
-    amp, norm2 = np.empty((len(sigma), 2)), np.empty(len(sigma))
+    amp, amp_O = np.empty((len(sigma), 2)), np.empty((len(sigma), len(O)))
+    norm2 = np.empty(len(sigma))
     for rows, Q in _distance_blocks(d, sigma, tau):
         np.divide(-1.0, Q, out=Q)
         amp[rows] = Q @ weighted
+        amp_O[rows] = Q @ weighted_O
         np.square(Q, out=Q)
         norm2[rows] = Q @ c2_hat
     v0 = 1.0 / np.sqrt(1.0 + norm2)
     w = np.sqrt(sigma + tau)
     a = v0 * (init.x0 + amp[:, 0])
     b = v0 * (init.xdot0 + amp[:, 1]) / w
-    return _modal_row((w, v0[None, :], a, b), y0, 0, times)
+    x = _modal_row((w, v0[None, :], a, b), y0, 0, times)
+    free, w_free = ~keep, io.omega[~keep]
+    chain = (np.concatenate([w, w_free]), np.concatenate([v0 * amp_O.T, -O[:, free]], axis=1),
+             np.concatenate([a, init.q0[free]]), np.concatenate([b, init.qdot0[free] / w_free]))
+    X0 = -(O @ init.q0)
+    return np.array([x, *(_modal_row(chain, X0, i, times) for i in range(len(O)))])
 
 
 def _distance_blocks(d, sigma, tau):

@@ -73,12 +73,9 @@ def random_io_model(rng: np.random.Generator, N: int,
     raise RuntimeError(f"no admissible instance found in {max_tries} tries")
 
 
-def random_initial_state(rng: np.random.Generator, N: int,
-                         scale: float = 1.0, velocities: bool = True,
-                         system: bool = True) -> InitialState:
-    """Uniform(-scale, scale) bath initial data (optionally positions only)."""
+def random_initial_state(rng: np.random.Generator, N: int, scale: float = 1.0) -> InitialState:
+    """Uniform(-scale, scale) bath and system initial data."""
     q0 = rng.uniform(-scale, scale, N)
-    qdot0 = rng.uniform(-scale, scale, N) if velocities else np.zeros(N)
-    x0 = rng.uniform(-scale, scale) if system else 0.0
-    xdot0 = rng.uniform(-scale, scale) if (system and velocities) else 0.0
-    return InitialState(q0=q0, qdot0=qdot0, x0=x0, xdot0=xdot0)
+    qdot0 = rng.uniform(-scale, scale, N)
+    x0 = rng.uniform(-scale, scale)
+    return InitialState(q0=q0, qdot0=qdot0, x0=x0, xdot0=rng.uniform(-scale, scale))

@@ -201,10 +201,9 @@ def source_term(chain: ChainModel, n_used: int, traj: Trajectory,
            + sum_{i=2}^{n} (prod_{l<i} D_l/Omega_l)(D_{i-1}/Omega_i)
                            int_0^t K_i(t-s) X_{i-1}(s) ds,
 
-    with the X_{i-1} taken from the supplied (exact) trajectories.  The free
-    modes are sampled on the grid and both parts go through one
-    nested_convolve cascade of per-interval Gauss-Legendre convolutions on
-    local 6-point Lagrange reconstructions.  Raises GridTooCoarse when the
+    with the X_{i-1} taken from the supplied (exact) trajectories, all
+    through one nested_convolve cascade.  At n = N it is the tests' oracle
+    for F_1 + eps1(1), which needs X_2 alone.  Raises GridTooCoarse when the
     estimated interpolation error exceeds 1e-7 * max|X|.
     """
     _check_level(chain, n_used, omap)

@@ -23,10 +23,11 @@ from chainbath.bounds import (
 )
 from chainbath.cli import main
 from chainbath.dynamics import (
+    InitialState,
     assemble_extended_matrix,
-    chain_initial_conditions,
     evolve_raw,
     evolve_truncated,
+    extended_initial_conditions,
 )
 from chainbath.instances import random_initial_state, random_io_model
 from chainbath.kernels import (
@@ -194,12 +195,11 @@ def test_a06_small_time_scaling():
     for trial in range(10):
         rng = np.random.default_rng(60_000 + trial)
         io, chain, omap = random_io_model(rng, 6)
-        init = random_initial_state(rng, io.N, velocities=False)
+        init = InitialState(q0=rng.uniform(-1.0, 1.0, io.N), qdot0=np.zeros(io.N),
+                            x0=rng.uniform(-1.0, 1.0))
         wmax = float(io.omega.max())
         A_full = assemble_extended_matrix(chain, chain.N)
-        X0, Xdot0 = chain_initial_conditions(omap, init)
-        y0 = np.concatenate([[init.x0], X0])
-        ydot0 = np.concatenate([[init.xdot0], Xdot0])
+        y0, ydot0 = extended_initial_conditions(omap, init, omap.N)
         ts = np.geomspace(1e-3 / wmax, 1e-2 / wmax, 9)
         for n in (1, 2, 3):
             def x_next(s, n=n):

@@ -22,10 +22,10 @@ from chainbath import dynamics
 from chainbath.dynamics import (
     InitialState,
     assemble_extended_matrix,
-    chain_initial_conditions,
     evolve_raw,
     evolve_truncated,
     evolve_truncated_x,
+    extended_initial_conditions,
 )
 from chainbath.errors import (
     DimensionMismatch,
@@ -107,9 +107,7 @@ class TestEpsilon1Pointwise:
         chain, omap = chain_from_io(io)
         init = sample_thermal(io, ThermalState(1.0), 0)
         A = assemble_extended_matrix(chain, chain.N)
-        X0, Xdot0 = chain_initial_conditions(omap, init)
-        y0 = np.concatenate([[init.x0], X0])
-        ydot0 = np.concatenate([[init.xdot0], Xdot0])
+        y0, ydot0 = extended_initial_conditions(omap, init, omap.N)
 
         def x_next(n):
             return lambda s: evolve_raw(A, y0, ydot0, s)[0][:, n + 1]
@@ -163,9 +161,7 @@ class TestEpsilon2:
         wmax = float(io.omega.max())
         n = 1
         A_full = assemble_extended_matrix(chain, chain.N)
-        X0, Xdot0 = chain_initial_conditions(omap, init)
-        y0 = np.concatenate([[init.x0], X0])
-        ydot0 = np.concatenate([[init.xdot0], Xdot0])
+        y0, ydot0 = extended_initial_conditions(omap, init, omap.N)
         ts = np.geomspace(0.02 / wmax, 0.2 / wmax, 10)
 
         def x_next(s):
@@ -308,6 +304,12 @@ class TestMinModes:
         with pytest.raises(ValueError, match="finite"):
             min_modes(io, chain, t, tol, ThermalState(1.0))
 
+    def test_negative_time(self, small_instance):
+        # the bound is even in t, so t < 0 would pass for |t|
+        io, chain, _, _ = small_instance
+        with pytest.raises(ValueError, match=">= 0"):
+            min_modes(io, chain, -1.0, 1e-3, ThermalState(1.0))
+
     def test_not_certified_flag(self, small_instance):
         io, chain, _, _ = small_instance
         res = min_modes(io, chain, 2.0, 1e-300, ThermalState(1.0))
@@ -334,9 +336,7 @@ class TestSmallTimeSlope:
         ts = np.geomspace(0.05 / wmax, 0.4 / wmax, 12)
         A_full = assemble_extended_matrix(chain, chain.N)
         A_tr = assemble_extended_matrix(chain, n)
-        X0, Xdot0 = chain_initial_conditions(omap, init)
-        yf = np.concatenate([[init.x0], X0])
-        ydf = np.concatenate([[init.xdot0], Xdot0])
+        yf, ydf = extended_initial_conditions(omap, init, omap.N)
         eps = np.abs(evolve_raw(A_full, yf, ydf, ts)[0][:, 0]
                      - evolve_raw(A_tr, yf[: n + 1], ydf[: n + 1], ts)[0][:, 0])
         slope_traj = fit_loglog_slope(ts, eps)
@@ -381,9 +381,7 @@ class TestSmallTimeSlope:
         assert np.array_equal(rep.eps_empirical, np.abs(x_full - x_n))
 
         A_full = assemble_extended_matrix(chain, N)
-        X0, Xdot0 = chain_initial_conditions(omap, init)
-        yf = np.concatenate([[init.x0], X0])
-        ydf = np.concatenate([[init.xdot0], Xdot0])
+        yf, ydf = extended_initial_conditions(omap, init, omap.N)
         wmax = float(chain.mode_freqs.max())
         ts = np.geomspace(1e-3 / wmax, 1e-2 / wmax, 9)
         e1 = epsilon1_pointwise(

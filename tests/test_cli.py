@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import chainbath
-from chainbath import dynamics, spectral
+from chainbath import dynamics, kernels, solution, spectral
 from chainbath.cli import build_initial_state, build_model, fmt, main, resolve_config, write_csv
 from chainbath.kernels import kernel_closed_form, kernel_eval
 from chainbath.spectral import chain_coefficients, chain_from_io
@@ -130,6 +131,22 @@ class TestExitCodes:
         write_config(cfg, min_modes=section)
         out = tmp_path / "o.csv"
         assert main(["min-modes", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_negative_min_modes_time(self, tmp_path):
+        # the bound is even in t: t = -1 once wrote the row of t = 1
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, min_modes={"times": [-1.0, 1.0], "tols": [1e-3]})
+        out = tmp_path / "o.csv"
+        assert main(["min-modes", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_sweep_needs_two_samples(self, tmp_path):
+        # one sample is the grid t = 0 alone, where every cell reads eps 0
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, samples=1, sweep={"N": [4], "n": [1], "kT": [1.0]})
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
     def test_uncertified_chain(self, tmp_path, monkeypatch, capsys):
@@ -291,6 +308,74 @@ class TestSimulate:
         assert data[:, 4].max() <= 1e-6  # reconstruction error column ~ 0
 
 
+    def test_builds_two_rows_and_no_eigensolve(self, tmp_path, request, chain_builds):
+        # with no cut below N the level-1 source reads two map rows, and
+        # x_full and X_2 come from the secular route; the convolutions'
+        # fixed Gauss-Legendre rule (leggauss, an 8 x 8 eigensolve) is
+        # taken before eigensolves are refused
+        kernels._gl_rule(kernels.NODES)
+        request.getfixturevalue("no_eigensolve")
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model=LINEAR_16, truncations=[16], t_max=4.0)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
+        assert chain_builds == [2]
+
+    def test_builds_the_rows_its_cuts_read(self, tmp_path, monkeypatch, chain_builds):
+        # cuts at 4 and 1 < N read four rows; each evolves at its own size
+        calls = []
+        decompose = dynamics._decompose
+        monkeypatch.setattr(dynamics, "_decompose",
+                            lambda A: calls.append(len(A)) or decompose(A))
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model=LINEAR_16, truncations=[4, 1], t_max=4.0)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
+        assert chain_builds == [4] and sorted(calls) == [2, 5]
+
+    def test_memory_holds_no_bath_sized_square(self, tmp_path):
+        # no N x N and no samples x N array: measured 0.21 N^2 doubles at
+        # N = 2048 with 2048 samples, where the full map alone took 1
+        N = 2048
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model={"family": "linear", "N": N, "omega_min": 0.5,
+                                 "omega_max": 2.5, "c0": 0.5 / math.sqrt(N)},
+                     Omega0=1.2, t_max=10.0, samples=2048, truncations=[1, 16, N])
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * N * N * 8
+
+    @pytest.mark.parametrize("N", [8, 64])
+    def test_matches_the_full_map_route(self, tmp_path, N):
+        # x_volterra against the level-N source of the full map's
+        # trajectories, and the cuts bitwise those of the full map
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, model={"family": "linear", "N": N, "omega_min": 0.5,
+                                      "omega_max": 2.5, "c0": 0.5 / math.sqrt(N)},
+                     Omega0=1.2, t_max=10.0, samples=2048, truncations=[1, 4])
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        header = lines[0].split(",")
+        data = np.loadtxt(lines[1:], delimiter=",")
+        cfg = resolve_config(cfg_path, {})
+        io = build_model(cfg)
+        init = build_initial_state(cfg, io)
+        chain, omap = chain_from_io(io)
+        times = data[:, 0]
+        traj = dynamics.evolve_truncated(chain, N, init, omap, times)
+        F = solution.source_term(chain, N, traj, init, omap)
+        params = solution.mu_delta(chain.Omega0, chain.Omega[0], chain.D0)
+        ref = solution.solve_volterra_closed(params, F, times)
+        got = data[:, header.index("x_volterra")]
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(traj.x).max()
+        for n in (1, 4):
+            assert np.array_equal(data[:, header.index(f"x_n{n}")],
+                                  dynamics.evolve_truncated_x(chain, n, init, omap, times))
+
+
 class TestSimulateVerdict:
     def test_certified_run_passes(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -301,19 +386,35 @@ class TestSimulateVerdict:
         diag = json.loads((tmp_path / "traj.csv.resolved.json").read_text())["diagnostics"]
         assert diag["passed"] is True and diag["max_volterra_error"] <= 1e-13
 
-    def test_long_time_failure_exits_6(self, tmp_path, capsys):
-        # the Volterra cascade amplifies rounding at long times: at t_max 100
-        # its residual is about 330 against max|x_full| of 1.76
+    def test_long_time_run_is_certified(self, tmp_path, capsys):
+        # the level-N cascade once amplified rounding here to a residual of
+        # about 330 against max|x_full| of 1.76 (exit 6); the level-1
+        # source leaves 3.5e-13
         cfg = tmp_path / "cfg.json"
         write_config(cfg, model={"family": "linear", "N": 64, "omega_min": 0.5,
                                  "omega_max": 2.5, "c0": 0.5 / 8},
                      Omega0=1.2, t_max=100.0, samples=8192, truncations=[1], seed=1)
         out = tmp_path / "traj.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        diag = json.loads((tmp_path / "traj.csv.resolved.json").read_text())["diagnostics"]
+        data = np.loadtxt(out.read_text().splitlines()[1:], delimiter=",")
+        assert diag["passed"] is True
+        assert diag["max_volterra_error"] <= 1e-12 * np.abs(data[:, 1]).max()
+
+    def test_uncertified_run_exits_6(self, tmp_path, monkeypatch, capsys):
+        # a Volterra column off by 1e-6 still writes both files, then exits 6
+        solve = solution.solve_volterra_closed
+        monkeypatch.setattr(solution, "solve_volterra_closed",
+                            lambda params, F, times: solve(params, F, times) + 1e-6)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, truncations=[1])
+        out = tmp_path / "traj.csv"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 6
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: max_volterra_error ")
         assert err[0].endswith("outputs written but not certified")
-        assert len(out.read_text().splitlines()) == 8193
+        assert len(out.read_text().splitlines()) == 513
         diag = json.loads((tmp_path / "traj.csv.resolved.json").read_text())["diagnostics"]
         data = np.loadtxt(out.read_text().splitlines()[1:], delimiter=",")
         assert diag["passed"] is False

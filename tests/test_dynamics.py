@@ -18,13 +18,14 @@ from chainbath.dynamics import (
     _secular_roots,
     assemble_extended_matrix,
     assemble_io_matrix,
-    chain_initial_conditions,
     evolve_exact,
     evolve_io,
+    evolve_io_modes,
     evolve_io_x,
     evolve_raw,
     evolve_truncated,
     evolve_truncated_x,
+    extended_initial_conditions,
     free_mode_evolution,
     total_energy,
 )
@@ -80,9 +81,7 @@ class TestEvolveExact:
     def test_against_adaptive_rk(self):
         io, chain, omap, init = make_instance(99, 6)
         A = assemble_extended_matrix(chain, chain.N)
-        X0, Xdot0 = chain_initial_conditions(omap, init)
-        y0 = np.concatenate([[init.x0], X0])
-        ydot0 = np.concatenate([[init.xdot0], Xdot0])
+        y0, ydot0 = extended_initial_conditions(omap, init, omap.N)
         times = np.linspace(0, 20, 101)
         traj = evolve_exact(A, y0, ydot0, times)
 
@@ -98,9 +97,7 @@ class TestEvolveExact:
         _, chain, omap, init = small_instance
         A = assemble_extended_matrix(chain, chain.N)
         times = np.linspace(0, 50 / chain.Omega0, 513)
-        X0, Xdot0 = chain_initial_conditions(omap, init)
-        traj = evolve_exact(A, np.concatenate([[init.x0], X0]),
-                            np.concatenate([[init.xdot0], Xdot0]), times)
+        traj = evolve_exact(A, *extended_initial_conditions(omap, init, omap.N), times)
         E = total_energy(A, traj)
         assert np.abs(E - E[0]).max() <= 1e-9 * abs(E[0])
 
@@ -111,9 +108,7 @@ class TestEvolveExact:
     def test_time_reversal(self, small_instance):
         _, chain, omap, init = small_instance
         A = assemble_extended_matrix(chain, chain.N)
-        X0, Xdot0 = chain_initial_conditions(omap, init)
-        y0 = np.concatenate([[init.x0], X0])
-        ydot0 = np.concatenate([[init.xdot0], Xdot0])
+        y0, ydot0 = extended_initial_conditions(omap, init, omap.N)
         t1 = 7.3
         Y, Yd = evolve_raw(A, y0, ydot0, np.array([t1]))
         Y2, Yd2 = evolve_raw(A, Y[0], -Yd[0], np.array([t1]))
@@ -137,14 +132,6 @@ class TestEvolveTruncated:
         b = evolve_truncated(chain, chain.N, init, omap, times)
         assert np.array_equal(a.x, b.x) and np.array_equal(a.X, b.X)
 
-    def test_positions_only_are_bitwise(self):
-        io, chain, omap, init = make_instance(5, 24)
-        times = np.linspace(0, 8, 257)
-        full = evolve_truncated(chain, chain.N, init, omap, times)
-        pos = evolve_truncated(chain, chain.N, init, omap, times, velocities=False)
-        assert np.array_equal(pos.x, full.x) and np.array_equal(pos.X, full.X)
-        assert pos.xdot is None and pos.Xdot is None
-
     def test_isolated_system_free_oscillation(self, small_instance):
         _, chain, omap, init = small_instance
         times = np.linspace(0, 5, 65)
@@ -161,9 +148,7 @@ class TestEvolveTruncated:
         ts = np.geomspace(0.05 / wmax, 0.5 / wmax, 12)
         A_full = assemble_extended_matrix(chain, chain.N)
         A_tr = assemble_extended_matrix(chain, n)
-        X0, Xdot0 = chain_initial_conditions(omap, init)
-        yf = np.concatenate([[init.x0], X0])
-        ydf = np.concatenate([[init.xdot0], Xdot0])
+        yf, ydf = extended_initial_conditions(omap, init, omap.N)
         yt, ydt = yf[: n + 1], ydf[: n + 1]
         err = np.abs(evolve_raw(A_full, yf, ydf, ts)[0][:, 0]
                      - evolve_raw(A_tr, yt, ydt, ts)[0][:, 0])
@@ -211,10 +196,8 @@ def chain_modal_data(seed):
     """A seeded 12-mode instance, its untruncated chain's initial data y0
     and the `_modal_data` of that chain."""
     io, chain, omap, init = make_instance(seed, 12)
-    X0, Xdot0 = chain_initial_conditions(omap, init)
-    y0 = np.concatenate([[init.x0], X0])
-    modal = _modal_data(assemble_extended_matrix(chain, chain.N), y0,
-                        np.concatenate([[init.xdot0], Xdot0]))
+    y0, ydot0 = extended_initial_conditions(omap, init, omap.N)
+    modal = _modal_data(assemble_extended_matrix(chain, chain.N), y0, ydot0)
     return io, init, y0, modal
 
 
@@ -420,6 +403,49 @@ class TestEvolveIoX:
         assert abs(sigma[0] + tau[0]) <= 1e-15
 
 
+class TestEvolveIoModes:
+    """Rows -O[i] . q(t) for any rows O against the dense oscillator
+    picture; row 0 is `evolve_io_x` bit for bit."""
+
+    @staticmethod
+    def assert_rows_match_dense(io, O, init, times):
+        rows = evolve_io_modes(io, init, O, times)
+        ref = -(O @ evolve_io(io, init, times).X)
+        assert np.array_equal(rows[0], evolve_io_x(io, init, times))
+        assert np.array_equal(rows[1:, 0], -(O @ init.q0))
+        assert np.abs(rows[1:] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("N", [1, 12, BLOCK + 1])
+    def test_rows_match_the_dense_route(self, N):
+        io = long_chain(linear_spectrum, N)
+        rng = np.random.default_rng(N)
+        init = random_initial_state(rng, N)
+        self.assert_rows_match_dense(io, rng.standard_normal((3, N)), init,
+                                     np.linspace(0.0, 10.0, 257))
+
+    def test_chain_rows_match_the_chain_picture(self):
+        # with map rows, the rows are the chain coordinates X_j(t)
+        io, chain, omap, init = make_instance(6, 12)
+        times = np.linspace(0.0, 10.0, 257)
+        rows = evolve_io_modes(io, init, omap.O[:3], times)
+        X = evolve_truncated(chain, chain.N, init, omap, times).X[:3]
+        assert np.abs(rows[1:] - X).max() <= 1e-12 * np.abs(X).max()
+
+    @pytest.mark.parametrize("c", [[0.5, 1e-200, 0.4], [1e-200] * 3])
+    def test_decoupled_modes_reach_the_rows(self, c):
+        # a deflated mode never reaches x, but its column of O carries it
+        io = build_io_model([1.0, 2.0, 3.0], c, 1.5)
+        rng = np.random.default_rng(13)
+        init = random_initial_state(rng, 3)
+        self.assert_rows_match_dense(io, rng.standard_normal((2, 3)), init,
+                                     np.linspace(0.0, 10.0, 257))
+
+    def test_rows_must_act_on_the_bath(self, small_instance):
+        io, _, _, init = small_instance
+        with pytest.raises(DimensionMismatch):
+            evolve_io_modes(io, init, np.ones((1, io.N + 1)), np.linspace(0.0, 1.0, 3))
+
+
 class TestPictures:
     def test_equivalence_of_pictures(self):
         for seed in (3, 4, 5):
@@ -431,11 +457,12 @@ class TestPictures:
 
     def test_chain_initial_conditions_shape(self, small_instance):
         io, chain, omap, init = small_instance
-        X0, Xdot0 = chain_initial_conditions(omap, init)
-        assert X0.shape == (io.N,) and Xdot0.shape == (io.N,)
+        y0, ydot0 = extended_initial_conditions(omap, init, io.N)
+        assert y0.shape == (io.N + 1,) and ydot0.shape == (io.N + 1,)
+        assert np.array_equal(y0[1:], -(omap.O @ init.q0)) and y0[0] == init.x0
         other = InitialState(q0=np.zeros(2), qdot0=np.zeros(2))
         with pytest.raises(DimensionMismatch):
-            chain_initial_conditions(omap, other)
+            extended_initial_conditions(omap, other, io.N)
 
 
 class TestFreeMode:

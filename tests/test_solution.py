@@ -12,8 +12,8 @@ from chainbath.bounds import ThermalState, sample_thermal
 from chainbath.dynamics import (
     Trajectory,
     evolve_truncated,
+    extended_initial_conditions,
     free_mode_evolution,
-    chain_initial_conditions,
 )
 from chainbath.errors import (
     ComplexResolvent,
@@ -124,9 +124,9 @@ class TestSourceTerm:
         traj = evolve_truncated(chain, 1, init, omap, times)
         F = source_term(chain, 1, traj, init, omap)
 
-        X0, Xdot0 = chain_initial_conditions(omap, init)
+        y0, ydot0 = extended_initial_conditions(omap, init, 1)
         f0 = lambda s: free_mode_evolution(chain.Omega0, init.x0, init.xdot0, s)
-        f1 = lambda s: free_mode_evolution(chain.Omega[0], X0[0], Xdot0[0], s)
+        f1 = lambda s: free_mode_evolution(chain.Omega[0], y0[1], ydot0[1], s)
         for m in (64, 200, 512):
             t = times[m]
             oracle = f0(t) + (chain.D0 / chain.Omega0) * gl_convolve(
@@ -163,12 +163,10 @@ class TestSourceTerm:
     def test_free_ladder_vs_quadrature(self):
         # f-tilde_2 against a brute-force evaluation of the recurrence
         io, chain, omap, init = make_instance(31, 2)
-        X0, Xdot0 = chain_initial_conditions(omap, init)
         times = np.linspace(0, 2.9, 2901)
         series = free_source_series(chain, 2, init, omap, times)
         freqs = np.concatenate([[chain.Omega0], chain.Omega])
-        modes0 = np.concatenate([[init.x0], X0])
-        modesd0 = np.concatenate([[init.xdot0], Xdot0])
+        modes0, modesd0 = extended_initial_conditions(omap, init, omap.N)
 
         def f(i):
             return lambda s: free_mode_evolution(freqs[i], modes0[i], modesd0[i], s)
@@ -314,7 +312,7 @@ class TestCutMap:
         io, chain, omap, init = linear_instance(16)
         cut_chain, cut_map = chain_from_io(io, rows=4)
         times = np.linspace(0, 5, 513)
-        traj = evolve_truncated(chain, chain.N, init, omap, times, velocities=False)
+        traj = evolve_truncated(chain, chain.N, init, omap, times)
         return chain, omap, cut_chain, cut_map, init, traj
 
     def test_source_term(self, cut):
