@@ -18,7 +18,9 @@ coefficients alone, by RKPW in O(N^2).  Map rows come from Lanczos,
 bitwise those of the full map.  The untruncated x(t), and the X_2(t) of
 `simulate`'s level-1 Volterra source F_1 + eps1(1) (which is F_N), come
 from the secular equation of the independent-oscillator matrix, with no
-eigensolve.
+eigensolve.  `sweep` runs `bound`'s route in each cell, at the cut
+min(n, N), on a random bath drawn in O(N): no command builds a full map
+or runs an eigensolve at the bath's size.
 
 Verdicts: `build-chain` writes `D0`, `eigenvalue_mismatch`,
 `weight_mismatch` and `passed`, which holds when T's eigenvalues lie within
@@ -31,7 +33,9 @@ max|x_full - x_volterra| <= 1e-9 max|x_full|.  `bound` writes `max_ratio`,
 the largest eps/bound_det over the samples whose eps is above
 1e-12 * max(eps) (below it eps sits at the float64 rounding floor), and
 `samples_below_floor`, the count of the others over every eps column.
-The CSV's `ratio_n*` columns keep every sample.
+The CSV's `ratio_n*` columns keep every sample.  `sweep`'s `max_ratio`
+reads above the same floor within its cell, so a cell whose eps all sits
+at the floor (n >= N, where eps is 0) reads 0.
 
 Exit codes: 0 ok, 2 validation failure (fewer than 2 `samples`, a NaN or
 infinite `t_max`, a negative or non-finite `min_modes` time, a non-finite
@@ -147,13 +151,12 @@ def build_model(cfg):
             c = instances.coupling_profile(omega, m.get("c0", 0.5), m.get("power", 0.0))
         elif family == "random":
             rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]).spawn(1)[0])
-            io, _, _ = instances.random_io_model(
+            return instances.random_io_model(
                 rng, N,
                 omega_range=tuple(m.get("omega_range", (0.5, 3.0))),
                 c_range=tuple(m.get("c_range", (0.1, 1.0))),
                 Omega0_range=(cfg["Omega0"], cfg["Omega0"]),
             )
-            return io
         else:
             raise ValueError(f"unknown model family {family!r}")
     return spectral.build_io_model(omega, c, cfg["Omega0"])
@@ -296,36 +299,50 @@ def _ratio(eps, bound):
         return np.where(bound > 0, eps / np.where(bound > 0, bound, 1.0), 0.0)
 
 
+def _cut_route(io, init, times, truncations):
+    """(n, chain, eps, bound_det, ratio) per cut n, with eps = |x_full - x_n|:
+    cuts below N read the Lanczos rows of the largest of them, n = N reads
+    RKPW and its x_n is x_full, which comes from the secular equation."""
+    below = [n for n in truncations if n < io.N]
+    chain, omap = spectral.chain_from_io(io, rows=max(below)) if below else (None, None)
+    full = spectral.chain_coefficients(io) if io.N in truncations else None
+    x_full = dynamics.evolve_io_x(io, init, times)
+    for n in truncations:
+        cut = full if n == io.N else chain
+        eps = np.abs(x_full - _truncated_x(cut, n, init, omap, times, x_full))
+        b_det = bounds.bound_deterministic(io, cut, n, times, init)
+        yield n, cut, eps, b_det, _ratio(eps, b_det)
+
+
+def _above_floor(eps_cols, ratio_cols):
+    """The largest ratio where eps > EPS_FLOOR_REL * max(eps) over all
+    columns, and the count of the other samples, whose eps sits at the
+    float64 floor of |x_full - x_n| and says nothing about the bound."""
+    floor = EPS_FLOOR_REL * max((eps.max() for eps in eps_cols), default=0.0)
+    max_ratio, below_floor = 0.0, 0
+    for eps, ratio in zip(eps_cols, ratio_cols, strict=True):
+        above = eps > floor
+        max_ratio = max(max_ratio, float(ratio[above].max(initial=0.0)))
+        below_floor += int(above.size - np.count_nonzero(above))
+    return max_ratio, below_floor
+
+
 def cmd_bound(cfg, out) -> int:
     io = build_model(cfg)
-    truncations, below = _truncations(cfg, io.N)
-    # a cut n < N reads the chain's first n rows; the cut n = N reads only
-    # the coefficients, and its x_n is x_full, which needs no chain
-    chain, omap = spectral.chain_from_io(io, rows=max([1, *below]))
-    full = spectral.chain_coefficients(io) if io.N in truncations else None
+    truncations, _ = _truncations(cfg, io.N)
     init = build_initial_state(cfg, io)
     th = bounds.ThermalState(cfg["kT"])
     times = time_grid(cfg)
-    x_full = dynamics.evolve_io_x(io, init, times)
 
     cols = {"t": times}
-    for n in truncations:
-        eps = np.abs(x_full - _truncated_x(chain, n, init, omap, times, x_full))
-        cut = full if n == io.N else chain
-        b_det = bounds.bound_deterministic(io, cut, n, times, init)
+    for n, cut, eps, b_det, ratio in _cut_route(io, init, times, truncations):
         cols[f"eps_n{n}"] = eps
         cols[f"bound_det_n{n}"] = b_det
         cols[f"bound_thermal_n{n}"] = bounds.bound_thermal(io, cut, n, times, th)
-        cols[f"ratio_n{n}"] = _ratio(eps, b_det)
+        cols[f"ratio_n{n}"] = ratio
     write_csv(out, cols)
-    # eps at the float64 floor of |x_full - x_n| says nothing about the
-    # bound: the ratio is read only above it
-    floor = EPS_FLOOR_REL * max((cols[f"eps_n{n}"].max() for n in truncations), default=0.0)
-    max_ratio, below_floor = 0.0, 0
-    for n in truncations:
-        above = cols[f"eps_n{n}"] > floor
-        max_ratio = max(max_ratio, float(cols[f"ratio_n{n}"][above].max(initial=0.0)))
-        below_floor += int(above.size - np.count_nonzero(above))
+    max_ratio, below_floor = _above_floor([cols[f"eps_n{n}"] for n in truncations],
+                                          [cols[f"ratio_n{n}"] for n in truncations])
     write_sidecar(out, cfg, {"max_ratio": max_ratio, "samples_below_floor": below_floor})
     print(f"error report written to {out}: max eps/bound ratio = {max_ratio:.6g} "
           f"({below_floor} samples below the rounding floor)")
@@ -369,21 +386,17 @@ _SWEEP_COLUMNS = ("N", "n", "kT", "max_eps", "max_ratio", "status", "error")
 
 
 def _sweep_cell(args):
-    """One sweep cell's `_SWEEP_COLUMNS` values, and its wall time."""
+    """One sweep cell's `_SWEEP_COLUMNS` values, and its wall time: `bound`'s
+    route at the one cut min(n, N), on a random bath and a thermal draw."""
     N, n, kT, seed_seq, samples = args
     t0 = time.perf_counter()
     try:
-        rng = np.random.default_rng(seed_seq)
-        io, chain, omap = instances.random_io_model(rng, N)
+        io = instances.random_io_model(np.random.default_rng(seed_seq), N)
         init = bounds.sample_thermal(io, bounds.ThermalState(kT), seed_seq.spawn(1)[0])
-        wmax = float(io.omega.max())
-        times = np.linspace(0.0, 3.0 / wmax, samples)
-        cut = min(n, chain.N)
-        x_full = dynamics.evolve_truncated_x(chain, chain.N, init, omap, times)
-        eps = np.abs(x_full - _truncated_x(chain, cut, init, omap, times, x_full))
-        b = bounds.bound_deterministic(io, chain, cut, times, init)
-        ratio = float(np.max(_ratio(eps, b)))
-        return (N, n, kT, float(eps.max()), ratio, "ok", ""), time.perf_counter() - t0
+        times = np.linspace(0.0, 3.0 / float(io.omega.max()), samples)
+        ((_, _, eps, _, ratio),) = _cut_route(io, init, times, [min(n, N)])
+        max_ratio, _ = _above_floor([eps], [ratio])
+        return (N, n, kT, float(eps.max()), max_ratio, "ok", ""), time.perf_counter() - t0
     except ChainBathError as exc:
         return (N, n, kT, np.nan, np.nan, "error", type(exc).__name__), time.perf_counter() - t0
 

@@ -190,7 +190,8 @@ def free_source_series(chain: ChainModel, n: int, init: InitialState,
     _check_level(chain, n, omap)
     times = np.asarray(times, dtype=float)
     f0, hs = _free_ladder(chain, n, init, omap, times)
-    return f0 + nested_convolve(chain.mode_freqs[: n + 1], hs, times)
+    # hs[n] = 0: the top level adds nothing, and is not convolved
+    return f0 + nested_convolve(chain.mode_freqs[:n], hs[:-1], times)
 
 
 def source_term(chain: ChainModel, n_used: int, traj: Trajectory,

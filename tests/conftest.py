@@ -7,13 +7,14 @@ from chainbath.instances import (
     random_initial_state,
     random_io_model,
 )
-from chainbath.spectral import build_io_model
+from chainbath.spectral import build_io_model, chain_from_io
 
 
 def make_instance(seed, N, **kwargs):
     """Seeded admissible instance plus a generic initial state."""
     rng = np.random.default_rng(seed)
-    io, chain, omap = random_io_model(rng, N, **kwargs)
+    io = random_io_model(rng, N, **kwargs)
+    chain, omap = chain_from_io(io)
     init = random_initial_state(rng, io.N)
     return io, chain, omap, init
 

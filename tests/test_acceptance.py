@@ -144,7 +144,8 @@ def test_a04_closed_solution_identity():
     worst = 0.0
     for trial in range(20):
         rng = np.random.default_rng(40_000 + trial)
-        io, chain, omap = random_io_model(rng, trial % 5 + 2)
+        io = random_io_model(rng, trial % 5 + 2)
+        chain, omap = chain_from_io(io)
         init = random_initial_state(rng, io.N)
         times = np.linspace(0.0, 10.0 / chain.Omega0, 2049)
         full = evolve_truncated(chain, chain.N, init, omap, times)
@@ -167,7 +168,8 @@ def test_a05_deterministic_bound_dominance():
     for trial in range(100):
         rng = np.random.default_rng(50_000 + trial)
         N = trial % 7 + 2
-        io, chain, omap = random_io_model(rng, N)
+        io = random_io_model(rng, N)
+        chain, omap = chain_from_io(io)
         init = random_initial_state(rng, io.N)
         wmax = float(io.omega.max())
         times = np.linspace(0.0, 3.0 / wmax, 257)
@@ -194,7 +196,8 @@ def test_a06_small_time_scaling():
     worst_dev = 0.0
     for trial in range(10):
         rng = np.random.default_rng(60_000 + trial)
-        io, chain, omap = random_io_model(rng, 6)
+        io = random_io_model(rng, 6)
+        chain, omap = chain_from_io(io)
         init = InitialState(q0=rng.uniform(-1.0, 1.0, io.N), qdot0=np.zeros(io.N),
                             x0=rng.uniform(-1.0, 1.0))
         wmax = float(io.omega.max())
@@ -220,7 +223,8 @@ def test_a07_thermal_bound_dominance():
     violations = []
     for trial in range(10):
         rng = np.random.default_rng(70_000 + trial)
-        io, chain, omap = random_io_model(rng, trial % 2 + 5)
+        io = random_io_model(rng, trial % 2 + 5)
+        chain, omap = chain_from_io(io)
         wmax = float(io.omega.max())
         times = np.linspace(0.2 / wmax, 3.0 / wmax, 65)
         for kT in (0.1, 1.0, 10.0):
@@ -242,7 +246,7 @@ def test_a08_half_normal_sampler():
     """Sampler mean of |q_k(0)| over 1e5 draws matches sqrt(2 kT/pi)/omega_k
     within 3 sigma."""
     rng = np.random.default_rng(88)
-    io, _, _ = random_io_model(rng, 4)
+    io = random_io_model(rng, 4)
     th = ThermalState(1.7)
     draws = 100_000
     acc = np.zeros(io.N)
@@ -260,7 +264,8 @@ def test_a09_min_modes_consistency():
     """On a 10x10 (t, tol) grid the returned n is certified and minimal,
     verified by recomputing the bound at n and n-1."""
     rng = np.random.default_rng(99)
-    io, chain, _ = random_io_model(rng, 8)
+    io = random_io_model(rng, 8)
+    chain, _ = chain_from_io(io)
     th = ThermalState(1.0)
     wmax = float(io.omega.max())
     ok = True

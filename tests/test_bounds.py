@@ -414,7 +414,8 @@ def test_strong_coupling_bound_probe():
         rng = np.random.default_rng(1000 + seed)
         from chainbath.instances import random_io_model, random_initial_state
 
-        io, chain, omap = random_io_model(rng, 5, c_range=(1.5, 3.0))
+        io = random_io_model(rng, 5, c_range=(1.5, 3.0))
+        chain, omap = chain_from_io(io)
         init = random_initial_state(rng, io.N)
         wmax = float(io.omega.max())
         times = np.linspace(0, 3 / wmax, 257)

@@ -708,12 +708,78 @@ class TestSweep:
         data = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
         assert data == sorted(data, key=lambda r: (int(r[0]), int(r[1])))
 
+    def test_cells_build_only_their_cut(self, tmp_path, monkeypatch, chain_builds):
+        # a cell reads map rows up to its cut min(n, N) when that is below N,
+        # none at n >= N, and decomposes nothing larger than cut + 1: x_full
+        # comes from the secular equation, not from a full map
+        sizes = []
+        decompose = dynamics._decompose
+        monkeypatch.setattr(dynamics, "_decompose",
+                            lambda A: sizes.append(len(A)) or decompose(A))
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, sweep={"N": [4, 8], "n": [1, 2, 8], "kT": [1.0]})
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert chain_builds == [1, 2, 1, 2]
+        assert sizes == [2, 3, 2, 3]
+
+    def test_cells_match_bound_route(self, tmp_path):
+        # max_eps is max|x_full - x_n| bitwise, recomputed from the cell's
+        # seed with the full map; max_ratio reads above the rounding floor,
+        # and a cell at n >= N, whose eps is 0, reads 0
+        from chainbath import bounds, instances
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg = write_config(cfg_path, samples=256,
+                           sweep={"N": [4, 16], "n": [2, 16], "kT": [0.5]})
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        cells = sorted((N, n) for N in (4, 16) for n in (2, 16))
+        seqs = np.random.SeedSequence(cfg["seed"]).spawn(len(cells))
+        for row, (N, n), seq in zip(rows, cells, seqs, strict=True):
+            max_eps, max_ratio = float(row[3]), float(row[4])
+            if n >= N:
+                assert max_eps == 0.0 and max_ratio == 0.0
+                continue
+            io = instances.random_io_model(np.random.default_rng(seq), N)
+            init = bounds.sample_thermal(io, bounds.ThermalState(0.5), seq.spawn(1)[0])
+            times = np.linspace(0.0, 3.0 / float(io.omega.max()), 256)
+            chain, omap = chain_from_io(io)
+            eps = np.abs(dynamics.evolve_io_x(io, init, times)
+                         - dynamics.evolve_truncated_x(chain, n, init, omap, times))
+            assert max_eps == eps.max()
+            b = bounds.bound_deterministic(io, chain, n, times, init)
+            above = eps > 1e-12 * eps.max()
+            assert max_ratio == (eps[above] / b[above]).max()
+            assert 0.0 < max_ratio <= 1.0
+
     def test_all_cells_failed(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(cfg, sweep={"N": [4], "n": [1], "kT": [-1.0]})
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 5
         assert "NonpositiveParameter" in out.read_text()
+
+
+class TestRandomFamily:
+    def test_large_bath_runs_without_a_full_map(self, tmp_path, monkeypatch, chain_builds):
+        # one O(N) draw at N = 1024: each command exits 0, builds map rows
+        # only up to its cuts and solves no eigenproblem above cut + 1, or
+        # above the Gauss-Legendre rule's kernels.NODES
+        sizes = []
+        for name in ("eigh", "eigvalsh"):
+            solve = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda A, *a, solve=solve, **k: sizes.append(len(A))
+                                or solve(A, *a, **k))
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model={"family": "random", "N": 1024}, truncations=[1, 4], seed=3)
+        for cmd in ("build-chain", "simulate", "kernels", "bound", "min-modes"):
+            out = tmp_path / f"{cmd}.csv"
+            assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 0, cmd
+        assert chain_builds and max(chain_builds) <= 4
+        assert sizes and max(sizes) <= max(5, kernels.NODES)
 
 
 class TestDeterminismAndRoundTrip:
