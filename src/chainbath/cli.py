@@ -39,15 +39,16 @@ at the floor (n >= N, where eps is 0) reads 0.
 
 Exit codes: 0 ok, 2 validation failure (fewer than 2 `samples`, a NaN or
 infinite `t_max`, a negative or non-finite `min_modes` time, a non-finite
-tolerance among them), 3 chain-construction breakdown, 4
-unstable/complex-resolvent regime, 5 every sweep cell failed, 6 a
-numerical check failed: outputs written but not certified (`build-chain`
-when its certificate fails, `simulate` when its Volterra residual is above
-its bound; one stderr line names what failed).  A breakdown is reported
-only where it happens inside the part of the chain the command builds:
-`build-chain`, `min-modes`, `simulate` and `bound` with a cut at n = N
-check every coupling, `bound` otherwise and `kernels` only the couplings
-among the rows they build.
+tolerance, a config value of another JSON type than its default's, a
+`model` that is no object and a `seed` that is no integer among them; one
+stderr line), 3 chain-construction breakdown, 4 unstable/complex-resolvent
+regime, 5 every sweep cell failed, 6 a numerical check failed: outputs
+written but not certified (`build-chain` when its certificate fails,
+`simulate` when its Volterra residual is above its bound; one stderr line
+names what failed).  A breakdown is reported only where it happens inside
+the part of the chain the command builds: `build-chain`, `min-modes`,
+`simulate` and `bound` with a cut at n = N check every coupling, `bound`
+otherwise and `kernels` only the couplings among the rows they build.
 """
 
 from __future__ import annotations
@@ -131,7 +132,33 @@ def resolve_config(path, overrides) -> dict:
         cfg["t_max"] = overrides["tmax"]
     if "model" not in cfg:
         raise ValueError("config must contain a 'model' section")
+    _check_types(cfg, {**_DEFAULTS, "model": {}}, "config")
+    if isinstance(cfg["seed"], float):
+        raise ValueError(f"config.seed must be an integer, not {json.dumps(cfg['seed'])}")
     return cfg
+
+
+def _json_type(value) -> str:
+    for types, name in ((bool, "boolean"), ((int, float), "number"), (str, "string"),
+                        (list, "list"), (dict, "object")):
+        if isinstance(value, types):
+            return name
+    return "null"
+
+
+def _check_types(value, default, name):
+    """ValueError where `value` has another JSON type than its `default`:
+    objects stay objects (keys with no default pass), lists stay lists,
+    each item typed as the default's first, numbers stay numbers."""
+    if _json_type(value) != _json_type(default):
+        raise ValueError(f"{name} must be a JSON {_json_type(default)}, not {json.dumps(value)}")
+    if isinstance(default, dict):
+        for key in default:
+            if key in value:
+                _check_types(value[key], default[key], f"{name}.{key}")
+    elif isinstance(default, list):
+        for i, item in enumerate(value):
+            _check_types(item, default[0], f"{name}[{i}]")
 
 
 def build_model(cfg):
@@ -392,7 +419,10 @@ def _sweep_cell(args):
     t0 = time.perf_counter()
     try:
         io = instances.random_io_model(np.random.default_rng(seed_seq), N)
-        init = bounds.sample_thermal(io, bounds.ThermalState(kT), seed_seq.spawn(1)[0])
+        # the first child `seed_seq.spawn(1)` would give, without advancing
+        # seed_seq: a cell is a pure function of its job
+        child = np.random.SeedSequence(seed_seq.entropy, spawn_key=seed_seq.spawn_key + (0,))
+        init = bounds.sample_thermal(io, bounds.ThermalState(kT), child)
         times = np.linspace(0.0, 3.0 / float(io.omega.max()), samples)
         ((_, _, eps, _, ratio),) = _cut_route(io, init, times, [min(n, N)])
         max_ratio, _ = _above_floor([eps], [ratio])

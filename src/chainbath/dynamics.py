@@ -5,17 +5,17 @@ spectral decomposition:
 
     y(t) = V cos(sqrt(L) t) V^T y(0) + V sin(sqrt(L) t) L^{-1/2} V^T y'(0),
 
-which is exact up to eigensolver precision, has no time-step error, and can
-be sampled on any grid.  Truncating the chain after mode n means dropping
-the coupling D_n, i.e. keeping the leading (n+1) x (n+1) block of the
-extended matrix.  The untruncated x(t), and any chain coordinate whose
-map row is given (`evolve_io_modes`), need no eigensolve: the
-independent-oscillator matrix is an arrowhead, whose eigenvalues are the
-roots of a secular equation and whose eigenvectors follow from them in
-closed form, in O(N^2) time and BLOCK rows at a time; the dense route
-(`evolve_io`) is its cross-check.  Single coordinates (`_modal_row`) take a
-uniform grid from 0 by angle addition, with trig on about 2 sqrt(M)
-points per mode for M samples instead of M.
+which is exact up to eigensolver precision and has no time-step error.
+Truncating the chain after mode n means dropping the coupling D_n, i.e.
+keeping the leading (n+1) x (n+1) block of the extended matrix.  The
+untruncated x(t), and any chain coordinate whose map row is given
+(`evolve_io_modes`), need no eigensolve: the independent-oscillator matrix
+is an arrowhead, whose eigenvalues are the roots of a secular equation and
+whose eigenvectors follow from them in closed form, in O(N^2) time and
+BLOCK rows at a time.  Single coordinates (`_modal_row`) take a uniform
+grid from 0 by angle addition, with trig on about 2 sqrt(M) points per
+mode for M samples instead of M.  The dense evolutions that check these
+routes are in `tests/oracles.py`.
 
 Sign conventions: the extended chain matrix carries -D0 and -D_j off the
 diagonal (so the equations of motion read x'' = -Omega0^2 x + D0 X_1 with
@@ -68,34 +68,6 @@ class InitialState:
         return len(self.q0)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Sampled evolution on a uniform grid: system coordinate x(t) and the
-    chain coordinates X[i, m] = X_{i+1}(t_m), with their velocities."""
-
-    times: np.ndarray
-    x: np.ndarray
-    xdot: np.ndarray
-    X: np.ndarray
-    Xdot: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        dt = np.diff(t)
-        if len(t) < 2 or np.any(dt <= 0):
-            raise ValueError("time grid must be strictly increasing")
-        if not np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
-            raise ValueError("time grid must have uniform step")
-        if not (self.x.shape == np.shape(self.xdot) == t.shape
-                and self.X.shape[1:] == t.shape and np.shape(self.Xdot) == self.X.shape):
-            raise DimensionMismatch("trajectory array shapes are inconsistent")
-
-    def mode(self, i: int) -> np.ndarray:
-        """Samples of X_i(t); mode(0) is the system coordinate x."""
-        check_index(i, len(self.X), "mode index")
-        return self.x if i == 0 else self.X[i - 1]
-
-
 def assemble_extended_matrix(chain: ChainModel, n: int) -> np.ndarray:
     """(n+1)-dimensional evolution matrix of the system plus the first n
     chain modes: diagonal (Omega0^2, Omega_1^2, ..., Omega_n^2),
@@ -110,17 +82,6 @@ def assemble_extended_matrix(chain: ChainModel, n: int) -> np.ndarray:
         A[0, 1] = A[1, 0] = -chain.D0
     for i in range(1, n):
         A[i, i + 1] = A[i + 1, i] = -chain.D[i - 1]
-    return A
-
-
-def assemble_io_matrix(io: IOModel) -> np.ndarray:
-    """(N+1)-dimensional evolution matrix in the independent-oscillator
-    picture: diag(Omega0^2, omega_k^2) with +c_k in the system row/column."""
-    A = np.zeros((io.N + 1, io.N + 1))
-    A[0, 0] = io.Omega0**2
-    A[1:, 1:] = np.diag(io.omega**2)
-    A[0, 1:] = io.c
-    A[1:, 0] = io.c
     return A
 
 
@@ -147,26 +108,19 @@ def _modal_row(modal, y0, i, times) -> np.ndarray:
     """Coordinate i alone, y0[i] + sum_j (a_j (cos(w_j t) - 1) + b_j sin(w_j t)) V[i, j],
     of the evolution `_modal_data` describes, exact at t = 0.
 
-    On a uniform grid from 0 (`kernels._uniform_step`) the samples go by
-    angle addition: sample p B + q sits at t_pB + t_q, B = ceil(sqrt(M))
-    for M samples, and a cos(w t) + b sin(w t) there is
-    (a cos(w t_pB) + b sin(w t_pB)) cos(w t_q)
+    The grid must be uniform from 0 (`kernels._uniform_step`, ValueError
+    otherwise), and the samples go by angle addition: sample p B + q sits
+    at t_pB + t_q, B = ceil(sqrt(M)) for M samples, and
+    a cos(w t) + b sin(w t) there is (a cos(w t_pB) + b sin(w t_pB)) cos(w t_q)
     + (b cos(w t_pB) - a sin(w t_pB)) sin(w t_q), so x is one
     (P, 2 dim) x (2 dim, B) product, P = ceil(M / B), with trig on
     (P + B) dim points instead of M dim and no (M, dim) array; the
-    increment is taken from the product's own t = 0 entry.  Any other grid
-    takes the direct form, O(len(times) * dim) trig and memory.
+    increment is taken from the product's own t = 0 entry.
     """
     w, V, a, b = modal
     alpha, beta = a * V[i], b * V[i]
     times = np.asarray(times, dtype=float)
-    if _uniform_step(times) is None:
-        wt = np.multiply.outer(times, w)
-        x_sin = np.sin(wt) @ beta
-        # cos(wt) - 1 overwrites wt: no second (samples, dim) buffer
-        cosm1_wt = np.cos(wt, out=wt)
-        cosm1_wt -= 1.0
-        return y0[i] + cosm1_wt @ alpha + x_sin
+    _uniform_step(times, "modal sum")
     M = len(times)
     B = math.isqrt(M - 1) + 1
     phase = np.multiply.outer(times[::B], w)
@@ -177,33 +131,6 @@ def _modal_row(modal, y0, i, times) -> np.ndarray:
     fine = np.concatenate([np.cos(phase), np.sin(phase, out=phase)])
     x = (coarse @ fine).ravel()[:M]
     return y0[i] + (x - x[0])
-
-
-def evolve_raw(A, y0, ydot0, times):
-    """Positions and velocities of y'' = -A y at arbitrary increasing times.
-
-    Returns (Y, Ydot) with shape (len(times), dim).  Raises UnstableMode if
-    A has a non-positive eigenvalue.
-    """
-    w, V, a, b = _modal_data(A, y0, ydot0)
-    y0, ydot0 = np.asarray(y0, dtype=float), np.asarray(ydot0, dtype=float)
-    wt = np.multiply.outer(np.asarray(times, dtype=float), w)
-    cosm1_wt, sin_wt = np.cos(wt) - 1.0, np.sin(wt)
-    # written as increments from the initial data so that t = 0 is bit-exact
-    Y = y0 + (cosm1_wt * a + sin_wt * b) @ V.T
-    Ydot = ydot0 + ((cosm1_wt * b - sin_wt * a) * w) @ V.T
-    return Y, Ydot
-
-
-def evolve_exact(A, y0, ydot0, times) -> Trajectory:
-    """Trajectory of the extended linear system on a uniform grid.
-
-    Coordinate 0 is the system; the rest are chain modes.  Total energy
-    along the returned trajectory is conserved to eigensolver precision.
-    """
-    Y, Ydot = evolve_raw(A, y0, ydot0, times)
-    return Trajectory(times=np.asarray(times, dtype=float),
-                      x=Y[:, 0], xdot=Ydot[:, 0], X=Y[:, 1:].T, Xdot=Ydot[:, 1:].T)
 
 
 def extended_initial_conditions(omap: OrthogonalMap, init: InitialState, n: int):
@@ -218,21 +145,11 @@ def extended_initial_conditions(omap: OrthogonalMap, init: InitialState, n: int)
             np.concatenate([[init.xdot0], -(O @ init.qdot0)]))
 
 
-def evolve_truncated(chain: ChainModel, n: int, init: InitialState,
-                     omap: OrthogonalMap, times) -> Trajectory:
-    """Evolution with the chain cut after mode n (coupling D_n dropped).
-
-    Initial chain data come from the bath initial data through the
-    orthogonal map; n = chain.N gives the untruncated dynamics.
-    """
-    return evolve_exact(assemble_extended_matrix(chain, n),
-                        *extended_initial_conditions(omap, init, n), times)
-
-
 def evolve_truncated_x(chain: ChainModel, n: int, init: InitialState,
                        omap: OrthogonalMap, times) -> np.ndarray:
-    """System coordinate x(t) alone under `evolve_truncated`'s dynamics,
-    without the two (n+1)-wide products that build every mode and velocity."""
+    """System coordinate x(t) of the chain cut after mode n (coupling D_n
+    dropped), on a uniform grid from 0, its chain data from the bath's
+    through the map: n = chain.N on the full map is untruncated."""
     y0, ydot0 = extended_initial_conditions(omap, init, n)
     return _modal_row(_modal_data(assemble_extended_matrix(chain, n), y0, ydot0), y0, 0, times)
 
@@ -243,13 +160,6 @@ def _io_initial_conditions(io: IOModel, init: InitialState):
         raise DimensionMismatch(f"bath size {io.N} != initial-state size {init.N}")
     return (np.concatenate([[init.x0], init.q0]),
             np.concatenate([[init.xdot0], init.qdot0]))
-
-
-def evolve_io(io: IOModel, init: InitialState, times) -> Trajectory:
-    """Evolution in the independent-oscillator picture (X holds the bath
-    coordinates q here).  Used to cross-check picture equivalence."""
-    y0, ydot0 = _io_initial_conditions(io, init)
-    return evolve_exact(assemble_io_matrix(io), y0, ydot0, times)
 
 
 def evolve_io_x(io: IOModel, init: InitialState, times) -> np.ndarray:
@@ -485,26 +395,3 @@ def free_mode_evolution(Omega_i: float, X0: float, Xdot0: float, t):
     t = np.asarray(t, dtype=float)
     out = X0 * np.cos(Omega_i * t) + Xdot0 * np.sin(Omega_i * t) / Omega_i
     return out if out.ndim else float(out)
-
-
-def total_energy(A, traj: Trajectory) -> np.ndarray:
-    """H(t) = (|ydot|^2 + y^T A y) / 2 along a trajectory; constant for the
-    exact solver."""
-    Y = np.concatenate([traj.x[None, :], traj.X]).T
-    Ydot = np.concatenate([traj.xdot[None, :], traj.Xdot]).T
-    return 0.5 * (np.sum(Ydot**2, axis=1) + np.sum(Y * (Y @ np.asarray(A)), axis=1))
-
-
-def system_response(A, times):
-    """Linear response of coordinate 0 to initial data: x(t) = Gq(t) . y0 + Gv(t) . ydot0.
-
-    Returns (Gq, Gv), each (len(times), dim).  These rows let many initial
-    conditions be propagated with one matrix product (used by the thermal
-    Monte-Carlo machinery).
-    """
-    w, V = _decompose(A)
-    times = np.asarray(times, dtype=float)
-    wt = np.multiply.outer(times, w)
-    Gq = (np.cos(wt) * V[0]) @ V.T
-    Gv = (np.sin(wt) * (V[0] / w)) @ V.T
-    return Gq, Gv

@@ -32,15 +32,6 @@ def check_index(i: int, hi: int, what: str, lo: int = 0) -> None:
         raise IndexOutOfRange(f"{what} {i} outside [{lo}, {hi}]")
 
 
-class DegenerateFrequencies(ChainBathError):
-    """Two kernel frequencies coincide; the sine-series closed form has a pole.
-    Fall back to Taylor evaluation or quadrature."""
-
-
-class ToleranceNotReached(ChainBathError):
-    """Adaptive quadrature hit its refinement cap before converging."""
-
-
 class UnstableMode(ChainBathError):
     """The evolution matrix has a non-positive eigenvalue (outside the
     oscillatory regime)."""
@@ -54,10 +45,6 @@ class ComplexResolvent(ChainBathError):
 class DegenerateResolvent(ChainBathError):
     """The two resolvent frequencies coincide; the closed solution kernel
     is singular."""
-
-
-class GridMismatch(ChainBathError, ValueError):
-    """Two sampled series do not share the same time grid."""
 
 
 class GridTooCoarse(ChainBathError):

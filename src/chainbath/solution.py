@@ -16,8 +16,7 @@ sum_j K_j * h_j, which `nested_convolve` evaluates by the Horner nesting
 
 Each S_j is one single-sine grid convolution, so a level-n source costs
 n+1 of them, has no partial-fraction coefficients to cancel, and needs no
-distinct frequencies.  The closed-form kernels of `kernels` serve only as
-test oracles.
+distinct frequencies.
 
 Because K_1 is a two-sine kernel the equation solves in closed form with the
 resolvent kernel
@@ -30,8 +29,9 @@ the resolvent poles must satisfy mu1^2 mu2^2 = Omega0^2 Omega1^2 - D0^2, and
 the closed solution then reproduces the exact dynamics to quadrature
 precision.)  Both mu are real and distinct iff Omega0 Omega1 > D0.
 
-A plain product-integration marching solver is kept as an independent check
-of the closed form.
+The closed-form kernels, the level-n source from injected trajectories and
+a marching solver that the tests check this against are in
+`tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -40,12 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    InitialState,
-    Trajectory,
-    extended_initial_conditions,
-    free_mode_evolution,
-)
+from .dynamics import InitialState, extended_initial_conditions, free_mode_evolution
 from .errors import (
     ComplexResolvent,
     DegenerateResolvent,
@@ -53,7 +48,7 @@ from .errors import (
     NonpositiveParameter,
     check_index,
 )
-from .kernels import KernelRep, check_grid, convolve_on_grid, kernel_eval
+from .kernels import convolve_on_grid
 from .spectral import ChainModel, OrthogonalMap
 
 
@@ -125,11 +120,11 @@ def coupling_products(chain: ChainModel, n: int) -> np.ndarray:
     return np.concatenate([[1.0], np.cumprod(ratios)])
 
 
-def _check_level(chain: ChainModel, n: int, omap: OrthogonalMap, lo: int = 0) -> None:
+def _check_level(chain: ChainModel, n: int, omap: OrthogonalMap) -> None:
     """Range check of a level n that reads n = chain.N as the untruncated
     chain.  A map cut by `chain_from_io(io, rows=k)` gives a chain with
     N = k whose level k is not untruncated: DimensionMismatch there."""
-    check_index(n, chain.N, "level", lo=lo)
+    check_index(n, chain.N, "level")
     if n == chain.N and omap.is_cut:
         raise DimensionMismatch(
             f"level {n} ends a chain cut at {omap.N} of {omap.O.shape[1]} modes, "
@@ -164,21 +159,6 @@ def _free_ladder(chain: ChainModel, n: int, init: InitialState,
     return f[0], hs
 
 
-def _add_mode_terms(chain: ChainModel, traj: Trajectory, hs, lo: int):
-    """Add p_j (D_{j-1}/Omega_j) X_{j-1} to hs[j] for lo <= j <= n, with the
-    chain-mode trajectories injected from `traj`."""
-    n = len(hs) - 1
-    freqs = chain.mode_freqs
-    p = coupling_products(chain, n)
-    for j in range(lo, n + 1):
-        hs[j] += p[j] * (coupling(chain, j - 1) / freqs[j]) * traj.mode(j - 1)
-
-
-def _check_grid(chain: ChainModel, traj: Trajectory):
-    vmax = max(np.abs(traj.x).max(), np.abs(traj.X).max() if traj.X.size else 0.0)
-    check_grid(traj.times, vmax, float(chain.mode_freqs.max()))
-
-
 def free_source_series(chain: ChainModel, n: int, init: InitialState,
                        omap: OrthogonalMap, times) -> np.ndarray:
     """The ladder f-tilde_n sampled on `times`.
@@ -194,46 +174,6 @@ def free_source_series(chain: ChainModel, n: int, init: InitialState,
     return f0 + nested_convolve(chain.mode_freqs[:n], hs[:-1], times)
 
 
-def source_term(chain: ChainModel, n_used: int, traj: Trajectory,
-                init: InitialState, omap: OrthogonalMap) -> np.ndarray:
-    """Source F_n of the system's Volterra equation, sampled on traj.times.
-
-    F_n(t) = f-tilde_n(t)
-           + sum_{i=2}^{n} (prod_{l<i} D_l/Omega_l)(D_{i-1}/Omega_i)
-                           int_0^t K_i(t-s) X_{i-1}(s) ds,
-
-    with the X_{i-1} taken from the supplied (exact) trajectories, all
-    through one nested_convolve cascade.  At n = N it is the tests' oracle
-    for F_1 + eps1(1), which needs X_2 alone.  Raises GridTooCoarse when the
-    estimated interpolation error exceeds 1e-7 * max|X|.
-    """
-    _check_level(chain, n_used, omap)
-    _check_grid(chain, traj)
-    f0, hs = _free_ladder(chain, n_used, init, omap, traj.times)
-    _add_mode_terms(chain, traj, hs, lo=2)
-    return f0 + nested_convolve(chain.mode_freqs[: n_used + 1], hs, traj.times)
-
-
-def x_reduced_form(chain: ChainModel, n: int, traj: Trajectory,
-                   init: InitialState, omap: OrthogonalMap) -> np.ndarray:
-    """Level-n rewriting of x(t) from injected trajectories (identity check).
-
-    x(t) = f-tilde_n(t)
-         + sum_{i=1}^{n} (prod_{l<i} D_l/Omega_l)(D_{i-1}/Omega_i) K_i * X_{i-1}
-         + (prod_{l<=n} D_l/Omega_l) K_n * X_{n+1},
-
-    where the last term vanishes for n = N (D_N = 0).  With exact
-    trajectories this reproduces traj.x to quadrature precision for every n.
-    """
-    _check_level(chain, n, omap, lo=1)
-    _check_grid(chain, traj)
-    f0, hs = _free_ladder(chain, n, init, omap, traj.times)
-    _add_mode_terms(chain, traj, hs, lo=1)
-    if n < chain.N:
-        hs[n] += coupling_products(chain, n)[n + 1] * traj.mode(n + 1)
-    return f0 + nested_convolve(chain.mode_freqs[: n + 1], hs, traj.times)
-
-
 def solve_volterra_closed(params: VolterraParams, F, times) -> np.ndarray:
     """Closed solution x = F + R * F with the two-sine resolvent kernel.
 
@@ -243,23 +183,3 @@ def solve_volterra_closed(params: VolterraParams, F, times) -> np.ndarray:
     freqs, coeffs = resolvent_series(params)
     F = np.asarray(F, dtype=float)
     return F + convolve_on_grid(freqs, coeffs, F, times)
-
-
-def solve_volterra_numeric(k1: KernelRep, prefactor: float, F, times) -> np.ndarray:
-    """Trapezoidal product-integration marching solver for
-    x(t) = prefactor * int_0^t K_1(t-s) x(s) ds + F(t).
-
-    Independent of the closed form; second-order accurate in the grid step.
-    K_1(0) = 0 makes the marching explicit.
-    """
-    times = np.asarray(times, dtype=float)
-    F = np.asarray(F, dtype=float)
-    M = len(times)
-    h = times[1] - times[0]
-    K = kernel_eval(k1, times)  # K[m] = K_1(m h) on the uniform grid
-    x = np.empty(M)
-    x[0] = F[0]
-    for m in range(1, M):
-        conv = K[m] * 0.5 * x[0] + np.dot(K[m - 1:0:-1], x[1:m])
-        x[m] = F[m] + prefactor * h * conv
-    return x

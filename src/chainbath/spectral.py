@@ -30,13 +30,13 @@ omega_k^2, and the same pivot recurrence run from T's far end gives each
 weight as -1/dm_0'(lambda_k), dm_0 being the top pivot (Golub & Welsch,
 Math. Comp. 23, 1969).  Where nodes nearly coincide, a rounding of T
 turns their eigenvectors, and each weight is allowed what that moves it.
-`verify_equivalence` checks a full map instead: the residuals of O O^T
-and (O omega)(O omega)^T in blocks, and the same Sturm counts.
+The check of a full map by its residuals, which the tests hold this
+certificate against, is `verify_equivalence` in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,10 +56,6 @@ DGKS_KEEP = 1.0 / np.sqrt(2.0)
 # The certificates' tolerance, relative to max(omega^2) for T's eigenvalues
 # and to max(c_k^2) for its weights
 _RTOL = 1e-9
-
-# Rows (and columns) per block of `verify_equivalence`'s products, which
-# run when nothing but the map is held: larger blocks make faster products
-_CHECK_BLOCK = 512
 
 
 def _frozen_array(values, dtype=float):
@@ -89,9 +85,9 @@ class ChainModel:
 
     A chain cut by `chain_from_io(io, rows=k)` holds the first k modes, and
     its N is k: functions that read n = N as the untruncated chain need the
-    full chain.  Those that take the map (`source_term`, `x_reduced_form`,
-    `free_source_series`, `error_report`) raise DimensionMismatch on a cut
-    one; `epsilon1` takes no map and cannot tell."""
+    full chain.  `free_source_series`, which takes the map, raises
+    DimensionMismatch on a cut one; `epsilon1` takes no map and cannot
+    tell."""
 
     Omega: np.ndarray
     D: np.ndarray
@@ -106,13 +102,6 @@ class ChainModel:
     def mode_freqs(self) -> np.ndarray:
         """(Omega_0, Omega_1, ..., Omega_N) with Omega_0 the system frequency."""
         return np.concatenate([[self.Omega0], self.Omega])
-
-    def tridiagonal(self) -> np.ndarray:
-        """The N x N symmetric tridiagonal frequency matrix (off-diag -D_j)."""
-        T = np.diag(self.Omega**2)
-        idx = np.arange(self.N - 1)
-        T[idx, idx + 1] = T[idx + 1, idx] = -self.D
-        return T
 
 
 @dataclass(frozen=True)
@@ -131,29 +120,6 @@ class OrthogonalMap:
     def is_cut(self) -> bool:
         """True when the map holds fewer rows than the bath has modes."""
         return self.N < self.O.shape[1]
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Residual diagnostics for a (bath, chain, map) triple.  `passed` holds
-    when no residual exceeds its bound: max(tolerance, 1e-10) for the
-    orthogonality, tolerance * max(omega^2) for the other two."""
-
-    orthogonality: float
-    tridiagonal_residual: float
-    eigenvalue_mismatch: float
-    tolerance: float
-    passed: bool
-
-    def failures(self, scale: float) -> list[str]:
-        """Names of the residuals above their bounds (a NaN is above), for
-        a bath whose largest omega^2 is `scale`."""
-        bounds = {
-            "orthogonality_residual": (self.orthogonality, max(self.tolerance, 1e-10)),
-            "tridiagonal_residual": (self.tridiagonal_residual, self.tolerance * scale),
-            "eigenvalue_mismatch": (self.eigenvalue_mismatch, self.tolerance * scale),
-        }
-        return [name for name, (value, bound) in bounds.items() if not value <= bound]
 
 
 @dataclass(frozen=True)
@@ -436,7 +402,7 @@ def certify_chain(io: IOModel, chain: ChainModel) -> ChainCertificate:
     The chain is the bath's exactly when T's eigenvalues are the omega_k^2
     and its weights D0^2 w_k, w_k the squared first component of T's unit
     eigenvector of lambda_k, are the c_k^2.  The eigenvalues are placed by
-    Sturm counts, as in `verify_equivalence`: `eigenvalue_mismatch`.  The
+    Sturm counts (`_spectrum_mismatch`): `eigenvalue_mismatch`.  The
     weights come from the top pivot dm_0 of T - x eliminated bottom-up,
     whose inverse is sum_k w_k / (lambda_k - x), so w_k = -1/dm_0'(lambda_k)
     (Golub & Welsch): one pass of the same pivot recurrence over T reversed,
@@ -472,67 +438,3 @@ def certify_chain(io: IOModel, chain: ChainModel) -> ChainCertificate:
         weight_mismatch=float(np.maximum(error.max(), total) / c2.max()),
         failed=tuple(name for name, ok in checks.items() if not ok),
     )
-
-
-def verify_equivalence(io: IOModel, chain: ChainModel, omap: OrthogonalMap,
-                       rtol: float = _RTOL) -> EquivalenceReport:
-    """Residuals of the defining relations of the chain map.
-
-    Checks ||O O^T - I||_max, ||T - O diag(omega^2) O^T||_max, and the
-    largest mismatch between T's sorted eigenvalues and {omega_k^2}; all
-    but the orthogonality residual are compared against rtol * max(omega^2).
-
-    No eigensolve runs and no N x N array is formed beyond the map: O O^T
-    and (O omega)(O omega)^T are taken `_CHECK_BLOCK` rows by as many
-    columns at a time, over the blocks on and below the diagonal, and
-    their residuals reduced block by block; T stays tridiagonal.  The spectrum
-    is checked by Sturm counts of T's pivots at omega_k^2 -/+ delta
-    (delta = rtol * max(omega^2)), which decide exactly whether every
-    sorted eigenvalue lies within delta of its omega_k^2
-    (Barth, Martin & Wilkinson, Numer. Math. 9, 1967).  Where they hold,
-    the mismatch reported is the Newton step on det(T - x) from
-    x = omega_k^2, which measures T's own spectrum to about
-    1e-16 * max(omega^2); where they fail, it is the distance of the
-    eigenvalue bisected on the same counts, above delta.
-    """
-    if not (io.N == chain.N == omap.N):
-        raise DimensionMismatch(
-            f"sizes disagree: io N={io.N}, chain N={chain.N}, map N={omap.N}"
-        )
-    O = omap.O
-    w2 = io.omega**2
-    scale = w2.max()
-    a, off = chain.Omega**2, chain.D
-    # np.maximum, not max(): a NaN residual must stay NaN
-    ortho = tri_res = 0.0
-    for i0 in range(0, io.N, _CHECK_BLOCK):
-        i = slice(i0, i0 + _CHECK_BLOCK)
-        P_i = O[i] * io.omega
-        for k0 in range(0, i0 + 1, _CHECK_BLOCK):
-            k = slice(k0, k0 + _CHECK_BLOCK)
-            # one buffer for both products; on the diagonal, I and then
-            # T's band come off its diagonals, which are strided slices
-            G = O[i] @ O[k].T
-            n = len(G)
-            g = G.reshape(-1)
-            if k0 == i0:
-                g[:: n + 1] -= 1.0
-            ortho = np.maximum(ortho, np.abs(G, out=G).max())
-            np.matmul(P_i, (P_i if k0 == i0 else O[k] * io.omega).T, out=G)
-            if k0 == i0:
-                g[:: n + 1] -= a[i]
-                g[1:: n + 1] += off[i0: i0 + n - 1]
-                g[n:: n + 1] += off[i0: i0 + n - 1]
-            elif k0 + _CHECK_BLOCK == i0:
-                G[0, -1] += off[i0 - 1]     # T's corner in the block left of the diagonal
-            tri_res = np.maximum(tri_res, np.abs(G, out=G).max())
-    eig_mis = _spectrum_mismatch(chain, w2, rtol * scale)[0]
-
-    report = EquivalenceReport(
-        orthogonality=float(ortho),
-        tridiagonal_residual=float(tri_res),
-        eigenvalue_mismatch=float(eig_mis),
-        tolerance=rtol,
-        passed=False,
-    )
-    return replace(report, passed=not report.failures(scale))

@@ -14,30 +14,32 @@ from chainbath.bounds import (
     ThermalState,
     bound_deterministic,
     bound_thermal,
-    epsilon1_pointwise,
-    epsilon_empirical,
-    fit_loglog_slope,
     min_modes,
     sample_thermal,
-    thermal_error_mc,
 )
 from chainbath.cli import main
 from chainbath.dynamics import (
     InitialState,
     assemble_extended_matrix,
-    evolve_raw,
-    evolve_truncated,
     extended_initial_conditions,
 )
 from chainbath.instances import random_initial_state, random_io_model
-from chainbath.kernels import (
+from chainbath.solution import mu_delta, solve_volterra_closed
+from chainbath.spectral import build_io_model, chain_from_io
+from tests.oracles import (
+    epsilon1_pointwise,
+    epsilon_empirical,
+    evolve_raw,
+    evolve_truncated,
+    fit_loglog_slope,
     kernel_closed_form,
     kernel_eval,
     kernel_quadrature,
     kernel_taylor,
+    source_term,
+    thermal_error_mc,
+    tridiagonal,
 )
-from chainbath.solution import mu_delta, solve_volterra_closed, source_term
-from chainbath.spectral import build_io_model, chain_from_io
 
 
 def report(label, ok, detail=""):
@@ -67,7 +69,7 @@ def test_a01_chain_round_trip():
         io = build_io_model(omega, c, 1.0)
         chain, omap = chain_from_io(io)
         w2 = omega**2
-        eig = np.sort(np.linalg.eigvalsh(chain.tridiagonal()))
+        eig = np.sort(np.linalg.eigvalsh(tridiagonal(chain)))
         worst_eig = max(worst_eig, float(np.abs(eig - w2).max() / w2.max()))
         worst_orth = max(worst_orth, float(np.abs(omap.O @ omap.O.T - np.eye(N)).max()))
         count += 1

@@ -9,34 +9,33 @@ from chainbath.bounds import (
     bound_deterministic,
     bound_thermal,
     epsilon1,
-    epsilon1_pointwise,
-    epsilon2,
-    epsilon_empirical,
-    error_report,
-    fit_loglog_slope,
     min_modes,
     sample_thermal,
-    thermal_error_mc,
 )
 from chainbath import dynamics
 from chainbath.dynamics import (
     InitialState,
     assemble_extended_matrix,
-    evolve_raw,
-    evolve_truncated,
     evolve_truncated_x,
     extended_initial_conditions,
 )
-from chainbath.errors import (
-    DimensionMismatch,
-    GridMismatch,
-    GridTooCoarse,
-    NonpositiveParameter,
-)
+from chainbath.errors import DimensionMismatch, GridTooCoarse, NonpositiveParameter
 from chainbath.instances import coupling_profile, linear_spectrum
-from chainbath.solution import mu_delta, source_term
+from chainbath.solution import mu_delta
 from chainbath.spectral import build_io_model, chain_from_io
 from tests.conftest import make_instance
+from tests.oracles import (
+    GridMismatch,
+    epsilon1_pointwise,
+    epsilon2,
+    epsilon_empirical,
+    error_report,
+    evolve_raw,
+    evolve_truncated,
+    fit_loglog_slope,
+    source_term,
+    thermal_error_mc,
+)
 
 
 def full_and_truncated(chain, omap, init, n, times):

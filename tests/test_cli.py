@@ -15,9 +15,17 @@ import pytest
 
 import chainbath
 from chainbath import dynamics, kernels, solution, spectral
-from chainbath.cli import build_initial_state, build_model, fmt, main, resolve_config, write_csv
-from chainbath.kernels import kernel_closed_form, kernel_eval
+from chainbath.cli import (
+    _sweep_cell,
+    build_initial_state,
+    build_model,
+    fmt,
+    main,
+    resolve_config,
+    write_csv,
+)
 from chainbath.spectral import chain_coefficients, chain_from_io
+from tests.oracles import evolve_truncated, kernel_closed_form, kernel_eval, source_term
 
 
 def write_config(path, **overrides):
@@ -141,6 +149,25 @@ class TestExitCodes:
         assert main(["min-modes", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, overrides", [
+        pytest.param("bound", {"truncations": 5}, id="bound-truncations"),
+        *(pytest.param(command, {"model": [1, 2]}, id=f"{command}-model")
+          for command in ("build-chain", "simulate", "kernels", "bound", "min-modes")),
+        pytest.param("min-modes", {"min_modes": {"times": 1, "tols": [0.1]}},
+                     id="min-modes-times"),
+        pytest.param("bound", {"seed": 1.5}, id="bound-seed"),
+    ])
+    def test_wrong_json_type(self, tmp_path, capsys, command, overrides):
+        # a value of another JSON type than its default's fails the config
+        # check, in one stderr line, before the command builds anything
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, **overrides)
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_sweep_needs_two_samples(self, tmp_path):
         # one sample is the grid t = 0 alone, where every cell reads eps 0
         cfg = tmp_path / "cfg.json"
@@ -234,7 +261,6 @@ class TestBuildChain:
         def refuse(*args, **kwargs):
             raise AssertionError("map built or checked")
         monkeypatch.setattr(spectral, "chain_from_io", refuse)
-        monkeypatch.setattr(spectral, "verify_equivalence", refuse)
         cfg = tmp_path / "cfg.json"
         write_config(cfg, model={**LINEAR_16, "N": 600})
         out = tmp_path / "chain.csv"
@@ -365,8 +391,8 @@ class TestSimulate:
         init = build_initial_state(cfg, io)
         chain, omap = chain_from_io(io)
         times = data[:, 0]
-        traj = dynamics.evolve_truncated(chain, N, init, omap, times)
-        F = solution.source_term(chain, N, traj, init, omap)
+        traj = evolve_truncated(chain, N, init, omap, times)
+        F = source_term(chain, N, traj, init, omap)
         params = solution.mu_delta(chain.Omega0, chain.Omega[0], chain.D0)
         ref = solution.solve_volterra_closed(params, F, times)
         got = data[:, header.index("x_volterra")]
@@ -471,25 +497,27 @@ class TestKernelsCommand:
 
 
 def test_runtime_needs_no_scipy(tmp_path):
-    # numpy is the only runtime dependency: simulate and kernels, run in a
-    # fresh interpreter, never import scipy, nor numpy.ma (~30 ms of start-up,
-    # which np.unique, for one, loads)
+    # numpy is the only runtime dependency: the six commands, run in a fresh
+    # interpreter, never import scipy, a test-only package or the tests'
+    # oracles (importable here: the child runs from the repository root),
+    # nor numpy.ma (~30 ms of start-up, which np.unique, for one, loads)
     cfg = tmp_path / "cfg.json"
     write_config(cfg)
     out = str(tmp_path / "o.csv")
     script = (
         "import sys\n"
         "from chainbath.cli import main\n"
-        "for cmd in ('simulate', 'kernels'):\n"
-        f"    assert main([cmd, '--config', {str(cfg)!r}, '--out', {out!r}]) == 0\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "for cmd in ('build-chain', 'simulate', 'kernels', 'bound', 'min-modes', 'sweep'):\n"
+        f"    assert main([cmd, '--config', {str(cfg)!r}, '--out', {out!r}]) == 0, cmd\n"
+        "test_only = ('scipy', 'mpmath', 'hypothesis', 'sympy', 'tests')\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in test_only)\n"
         "assert not loaded, loaded\n"
         "assert 'numpy.ma' not in sys.modules\n"
     )
     src = str(Path(chainbath.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=Path(__file__).parents[1],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
 
@@ -753,6 +781,14 @@ class TestSweep:
             above = eps > 1e-12 * eps.max()
             assert max_ratio == (eps[above] / b[above]).max()
             assert 0.0 < max_ratio <= 1.0
+
+    def test_cell_is_a_pure_function_of_its_job(self):
+        # one job run twice draws the same bath and thermal state: the cell
+        # derives its seeds without spawning from the job's sequence
+        job = (8, 4, 1.0, np.random.SeedSequence(12345).spawn(3)[1], 128)
+        first, _ = _sweep_cell(job)
+        assert first[5] == "ok"
+        assert _sweep_cell(job)[0] == first
 
     def test_all_cells_failed(self, tmp_path):
         cfg = tmp_path / "cfg.json"

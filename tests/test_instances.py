@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from chainbath import spectral
-from chainbath.dynamics import assemble_io_matrix
 from chainbath.instances import (
     MARGIN,
     coupling_profile,
@@ -13,6 +12,7 @@ from chainbath.instances import (
     random_io_model,
 )
 from chainbath.spectral import chain_from_io
+from tests.oracles import assemble_io_matrix
 
 
 def test_linear_spectrum_endpoints():

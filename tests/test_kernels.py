@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
-from chainbath.errors import DegenerateFrequencies, ToleranceNotReached
-from chainbath.kernels import (
-    NODES,
-    STENCIL,
-    convolve_on_grid,
+from chainbath.kernels import NODES, STENCIL, convolve_on_grid
+from tests.oracles import (
+    DegenerateFrequencies,
+    ToleranceNotReached,
     kernel_closed_form,
     kernel_deriv_zero,
     kernel_eval,

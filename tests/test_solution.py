@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from chainbath.bounds import ThermalState, sample_thermal
-from chainbath.dynamics import (
-    Trajectory,
-    evolve_truncated,
-    extended_initial_conditions,
-    free_mode_evolution,
-)
+from chainbath.dynamics import extended_initial_conditions, free_mode_evolution
 from chainbath.errors import (
     ComplexResolvent,
     DimensionMismatch,
@@ -22,20 +17,25 @@ from chainbath.errors import (
     NonpositiveParameter,
 )
 from chainbath.instances import coupling_profile, linear_spectrum
-from chainbath.kernels import kernel_closed_form, kernel_eval
 from chainbath.solution import (
     coupling,
     free_source_series,
     mu_delta,
     resolvent_series,
     solve_volterra_closed,
-    solve_volterra_numeric,
-    source_term,
-    x_reduced_form,
 )
 from chainbath.spectral import ChainModel, OrthogonalMap, build_io_model, chain_from_io
 from chainbath.dynamics import InitialState
 from tests.conftest import make_instance
+from tests.oracles import (
+    Trajectory,
+    evolve_truncated,
+    kernel_closed_form,
+    kernel_eval,
+    solve_volterra_numeric,
+    source_term,
+    x_reduced_form,
+)
 
 
 def linear_instance(N, seed=0):

@@ -25,9 +25,10 @@ from chainbath.spectral import (
     chain_coefficients,
     chain_from_io,
     char_poly_eval,
-    verify_equivalence,
 )
 from tests.conftest import long_chain, numpy_bath, random_bath
+from tests import oracles
+from tests.oracles import tridiagonal, verify_equivalence
 
 
 def rkpw_scalar(x, w, num=float):
@@ -101,7 +102,7 @@ class TestChainFromIO:
         assert chain.D == pytest.approx([1.5])
         assert chain.D0 == pytest.approx(np.sqrt(2.0))
         assert omap.O[0] == pytest.approx([1 / np.sqrt(2), 1 / np.sqrt(2)])
-        assert np.linalg.eigvalsh(chain.tridiagonal()) == pytest.approx([1.0, 4.0])
+        assert np.linalg.eigvalsh(tridiagonal(chain)) == pytest.approx([1.0, 4.0])
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(42)
@@ -113,7 +114,7 @@ class TestChainFromIO:
             io = build_io_model(omega, c, 1.0)
             chain, omap = chain_from_io(io)
             w2 = omega**2
-            eig = np.sort(np.linalg.eigvalsh(chain.tridiagonal()))
+            eig = np.sort(np.linalg.eigvalsh(tridiagonal(chain)))
             assert np.abs(eig - w2).max() <= 1e-9 * w2.max()
             assert np.abs(omap.O @ omap.O.T - np.eye(N)).max() <= 1e-10
 
@@ -304,7 +305,7 @@ class TestCharPoly:
             omega = np.sort(rng.uniform(0.5, 3.0, N))
             io = build_io_model(omega, rng.uniform(0.1, 1.0, N), 1.0)
             chain, _ = chain_from_io(io)
-            T = chain.tridiagonal()
+            T = tridiagonal(chain)
             for lam in rng.uniform(0.0, 9.0, 4):
                 dense = np.linalg.det(T - lam * np.eye(N))
                 rec = char_poly_eval(chain, N, lam)
@@ -354,7 +355,7 @@ def dense_oracle(io, chain, omap, rtol=1e-9):
     eigvalsh and both residuals from dense N x N products."""
     w2 = io.omega**2
     bound = rtol * w2.max()
-    T = chain.tridiagonal()
+    T = tridiagonal(chain)
     ortho = np.abs(omap.O @ omap.O.T - np.eye(io.N)).max()
     tri = np.abs(T - (omap.O * w2) @ omap.O.T).max()
     eig = np.abs(np.sort(np.linalg.eigvalsh(T)) - w2).max()
@@ -455,7 +456,7 @@ class TestSpectrumCheck:
         # blocks of 64 at N = 200, where T's band crosses from one block
         # into the next: an intact map, and a defect in a block on the
         # diagonal or below it, read as with whole products
-        monkeypatch.setattr(spectral, "_CHECK_BLOCK", 64)
+        monkeypatch.setattr(oracles, "_CHECK_BLOCK", 64)
         io = long_chain(linear_spectrum, 200)
         chain, omap = chain_from_io(io)
         O = omap.O.copy()
@@ -463,7 +464,7 @@ class TestSpectrumCheck:
             O[where] += 1e-6
         report = verify_equivalence(io, chain, OrthogonalMap(O))
         ortho = np.abs(O @ O.T - np.eye(io.N)).max()
-        tri = np.abs(chain.tridiagonal() - (O * io.omega**2) @ O.T).max()
+        tri = np.abs(tridiagonal(chain) - (O * io.omega**2) @ O.T).max()
         assert report.orthogonality == pytest.approx(ortho, rel=1e-9, abs=1e-15)
         assert report.tridiagonal_residual == pytest.approx(tri, rel=1e-9, abs=1e-14)
         assert report.passed is (where is None)
@@ -498,7 +499,7 @@ class TestSpectrumCheck:
 def dense_weight_mismatch(io, chain):
     """max_k |D0^2 V[0, k]^2 - c_k^2| / max_k c_k^2 from eigh of T."""
     c2 = io.c**2
-    return np.abs(chain.D0**2 * np.linalg.eigh(chain.tridiagonal())[1][0] ** 2 - c2).max() / c2.max()
+    return np.abs(chain.D0**2 * np.linalg.eigh(tridiagonal(chain))[1][0] ** 2 - c2).max() / c2.max()
 
 
 def clustered_bath(seed, gap, size=2, N=8):
