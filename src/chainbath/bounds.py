@@ -15,10 +15,16 @@ classical thermal bath state replaces the initial-data factor with
 sqrt(8 kT / pi) * sum_k |P_n(omega_k^2)| / omega_k.  Inverting the thermal
 bound over n gives the minimal chain length certified for a target error at
 a target time.
+
+Both are evaluated in log space: one run of the minors' recurrence, rescaled
+by exact powers of two, gives every n's weight sum without overflow, and the
+bracket takes lgamma for the factorials.  A bound is finite, or inf above
+float64's range, never NaN; `min_modes` reads every n from one pass.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +34,7 @@ from .dynamics import InitialState
 from .errors import NonpositiveParameter, check_index
 from .kernels import check_grid
 from .solution import coupling_products, nested_convolve
-from .spectral import ChainModel, IOModel, char_poly_eval
+from .spectral import ChainModel, IOModel
 
 
 @dataclass(frozen=True)
@@ -71,19 +77,37 @@ def epsilon1(chain: ChainModel, n: int, times, x_next) -> np.ndarray:
     return nested_convolve(freqs, hs, times)
 
 
-def _bound_bracket(chain: ChainModel, n: int, t: np.ndarray) -> np.ndarray:
-    """Common time-dependent bracket of both bounds."""
+def _log_weight_sums(io: IOModel, chain: ChainModel, u):
+    """log sum_k |P_n(omega_k^2)| u_k, n = 0..N (-inf for a zero sum), by
+    P_{m+1} = (Omega_{m+1}^2 - x) P_m - D_m^2 P_{m-1}, P_0 = 1, scaled by
+    powers of two that `shift` sums: bitwise the unscaled P times 2^-shift."""
+    lam = io.omega**2
+    p_prev, p = np.zeros_like(lam), np.ones_like(lam)
+    shift = 0
+    for m in range(chain.N + 1):
+        s = float(np.sum(np.abs(p) * u))
+        yield (math.log(s) if s > 0 else -math.inf) + shift * math.log(2.0)
+        if m < chain.N:
+            # scalar squares: an array's differ in the last bit
+            d2 = chain.D[m - 1] ** 2 if m >= 1 else 0.0
+            p, p_prev = (chain.Omega[m] ** 2 - lam) * p - d2 * p_prev, p
+            e = math.frexp(max(np.abs(p).max(), np.abs(p_prev).max()))[1]
+            p, p_prev = np.ldexp(p, -e), np.ldexp(p_prev, -e)
+            shift += e
+
+
+def _bound(chain: ChainModel, n: int, t, log_s):
+    """The bound of the module docstring for the weight sum exp(log_s)."""
+    t = np.asarray(t, dtype=float)
     s_n = chain.Omega0**2 + np.sum(chain.Omega[:n] ** 2)
-    arg1 = math.sqrt(s_n)
-    arg2 = math.sqrt(chain.Omega0**2 + chain.Omega[0] ** 2 + s_n)
-    return (np.cosh(t * arg1) / float(math.factorial(2 * n + 2))
-            + chain.D0**2 * t**4 * np.cosh(t * arg2)
-            / float(math.factorial(2 * n + 6)))
-
-
-def _minor_weights(io: IOModel, chain: ChainModel, n: int) -> np.ndarray:
-    """|P_n(omega_k^2)| for all bath eigenvalues."""
-    return np.abs(char_poly_eval(chain, n, io.omega**2))
+    z1 = t * math.sqrt(s_n)
+    z2 = t * math.sqrt(chain.Omega0**2 + chain.Omega[0] ** 2 + s_n)
+    with np.errstate(divide="ignore", over="ignore"):
+        log_t = np.log(np.abs(t))  # the bound is even in t
+        out = np.exp(log_s + (2 * n + 2) * log_t - math.log(2.0) + np.logaddexp(
+            np.logaddexp(z1, -z1) - math.lgamma(2 * n + 3),
+            2 * math.log(chain.D0) + 4 * log_t + np.logaddexp(z2, -z2) - math.lgamma(2 * n + 7)))
+    return out if out.ndim else float(out)
 
 
 def bound_deterministic(io: IOModel, chain: ChainModel, n: int, t,
@@ -96,27 +120,20 @@ def bound_deterministic(io: IOModel, chain: ChainModel, n: int, t,
     by up to 1.67x between the Lanczos and RKPW coefficients of one bath).
     """
     check_index(n, chain.N, "truncation index")
-    t = np.asarray(t, dtype=float)
-    weights = _minor_weights(io, chain, n)
-    s_q = float(np.sum(weights * (np.abs(init.q0) + np.abs(init.qdot0) / io.omega)))
-    out = s_q * t ** (2 * n + 2) * _bound_bracket(chain, n, t)
-    return out if out.ndim else float(out)
+    u = np.abs(init.q0) + np.abs(init.qdot0) / io.omega
+    return _bound(chain, n, t, next(itertools.islice(_log_weight_sums(io, chain, u), n, None)))
 
 
 def bound_thermal(io: IOModel, chain: ChainModel, n: int, t, th: ThermalState):
     """Bound on the thermally averaged truncation error.
 
     sqrt(8 kT / pi) * sum_k |P_n(omega_k^2)|/omega_k replaces the
-    initial-data factor of the deterministic bound; scales exactly as
-    sqrt(kT).  At n = N it holds rounding noise only, as
-    `bound_deterministic` does.
+    initial-data factor of the deterministic bound; scales as sqrt(kT).
+    At n = N it holds rounding noise only, as `bound_deterministic` does.
     """
     check_index(n, chain.N, "truncation index")
-    t = np.asarray(t, dtype=float)
-    weights = _minor_weights(io, chain, n)
-    s_th = math.sqrt(8 * th.kT / math.pi) * float(np.sum(weights / io.omega))
-    out = s_th * t ** (2 * n + 2) * _bound_bracket(chain, n, t)
-    return out if out.ndim else float(out)
+    u = math.sqrt(8 * th.kT / math.pi) / io.omega
+    return _bound(chain, n, t, next(itertools.islice(_log_weight_sums(io, chain, u), n, None)))
 
 
 def sample_thermal(io: IOModel, th: ThermalState, seed) -> InitialState:
@@ -136,7 +153,7 @@ def sample_thermal(io: IOModel, th: ThermalState, seed) -> InitialState:
 
 def min_modes(io: IOModel, chain: ChainModel, t: float, tol: float,
               th: ThermalState) -> MinModesResult:
-    """Smallest n whose thermal bound at time t is within tol (linear scan).
+    """Smallest n whose thermal bound at time t is within tol (one pass).
 
     Returns certified=False with n = N when even the untruncated chain's
     rounding-level bound exceeds tol.  A negative or non-finite t, or a
@@ -146,9 +163,9 @@ def min_modes(io: IOModel, chain: ChainModel, t: float, tol: float,
         raise ValueError(f"t = {t} must be finite and >= 0, and tol = {tol} finite")
     if tol <= 0:
         raise NonpositiveParameter("tol must be positive")
-    b = math.inf
-    for n in range(chain.N + 1):
-        b = float(bound_thermal(io, chain, n, t, th))
+    u = math.sqrt(8 * th.kT / math.pi) / io.omega
+    for n, log_s in enumerate(_log_weight_sums(io, chain, u)):
+        b = _bound(chain, n, t, log_s)
         if b <= tol:
             return MinModesResult(n=n, certified=True, bound=b)
     return MinModesResult(n=chain.N, certified=False, bound=b)

@@ -35,15 +35,22 @@ the largest eps/bound_det over the samples whose eps is above
 `samples_below_floor`, the count of the others over every eps column.
 The CSV's `ratio_n*` columns keep every sample.  `sweep`'s `max_ratio`
 reads above the same floor within its cell, so a cell whose eps all sits
-at the floor (n >= N, where eps is 0) reads 0.
+at the floor (n >= N, where eps is 0) reads 0.  The `bound_*` columns hold
+a finite value or inf, never NaN, and inf only where the bound itself is
+above float64's largest value (1.8e308); a `ratio_n*` sample is inf only
+where a bound underflowed under a rounding-level eps.  No numpy warning
+reaches stderr.
 
 Exit codes: 0 ok, 2 validation failure (fewer than 2 `samples`, a NaN or
 infinite `t_max`, a negative or non-finite `min_modes` time, a non-finite
 tolerance, a config value of another JSON type than its default's, a
-`model` that is no object and a `seed` that is no integer among them; one
-stderr line), 3 chain-construction breakdown, 4 unstable/complex-resolvent
-regime, 5 every sweep cell failed, 6 a numerical check failed: outputs
-written but not certified (`build-chain` when its certificate fails,
+`model` that is no object, a float where the default is an integer
+(`seed`, `samples`, `truncations`, the `sweep`'s `N` and `n`), a `model`
+or `initial_state` key of another JSON type than its family or kind gives
+it, and a model `N` that is no integer >= 1 among them; one stderr line),
+3 chain-construction breakdown, 4 unstable/complex-resolvent regime, 5
+every sweep cell failed, 6 a numerical check failed: outputs written but
+not certified (`build-chain` when its certificate fails,
 `simulate` when its Volterra residual is above its bound; one stderr line
 names what failed).  A breakdown is reported only where it happens inside
 the part of the chain the command builds: `build-chain`, `min-modes`,
@@ -87,6 +94,16 @@ _DEFAULTS = {
     "min_modes": {"times": [0.5, 1.0, 2.0], "tols": [1e-2, 1e-4, 1e-6]},
     "sweep": {"N": [4], "n": [1], "kT": [1.0]},
 }
+# The JSON types of `model` by family (or as explicit omega and c) and of
+# `initial_state` by kind (or as explicit data), read as `_DEFAULTS` is
+_MODEL_TYPES = {
+    "linear": {"N": 1, "omega_min": 0.0, "omega_max": 0.0, "c0": 0.0, "power": 0.0},
+    "random": {"N": 1, "omega_range": [0.0], "c_range": [0.0]},
+}
+_MODEL_TYPES["geometric"] = _MODEL_TYPES["linear"]
+_EXPLICIT_MODEL = {"omega": [0.0], "c": [0.0]}
+_STATE_TYPES = {"random": {"scale": 0.0}}
+_EXPLICIT_STATE = {"q0": [0.0], "qdot0": [0.0], "x0": 0.0, "xdot0": 0.0}
 
 
 def fmt(x) -> str:
@@ -132,9 +149,15 @@ def resolve_config(path, overrides) -> dict:
         cfg["t_max"] = overrides["tmax"]
     if "model" not in cfg:
         raise ValueError("config must contain a 'model' section")
-    _check_types(cfg, {**_DEFAULTS, "model": {}}, "config")
-    if isinstance(cfg["seed"], float):
-        raise ValueError(f"config.seed must be an integer, not {json.dumps(cfg['seed'])}")
+    _check_types(cfg, {**_DEFAULTS, "model": {"family": ""}}, "config")
+    model, state = cfg["model"], cfg["initial_state"]
+    types = (_EXPLICIT_MODEL if "omega" in model
+             else _MODEL_TYPES.get(model.get("family", "linear"), {}))
+    _check_types(model, types, "config.model")
+    _check_types(state, _EXPLICIT_STATE if "q0" in state
+                 else _STATE_TYPES.get(state.get("kind", "thermal"), {}), "config.initial_state")
+    if "N" in types and model.get("N", 1) < 1:
+        raise ValueError(f"config.model.N must be >= 1, not {model['N']}")
     return cfg
 
 
@@ -149,9 +172,12 @@ def _json_type(value) -> str:
 def _check_types(value, default, name):
     """ValueError where `value` has another JSON type than its `default`:
     objects stay objects (keys with no default pass), lists stay lists,
-    each item typed as the default's first, numbers stay numbers."""
+    each item typed as the default's first, numbers stay numbers, and
+    integers (a default that is an int) stay integers."""
     if _json_type(value) != _json_type(default):
         raise ValueError(f"{name} must be a JSON {_json_type(default)}, not {json.dumps(value)}")
+    if isinstance(default, int) and isinstance(value, float):
+        raise ValueError(f"{name} must be an integer, not {json.dumps(value)}")
     if isinstance(default, dict):
         for key in default:
             if key in value:
@@ -169,7 +195,7 @@ def build_model(cfg):
         c = np.asarray(m["c"], dtype=float)
     else:
         family = m.get("family", "linear")
-        N = int(m["N"])
+        N = m["N"]
         if family == "linear":
             omega = instances.linear_spectrum(N, m["omega_min"], m["omega_max"])
             c = instances.coupling_profile(omega, m.get("c0", 0.5), m.get("power", 0.0))
@@ -321,8 +347,9 @@ def _truncated_x(chain, n, init, omap, times, x_full):
 
 
 def _ratio(eps, bound):
-    """eps/bound where the bound is positive, 0 where it vanishes."""
-    with np.errstate(invalid="ignore", divide="ignore"):
+    """eps/bound where the bound is positive, 0 where it vanishes; inf where
+    a rounding-level eps sits over a bound that underflowed."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         return np.where(bound > 0, eps / np.where(bound > 0, bound, 1.0), 0.0)
 
 

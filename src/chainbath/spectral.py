@@ -287,23 +287,6 @@ def chain_coefficients(io: IOModel) -> ChainModel:
     )
 
 
-def char_poly_eval(chain: ChainModel, j: int, lam):
-    """Characteristic polynomial P_j of the j-th leading principal minor of
-    the chain's tridiagonal matrix, evaluated at lam.
-
-    Three-term recurrence P_{j+1} = (Omega_{j+1}^2 - lam) P_j - D_j^2 P_{j-1}
-    with P_0 = 1, P_{-1} = 0.  lam may be a scalar or an array.
-    """
-    check_index(j, chain.N, "minor index")
-    lam = np.asarray(lam, dtype=float)
-    p_prev = np.zeros_like(lam)
-    p = np.ones_like(lam)
-    for m in range(j):
-        d2 = chain.D[m - 1] ** 2 if m >= 1 else 0.0
-        p, p_prev = (chain.Omega[m] ** 2 - lam) * p - d2 * p_prev, p
-    return p if p.ndim else float(p)
-
-
 def _sturm_newton(a, b, x, pivmin):
     """One pass of the LDL^T pivot recurrence of T - x, for every x at once.
 

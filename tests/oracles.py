@@ -15,8 +15,10 @@ same quantities:
   `x_reduced_form` and a marching Volterra solver;
 - the truncation-error decomposition (`epsilon1_pointwise`, `epsilon2`,
   `error_report`, `thermal_error_mc`);
-- the full-map equivalence check `verify_equivalence` and the dense
-  tridiagonal matrix `tridiagonal(chain)`.
+- the full-map equivalence check `verify_equivalence`, the dense
+  tridiagonal matrix `tridiagonal(chain)` and its leading minors'
+  polynomials `char_poly_eval`, unscaled, which the bounds' weights are
+  checked against.
 
 Pytest does not collect this file; tests import it as `tests.oracles`.
 """
@@ -666,6 +668,23 @@ def tridiagonal(chain: ChainModel) -> np.ndarray:
     idx = np.arange(chain.N - 1)
     T[idx, idx + 1] = T[idx + 1, idx] = -chain.D
     return T
+
+
+def char_poly_eval(chain: ChainModel, j: int, lam):
+    """Characteristic polynomial P_j of the j-th leading principal minor of
+    the chain's tridiagonal matrix, evaluated at lam.
+
+    Three-term recurrence P_{j+1} = (Omega_{j+1}^2 - lam) P_j - D_j^2 P_{j-1}
+    with P_0 = 1, P_{-1} = 0.  lam may be a scalar or an array.
+    """
+    check_index(j, chain.N, "minor index")
+    lam = np.asarray(lam, dtype=float)
+    p_prev = np.zeros_like(lam)
+    p = np.ones_like(lam)
+    for m in range(j):
+        d2 = chain.D[m - 1] ** 2 if m >= 1 else 0.0
+        p, p_prev = (chain.Omega[m] ** 2 - lam) * p - d2 * p_prev, p
+    return p if p.ndim else float(p)
 
 
 @dataclass(frozen=True)

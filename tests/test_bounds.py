@@ -1,11 +1,16 @@
 """Error functionals, deterministic and thermal bounds, thermal sampling."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainbath.bounds import (
     MinModesResult,
     ThermalState,
+    _log_weight_sums,
     bound_deterministic,
     bound_thermal,
     epsilon1,
@@ -20,12 +25,20 @@ from chainbath.dynamics import (
     extended_initial_conditions,
 )
 from chainbath.errors import DimensionMismatch, GridTooCoarse, NonpositiveParameter
-from chainbath.instances import coupling_profile, linear_spectrum
+from chainbath.instances import (
+    MARGIN,
+    coupling_profile,
+    geometric_spectrum,
+    linear_spectrum,
+    random_initial_state,
+    random_io_model,
+)
 from chainbath.solution import mu_delta
-from chainbath.spectral import build_io_model, chain_from_io
-from tests.conftest import make_instance
+from chainbath.spectral import build_io_model, chain_coefficients, chain_from_io
+from tests.conftest import long_chain, make_instance
 from tests.oracles import (
     GridMismatch,
+    char_poly_eval,
     epsilon1_pointwise,
     epsilon2,
     epsilon_empirical,
@@ -325,6 +338,57 @@ class TestMinModes:
                 assert all(bs[k + 1] <= bs[k] for k in range(chain.N))
 
 
+class TestWeightRecurrence:
+    @pytest.mark.parametrize("N", [8, 64, 1024])
+    @pytest.mark.parametrize("family", ["linear", "geometric", "random"])
+    def test_matches_the_unscaled_recurrence(self, family, N):
+        # exp of each value is the unscaled recurrence's sum wherever that is
+        # finite and nonzero: to n = N on the small chains (where it is a sum
+        # of rounding noise), and until it overflows on the N = 1024 ones
+        if family == "random":
+            io = random_io_model(np.random.default_rng(N), N)
+        else:
+            io = long_chain(linear_spectrum if family == "linear" else geometric_spectrum, N)
+        chain = chain_coefficients(io)
+        init = sample_thermal(io, ThermalState(1.0), N)
+        u = np.abs(init.q0) + np.abs(init.qdot0) / io.omega
+        compared = 0
+        for n, log_s in enumerate(_log_weight_sums(io, chain, u)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                ref = float(np.sum(np.abs(char_poly_eval(chain, n, io.omega**2)) * u))
+            if not math.isfinite(ref):
+                break
+            if ref > 0:
+                assert math.exp(log_s) == pytest.approx(ref, rel=2e-13, abs=0.0), n
+                compared += 1
+        assert compared > min(N, 100)
+
+    def test_min_modes_certifies_the_long_chain(self):
+        # where n = 83 once overflowed float(factorial(2n + 6))
+        io = long_chain(linear_spectrum)
+        res = min_modes(io, chain_coefficients(io), 20.0, 1e-12, ThermalState(1.0))
+        assert res.certified and res.n == 154
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 64),
+       ts=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=4))
+def test_bounds_are_never_nan_and_min_modes_monotone(seed, N, ts):
+    # every cut of an in-regime bath, to t = 50: a value or inf, no warning
+    rng = np.random.default_rng(seed)
+    io = random_io_model(rng, N)
+    chain = chain_coefficients(io)
+    init = random_initial_state(rng, N)
+    th = ThermalState(1.0)
+    ts = sorted(ts)
+    for n in range(N + 1):
+        assert not np.isnan(bound_deterministic(io, chain, n, ts, init)).any()
+        assert not np.isnan(bound_thermal(io, chain, n, ts, th)).any()
+    tols = [1e-2, 1e-6, 1e-12]
+    table = np.array([[min_modes(io, chain, t, tol, th).n for tol in tols] for t in ts])
+    assert np.all(np.diff(table, axis=0) >= 0) and np.all(np.diff(table, axis=1) >= 0)
+
+
 class TestSmallTimeSlope:
     def test_resolvable_window_from_trajectories(self):
         # where float64 can see the difference, the trajectory route and the
@@ -402,28 +466,32 @@ class TestSmallTimeSlope:
                 error_report(io, chain, omap, n, init, times)
 
 
-@pytest.mark.xfail(strict=False, reason=(
-    "strong-coupling probe: the bound's printed form drops a per-mode factor "
-    "c_k/(||c|| prod D_l) relative to its own derivation route, so for "
-    "couplings well above 1 it can in principle under-bound; violations here "
-    "are a reportable finding, not a defect of the implementation"))
 def test_strong_coupling_bound_probe():
+    # ROADMAP item 2: the bound weighs mode k by |P_n(omega_k^2)| and drops
+    # its coupling c_k, so at c_k > 1 it under-bounds at leading order.  The
+    # probe pins the two cuts where it does; the c_k fix flips it, to assert
+    # that no cut is violated.  c in [1.5, 3] is drawn as is, with Omega0
+    # the least that meets both regime limits at MARGIN, times U(1, 1.3):
+    # `random_io_model` would scale the couplings back into the weak regime.
     violations = []
     for seed in range(5):
         rng = np.random.default_rng(1000 + seed)
-        from chainbath.instances import random_io_model, random_initial_state
-
-        io = random_io_model(rng, 5, c_range=(1.5, 3.0))
+        omega = np.sort(rng.uniform(0.5, 3.0, 5))
+        c = rng.uniform(1.5, 3.0, 5)
+        c2 = c * c
+        omega1 = np.sqrt(np.sum(c2 * omega**2) / c2.sum())
+        least = max(np.sqrt(np.sum(c2 / omega**2) / MARGIN),
+                    np.sqrt(c2.sum()) / (MARGIN * omega1))
+        io = build_io_model(omega, c, least * rng.uniform(1.0, 1.3))
         chain, omap = chain_from_io(io)
         init = random_initial_state(rng, io.N)
-        wmax = float(io.omega.max())
-        times = np.linspace(0, 3 / wmax, 257)
+        times = np.linspace(0, 3 / omega.max(), 257)
         full = evolve_truncated(chain, chain.N, init, omap, times)
         for n in (1, 2):
-            trunc = evolve_truncated(chain, n, init, omap, times)
-            eps = epsilon_empirical(full, trunc)
+            eps = epsilon_empirical(full, evolve_truncated(chain, n, init, omap, times))
             b = bound_deterministic(io, chain, n, times, init)
-            if not np.all(eps <= b + 1e-12):
-                worst = float(np.max(eps - b))
-                violations.append((seed, n, worst))
-    assert not violations, f"bound violated in strong-coupling regime: {violations}"
+            above = eps > 1e-10 * np.abs(full.x).max()
+            if np.any(eps[above] > b[above]):
+                violations.append((seed, n, float(np.max(eps[above] / b[above]))))
+    assert [(seed, n) for seed, n, _ in violations] == [(3, 2), (4, 1)], violations
+    assert [ratio for *_, ratio in violations] == pytest.approx([1.42, 1.18], abs=0.01)

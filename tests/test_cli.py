@@ -10,12 +10,14 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 import chainbath
 from chainbath import dynamics, kernels, solution, spectral
 from chainbath.cli import (
+    EPS_FLOOR_REL,
     _sweep_cell,
     build_initial_state,
     build_model,
@@ -25,13 +27,21 @@ from chainbath.cli import (
     write_csv,
 )
 from chainbath.spectral import chain_coefficients, chain_from_io
-from tests.oracles import evolve_truncated, kernel_closed_form, kernel_eval, source_term
+from tests.oracles import (
+    char_poly_eval,
+    evolve_truncated,
+    kernel_closed_form,
+    kernel_eval,
+    source_term,
+)
+
+
+LINEAR_4 = {"family": "linear", "N": 4, "omega_min": 0.8, "omega_max": 2.4, "c0": 0.4}
 
 
 def write_config(path, **overrides):
     cfg = {
-        "model": {"family": "linear", "N": 4, "omega_min": 0.8,
-                  "omega_max": 2.4, "c0": 0.4},
+        "model": dict(LINEAR_4),
         "Omega0": 1.1,
         "truncations": [1, 2],
         "t_max": 5.0,
@@ -156,10 +166,22 @@ class TestExitCodes:
         pytest.param("min-modes", {"min_modes": {"times": 1, "tols": [0.1]}},
                      id="min-modes-times"),
         pytest.param("bound", {"seed": 1.5}, id="bound-seed"),
+        pytest.param("bound", {"truncations": [1.5]}, id="bound-truncations-fraction"),
+        # the cut n = 1 exists at N = 1, so a model N run as 1 passes the cut check
+        *(pytest.param(command, {"model": {**LINEAR_4, **model}, "truncations": [1]},
+                       id=f"{command}-{name}")
+          for command in ("bound", "min-modes")
+          for name, model in (("N-list", {"N": [4]}), ("N-zero", {"N": 0}),
+                              ("N-fraction", {"N": 1.5}), ("N-true", {"N": True}),
+                              ("c0-string", {"c0": "x"}),
+                              ("omega_range-number", {"family": "random", "omega_range": 3}))),
+        pytest.param("bound", {"initial_state": {"kind": "random", "scale": "x"}},
+                     id="bound-scale-string"),
     ])
     def test_wrong_json_type(self, tmp_path, capsys, command, overrides):
-        # a value of another JSON type than its default's fails the config
-        # check, in one stderr line, before the command builds anything
+        # a value of another JSON type than its default's, or a model N that
+        # is no integer >= 1, fails the config check, in one stderr line,
+        # before the command builds anything
         cfg = tmp_path / "cfg.json"
         write_config(cfg, **overrides)
         out = tmp_path / "o.csv"
@@ -616,6 +638,67 @@ class TestBoundCommand:
         assert diag["samples_below_floor"] == np.count_nonzero(eps <= floor)
         # the CSV's ratio columns are unchanged: there, the floor dominates
         assert data[:, header.index("ratio_n32")].max() > 1.0
+
+    def test_overflow_reads_inf_and_never_nan(self, tmp_path):
+        # N = 64 to t = 100: the cut n = 16's bounds leave float64's range in
+        # the last 322 samples, and read inf exactly where a 30-digit
+        # evaluation is above its largest value; no sample reads NaN, and no
+        # RuntimeWarning (an error here) is raised
+        N, n = 64, 16
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, model={"family": "linear", "N": N, "omega_min": 0.5,
+                                      "omega_max": 2.5, "c0": 0.5 / math.sqrt(N)},
+                     Omega0=1.2, t_max=100.0, samples=2048, truncations=[1, 4, n])
+        out = tmp_path / "bound.csv"
+        assert main(["bound", "--config", str(cfg_path), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        header = lines[0].split(",")
+        data = np.loadtxt(lines[1:], delimiter=",")
+        assert not np.isnan(data).any()
+        cfg = resolve_config(cfg_path, {})
+        io = build_model(cfg)
+        init = build_initial_state(cfg, io)
+        chain, _ = chain_from_io(io, rows=n)
+        minor = np.abs(char_poly_eval(chain, n, io.omega**2))
+        weights = {"bound_det": np.abs(init.q0) + np.abs(init.qdot0) / io.omega,
+                   "bound_thermal": math.sqrt(8 * cfg["kT"] / math.pi) / io.omega}
+        with mpmath.workdps(30):
+            a1 = mpmath.sqrt(chain.Omega0**2 + sum(mpmath.mpf(w) ** 2 for w in chain.Omega[:n]))
+            a2 = mpmath.sqrt(chain.Omega0**2 + chain.Omega[0] ** 2 + a1**2)
+            for kind, u in weights.items():
+                col = data[:, header.index(f"{kind}_n{n}")]
+                s = mpmath.mpf(float(np.sum(minor * u)))
+                exact = np.array([
+                    s * t ** (2 * n + 2) * (mpmath.cosh(t * a1) / mpmath.factorial(2 * n + 2)
+                                            + chain.D0**2 * t**4 * mpmath.cosh(t * a2)
+                                            / mpmath.factorial(2 * n + 6))
+                    for t in map(mpmath.mpf, data[:, 0])])
+                over = exact > np.finfo(float).max
+                assert np.count_nonzero(over) == 322
+                assert np.array_equal(np.isinf(col), over)
+                rel = [abs(b / e - 1) for b, e in zip(col[~over], exact[~over]) if e > 0]
+                assert max(rel) < 1e-12
+
+    def test_inf_ratio_only_below_the_floor(self, tmp_path):
+        # at N = 1024 the cut n = 100's bound underflows to a subnormal where
+        # eps is rounding: their ratio reads inf, and every such sample is one
+        # `samples_below_floor` counts
+        N = 1024
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model={"family": "linear", "N": N, "omega_min": 0.5,
+                                 "omega_max": 2.5, "c0": 0.5 / math.sqrt(N)},
+                     Omega0=1.2, t_max=10.0, samples=2048, truncations=[1, 100], seed=1)
+        out = tmp_path / "bound.csv"
+        assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        header = lines[0].split(",")
+        data = np.loadtxt(lines[1:], delimiter=",")
+        eps = data[:, [header.index(f"eps_n{n}") for n in (1, 100)]]
+        ratio = data[:, [header.index(f"ratio_n{n}") for n in (1, 100)]]
+        assert np.isinf(ratio).any()
+        assert np.all(eps[np.isinf(ratio)] <= EPS_FLOOR_REL * eps.max())
+        diag = json.loads((tmp_path / "bound.csv.resolved.json").read_text())["diagnostics"]
+        assert math.isfinite(diag["max_ratio"])
 
     def test_builds_only_the_rows_it_reads(self, tmp_path, chain_builds):
         # bound builds max(truncations) < N rows; min-modes builds no map

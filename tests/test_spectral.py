@@ -24,11 +24,10 @@ from chainbath.spectral import (
     certify_chain,
     chain_coefficients,
     chain_from_io,
-    char_poly_eval,
 )
 from tests.conftest import long_chain, numpy_bath, random_bath
 from tests import oracles
-from tests.oracles import tridiagonal, verify_equivalence
+from tests.oracles import char_poly_eval, tridiagonal, verify_equivalence
 
 
 def rkpw_scalar(x, w, num=float):
