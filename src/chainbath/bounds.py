@@ -100,9 +100,9 @@ def _bound(chain: ChainModel, n: int, t, log_s):
     """The bound of the module docstring for the weight sum exp(log_s)."""
     t = np.asarray(t, dtype=float)
     s_n = chain.Omega0**2 + np.sum(chain.Omega[:n] ** 2)
-    z1 = t * math.sqrt(s_n)
-    z2 = t * math.sqrt(chain.Omega0**2 + chain.Omega[0] ** 2 + s_n)
     with np.errstate(divide="ignore", over="ignore"):
+        z1 = t * math.sqrt(s_n)
+        z2 = t * math.sqrt(chain.Omega0**2 + chain.Omega[0] ** 2 + s_n)
         log_t = np.log(np.abs(t))  # the bound is even in t
         out = np.exp(log_s + (2 * n + 2) * log_t - math.log(2.0) + np.logaddexp(
             np.logaddexp(z1, -z1) - math.lgamma(2 * n + 3),

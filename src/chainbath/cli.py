@@ -1,61 +1,52 @@
 """Command-line front end.
 
-Subcommands: build-chain, simulate, kernels, bound, min-modes, sweep.
-A JSON config describes the model, grids, temperature and seed; every
-command hands named columns to one `write_csv` (UTF-8, LF, header row,
-numbers with 17 significant digits so they round-trip bit-exactly; a name
-given twice is one column) plus a sidecar `<out>.resolved.json` echoing the
-fully resolved config, which reproduces the run when fed back as the config.
-All randomness flows from the config seed through numpy SeedSequences, so
-identical config+seed gives byte-identical CSVs.  Sweep wall-times go to
-`<out>.timings.json`, the one deliberately non-deterministic output.
+Subcommands: build-chain, simulate, kernels, bound, min-modes, sweep.  A
+JSON config describes the model, grids, temperature and seed.  Each command
+builds only the part of the chain it reads (README, Performance): none
+builds a full map or runs an eigensolve at the bath's size.
 
-Each command builds only the part of the chain it reads: `simulate` and
-`bound` the map rows up to the largest cut below N (`simulate` at least
-two), `kernels` its first max(orders) rows; `build-chain`, `min-modes`,
-`simulate` (for its grid gate) and `bound` with a cut at n = N the
-coefficients alone, by RKPW in O(N^2).  Map rows come from Lanczos,
-bitwise those of the full map.  The untruncated x(t), and the X_2(t) of
-`simulate`'s level-1 Volterra source F_1 + eps1(1) (which is F_N), come
-from the secular equation of the independent-oscillator matrix, with no
-eigensolve.  `sweep` runs `bound`'s route in each cell, at the cut
-min(n, N), on a random bath drawn in O(N): no command builds a full map
-or runs an eigensolve at the bath's size.
+Run protocol: a command returns its named columns, its diagnostics (or
+none), a one-line summary and a verdict (none, or exit 5 or 6 with a
+reason); `main` alone reports them.  It writes `<out>` through `write_csv`
+(UTF-8, LF, header row, 17 significant digits, which round-trip; a name
+given twice is one column) and `<out>.resolved.json`, the resolved config
+(fed back as the config, it reproduces the run) with the diagnostics, and
+prints the summary as the one stdout line.  Every nonzero exit prints one
+stderr line `error: ...` and no traceback.  Identical config+seed gives
+byte-identical CSVs: all randomness flows from the seed through numpy
+SeedSequences.  `sweep`'s cell wall times go to `<out>.timings.json`, the
+one file a command writes itself and the one non-deterministic output.
 
 Verdicts: `build-chain` writes `D0`, `eigenvalue_mismatch`,
-`weight_mismatch` and `passed`, which holds when T's eigenvalues lie within
-1e-9 max(omega^2) of the omega_k^2 and its weights D0^2 w_k, and their
-total D0^2, within 1e-9 max(c_k^2) of the c_k^2 and their sum; at nearly
-coincident omega_k a weight may also be off by as much as rounding T moves
-it (`spectral.certify_chain`: no map, no eigensolve).  `simulate` writes
-`max_volterra_error` and `passed`, which holds when
-max|x_full - x_volterra| <= 1e-9 max|x_full|.  `bound` writes `max_ratio`,
-the largest eps/bound_det over the samples whose eps is above
-1e-12 * max(eps) (below it eps sits at the float64 rounding floor), and
-`samples_below_floor`, the count of the others over every eps column.
-The CSV's `ratio_n*` columns keep every sample.  `sweep`'s `max_ratio`
-reads above the same floor within its cell, so a cell whose eps all sits
-at the floor (n >= N, where eps is 0) reads 0.  The `bound_*` columns hold
-a finite value or inf, never NaN, and inf only where the bound itself is
-above float64's largest value (1.8e308); a `ratio_n*` sample is inf only
-where a bound underflowed under a rounding-level eps.  No numpy warning
-reaches stderr.
+`weight_mismatch` and `passed`, the certificate of
+`spectral.certify_chain`.  `simulate` writes `max_volterra_error` and
+`passed`, which holds when max|x_full - x_volterra| <= 1e-9 max|x_full|.
+`bound` writes `max_ratio`, the largest eps/bound_det over the samples
+whose eps is above 1e-12 * max(eps) (below it eps sits at the float64
+rounding floor), and `samples_below_floor`, the count of the others; the
+CSV's `ratio_n*` columns keep every sample.  `sweep`'s `max_ratio` reads
+above the same floor within its cell (0 where n >= N and eps is 0).  The
+`bound_*` columns hold a finite value or inf, never NaN, and inf only where
+the bound is above float64's largest value; a `ratio_n*` sample is inf
+only where a bound underflowed under a rounding-level eps.
 
-Exit codes: 0 ok, 2 validation failure (fewer than 2 `samples`, a NaN or
-infinite `t_max`, a negative or non-finite `min_modes` time, a non-finite
-tolerance, a config value of another JSON type than its default's, a
-`model` that is no object, a float where the default is an integer
-(`seed`, `samples`, `truncations`, the `sweep`'s `N` and `n`), a `model`
-or `initial_state` key of another JSON type than its family or kind gives
-it, and a model `N` that is no integer >= 1 among them; one stderr line),
-3 chain-construction breakdown, 4 unstable/complex-resolvent regime, 5
-every sweep cell failed, 6 a numerical check failed: outputs written but
-not certified (`build-chain` when its certificate fails,
-`simulate` when its Volterra residual is above its bound; one stderr line
-names what failed).  A breakdown is reported only where it happens inside
-the part of the chain the command builds: `build-chain`, `min-modes`,
-`simulate` and `bound` with a cut at n = N check every coupling, `bound`
-otherwise and `kernels` only the couplings among the rows they build.
+Exit codes: 0 ok; 2 invalid input: an unwritable `<out>`, or a config
+refused before any output (fewer than 2 `samples`; a `t_max` outside (0, 1.16e77]; a negative or
+non-finite `min_modes` time or a non-finite tolerance; a config value of
+another JSON type than its default's, or than its `model` family or
+`initial_state` kind gives it, with a float refused where the default is
+an integer; a model `N` below 1; a random family's `omega_range` or
+`c_range` that is not two numbers lo <= hi within [3.5e-39, 3.4e38]; a
+`sweep` with no cell, an `N` or `n` below 1 or a `kT` outside
+(0, 1.16e77]; a frequency or `Omega0` outside `spectral.SCALE`, about
+[1.2e-77, 1.16e77], a coupling above it or a non-finite one, as a `c0` or
+`power` that overflows gives; an initial-state entry or random `scale`
+above 1.16e77); 3 chain-construction breakdown, reported only inside the
+part of the chain the command builds; 4 unstable/complex-resolvent regime;
+5 every sweep cell failed numerically: outputs written; 6 a numerical
+check failed: outputs written but not certified (`build-chain` when its
+certificate fails, `simulate` when its Volterra residual is above its
+bound).
 """
 
 from __future__ import annotations
@@ -82,6 +73,8 @@ VOLTERRA_RTOL = 1e-9
 # `bound` reads eps/bound only where eps exceeds this share of its largest
 # value; below it eps sits at the float64 rounding floor of |x_full - x_n|
 EPS_FLOOR_REL = 1e-12
+# what a command's verdict, exit 5 or 6, says of the outputs `main` wrote
+_WRITTEN = {5: "outputs written", 6: "outputs written but not certified"}
 
 _DEFAULTS = {
     "Omega0": 1.0,
@@ -95,10 +88,11 @@ _DEFAULTS = {
     "sweep": {"N": [4], "n": [1], "kT": [1.0]},
 }
 # The JSON types of `model` by family (or as explicit omega and c) and of
-# `initial_state` by kind (or as explicit data), read as `_DEFAULTS` is
+# `initial_state` by kind (or as explicit data), read as `_DEFAULTS` is; a
+# tuple is a list of exactly its length
 _MODEL_TYPES = {
     "linear": {"N": 1, "omega_min": 0.0, "omega_max": 0.0, "c0": 0.0, "power": 0.0},
-    "random": {"N": 1, "omega_range": [0.0], "c_range": [0.0]},
+    "random": {"N": 1, "omega_range": (0.0, 0.0), "c_range": (0.0, 0.0)},
 }
 _MODEL_TYPES["geometric"] = _MODEL_TYPES["linear"]
 _EXPLICIT_MODEL = {"omega": [0.0], "c": [0.0]}
@@ -163,7 +157,7 @@ def resolve_config(path, overrides) -> dict:
 
 def _json_type(value) -> str:
     for types, name in ((bool, "boolean"), ((int, float), "number"), (str, "string"),
-                        (list, "list"), (dict, "object")):
+                        ((list, tuple), "list"), (dict, "object")):
         if isinstance(value, types):
             return name
     return "null"
@@ -172,8 +166,9 @@ def _json_type(value) -> str:
 def _check_types(value, default, name):
     """ValueError where `value` has another JSON type than its `default`:
     objects stay objects (keys with no default pass), lists stay lists,
-    each item typed as the default's first, numbers stay numbers, and
-    integers (a default that is an int) stay integers."""
+    each item typed as the default's first, and as long as a tuple default,
+    numbers stay numbers, and integers (a default that is an int) stay
+    integers."""
     if _json_type(value) != _json_type(default):
         raise ValueError(f"{name} must be a JSON {_json_type(default)}, not {json.dumps(value)}")
     if isinstance(default, int) and isinstance(value, float):
@@ -182,7 +177,9 @@ def _check_types(value, default, name):
         for key in default:
             if key in value:
                 _check_types(value[key], default[key], f"{name}.{key}")
-    elif isinstance(default, list):
+    elif isinstance(default, (list, tuple)):
+        if isinstance(default, tuple) and len(value) != len(default):
+            raise ValueError(f"{name} must hold {len(default)} items, not {json.dumps(value)}")
         for i, item in enumerate(value):
             _check_types(item, default[0], f"{name}[{i}]")
 
@@ -190,28 +187,21 @@ def _check_types(value, default, name):
 def build_model(cfg):
     """IOModel from an explicit or parametric model section."""
     m = cfg["model"]
+    family = m.get("family", "linear")
     if "omega" in m:
-        omega = np.asarray(m["omega"], dtype=float)
-        c = np.asarray(m["c"], dtype=float)
+        omega, c = np.asarray(m["omega"], dtype=float), np.asarray(m["c"], dtype=float)
+    elif family == "random":
+        rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]).spawn(1)[0])
+        return instances.random_io_model(
+            rng, m["N"], omega_range=tuple(m.get("omega_range", (0.5, 3.0))),
+            c_range=tuple(m.get("c_range", (0.1, 1.0))), Omega0_range=(cfg["Omega0"],) * 2)
+    elif family in ("linear", "geometric"):
+        spectrum = {"linear": instances.linear_spectrum,
+                    "geometric": instances.geometric_spectrum}[family]
+        omega = spectrum(m["N"], m["omega_min"], m["omega_max"])
+        c = instances.coupling_profile(omega, m.get("c0", 0.5), m.get("power", 0.0))
     else:
-        family = m.get("family", "linear")
-        N = m["N"]
-        if family == "linear":
-            omega = instances.linear_spectrum(N, m["omega_min"], m["omega_max"])
-            c = instances.coupling_profile(omega, m.get("c0", 0.5), m.get("power", 0.0))
-        elif family == "geometric":
-            omega = instances.geometric_spectrum(N, m["omega_min"], m["omega_max"])
-            c = instances.coupling_profile(omega, m.get("c0", 0.5), m.get("power", 0.0))
-        elif family == "random":
-            rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]).spawn(1)[0])
-            return instances.random_io_model(
-                rng, N,
-                omega_range=tuple(m.get("omega_range", (0.5, 3.0))),
-                c_range=tuple(m.get("c_range", (0.1, 1.0))),
-                Omega0_range=(cfg["Omega0"], cfg["Omega0"]),
-            )
-        else:
-            raise ValueError(f"unknown model family {family!r}")
+        raise ValueError(f"unknown model family {family!r}")
     return spectral.build_io_model(omega, c, cfg["Omega0"])
 
 
@@ -235,52 +225,45 @@ def build_initial_state(cfg, io) -> dynamics.InitialState:
 
 
 def _sample_count(cfg) -> int:
-    if int(cfg["samples"]) < 2:
+    if cfg["samples"] < 2:
         raise ValueError("samples must be >= 2")
-    return int(cfg["samples"])
+    return cfg["samples"]
 
 
 def time_grid(cfg) -> np.ndarray:
     samples = _sample_count(cfg)
     t_max = float(cfg["t_max"])
-    if not 0.0 < t_max < np.inf:
-        raise ValueError(f"t_max must be positive and finite, not {t_max}")
+    # with every frequency within spectral.SCALE too, each phase is finite
+    if not 0.0 < t_max <= spectral.SCALE[1]:
+        raise ValueError(f"t_max must lie within (0, {spectral.SCALE[1]:.3g}], not {t_max}")
     return np.linspace(0.0, t_max, samples)
 
 
-def cmd_build_chain(cfg, out) -> int:
+def cmd_build_chain(cfg, out):
     io = build_model(cfg)
     chain = spectral.chain_coefficients(io)
     report = spectral.certify_chain(io, chain)
+    diag = {"D0": chain.D0, "eigenvalue_mismatch": report.eigenvalue_mismatch,
+            "weight_mismatch": report.weight_mismatch, "passed": report.passed}
+    summary = (f"chain written to {out}: N={chain.N}, D0={fmt(chain.D0)}, mismatch "
+               f"(eig {report.eigenvalue_mismatch:.3e}, weight {report.weight_mismatch:.3e}), "
+               f"passed={report.passed}")
+    verdict = None if report.passed else (
+        6, f"equivalence check failed ({', '.join(report.failed)})")
     # the last mode has no outgoing coupling: D_N prints as 0
-    write_csv(out, {"j": np.arange(1, chain.N + 1), "Omega_j": chain.Omega,
-                    "D_j": np.append(chain.D, 0.0)})
-    diag = {
-        "D0": chain.D0,
-        "eigenvalue_mismatch": report.eigenvalue_mismatch,
-        "weight_mismatch": report.weight_mismatch,
-        "passed": report.passed,
-    }
-    write_sidecar(out, cfg, diag)
-    print(f"chain written to {out}: N={chain.N}, D0={fmt(chain.D0)}, "
-          f"mismatch (eig {report.eigenvalue_mismatch:.3e}, weight {report.weight_mismatch:.3e}), "
-          f"passed={report.passed}")
-    if not report.passed:
-        print(f"error: equivalence check failed ({', '.join(report.failed)}); "
-              "outputs written but not certified", file=sys.stderr)
-        return 6
-    return 0
+    return ({"j": np.arange(1, chain.N + 1), "Omega_j": chain.Omega,
+             "D_j": np.append(chain.D, 0.0)}, diag, summary, verdict)
 
 
-def _truncations(cfg, N):
+def _truncations(cfg, N, what="truncation index"):
     """The cut indices, each once (one name, one column), and those below N."""
-    truncations = list(dict.fromkeys(int(n) for n in cfg["truncations"]))
+    truncations = list(dict.fromkeys(cfg["truncations"]))
     for n in truncations:
-        check_index(n, N, "truncation index")
+        check_index(n, N, what)
     return truncations, [n for n in truncations if n < N]
 
 
-def cmd_simulate(cfg, out) -> int:
+def cmd_simulate(cfg, out):
     io = build_model(cfg)
     # the grid gate reads every Omega_j, from RKPW, which checks every coupling
     top = float(spectral.chain_coefficients(io).mode_freqs.max())
@@ -301,24 +284,18 @@ def cmd_simulate(cfg, out) -> int:
     for n in truncations:
         cols[f"x_n{n}"] = _truncated_x(chain, n, init, omap, times, x_full)
     err = np.abs(x_full - x_vol)
-    write_csv(out, {**cols, "x_volterra": x_vol, "abs_err_volterra": err})
     bound = VOLTERRA_RTOL * float(np.abs(x_full).max())
     passed = bool(err.max() <= bound)
-    write_sidecar(out, cfg, {"max_volterra_error": float(err.max()), "passed": passed})
-    print(f"simulation written to {out}: max |x_full - x_volterra| = {err.max():.3e}")
-    if not passed:
-        print(f"error: max_volterra_error {err.max():.3e} exceeds {VOLTERRA_RTOL:g} * "
-              f"max|x_full| ({bound:.3e}); outputs written but not certified",
-              file=sys.stderr)
-        return 6
-    return 0
+    verdict = None if passed else (6, f"max_volterra_error {err.max():.3e} exceeds "
+                                      f"{VOLTERRA_RTOL:g} * max|x_full| ({bound:.3e})")
+    return ({**cols, "x_volterra": x_vol, "abs_err_volterra": err},
+            {"max_volterra_error": float(err.max()), "passed": passed},
+            f"simulation written to {out}: max |x_full - x_volterra| = {err.max():.3e}", verdict)
 
 
-def cmd_kernels(cfg, out) -> int:
+def cmd_kernels(cfg, out):
     io = build_model(cfg)
-    orders = sorted({int(n) for n in cfg["truncations"]})
-    for i in orders:
-        check_index(i, io.N, "kernel order")
+    orders = sorted(_truncations(cfg, io.N, "kernel order")[0])
     top = max(orders, default=0)
     # K_top reads Omega_0..Omega_top: the first `top` chain rows
     chain, _ = spectral.chain_from_io(io, rows=max(top, 1))
@@ -333,10 +310,7 @@ def cmd_kernels(cfg, out) -> int:
             k = kernels.convolve_on_grid([freqs[i]], [1.0], k, times)
         if i in orders:
             cols[f"K_{i}"] = k
-    write_csv(out, cols)
-    write_sidecar(out, cfg)
-    print(f"kernel table written to {out}: orders {orders}")
-    return 0
+    return cols, None, f"kernel table written to {out}: orders {orders}", None
 
 
 def _truncated_x(chain, n, init, omap, times, x_full):
@@ -381,7 +355,7 @@ def _above_floor(eps_cols, ratio_cols):
     return max_ratio, below_floor
 
 
-def cmd_bound(cfg, out) -> int:
+def cmd_bound(cfg, out):
     io = build_model(cfg)
     truncations, _ = _truncations(cfg, io.N)
     init = build_initial_state(cfg, io)
@@ -394,16 +368,14 @@ def cmd_bound(cfg, out) -> int:
         cols[f"bound_det_n{n}"] = b_det
         cols[f"bound_thermal_n{n}"] = bounds.bound_thermal(io, cut, n, times, th)
         cols[f"ratio_n{n}"] = ratio
-    write_csv(out, cols)
     max_ratio, below_floor = _above_floor([cols[f"eps_n{n}"] for n in truncations],
                                           [cols[f"ratio_n{n}"] for n in truncations])
-    write_sidecar(out, cfg, {"max_ratio": max_ratio, "samples_below_floor": below_floor})
-    print(f"error report written to {out}: max eps/bound ratio = {max_ratio:.6g} "
-          f"({below_floor} samples below the rounding floor)")
-    return 0
+    return (cols, {"max_ratio": max_ratio, "samples_below_floor": below_floor},
+            f"error report written to {out}: max eps/bound ratio = {max_ratio:.6g} "
+            f"({below_floor} samples below the rounding floor)", None)
 
 
-def cmd_min_modes(cfg, out) -> int:
+def cmd_min_modes(cfg, out):
     io = build_model(cfg)
     chain = spectral.chain_coefficients(io)
     th = bounds.ThermalState(cfg["kT"])
@@ -414,26 +386,16 @@ def cmd_min_modes(cfg, out) -> int:
     cols = {"t": ts}
     for j, tol in enumerate(tols):
         cols[f"n_tol_{fmt(tol)}"] = [line[j].n for line in table]
-    write_csv(out, cols)
-
-    monotone_t = all(
-        table[i][j].n <= table[i + 1][j].n
-        for j in range(len(tols)) for i in range(len(ts) - 1)
-    ) if sorted(ts) == ts else True
-    monotone_tol = all(
-        table[i][j].n >= table[i][j + 1].n
-        for i in range(len(ts)) for j in range(len(tols) - 1)
-    ) if sorted(tols) == tols else True
+    monotone_t = sorted(ts) != ts or all(
+        table[i][j].n <= table[i + 1][j].n for j in range(len(tols)) for i in range(len(ts) - 1))
+    monotone_tol = sorted(tols) != tols or all(
+        table[i][j].n >= table[i][j + 1].n for i in range(len(ts)) for j in range(len(tols) - 1))
     uncertified = sum(not cell.certified for line in table for cell in line)
-    write_sidecar(out, cfg, {
-        "monotone_in_t": monotone_t,
-        "monotone_in_tol": monotone_tol,
-        "uncertified_cells": uncertified,
-    })
     flag = "" if (monotone_t and monotone_tol) else "  [NON-MONOTONE]"
-    print(f"min-modes table written to {out}: {len(ts)}x{len(tols)} cells, "
-          f"{uncertified} uncertified{flag}")
-    return 0
+    return (cols, {"monotone_in_t": monotone_t, "monotone_in_tol": monotone_tol,
+                   "uncertified_cells": uncertified},
+            f"min-modes table written to {out}: {len(ts)}x{len(tols)} cells, "
+            f"{uncertified} uncertified{flag}", None)
 
 
 _SWEEP_COLUMNS = ("N", "n", "kT", "max_eps", "max_ratio", "status", "error")
@@ -458,25 +420,30 @@ def _sweep_cell(args):
         return (N, n, kT, np.nan, np.nan, "error", type(exc).__name__), time.perf_counter() - t0
 
 
-def cmd_sweep(cfg, out) -> int:
+def cmd_sweep(cfg, out):
     samples = _sample_count(cfg)
     sw = cfg["sweep"]
-    cells = sorted(
-        (int(N), int(n), float(kT))
-        for N in sw["N"] for n in sw["n"] for kT in sw["kT"]
-    )
+    # a cell's cut min(n, N) reads at least one map row
+    for key in ("N", "n"):
+        if not sw[key] or min(sw[key]) < 1:
+            raise ValueError(f"config.sweep.{key} must be a nonempty list of integers >= 1")
+    # a cell's bath has omega_k >= 0.5, so its thermal draw stays within spectral.SCALE
+    if not (sw["kT"] and all(0.0 < kT <= spectral.SCALE[1] for kT in sw["kT"])):
+        raise ValueError(f"config.sweep.kT must be a nonempty list of numbers within "
+                         f"(0, {spectral.SCALE[1]:.3g}]")
+    cells = sorted((N, n, float(kT)) for N in sw["N"] for n in sw["n"] for kT in sw["kT"])
     seqs = np.random.SeedSequence(cfg["seed"]).spawn(len(cells))
     jobs = [(N, n, kT, seq, samples) for (N, n, kT), seq in zip(cells, seqs)]
     results = [_sweep_cell(job) for job in jobs]
-
-    cols = {name: [r[j] for r, _ in results] for j, name in enumerate(_SWEEP_COLUMNS)}
-    write_csv(out, cols)
     write_json(str(out) + ".timings.json",
                {f"N{r[0]}_n{r[1]}_kT{fmt(r[2])}": dt for r, dt in results})
+
+    cols = {name: [r[j] for r, _ in results] for j, name in enumerate(_SWEEP_COLUMNS)}
     ok = cols["status"].count("ok")
-    write_sidecar(out, cfg, {"cells": len(cells), "failed": len(cells) - ok})
-    print(f"sweep written to {out}: {ok}/{len(cells)} cells succeeded")
-    return 0 if ok > 0 else 5
+    failed = ", ".join(sorted(set(cols["error"])))
+    verdict = None if ok else (5, f"every sweep cell failed ({failed})")
+    return (cols, {"cells": len(cells), "failed": len(cells) - ok},
+            f"sweep written to {out}: {ok}/{len(cells)} cells succeeded", verdict)
 
 
 _COMMANDS = {
@@ -510,7 +477,9 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         cfg = resolve_config(args.config, vars(args))
-        return _COMMANDS[args.command](cfg, args.out)
+        columns, diagnostics, summary, verdict = _COMMANDS[args.command](cfg, args.out)
+        write_csv(args.out, columns)
+        write_sidecar(args.out, cfg, diagnostics)
     except Breakdown as exc:
         print(f"error: chain construction breakdown: {exc}", file=sys.stderr)
         return 3
@@ -522,6 +491,12 @@ def main(argv=None) -> int:
     except (ChainBathError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: invalid configuration or input: {exc}", file=sys.stderr)
         return 2
+    print(summary)
+    if verdict is None:
+        return 0
+    code, reason = verdict
+    print(f"error: {reason}; {_WRITTEN[code]}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, UnstableMode, check_index
 from .kernels import _uniform_step
-from .spectral import ChainModel, IOModel, OrthogonalMap
+from .spectral import SCALE, ChainModel, IOModel, OrthogonalMap
 
 # Rows per block of `evolve_io_x`'s O(N^2) sweeps over (root, pole) pairs:
 # one or two BLOCK x N arrays are live at a time, 2 MB each at N = 2048
@@ -55,9 +55,9 @@ class InitialState:
         qdot0 = np.asarray(self.qdot0, dtype=float)
         if q0.shape != qdot0.shape or q0.ndim != 1:
             raise DimensionMismatch("q0 and qdot0 must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(q0)) and np.all(np.isfinite(qdot0))
-                and np.isfinite(self.x0) and np.isfinite(self.xdot0)):
-            raise ValueError("initial state entries must be finite")
+        # NaN fails the comparison too
+        if not np.all(np.abs(np.concatenate([q0, qdot0, [self.x0, self.xdot0]])) <= SCALE[1]):
+            raise ValueError(f"initial state entries must be finite and at most {SCALE[1]:.3g}")
         q0.flags.writeable = False
         qdot0.flags.writeable = False
         object.__setattr__(self, "q0", q0)

@@ -10,7 +10,7 @@ class NonincreasingSpectrum(ChainBathError, ValueError):
 
 
 class NonpositiveParameter(ChainBathError, ValueError):
-    """A frequency, coupling, or temperature that must be positive is not."""
+    """A frequency, coupling, or temperature is not positive, or not of a size float64 holds."""
 
 
 class Breakdown(ChainBathError):

@@ -15,10 +15,12 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import InitialState
-from .spectral import IOModel, build_io_model
+from .errors import NonpositiveParameter
+from .spectral import SCALE, IOModel, build_io_model
 
 # share of each regime limit a random instance may reach
 MARGIN = 0.95
+RANGE = (SCALE[0] ** 0.5, SCALE[1] ** 0.5)  # where the scaling's (sum c^2)^2 is finite
 
 
 def linear_spectrum(N: int, omega_min: float, omega_max: float) -> np.ndarray:
@@ -30,6 +32,8 @@ def linear_spectrum(N: int, omega_min: float, omega_max: float) -> np.ndarray:
 
 def geometric_spectrum(N: int, omega_min: float, omega_max: float) -> np.ndarray:
     """Geometrically spaced bath frequencies on [omega_min, omega_max]."""
+    if not (omega_min > 0 and omega_max > 0):
+        raise NonpositiveParameter("a geometric spectrum needs omega_min and omega_max > 0")
     if N == 1:
         return np.array([omega_min], dtype=float)
     return np.geomspace(omega_min, omega_max, N)
@@ -38,7 +42,8 @@ def geometric_spectrum(N: int, omega_min: float, omega_max: float) -> np.ndarray
 def coupling_profile(omega, c0: float, power: float = 0.0) -> np.ndarray:
     """Power-law couplings c_k = c0 * (omega_k / omega_1)^power."""
     omega = np.asarray(omega, dtype=float)
-    return c0 * (omega / omega[0]) ** power
+    with np.errstate(all="ignore"):  # build_io_model refuses an inf or NaN c_k
+        return c0 * (omega / omega[0]) ** power
 
 
 def random_io_model(rng: np.random.Generator, N: int,
@@ -46,7 +51,13 @@ def random_io_model(rng: np.random.Generator, N: int,
                     Omega0_range=(0.8, 2.0)) -> IOModel:
     """Seeded random bath inside the assumed regime, in O(N): sorted uniform
     omega, uniform c and Omega0, with c then scaled down, when it must be,
-    by the largest factor that keeps both limits of the module docstring."""
+    by the largest factor that keeps both limits of the module docstring.
+    Each range is a pair lo <= hi within `RANGE`."""
+    for name, (lo, hi) in (("omega_range", omega_range), ("c_range", c_range),
+                           ("Omega0_range", Omega0_range)):
+        if not RANGE[0] <= lo <= hi <= RANGE[1]:
+            raise NonpositiveParameter(f"{name} must be lo <= hi within "
+                                       f"[{RANGE[0]:.3g}, {RANGE[1]:.3g}]")
     omega = np.sort(rng.uniform(*omega_range, N))
     c = rng.uniform(*c_range, N)
     Omega0 = rng.uniform(*Omega0_range)
@@ -58,7 +69,9 @@ def random_io_model(rng: np.random.Generator, N: int,
 
 
 def random_initial_state(rng: np.random.Generator, N: int, scale: float = 1.0) -> InitialState:
-    """Uniform(-scale, scale) bath and system initial data."""
+    """Uniform(-scale, scale) bath and system initial data, 0 <= scale <= SCALE[1]."""
+    if not 0.0 <= scale <= SCALE[1]:
+        raise NonpositiveParameter(f"scale must lie within [0, {SCALE[1]:.3g}], not {scale}")
     q0 = rng.uniform(-scale, scale, N)
     qdot0 = rng.uniform(-scale, scale, N)
     x0 = rng.uniform(-scale, scale)

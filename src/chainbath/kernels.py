@@ -136,7 +136,8 @@ def check_grid(times, vmax: float, max_freq: float) -> None:
     the whole Volterra cascade is 500-1000x below 1e-7 * vmax.
     """
     h = float(np.max(np.diff(times)))
-    est = (5.0 / 384.0) * (h * max_freq) ** 4 * vmax
+    hf = h * max_freq  # from about 1e77 on, hf ** 4 raises OverflowError: read it as inf
+    est = (5.0 / 384.0) * hf**4 * vmax if hf < 1e75 else np.inf
     if est > 1e-7 * max(vmax, 1e-300):
         raise GridTooCoarse(
             f"estimated interpolation error {est:.3e} exceeds "

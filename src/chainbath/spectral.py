@@ -56,6 +56,9 @@ DGKS_KEEP = 1.0 / np.sqrt(2.0)
 # The certificates' tolerance, relative to max(omega^2) for T's eigenvalues
 # and to max(c_k^2) for its weights
 _RTOL = 1e-9
+# Omega0 and each omega_k lie between these, each c_k below the upper one:
+# the fourth powers that the recurrences form stay finite and nonzero
+SCALE = (float(np.finfo(float).tiny) ** 0.25, float(np.finfo(float).max) ** 0.25)
 
 
 def _frozen_array(values, dtype=float):
@@ -141,7 +144,9 @@ def build_io_model(omega, c, Omega0) -> IOModel:
     """Validate and freeze an independent-oscillator bath description.
 
     Raises NonincreasingSpectrum if omega is not strictly increasing and
-    NonpositiveParameter if any frequency or coupling is <= 0.
+    NonpositiveParameter if any frequency or coupling is not finite and
+    positive, or lies outside `SCALE` (about 1e-77 to 1e77; a coupling may
+    be smaller).
     """
     omega = np.asarray(omega, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -151,10 +156,12 @@ def build_io_model(omega, c, Omega0) -> IOModel:
         raise DimensionMismatch(
             f"len(omega)={len(omega)} differs from len(c)={len(c)}"
         )
-    if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(c)) and np.isfinite(Omega0)):
-        raise NonpositiveParameter("all parameters must be finite")
-    if np.any(omega <= 0) or np.any(c <= 0) or Omega0 <= 0:
-        raise NonpositiveParameter("omega_k, c_k and Omega0 must all be positive")
+    lo, hi = SCALE
+    # NaN fails every comparison
+    if not (lo <= Omega0 <= hi and lo <= omega.min() and omega.max() <= hi
+            and 0 < c.min() and c.max() <= hi):
+        raise NonpositiveParameter(f"omega_k and Omega0 must lie within [{lo:.3g}, {hi:.3g}] "
+                                   f"and c_k within (0, {hi:.3g}]")
     if np.any(np.diff(omega) <= 0):
         raise NonincreasingSpectrum("bath frequencies must be strictly increasing")
     return IOModel(_frozen_array(omega), _frozen_array(c), float(Omega0))
@@ -199,7 +206,10 @@ def chain_from_io(io: IOModel, rows: int | None = None) -> tuple[ChainModel, Ort
     diag = np.zeros(rows)
     offdiag = np.zeros(rows - 1)
 
-    v = io.c / np.linalg.norm(io.c)
+    norm = np.linalg.norm(io.c)
+    if norm == 0.0:  # every c_k^2 underflows
+        raise _breakdown(0, norm)
+    v = io.c / norm
     V[0] = v
     u = w2 * v
     diag[0] = v @ u

@@ -26,6 +26,7 @@ from chainbath.cli import (
     resolve_config,
     write_csv,
 )
+from chainbath.errors import Breakdown
 from chainbath.spectral import chain_coefficients, chain_from_io
 from tests.oracles import (
     char_poly_eval,
@@ -100,6 +101,17 @@ class TestExitCodes:
         write_config(cfg, model={"omega": [1.0, 2.0], "c": [1.0, 1e-13]})
         assert main(["min-modes", "--config", str(cfg),
                      "--out", str(tmp_path / "o.csv")]) == 3
+
+    @pytest.mark.parametrize("command", ["bound", "kernels"])
+    def test_couplings_that_underflow_break_down(self, tmp_path, capsys, command):
+        # every c_k^2 underflows to 0, so ||c|| = D0 does too: the map's
+        # first row c/||c|| does not exist
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model={"omega": [1.0, 2.0], "c": [1e-300, 1e-300]}, truncations=[1])
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: chain construction breakdown: coupling D_0")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["bound", "kernels"])
     def test_breakdown_only_inside_the_rows_built(self, tmp_path, command):
@@ -177,11 +189,43 @@ class TestExitCodes:
                               ("omega_range-number", {"family": "random", "omega_range": 3}))),
         pytest.param("bound", {"initial_state": {"kind": "random", "scale": "x"}},
                      id="bound-scale-string"),
+        # a range is exactly two numbers
+        *(pytest.param(command, {"model": {"family": "random", "N": 4, **model}},
+                       id=f"{command}-{name}")
+          for command in ("build-chain", "simulate", "kernels", "bound", "min-modes")
+          for name, model in (("c_range-three", {"c_range": [0.1, 0.2, 0.3]}),
+                              ("omega_range-three", {"omega_range": [0.5, 1.0, 2.0]}),
+                              ("c_range-one", {"c_range": [1]}),
+                              ("c_range-empty", {"c_range": []}))),
     ])
     def test_wrong_json_type(self, tmp_path, capsys, command, overrides):
         # a value of another JSON type than its default's, or a model N that
         # is no integer >= 1, fails the config check, in one stderr line,
         # before the command builds anything
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, **overrides)
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration") and err.count("\n") == 1
+        assert " config." in err  # names the key
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, overrides", [
+        pytest.param("bound", {"model": {**LINEAR_4, "c0": 1e200}, "truncations": [1]},
+                     id="bound-c0"),
+        pytest.param("simulate", {"Omega0": 1e200}, id="simulate-Omega0"),
+        pytest.param("build-chain", {"model": {"family": "random", "N": 4,
+                                               "omega_range": [0.5, 1e300]}},
+                     id="build-chain-omega_range"),
+        pytest.param("bound", {"model": {**LINEAR_4, "power": 1e10}}, id="bound-power"),
+        pytest.param("bound", {"initial_state": {"kind": "random", "scale": 1e308}},
+                     id="bound-scale"),
+        pytest.param("bound", {"t_max": 1e300}, id="bound-t_max"),
+    ])
+    def test_value_float64_cannot_hold(self, tmp_path, capsys, command, overrides):
+        # a bath or state whose squares or draws overflow float64 is refused
+        # in one stderr line, with no numpy warning and nothing written
         cfg = tmp_path / "cfg.json"
         write_config(cfg, **overrides)
         out = tmp_path / "o.csv"
@@ -765,6 +809,18 @@ class TestMinModesCommand:
         data = np.loadtxt(out.read_text().splitlines()[1:], delimiter=",")
         assert np.all(data[:, 1] == 0)
 
+    def test_time_past_float64_reads_uncertified(self, tmp_path, capsys):
+        # at t = 1e308 the bound's cosh arguments overflow: the bound is inf,
+        # so no cut is certified, and no numpy warning reaches stderr
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, min_modes={"times": [1.0, 1e308], "tols": [1e-3]})
+        out = tmp_path / "mm.csv"
+        assert main(["min-modes", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_text().splitlines()[2] == "1e+308,4"
+        side = json.loads((tmp_path / "mm.csv.resolved.json").read_text())
+        assert side["diagnostics"]["uncertified_cells"] == 1
+
     def test_repeated_tolerance_is_one_column(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(cfg, min_modes={"times": [0.5, 1.0],
@@ -873,12 +929,46 @@ class TestSweep:
         assert first[5] == "ok"
         assert _sweep_cell(job)[0] == first
 
-    def test_all_cells_failed(self, tmp_path):
+    def test_all_cells_failed(self, tmp_path, monkeypatch, capsys):
+        # a valid grid whose every cell fails numerically writes both files,
+        # exits 5 and says so in one stderr line
+        def breakdown(io, rows=None):
+            raise Breakdown("coupling D_1 below 1e-12*max(omega^2)")
+        monkeypatch.setattr(spectral, "chain_from_io", breakdown)
         cfg = tmp_path / "cfg.json"
-        write_config(cfg, sweep={"N": [4], "n": [1], "kT": [-1.0]})
+        write_config(cfg, sweep={"N": [4, 8], "n": [1, 2], "kT": [1.0]})
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 5
-        assert "NonpositiveParameter" in out.read_text()
+        assert capsys.readouterr().err.splitlines() == [
+            "error: every sweep cell failed (Breakdown); outputs written"]
+        assert out.read_text().count(",error,Breakdown\n") == 4
+        side = json.loads((tmp_path / "sweep.csv.resolved.json").read_text())
+        assert side["diagnostics"] == {"cells": 4, "failed": 4}
+
+    @pytest.mark.parametrize("sweep", [
+        {"N": [4], "n": [-1], "kT": [1.0]},
+        {"N": [4], "n": [0, 1], "kT": [1.0]},
+        {"N": [0], "n": [1], "kT": [1.0]},
+        {"N": [4], "n": [1], "kT": [-1.0]},
+        {"N": [4], "n": [1], "kT": [0.0]},
+        {"N": [4], "n": [1], "kT": [math.inf]},
+        {"N": [4], "n": [1], "kT": [1.0, 1e300]},
+        {"N": [], "n": [1], "kT": [1.0]},
+        {"N": [4], "n": [], "kT": [1.0]},
+        {"N": [4], "n": [1], "kT": []},
+    ], ids=["n-negative", "n-zero", "N-zero", "kT-negative", "kT-zero", "kT-inf", "kT-huge",
+            "N-empty", "n-empty", "kT-empty"])
+    def test_bad_grid_is_refused_before_any_cell(self, tmp_path, monkeypatch, capsys, sweep):
+        # N >= 1, n >= 1, kT within (0, 1.16e77], and at least one cell
+        monkeypatch.setattr("chainbath.cli._sweep_cell", None)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, sweep=sweep)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration or input: config.sweep.")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestRandomFamily:
