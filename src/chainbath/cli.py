@@ -17,6 +17,14 @@ byte-identical CSVs: all randomness flows from the seed through numpy
 SeedSequences.  `sweep`'s cell wall times go to `<out>.timings.json`, the
 one file a command writes itself and the one non-deterministic output.
 
+Threads: a command runs BLAS and LAPACK on one thread.  Importing this
+module sets `OPENBLAS_NUM_THREADS=1` unless the caller set it,
+`GOTO_NUM_THREADS` or `OMP_NUM_THREADS`, or numpy is already loaded (the
+library and such a process keep their threads).  Every product and
+eigensolve here is small, at most a few hundred rows, so a second OpenBLAS
+thread only spins between calls: it costs CPU time and saves no wall time.
+With one thread the CSV bytes do not depend on the machine's core count.
+
 Verdicts: `build-chain` writes `D0`, `eigenvalue_mismatch`,
 `weight_mismatch` and `passed`, the certificate of
 `spectral.certify_chain`.  `simulate` writes `max_volterra_error` and
@@ -53,8 +61,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+
+# One BLAS thread (see the module docstring), set before numpy loads OpenBLAS
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(key in os.environ for key in _THREAD_VARIABLES):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -329,10 +343,11 @@ def _ratio(eps, bound):
 
 def _cut_route(io, init, times, truncations):
     """(n, chain, eps, bound_det, ratio) per cut n, with eps = |x_full - x_n|:
-    cuts below N read the Lanczos rows of the largest of them, n = N reads
-    RKPW and its x_n is x_full, which comes from the secular equation."""
+    cuts below N read the Lanczos rows of the largest of them, and at least
+    one, n = N reads RKPW and its x_n is x_full, which comes from the
+    secular equation."""
     below = [n for n in truncations if n < io.N]
-    chain, omap = spectral.chain_from_io(io, rows=max(below)) if below else (None, None)
+    chain, omap = spectral.chain_from_io(io, rows=max(1, *below)) if below else (None, None)
     full = spectral.chain_coefficients(io) if io.N in truncations else None
     x_full = dynamics.evolve_io_x(io, init, times)
     for n in truncations:

@@ -231,11 +231,13 @@ def evolve_io_modes(io: IOModel, init: InitialState, O, times) -> np.ndarray:
 def _distance_blocks(d, sigma, tau):
     """Yield (rows, dist) for each BLOCK of rows: dist[r, k] = d_k - lambda_r
     for the rows' roots lambda = sigma + tau, taken from each root's origin
-    as (d_k - sigma_r) - tau_r.  Each block is a fresh BLOCK x len(d)
-    array, free once the caller lets it go."""
+    as (d_k - sigma_r) - tau_r.  Every block is a view of one
+    BLOCK x len(d) buffer, filled again for the next block: the caller may
+    overwrite it, but must not keep it past its own block."""
+    buf = np.empty((min(BLOCK, len(sigma)), len(d)))
     for start in range(0, len(sigma), BLOCK):
         rows = slice(start, min(start + BLOCK, len(sigma)))
-        dist = d - sigma[rows, None]
+        dist = np.subtract(d, sigma[rows, None], out=buf[: rows.stop - start])
         dist -= tau[rows, None]
         yield rows, dist
 

@@ -562,6 +562,22 @@ class TestKernelsCommand:
                      "--out", str(tmp_path / "k.csv")]) == 2
 
 
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _run_child(argv, cwd=None, **env):
+    """Run `argv` in a fresh interpreter on this package, in `cwd`, with no
+    BLAS thread variable but those in `env`; its stdout, stripped."""
+    src = str(Path(chainbath.__file__).resolve().parents[1])
+    child_env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARIABLES}
+    child_env.update(env, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, *argv], env=child_env, cwd=cwd, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_runtime_needs_no_scipy(tmp_path):
     # numpy is the only runtime dependency: the six commands, run in a fresh
     # interpreter, never import scipy, a test-only package or the tests'
@@ -580,12 +596,55 @@ def test_runtime_needs_no_scipy(tmp_path):
         "assert not loaded, loaded\n"
         "assert 'numpy.ma' not in sys.modules\n"
     )
-    src = str(Path(chainbath.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=Path(__file__).parents[1],
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    _run_child(["-c", script], cwd=Path(__file__).parents[1])
+
+
+# the OS threads of the child after one eigensolve, and its thread variable
+_THREADS_AFTER_EIGH = (
+    "import os, numpy\n"
+    "numpy.linalg.eigh(numpy.eye(64) + 1.0)\n"
+    "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+)
+needs_threads = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+    reason="counts OS threads in /proc/self/task on two or more CPUs")
+
+
+class TestOneBlasThread:
+    @needs_threads
+    def test_cli_runs_one_blas_thread(self):
+        # numpy alone starts an OpenBLAS worker per CPU; after importing the
+        # CLI, the process keeps its one thread
+        assert _run_child(["-c", _THREADS_AFTER_EIGH]).split()[0] != "1"
+        assert _run_child(["-c", "import chainbath.cli\n" + _THREADS_AFTER_EIGH]) == "1 1"
+
+    @needs_threads
+    def test_caller_thread_count_is_kept(self):
+        assert _run_child(["-c", "import chainbath.cli\n" + _THREADS_AFTER_EIGH],
+                          OPENBLAS_NUM_THREADS="2") == "2 2"
+
+    def test_import_after_numpy_leaves_environment(self):
+        script = ("import os, numpy\n"
+                  "before = dict(os.environ)\n"
+                  "import chainbath.cli\n"
+                  "print(dict(os.environ) == before)\n")
+        assert _run_child(["-c", script]) == "True"
+
+    def test_bound_bytes_do_not_depend_on_threads(self, tmp_path):
+        # at N = 1024 a BLAS product split over threads sums in another
+        # order, which moved eps_n* in the last digits
+        N = 1024
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model={"family": "linear", "N": N, "omega_min": 0.5,
+                                 "omega_max": 2.5, "c0": 0.5 / np.sqrt(N)},
+                     Omega0=1.2, t_max=10.0, samples=2048, truncations=[1, 4, 16, 32], seed=1)
+        outputs = []
+        for env in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+            out = tmp_path / f"bound{len(outputs)}.csv"
+            _run_child(["-m", "chainbath.cli", "bound", "--config", str(cfg), "--out", str(out)],
+                       **env)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestBoundCommand:
@@ -798,6 +857,20 @@ class TestBoundCommand:
         assert header == ",".join(
             ["t"] + [f"{kind}_n{n}" for n in (1, 2)
                      for kind in ("eps", "bound_det", "bound_thermal", "ratio")])
+
+    def test_lone_cut_at_zero(self, tmp_path):
+        # n = 0 alone builds one map row: its columns are those it has
+        # beside a deeper cut, bit for bit
+        cols = []
+        for truncations in ([0], [0, 2]):
+            cfg = tmp_path / "cfg.json"
+            write_config(cfg, truncations=truncations, t_max=2.5)
+            out = tmp_path / "bound.csv"
+            assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 0
+            lines = [line.split(",") for line in out.read_text().splitlines()]
+            n0 = [j for j, name in enumerate(lines[0]) if name == "t" or name.endswith("_n0")]
+            cols.append([[line[j] for j in n0] for line in lines])
+        assert len(cols[0][0]) == 5 and cols[0] == cols[1]
 
 
 class TestMinModesCommand:

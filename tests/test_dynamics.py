@@ -12,6 +12,7 @@ from scipy.integrate import solve_ivp
 from chainbath.dynamics import (
     BLOCK,
     InitialState,
+    _distance_blocks,
     _modal_data,
     _modal_row,
     _secular_roots,
@@ -266,6 +267,22 @@ class TestEvolveIoX:
         io = long_chain(linear_spectrum, N)
         init = random_initial_state(np.random.default_rng(N), N)
         assert_matches_dense(io, init, np.linspace(0.0, 10.0, 257))
+
+    @pytest.mark.parametrize("roots", [1, BLOCK, 2 * BLOCK + 1])
+    def test_distance_blocks_refill_one_buffer(self, roots):
+        # every block is (d - sigma) - tau bit for bit, in one buffer that
+        # the caller may overwrite
+        rng = np.random.default_rng(roots)
+        d = rng.uniform(0, 4, 300)
+        sigma, tau = rng.uniform(0, 4, roots), rng.normal(0, 1e-3, roots)
+        blocks = []
+        for rows, dist in _distance_blocks(d, sigma, tau):
+            assert not blocks or np.shares_memory(dist, blocks[0][1])
+            blocks.append((rows, dist, dist.copy()))
+            dist[:] = np.nan
+        assert blocks[-1][0].stop == roots
+        assert np.array_equal(np.concatenate([copy for *_, copy in blocks]),
+                              (d - sigma[:, None]) - tau[:, None])
 
     @pytest.mark.parametrize("M", [2, 3, 101, 1024])
     def test_sample_counts(self, M):
