@@ -1,9 +1,9 @@
 """Truncation-error functionals and their certified upper bounds.
 
 The error of cutting the chain after mode n is the trajectory difference
-|x - x_(n)|; through the Volterra picture its first part is eps1, the
-tail's first reach into the system (the rest of that decomposition is a
-test oracle, in `tests/oracles.py`).  The deterministic bound is
+|x - x_(n)|; through the Volterra picture it splits into eps1, the
+tail's first reach into the system, and eps2, that reach's resolvent
+correction (test oracles, in `tests/oracles.py`).  The deterministic bound is
 
     eps(n, t) <= sum_k |P_n(omega_k^2)| (|q_k(0)| + |qdot_k(0)|/omega_k)
                  * t^(2n+2) * [ cosh(t sqrt(S_n)) / (2n+2)!
@@ -32,8 +32,6 @@ import numpy as np
 
 from .dynamics import InitialState
 from .errors import NonpositiveParameter, check_index
-from .kernels import check_grid
-from .solution import coupling_products, nested_convolve
 from .spectral import ChainModel, IOModel
 
 
@@ -56,25 +54,6 @@ class MinModesResult:
     n: int
     certified: bool
     bound: float
-
-
-def epsilon1(chain: ChainModel, n: int, times, x_next) -> np.ndarray:
-    """Direct tail error eps1(n, t) on the grid:
-    (prod_{l<=n} D_l/Omega_l) int_0^t K_n(t-s) X_{n+1}(s) ds, with X_{n+1}
-    sampled from the full evolution, through the nested_convolve cascade.
-    Identically zero at n = N, so `chain` must be the full chain: one cut
-    by `chain_from_io(io, rows=k)` returns zero at n = k, and with no map
-    in hand this function cannot tell."""
-    check_index(n, chain.N, "truncation index")
-    times = np.asarray(times, dtype=float)
-    if n == chain.N:
-        return np.zeros_like(times)
-    x_next = np.asarray(x_next, dtype=float)
-    freqs = chain.mode_freqs[: n + 1]
-    check_grid(times, float(np.abs(x_next).max()), float(freqs.max()))
-    hs = np.zeros((n + 1, len(times)))
-    hs[n] = coupling_products(chain, n)[n + 1] * x_next
-    return nested_convolve(freqs, hs, times)
 
 
 def _log_weight_sums(io: IOModel, chain: ChainModel, u):

@@ -30,13 +30,14 @@ Verdicts: `build-chain` writes `D0`, `eigenvalue_mismatch`,
 `spectral.certify_chain`.  `simulate` writes `max_volterra_error` and
 `passed`, which holds when max|x_full - x_volterra| <= 1e-9 max|x_full|.
 `bound` writes `max_ratio`, the largest eps/bound_det over the samples
-whose eps is above 1e-12 * max(eps) (below it eps sits at the float64
-rounding floor), and `samples_below_floor`, the count of the others; the
-CSV's `ratio_n*` columns keep every sample.  `sweep`'s `max_ratio` reads
-above the same floor within its cell (0 where n >= N and eps is 0).  The
-`bound_*` columns hold a finite value or inf, never NaN, and inf only where
-the bound is above float64's largest value; a `ratio_n*` sample is inf
-only where a bound underflowed under a rounding-level eps.
+whose eps is above EPS_FLOOR_ROUNDOFFS * u * max|x_full| (u the unit
+roundoff; below it eps can be rounding alone), and `samples_below_floor`,
+the count of the others; the CSV's `ratio_n*` columns keep every sample.
+`sweep`'s `max_ratio` reads above the same floor within its cell (0 where
+n >= N and eps is 0).  The `bound_*` columns hold a finite value or inf,
+never NaN, and inf only where the bound is above float64's largest value;
+a `ratio_n*` sample is inf only where a bound underflowed under a
+rounding-level eps.
 
 Exit codes: 0 ok; 2 invalid input: an unwritable `<out>`, or a config
 refused before any output (fewer than 2 `samples`; a `t_max` outside (0, 1.16e77]; a negative or
@@ -84,9 +85,11 @@ from .errors import (
 
 # `simulate` certifies its Volterra column only within this share of max|x_full|
 VOLTERRA_RTOL = 1e-9
-# `bound` reads eps/bound only where eps exceeds this share of its largest
-# value; below it eps sits at the float64 rounding floor of |x_full - x_n|
-EPS_FLOOR_REL = 1e-12
+# `bound` and `sweep` read eps/bound only where eps = |x_full - x_n| exceeds
+# EPS_FLOOR_ROUNDOFFS * u * max|x_full|, u the unit roundoff: the two routes
+# to x agree to about 280 u max|x| at N = 2048 (README), so below that floor,
+# with a margin of 3.7, eps can be rounding alone
+EPS_FLOOR_ROUNDOFFS = 1024
 # what a command's verdict, exit 5 or 6, says of the outputs `main` wrote
 _WRITTEN = {5: "outputs written", 6: "outputs written but not certified"}
 
@@ -198,6 +201,12 @@ def _check_types(value, default, name):
             _check_types(item, default[0], f"{name}[{i}]")
 
 
+def _given(section, *keys) -> dict:
+    """The entries of `section` under `keys` that the config gives: the
+    callee's own defaults fill the others."""
+    return {key: section[key] for key in keys if key in section}
+
+
 def build_model(cfg):
     """IOModel from an explicit or parametric model section."""
     m = cfg["model"]
@@ -206,14 +215,13 @@ def build_model(cfg):
         omega, c = np.asarray(m["omega"], dtype=float), np.asarray(m["c"], dtype=float)
     elif family == "random":
         rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]).spawn(1)[0])
-        return instances.random_io_model(
-            rng, m["N"], omega_range=tuple(m.get("omega_range", (0.5, 3.0))),
-            c_range=tuple(m.get("c_range", (0.1, 1.0))), Omega0_range=(cfg["Omega0"],) * 2)
+        return instances.random_io_model(rng, m["N"], **_given(m, "omega_range", "c_range"),
+                                         Omega0_range=(cfg["Omega0"],) * 2)
     elif family in ("linear", "geometric"):
         spectrum = {"linear": instances.linear_spectrum,
                     "geometric": instances.geometric_spectrum}[family]
         omega = spectrum(m["N"], m["omega_min"], m["omega_max"])
-        c = instances.coupling_profile(omega, m.get("c0", 0.5), m.get("power", 0.0))
+        c = instances.coupling_profile(omega, m.get("c0", 0.5), **_given(m, "power"))
     else:
         raise ValueError(f"unknown model family {family!r}")
     return spectral.build_io_model(omega, c, cfg["Omega0"])
@@ -225,16 +233,14 @@ def build_initial_state(cfg, io) -> dynamics.InitialState:
         return dynamics.InitialState(
             q0=np.asarray(section["q0"], dtype=float),
             qdot0=np.asarray(section["qdot0"], dtype=float),
-            x0=float(section.get("x0", 0.0)),
-            xdot0=float(section.get("xdot0", 0.0)),
-        )
+            **{key: float(value) for key, value in _given(section, "x0", "xdot0").items()})
     kind = section.get("kind", "thermal")
     sub = np.random.SeedSequence(cfg["seed"]).spawn(2)[1]
     if kind == "thermal":
         return bounds.sample_thermal(io, bounds.ThermalState(cfg["kT"]), sub)
     if kind == "random":
         rng = np.random.default_rng(sub)
-        return instances.random_initial_state(rng, io.N, scale=section.get("scale", 1.0))
+        return instances.random_initial_state(rng, io.N, **_given(section, "scale"))
     raise ValueError(f"unknown initial_state kind {kind!r}")
 
 
@@ -289,9 +295,7 @@ def cmd_simulate(cfg, out):
     x_full, *X_2 = dynamics.evolve_io_modes(io, init, omap.O[1:2], times)
     params = solution.mu_delta(chain.Omega0, chain.Omega[0], chain.D0)
     kernels.check_grid(times, 1.0, top)
-    # F_N = F_1 + eps1(1), the tail's reach through X_2 (none for N = 1)
-    F = solution.free_source_series(chain, 1, init, omap, times)
-    F += sum(bounds.epsilon1(chain, 1, times, X) for X in X_2)
+    F = solution.volterra_source(chain, init, omap, times, *X_2)
     x_vol = solution.solve_volterra_closed(params, F, times)
 
     cols = {"t": times, "x_full": x_full}
@@ -342,26 +346,28 @@ def _ratio(eps, bound):
 
 
 def _cut_route(io, init, times, truncations):
-    """(n, chain, eps, bound_det, ratio) per cut n, with eps = |x_full - x_n|:
-    cuts below N read the Lanczos rows of the largest of them, and at least
-    one, n = N reads RKPW and its x_n is x_full, which comes from the
-    secular equation."""
+    """The rounding floor of eps and, per cut n, (n, chain, eps, bound_det,
+    ratio) with eps = |x_full - x_n|: cuts below N read the Lanczos rows of
+    the largest of them, and at least one, n = N reads RKPW and its x_n is
+    x_full, which comes from the secular equation."""
     below = [n for n in truncations if n < io.N]
     chain, omap = spectral.chain_from_io(io, rows=max(1, *below)) if below else (None, None)
     full = spectral.chain_coefficients(io) if io.N in truncations else None
     x_full = dynamics.evolve_io_x(io, init, times)
+    floor = EPS_FLOOR_ROUNDOFFS * (np.finfo(float).eps / 2) * float(np.abs(x_full).max())
+    cuts = []
     for n in truncations:
         cut = full if n == io.N else chain
         eps = np.abs(x_full - _truncated_x(cut, n, init, omap, times, x_full))
         b_det = bounds.bound_deterministic(io, cut, n, times, init)
-        yield n, cut, eps, b_det, _ratio(eps, b_det)
+        cuts.append((n, cut, eps, b_det, _ratio(eps, b_det)))
+    return floor, cuts
 
 
-def _above_floor(eps_cols, ratio_cols):
-    """The largest ratio where eps > EPS_FLOOR_REL * max(eps) over all
-    columns, and the count of the other samples, whose eps sits at the
-    float64 floor of |x_full - x_n| and says nothing about the bound."""
-    floor = EPS_FLOOR_REL * max((eps.max() for eps in eps_cols), default=0.0)
+def _above_floor(floor, eps_cols, ratio_cols):
+    """The largest ratio where eps > floor over all columns, and the count
+    of the other samples, whose eps can be rounding alone and says nothing
+    about the bound."""
     max_ratio, below_floor = 0.0, 0
     for eps, ratio in zip(eps_cols, ratio_cols, strict=True):
         above = eps > floor
@@ -378,12 +384,13 @@ def cmd_bound(cfg, out):
     times = time_grid(cfg)
 
     cols = {"t": times}
-    for n, cut, eps, b_det, ratio in _cut_route(io, init, times, truncations):
+    floor, cuts = _cut_route(io, init, times, truncations)
+    for n, cut, eps, b_det, ratio in cuts:
         cols[f"eps_n{n}"] = eps
         cols[f"bound_det_n{n}"] = b_det
         cols[f"bound_thermal_n{n}"] = bounds.bound_thermal(io, cut, n, times, th)
         cols[f"ratio_n{n}"] = ratio
-    max_ratio, below_floor = _above_floor([cols[f"eps_n{n}"] for n in truncations],
+    max_ratio, below_floor = _above_floor(floor, [cols[f"eps_n{n}"] for n in truncations],
                                           [cols[f"ratio_n{n}"] for n in truncations])
     return (cols, {"max_ratio": max_ratio, "samples_below_floor": below_floor},
             f"error report written to {out}: max eps/bound ratio = {max_ratio:.6g} "
@@ -428,8 +435,8 @@ def _sweep_cell(args):
         child = np.random.SeedSequence(seed_seq.entropy, spawn_key=seed_seq.spawn_key + (0,))
         init = bounds.sample_thermal(io, bounds.ThermalState(kT), child)
         times = np.linspace(0.0, 3.0 / float(io.omega.max()), samples)
-        ((_, _, eps, _, ratio),) = _cut_route(io, init, times, [min(n, N)])
-        max_ratio, _ = _above_floor([eps], [ratio])
+        floor, ((_, _, eps, _, ratio),) = _cut_route(io, init, times, [min(n, N)])
+        max_ratio, _ = _above_floor(floor, [eps], [ratio])
         return (N, n, kT, float(eps.max()), max_ratio, "ok", ""), time.perf_counter() - t0
     except ChainBathError as exc:
         return (N, n, kT, np.nan, np.nan, "error", type(exc).__name__), time.perf_counter() - t0

@@ -25,18 +25,16 @@ RANGE = (SCALE[0] ** 0.5, SCALE[1] ** 0.5)  # where the scaling's (sum c^2)^2 is
 
 def linear_spectrum(N: int, omega_min: float, omega_max: float) -> np.ndarray:
     """Equally spaced bath frequencies on [omega_min, omega_max]."""
-    if N == 1:
-        return np.array([omega_min], dtype=float)
-    return np.linspace(omega_min, omega_max, N)
+    with np.errstate(all="ignore"):  # build_io_model refuses an inf or NaN omega_k
+        return np.linspace(omega_min, omega_max, N)
 
 
 def geometric_spectrum(N: int, omega_min: float, omega_max: float) -> np.ndarray:
     """Geometrically spaced bath frequencies on [omega_min, omega_max]."""
     if not (omega_min > 0 and omega_max > 0):
         raise NonpositiveParameter("a geometric spectrum needs omega_min and omega_max > 0")
-    if N == 1:
-        return np.array([omega_min], dtype=float)
-    return np.geomspace(omega_min, omega_max, N)
+    with np.errstate(all="ignore"):  # build_io_model refuses an inf or NaN omega_k
+        return np.geomspace(omega_min, omega_max, N)
 
 
 def coupling_profile(omega, c0: float, power: float = 0.0) -> np.ndarray:

@@ -16,7 +16,8 @@ sum_j K_j * h_j, which `nested_convolve` evaluates by the Horner nesting
 
 Each S_j is one single-sine grid convolution, so a level-n source costs
 n+1 of them, has no partial-fraction coefficients to cancel, and needs no
-distinct frequencies.
+distinct frequencies.  Given the second chain mode's trajectory, the
+untruncated source is two levels deep: `volterra_source`.
 
 Because K_1 is a two-sine kernel the equation solves in closed form with the
 resolvent kernel
@@ -29,9 +30,9 @@ the resolvent poles must satisfy mu1^2 mu2^2 = Omega0^2 Omega1^2 - D0^2, and
 the closed solution then reproduces the exact dynamics to quadrature
 precision.)  Both mu are real and distinct iff Omega0 Omega1 > D0.
 
-The closed-form kernels, the level-n source from injected trajectories and
-a marching solver that the tests check this against are in
-`tests/oracles.py`.
+The closed-form kernels, the level-n ladder and source from injected
+trajectories and a marching solver that the tests check this against are
+in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -41,13 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import InitialState, extended_initial_conditions, free_mode_evolution
-from .errors import (
-    ComplexResolvent,
-    DegenerateResolvent,
-    DimensionMismatch,
-    NonpositiveParameter,
-    check_index,
-)
+from .errors import ComplexResolvent, DegenerateResolvent, NonpositiveParameter
 from .kernels import convolve_on_grid
 from .spectral import ChainModel, OrthogonalMap
 
@@ -101,36 +96,6 @@ def resolvent_series(params: VolterraParams):
     return np.array([m1, m2]), np.array([pref * m2, -pref * m1])
 
 
-def coupling(chain: ChainModel, l: int) -> float:
-    """D_l with the boundary conventions: D_0 is the system coupling and
-    D_N = 0 terminates sums."""
-    check_index(l, chain.N, "coupling index")
-    if l == 0:
-        return chain.D0
-    if l == chain.N:
-        return 0.0
-    return float(chain.D[l - 1])
-
-
-def coupling_products(chain: ChainModel, n: int) -> np.ndarray:
-    """p_i = prod_{l<i} D_l/Omega_l for i = 0..n+1 (p_0 = 1); p_{N+1} = 0
-    because D_N = 0."""
-    freqs = chain.mode_freqs
-    ratios = [coupling(chain, l) / freqs[l] for l in range(n + 1)]
-    return np.concatenate([[1.0], np.cumprod(ratios)])
-
-
-def _check_level(chain: ChainModel, n: int, omap: OrthogonalMap) -> None:
-    """Range check of a level n that reads n = chain.N as the untruncated
-    chain.  A map cut by `chain_from_io(io, rows=k)` gives a chain with
-    N = k whose level k is not untruncated: DimensionMismatch there."""
-    check_index(n, chain.N, "level")
-    if n == chain.N and omap.is_cut:
-        raise DimensionMismatch(
-            f"level {n} ends a chain cut at {omap.N} of {omap.O.shape[1]} modes, "
-            "not the untruncated chain; build the full map")
-
-
 def nested_convolve(freqs, hs, times) -> np.ndarray:
     """sum_j K_j * h_j on the grid, with K_j the nested kernel of
     freqs[:j+1] and hs[j] sampled on `times`.
@@ -144,34 +109,27 @@ def nested_convolve(freqs, hs, times) -> np.ndarray:
     return acc
 
 
-def _free_ladder(chain: ChainModel, n: int, init: InitialState,
-                 omap: OrthogonalMap, times):
-    """(f_0, hs) with f-tilde_n = f_0 + nested_convolve(freqs[:n+1], hs, times):
-    hs[j] = p_{j+1} f_{j+1} for j < n and hs[n] = 0, where f_i is the free
-    evolution of mode i from its initial data."""
-    freqs = chain.mode_freqs
-    p = coupling_products(chain, n)
-    y0, ydot0 = extended_initial_conditions(omap, init, n)
-    f = np.array([free_mode_evolution(freqs[i], y0[i], ydot0[i], times)
-                  for i in range(n + 1)])
-    hs = np.zeros_like(f)
-    hs[:-1] = p[1:-1, None] * f[1:]
-    return f[0], hs
+def volterra_source(chain: ChainModel, init: InitialState, omap: OrthogonalMap,
+                    times, x2=None) -> np.ndarray:
+    """The untruncated source F_N of the system's Volterra equation on `times`,
 
+        F_N = f_0 + S_0 * (p_1 f_1 + S_1 * (p_2 X_2)),
 
-def free_source_series(chain: ChainModel, n: int, init: InitialState,
-                       omap: OrthogonalMap, times) -> np.ndarray:
-    """The ladder f-tilde_n sampled on `times`.
-
-    f-tilde_0 = f_0 and
-    f-tilde_i = f-tilde_{i-1} + (prod_{l<i} D_l/Omega_l) K_{i-1} * f_i,
-    where f_i is the free evolution of mode i from its initial data.
+    with f_i the free evolution of mode i from its initial data,
+    p_1 = D0/Omega0, p_2 = p_1 D_1/Omega_1 and `x2` the samples of X_2 from
+    the full evolution: one two-level cascade.  With no X_2 (a one-mode
+    bath, where D_1 = 0) the cascade is one level deep.  Reads only
+    Omega_1, D_1 and the map's first row, so a cut chain serves.
     """
-    _check_level(chain, n, omap)
     times = np.asarray(times, dtype=float)
-    f0, hs = _free_ladder(chain, n, init, omap, times)
-    # hs[n] = 0: the top level adds nothing, and is not convolved
-    return f0 + nested_convolve(chain.mode_freqs[:n], hs[:-1], times)
+    freqs = chain.mode_freqs
+    y0, ydot0 = extended_initial_conditions(omap, init, 1)
+    f0, f1 = (free_mode_evolution(freqs[i], y0[i], ydot0[i], times) for i in (0, 1))
+    p1 = chain.D0 / freqs[0]
+    hs = [p1 * f1]
+    if x2 is not None:
+        hs.append(p1 * (chain.D[0] / freqs[1]) * np.asarray(x2, dtype=float))
+    return f0 + nested_convolve(freqs[: len(hs)], hs, times)
 
 
 def solve_volterra_closed(params: VolterraParams, F, times) -> np.ndarray:

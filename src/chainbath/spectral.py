@@ -87,10 +87,7 @@ class ChainModel:
     D_j (length N-1), system-chain coupling D0, system frequency Omega0.
 
     A chain cut by `chain_from_io(io, rows=k)` holds the first k modes, and
-    its N is k: functions that read n = N as the untruncated chain need the
-    full chain.  `free_source_series`, which takes the map, raises
-    DimensionMismatch on a cut one; `epsilon1` takes no map and cannot
-    tell."""
+    its N is k."""
 
     Omega: np.ndarray
     D: np.ndarray
@@ -118,11 +115,6 @@ class OrthogonalMap:
     @property
     def N(self) -> int:
         return self.O.shape[0]
-
-    @property
-    def is_cut(self) -> bool:
-        """True when the map holds fewer rows than the bath has modes."""
-        return self.N < self.O.shape[1]
 
 
 @dataclass(frozen=True)

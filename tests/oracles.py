@@ -11,10 +11,11 @@ same quantities:
   quadrature (`kernel_quadrature`);
 - the dense eigendecomposition dynamics (`evolve_raw`, `evolve_exact`,
   `evolve_truncated`, `evolve_io`) with the energy and response helpers;
-- the level-n Volterra source `source_term`, the reduced-form identity
-  `x_reduced_form` and a marching Volterra solver;
-- the truncation-error decomposition (`epsilon1_pointwise`, `epsilon2`,
-  `error_report`, `thermal_error_mc`);
+- the level-n free ladder `free_source_series` and Volterra source
+  `source_term`, which read level n = N as the untruncated chain, the
+  reduced-form identity `x_reduced_form` and a marching Volterra solver;
+- the truncation-error decomposition (`epsilon1` on the cascade,
+  `epsilon1_pointwise`, `epsilon2`, `error_report`, `thermal_error_mc`);
 - the full-map equivalence check `verify_equivalence`, the dense
   tridiagonal matrix `tridiagonal(chain)` and its leading minors'
   polynomials `char_poly_eval`, unscaled, which the bounds' weights are
@@ -45,18 +46,11 @@ from chainbath.dynamics import (
     assemble_extended_matrix,
     evolve_truncated_x,
     extended_initial_conditions,
+    free_mode_evolution,
 )
 from chainbath.errors import ChainBathError, DimensionMismatch, check_index
 from chainbath.kernels import _gl_rule, check_grid, convolve_on_grid
-from chainbath.solution import (
-    VolterraParams,
-    _check_level,
-    _free_ladder,
-    coupling,
-    coupling_products,
-    nested_convolve,
-    resolvent_series,
-)
+from chainbath.solution import VolterraParams, nested_convolve, resolvent_series
 from chainbath.spectral import (
     _RTOL,
     ChainModel,
@@ -416,6 +410,62 @@ def system_response(A, times):
 # --- solution -------------------------------------------------------------
 
 
+def coupling(chain: ChainModel, l: int) -> float:
+    """D_l with the boundary conventions: D_0 is the system coupling and
+    D_N = 0 terminates sums."""
+    check_index(l, chain.N, "coupling index")
+    if l == 0:
+        return chain.D0
+    if l == chain.N:
+        return 0.0
+    return float(chain.D[l - 1])
+
+
+def coupling_products(chain: ChainModel, n: int) -> np.ndarray:
+    """p_i = prod_{l<i} D_l/Omega_l for i = 0..n+1 (p_0 = 1); p_{N+1} = 0
+    because D_N = 0."""
+    freqs = chain.mode_freqs
+    ratios = [coupling(chain, l) / freqs[l] for l in range(n + 1)]
+    return np.concatenate([[1.0], np.cumprod(ratios)])
+
+
+def _check_level(chain: ChainModel, n: int, omap: OrthogonalMap) -> None:
+    """Range check of a level n that reads n = chain.N as the untruncated
+    chain.  A map cut by `chain_from_io(io, rows=k)` gives a chain with
+    N = k whose level k is not untruncated: DimensionMismatch there."""
+    check_index(n, chain.N, "level")
+    if n == chain.N and omap.N < omap.O.shape[1]:
+        raise DimensionMismatch(
+            f"level {n} ends a chain cut at {omap.N} of {omap.O.shape[1]} modes, "
+            "not the untruncated chain; build the full map")
+
+
+def _free_ladder(chain: ChainModel, n: int, init: InitialState,
+                 omap: OrthogonalMap, times):
+    """(f_0, hs) with f-tilde_n = f_0 + nested_convolve(freqs[:n+1], hs, times):
+    hs[j] = p_{j+1} f_{j+1} for j < n and hs[n] = 0, where f_i is the free
+    evolution of mode i from its initial data."""
+    freqs = chain.mode_freqs
+    p = coupling_products(chain, n)
+    y0, ydot0 = extended_initial_conditions(omap, init, n)
+    f = np.array([free_mode_evolution(freqs[i], y0[i], ydot0[i], times)
+                  for i in range(n + 1)])
+    hs = np.zeros_like(f)
+    hs[:-1] = p[1:-1, None] * f[1:]
+    return f[0], hs
+
+
+def free_source_series(chain: ChainModel, n: int, init: InitialState,
+                       omap: OrthogonalMap, times) -> np.ndarray:
+    """The ladder f-tilde_0 = f_0,
+    f-tilde_i = f-tilde_{i-1} + (prod_{l<i} D_l/Omega_l) K_{i-1} * f_i,
+    sampled on `times`, f_i the free evolution of mode i."""
+    _check_level(chain, n, omap)
+    times = np.asarray(times, dtype=float)
+    f0, hs = _free_ladder(chain, n, init, omap, times)
+    return f0 + nested_convolve(chain.mode_freqs[: n + 1], hs, times)
+
+
 def _add_mode_terms(chain: ChainModel, traj: Trajectory, hs, lo: int):
     """Add p_j (D_{j-1}/Omega_j) X_{j-1} to hs[j] for lo <= j <= n, with the
     chain-mode trajectories injected from `traj`."""
@@ -521,6 +571,25 @@ def epsilon_empirical(full: Trajectory, truncated: Trajectory) -> np.ndarray:
     return np.abs(full.x - truncated.x)
 
 
+def epsilon1(chain: ChainModel, n: int, times, x_next) -> np.ndarray:
+    """Direct tail error eps1(n, t) on the grid:
+    (prod_{l<=n} D_l/Omega_l) int_0^t K_n(t-s) X_{n+1}(s) ds, with X_{n+1}
+    sampled from the full evolution, through the nested_convolve cascade.
+    Identically zero at n = N, so `chain` must be the full chain: one cut
+    by `chain_from_io(io, rows=k)` returns zero at n = k, and with no map
+    in hand this function cannot tell."""
+    check_index(n, chain.N, "truncation index")
+    times = np.asarray(times, dtype=float)
+    if n == chain.N:
+        return np.zeros_like(times)
+    x_next = np.asarray(x_next, dtype=float)
+    freqs = chain.mode_freqs[: n + 1]
+    check_grid(times, float(np.abs(x_next).max()), float(freqs.max()))
+    hs = np.zeros((n + 1, len(times)))
+    hs[n] = coupling_products(chain, n)[n + 1] * x_next
+    return nested_convolve(freqs, hs, times)
+
+
 def epsilon1_pointwise(chain: ChainModel, n: int, t_points, x_next_eval,
                        nodes: int = 32) -> np.ndarray:
     """eps1(n, t) at arbitrary small times, max(Omega) * t < 0.5.
@@ -529,7 +598,7 @@ def epsilon1_pointwise(chain: ChainModel, n: int, t_points, x_next_eval,
     Taylor series, which avoids the 2n-order cancellation of the sine series
     near the origin; x_next_eval(s) must return X_{n+1} at arbitrary times
     (e.g. from the eigendecomposition).  Raises ValueError at larger times,
-    which `bounds.epsilon1` covers on a time grid.
+    which `epsilon1` covers on a time grid.
     """
     check_index(n, chain.N, "truncation index")
     t_points = np.asarray(t_points, dtype=float)
@@ -618,7 +687,7 @@ def error_report(io: IOModel, chain: ChainModel, omap: OrthogonalMap, n: int,
     X_{n+1}(s), summed mode by mode at the geometric slope times, so a chain
     cut by `chain_from_io(io, rows=k)` raises DimensionMismatch for every n.
     """
-    if omap.is_cut:
+    if omap.N < omap.O.shape[1]:
         raise DimensionMismatch(
             f"error_report evolves the untruncated chain; the map holds only "
             f"{omap.N} of {omap.O.shape[1]} rows")

@@ -13,7 +13,6 @@ from chainbath.bounds import (
     _log_weight_sums,
     bound_deterministic,
     bound_thermal,
-    epsilon1,
     min_modes,
     sample_thermal,
 )
@@ -33,12 +32,13 @@ from chainbath.instances import (
     random_initial_state,
     random_io_model,
 )
-from chainbath.solution import mu_delta
+from chainbath.solution import mu_delta, volterra_source
 from chainbath.spectral import build_io_model, chain_coefficients, chain_from_io
 from tests.conftest import long_chain, make_instance
 from tests.oracles import (
     GridMismatch,
     char_poly_eval,
+    epsilon1,
     epsilon1_pointwise,
     epsilon2,
     epsilon_empirical,
@@ -92,11 +92,14 @@ class TestEpsilon1:
         assert np.all(epsilon1(chain, chain.N, times, np.ones_like(times)) == 0)
 
     def test_source_difference_identity(self):
-        # F_N - F_n (both built from the full trajectories) equals eps1
+        # F_N - F_n (both built from the full trajectories) equals eps1, and
+        # the package's two-level F_N equals the oracle's level-N one
         io, chain, omap, init = make_instance(41, 5)
         times = np.linspace(0, 6 / chain.Omega0, 1025)
         full = evolve_truncated(chain, chain.N, init, omap, times)
         F_N = source_term(chain, chain.N, full, init, omap)
+        assert np.abs(volterra_source(chain, init, omap, times, full.mode(2)) - F_N).max() \
+            <= 1e-13 * np.abs(F_N).max()
         for n in (1, 2, 3):
             F_n = source_term(chain, n, full, init, omap)
             e1 = epsilon1(chain, n, times, full.mode(n + 1))

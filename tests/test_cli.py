@@ -17,7 +17,7 @@ import pytest
 import chainbath
 from chainbath import dynamics, kernels, solution, spectral
 from chainbath.cli import (
-    EPS_FLOOR_REL,
+    EPS_FLOOR_ROUNDOFFS,
     _sweep_cell,
     build_initial_state,
     build_model,
@@ -57,6 +57,11 @@ def write_config(path, **overrides):
 
 def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def eps_floor(x_full):
+    """The rounding floor below which `bound` and `sweep` read no ratio."""
+    return EPS_FLOOR_ROUNDOFFS * (np.finfo(float).eps / 2) * np.abs(x_full).max()
 
 
 LINEAR_16 = {"family": "linear", "N": 16, "omega_min": 0.5, "omega_max": 2.5, "c0": 0.125}
@@ -219,6 +224,9 @@ class TestExitCodes:
                                                "omega_range": [0.5, 1e300]}},
                      id="build-chain-omega_range"),
         pytest.param("bound", {"model": {**LINEAR_4, "power": 1e10}}, id="bound-power"),
+        *(pytest.param("bound", {"model": {**LINEAR_4, "N": N, "omega_min": 1e308,
+                                           "omega_max": -1e308}}, id=f"bound-omega-span-N{N}")
+          for N in (1, 4)),
         pytest.param("bound", {"initial_state": {"kind": "random", "scale": 1e308}},
                      id="bound-scale"),
         pytest.param("bound", {"t_max": 1e300}, id="bound-t_max"),
@@ -439,14 +447,16 @@ class TestSimulate:
             tracemalloc.stop()
         assert peak <= 0.5 * N * N * 8
 
-    @pytest.mark.parametrize("N", [8, 64])
+    @pytest.mark.parametrize("N", [1, 2, 8, 64])
     def test_matches_the_full_map_route(self, tmp_path, N):
         # x_volterra against the level-N source of the full map's
-        # trajectories, and the cuts bitwise those of the full map
+        # trajectories, and the cuts bitwise those of the full map (at
+        # N = 1 the source has no X_2 and its cascade is one level deep)
+        cuts = sorted({1, min(4, N)})
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path, model={"family": "linear", "N": N, "omega_min": 0.5,
                                       "omega_max": 2.5, "c0": 0.5 / math.sqrt(N)},
-                     Omega0=1.2, t_max=10.0, samples=2048, truncations=[1, 4])
+                     Omega0=1.2, t_max=10.0, samples=2048, truncations=cuts)
         out = tmp_path / "traj.csv"
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
@@ -463,9 +473,27 @@ class TestSimulate:
         ref = solution.solve_volterra_closed(params, F, times)
         got = data[:, header.index("x_volterra")]
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(traj.x).max()
-        for n in (1, 4):
-            assert np.array_equal(data[:, header.index(f"x_n{n}")],
-                                  dynamics.evolve_truncated_x(chain, n, init, omap, times))
+        for n in cuts:
+            x_n = (data[:, header.index("x_full")] if n == N
+                   else dynamics.evolve_truncated_x(chain, n, init, omap, times))
+            assert np.array_equal(data[:, header.index(f"x_n{n}")], x_n)
+
+    def test_three_grid_convolutions(self, tmp_path, monkeypatch):
+        # the source is one two-level cascade, one single-sine convolution
+        # per level, and the resolvent one two-sine convolution
+        calls = []
+        convolve = kernels.convolve_on_grid
+
+        def counting(freqs, coeffs, values, times):
+            calls.append(len(freqs))
+            return convolve(freqs, coeffs, values, times)
+
+        monkeypatch.setattr(kernels, "convolve_on_grid", counting)
+        monkeypatch.setattr(solution, "convolve_on_grid", counting)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model=LINEAR_16, truncations=[1, 16], t_max=4.0)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
+        assert calls == [1, 1, 2]
 
 
 class TestSimulateVerdict:
@@ -737,7 +765,9 @@ class TestBoundCommand:
         header = lines[0].split(",")
         data = np.loadtxt(lines[1:], delimiter=",")
         eps = data[:, [header.index(f"eps_n{n}") for n in (1, 4, 16, 32)]]
-        floor = 1e-12 * eps.max()
+        cfg = resolve_config(cfg, {})
+        io = build_model(cfg)
+        floor = eps_floor(dynamics.evolve_io_x(io, build_initial_state(cfg, io), data[:, 0]))
         assert diag["samples_below_floor"] == np.count_nonzero(eps <= floor)
         # the CSV's ratio columns are unchanged: there, the floor dominates
         assert data[:, header.index("ratio_n32")].max() > 1.0
@@ -799,9 +829,25 @@ class TestBoundCommand:
         eps = data[:, [header.index(f"eps_n{n}") for n in (1, 100)]]
         ratio = data[:, [header.index(f"ratio_n{n}") for n in (1, 100)]]
         assert np.isinf(ratio).any()
-        assert np.all(eps[np.isinf(ratio)] <= EPS_FLOOR_REL * eps.max())
+        cfg = resolve_config(cfg, {})
+        io = build_model(cfg)
+        x_full = dynamics.evolve_io_x(io, build_initial_state(cfg, io), data[:, 0])
+        assert np.all(eps[np.isinf(ratio)] <= eps_floor(x_full))
         diag = json.loads((tmp_path / "bound.csv.resolved.json").read_text())["diagnostics"]
         assert math.isfinite(diag["max_ratio"])
+
+    def test_deep_cut_alone_reads_below_the_floor(self, tmp_path):
+        # the cut n = 100 alone on the linear N = 1024 chain: every eps is
+        # rounding, far below max|x_full|, and the floor, tied to x_full,
+        # holds every sample
+        N = 1024
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model={"family": "linear", "N": N, "omega_min": 0.5,
+                                 "omega_max": 2.5, "c0": 0.5 / math.sqrt(N)},
+                     Omega0=1.2, t_max=10.0, samples=2048, truncations=[100], seed=1)
+        assert main(["bound", "--config", str(cfg), "--out", str(tmp_path / "bound.csv")]) == 0
+        diag = json.loads((tmp_path / "bound.csv.resolved.json").read_text())["diagnostics"]
+        assert diag == {"max_ratio": 0.0, "samples_below_floor": 2048}
 
     def test_builds_only_the_rows_it_reads(self, tmp_path, chain_builds):
         # bound builds max(truncations) < N rows; min-modes builds no map
@@ -990,9 +1036,24 @@ class TestSweep:
                          - dynamics.evolve_truncated_x(chain, n, init, omap, times))
             assert max_eps == eps.max()
             b = bounds.bound_deterministic(io, chain, n, times, init)
-            above = eps > 1e-12 * eps.max()
+            above = eps > eps_floor(dynamics.evolve_io_x(io, init, times))
             assert max_ratio == (eps[above] / b[above]).max()
             assert 0.0 < max_ratio <= 1.0
+
+    def test_short_chains_read_above_the_floor(self, tmp_path):
+        # the cells whose cut n = 4 < N leaves eps near rounding: max_ratio
+        # reads no sample that rounding alone makes, so every cell's eps is
+        # within its bound
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model={"family": "linear", "N": 8, "omega_min": 0.5,
+                                 "omega_max": 2.5, "c0": 0.5 / math.sqrt(8)},
+                     Omega0=1.2, t_max=6.0, samples=512, truncations=[1, 2, 4],
+                     sweep={"N": [4, 8, 16, 32], "n": [1, 2, 4], "kT": [0.1, 1.0, 10.0]})
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 36 and all(row[5] == "ok" for row in rows)
+        assert all(0.0 <= float(row[4]) <= 1.0 for row in rows)
 
     def test_cell_is_a_pure_function_of_its_job(self):
         # one job run twice draws the same bath and thermal state: the cell

@@ -17,19 +17,15 @@ from chainbath.errors import (
     NonpositiveParameter,
 )
 from chainbath.instances import coupling_profile, linear_spectrum
-from chainbath.solution import (
-    coupling,
-    free_source_series,
-    mu_delta,
-    resolvent_series,
-    solve_volterra_closed,
-)
+from chainbath.solution import mu_delta, resolvent_series, solve_volterra_closed
 from chainbath.spectral import ChainModel, OrthogonalMap, build_io_model, chain_from_io
 from chainbath.dynamics import InitialState
 from tests.conftest import make_instance
 from tests.oracles import (
     Trajectory,
+    coupling,
     evolve_truncated,
+    free_source_series,
     kernel_closed_form,
     kernel_eval,
     solve_volterra_numeric,
