@@ -89,6 +89,17 @@ def _bound(chain: ChainModel, n: int, t, log_s):
     return out if out.ndim else float(out)
 
 
+def _bound_at(io: IOModel, chain: ChainModel, n: int, t, u):
+    """The bound at cut n for the bath weights u."""
+    check_index(n, chain.N, "truncation index")
+    return _bound(chain, n, t, next(itertools.islice(_log_weight_sums(io, chain, u), n, None)))
+
+
+def _thermal_weights(io: IOModel, th: ThermalState):
+    """The thermal bath weights sqrt(8 kT / pi) / omega_k."""
+    return math.sqrt(8 * th.kT / math.pi) / io.omega
+
+
 def bound_deterministic(io: IOModel, chain: ChainModel, n: int, t,
                         init: InitialState):
     """Deterministic truncation-error bound for given bath initial data.
@@ -98,9 +109,7 @@ def bound_deterministic(io: IOModel, chain: ChainModel, n: int, t,
     in exact arithmetic, so the bound holds rounding noise only (it differs
     by up to 1.67x between the Lanczos and RKPW coefficients of one bath).
     """
-    check_index(n, chain.N, "truncation index")
-    u = np.abs(init.q0) + np.abs(init.qdot0) / io.omega
-    return _bound(chain, n, t, next(itertools.islice(_log_weight_sums(io, chain, u), n, None)))
+    return _bound_at(io, chain, n, t, np.abs(init.q0) + np.abs(init.qdot0) / io.omega)
 
 
 def bound_thermal(io: IOModel, chain: ChainModel, n: int, t, th: ThermalState):
@@ -110,9 +119,7 @@ def bound_thermal(io: IOModel, chain: ChainModel, n: int, t, th: ThermalState):
     initial-data factor of the deterministic bound; scales as sqrt(kT).
     At n = N it holds rounding noise only, as `bound_deterministic` does.
     """
-    check_index(n, chain.N, "truncation index")
-    u = math.sqrt(8 * th.kT / math.pi) / io.omega
-    return _bound(chain, n, t, next(itertools.islice(_log_weight_sums(io, chain, u), n, None)))
+    return _bound_at(io, chain, n, t, _thermal_weights(io, th))
 
 
 def sample_thermal(io: IOModel, th: ThermalState, seed) -> InitialState:
@@ -142,8 +149,7 @@ def min_modes(io: IOModel, chain: ChainModel, t: float, tol: float,
         raise ValueError(f"t = {t} must be finite and >= 0, and tol = {tol} finite")
     if tol <= 0:
         raise NonpositiveParameter("tol must be positive")
-    u = math.sqrt(8 * th.kT / math.pi) / io.omega
-    for n, log_s in enumerate(_log_weight_sums(io, chain, u)):
+    for n, log_s in enumerate(_log_weight_sums(io, chain, _thermal_weights(io, th))):
         b = _bound(chain, n, t, log_s)
         if b <= tol:
             return MinModesResult(n=n, certified=True, bound=b)

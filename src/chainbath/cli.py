@@ -31,8 +31,11 @@ Verdicts: `build-chain` writes `D0`, `eigenvalue_mismatch`,
 `passed`, which holds when max|x_full - x_volterra| <= 1e-9 max|x_full|.
 `bound` writes `max_ratio`, the largest eps/bound_det over the samples
 whose eps is above EPS_FLOOR_ROUNDOFFS * u * max|x_full| (u the unit
-roundoff; below it eps can be rounding alone), and `samples_below_floor`,
-the count of the others; the CSV's `ratio_n*` columns keep every sample.
+roundoff; below it eps can be rounding alone) and whose bound_det is
+finite, `samples_below_floor`, the count of the samples at or below the
+floor, and `samples_vacuous`, of those above it whose bound_det is inf:
+each sample is one of the three.  The CSV's `ratio_n*` columns keep every
+sample.
 `sweep`'s `max_ratio` reads above the same floor within its cell (0 where
 n >= N and eps is 0).  The `bound_*` columns hold a finite value or inf,
 never NaN, and inf only where the bound is above float64's largest value;
@@ -78,7 +81,6 @@ from .errors import (
     Breakdown,
     ChainBathError,
     ComplexResolvent,
-    DegenerateResolvent,
     UnstableMode,
     check_index,
 )
@@ -364,16 +366,20 @@ def _cut_route(io, init, times, truncations):
     return floor, cuts
 
 
-def _above_floor(floor, eps_cols, ratio_cols):
-    """The largest ratio where eps > floor over all columns, and the count
-    of the other samples, whose eps can be rounding alone and says nothing
-    about the bound."""
-    max_ratio, below_floor = 0.0, 0
-    for eps, ratio in zip(eps_cols, ratio_cols, strict=True):
+def _above_floor(floor, cuts):
+    """Over the samples of `_cut_route`'s cuts: the largest ratio where eps
+    > floor and the bound is finite, the count of samples whose eps is at
+    or below the floor (rounding alone can make it), and the count of those
+    above it whose bound is inf (vacuous).  Neither of those two kinds says
+    anything about the bound."""
+    max_ratio, below_floor, vacuous = 0.0, 0, 0
+    for _, _, eps, b_det, ratio in cuts:
         above = eps > floor
-        max_ratio = max(max_ratio, float(ratio[above].max(initial=0.0)))
+        inf = above & np.isinf(b_det)
+        max_ratio = max(max_ratio, float(ratio[above & ~inf].max(initial=0.0)))
         below_floor += int(above.size - np.count_nonzero(above))
-    return max_ratio, below_floor
+        vacuous += int(np.count_nonzero(inf))
+    return max_ratio, below_floor, vacuous
 
 
 def cmd_bound(cfg, out):
@@ -390,11 +396,18 @@ def cmd_bound(cfg, out):
         cols[f"bound_det_n{n}"] = b_det
         cols[f"bound_thermal_n{n}"] = bounds.bound_thermal(io, cut, n, times, th)
         cols[f"ratio_n{n}"] = ratio
-    max_ratio, below_floor = _above_floor(floor, [cols[f"eps_n{n}"] for n in truncations],
-                                          [cols[f"ratio_n{n}"] for n in truncations])
-    return (cols, {"max_ratio": max_ratio, "samples_below_floor": below_floor},
+    max_ratio, below_floor, vacuous = _above_floor(floor, cuts)
+    return (cols, {"max_ratio": max_ratio, "samples_below_floor": below_floor,
+                   "samples_vacuous": vacuous},
             f"error report written to {out}: max eps/bound ratio = {max_ratio:.6g} "
-            f"({below_floor} samples below the rounding floor)", None)
+            f"({below_floor} samples below the rounding floor, {vacuous} with a vacuous bound)",
+            None)
+
+
+def _nondecreasing(values, keys):
+    """Whether `values` never decrease as their `keys` increase."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return all(values[i] <= values[j] for i, j in zip(order, order[1:]))
 
 
 def cmd_min_modes(cfg, out):
@@ -408,10 +421,8 @@ def cmd_min_modes(cfg, out):
     cols = {"t": ts}
     for j, tol in enumerate(tols):
         cols[f"n_tol_{fmt(tol)}"] = [line[j].n for line in table]
-    monotone_t = sorted(ts) != ts or all(
-        table[i][j].n <= table[i + 1][j].n for j in range(len(tols)) for i in range(len(ts) - 1))
-    monotone_tol = sorted(tols) != tols or all(
-        table[i][j].n >= table[i][j + 1].n for i in range(len(ts)) for j in range(len(tols) - 1))
+    monotone_t = all(_nondecreasing([line[j].n for line in table], ts) for j in range(len(tols)))
+    monotone_tol = all(_nondecreasing([-cell.n for cell in line], tols) for line in table)
     uncertified = sum(not cell.certified for line in table for cell in line)
     flag = "" if (monotone_t and monotone_tol) else "  [NON-MONOTONE]"
     return (cols, {"monotone_in_t": monotone_t, "monotone_in_tol": monotone_tol,
@@ -435,8 +446,8 @@ def _sweep_cell(args):
         child = np.random.SeedSequence(seed_seq.entropy, spawn_key=seed_seq.spawn_key + (0,))
         init = bounds.sample_thermal(io, bounds.ThermalState(kT), child)
         times = np.linspace(0.0, 3.0 / float(io.omega.max()), samples)
-        floor, ((_, _, eps, _, ratio),) = _cut_route(io, init, times, [min(n, N)])
-        max_ratio, _ = _above_floor(floor, [eps], [ratio])
+        floor, cuts = _cut_route(io, init, times, [min(n, N)])
+        max_ratio, eps = _above_floor(floor, cuts)[0], cuts[0][2]
         return (N, n, kT, float(eps.max()), max_ratio, "ok", ""), time.perf_counter() - t0
     except ChainBathError as exc:
         return (N, n, kT, np.nan, np.nan, "error", type(exc).__name__), time.perf_counter() - t0
@@ -505,7 +516,7 @@ def main(argv=None) -> int:
     except Breakdown as exc:
         print(f"error: chain construction breakdown: {exc}", file=sys.stderr)
         return 3
-    except (UnstableMode, ComplexResolvent, DegenerateResolvent) as exc:
+    except (UnstableMode, ComplexResolvent) as exc:
         print(f"error: {type(exc).__name__}: {exc} "
               "(requires positive-definite dynamics and D0 < Omega0*Omega1)",
               file=sys.stderr)

@@ -42,10 +42,5 @@ class ComplexResolvent(ChainBathError):
     D >= Omega*Omega_1)."""
 
 
-class DegenerateResolvent(ChainBathError):
-    """The two resolvent frequencies coincide; the closed solution kernel
-    is singular."""
-
-
 class GridTooCoarse(ChainBathError):
     """The sample grid is too coarse for the requested quadrature accuracy."""

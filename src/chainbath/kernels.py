@@ -3,9 +3,9 @@
 K_0(tau) = sin(Omega_0 tau) and K_i = K_{i-1} * sin(Omega_i .) (convolution
 on [0, tau]), so each K_i is an i-fold nested integral of sines.  Every
 kernel the library computes applies that nesting to sampled signals, one
-single-sine `convolve_on_grid` per level: the Volterra source through
-`solution.nested_convolve`, and the `kernels` command by convolving
-sin(Omega_0 t) up the chain.  `convolve_on_grid` needs only numpy:
+single-sine `convolve_on_grid` per level: the Volterra source and its
+resolvent solve through `solution.nested_convolve`, and the `kernels`
+command by convolving sin(Omega_0 t) up the chain.  `convolve_on_grid` needs only numpy:
 it integrates the local 6-point Lagrange interpolant of the uniformly
 sampled signal against cos/sin by per-interval Gauss-Legendre and
 accumulates the moments.  Angle addition moves the trig to the grid points

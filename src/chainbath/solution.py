@@ -28,11 +28,14 @@ where mu_{1,2}^2 = (Omega0^2 + Omega1^2 +- sqrt(Delta))/2 and
 Delta = (Omega0^2 - Omega1^2)^2 + 4 D0^2.  (Laplace analysis fixes the +4D0^2:
 the resolvent poles must satisfy mu1^2 mu2^2 = Omega0^2 Omega1^2 - D0^2, and
 the closed solution then reproduces the exact dynamics to quadrature
-precision.)  Both mu are real and distinct iff Omega0 Omega1 > D0.
+precision.)  Both mu are real iff Omega0 Omega1 > D0.  R is D0^2/(mu1 mu2)
+times the nested two-sine kernel sin(mu1 .) * sin(mu2 .), so the solve is
+one more two-level cascade, with no 1/(mu2^2 - mu1^2) to cancel: coincident
+resolvent frequencies (a weakly coupled resonant bath) need no special case.
 
-The closed-form kernels, the level-n ladder and source from injected
-trajectories and a marching solver that the tests check this against are
-in `tests/oracles.py`.
+The closed-form kernels, the partial-fraction resolvent, the level-n
+ladder and source from injected trajectories and a marching solver that
+the tests check this against are in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -42,21 +45,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import InitialState, extended_initial_conditions, free_mode_evolution
-from .errors import ComplexResolvent, DegenerateResolvent, NonpositiveParameter
+from .errors import ComplexResolvent, NonpositiveParameter
 from .kernels import convolve_on_grid
 from .spectral import ChainModel, OrthogonalMap
 
 
 @dataclass(frozen=True)
 class VolterraParams:
-    """Resolvent frequencies mu1 > mu2 > 0 and discriminant for the closed
-    solution of the system's integral equation."""
+    """Resolvent frequencies mu1 >= mu2 > 0 and the coupling D0 of the
+    closed solution of the system's integral equation."""
 
     mu1: float
     mu2: float
-    Delta: float
-    Omega0: float
-    Omega1: float
     D0: float
 
 
@@ -64,36 +64,22 @@ def mu_delta(Omega0: float, Omega1: float, D0: float) -> VolterraParams:
     """Resolvent frequencies of the closed Volterra solution.
 
     Raises ComplexResolvent when D0 >= Omega0*Omega1 (the lower frequency
-    would not be real) and DegenerateResolvent when the two frequencies
-    coincide to rounding.
+    would not be real).
     """
     if Omega0 <= 0 or Omega1 <= 0 or D0 <= 0:
         raise NonpositiveParameter("Omega0, Omega1 and D0 must be positive")
-    s = Omega0**2 + Omega1**2
-    Delta = (Omega0**2 - Omega1**2) ** 2 + 4 * D0**2
     if D0 >= Omega0 * Omega1:
         raise ComplexResolvent(
             f"D0 = {D0:g} >= Omega0*Omega1 = {Omega0 * Omega1:g}; "
             "lower resolvent frequency is not real"
         )
-    if Delta < 1e-12 * s**2:
-        raise DegenerateResolvent("resolvent frequencies coincide to rounding")
-    root = np.sqrt(Delta)
+    s = Omega0**2 + Omega1**2
+    root = np.sqrt((Omega0**2 - Omega1**2) ** 2 + 4 * D0**2)
     return VolterraParams(
         mu1=float(np.sqrt((s + root) / 2)),
         mu2=float(np.sqrt((s - root) / 2)),
-        Delta=float(Delta),
-        Omega0=float(Omega0),
-        Omega1=float(Omega1),
         D0=float(D0),
     )
-
-
-def resolvent_series(params: VolterraParams):
-    """Sine-series (freqs, coeffs) of the resolvent kernel R."""
-    m1, m2, D = params.mu1, params.mu2, params.D0
-    pref = D**2 / (m1 * m2 * (m2**2 - m1**2))
-    return np.array([m1, m2]), np.array([pref * m2, -pref * m1])
 
 
 def nested_convolve(freqs, hs, times) -> np.ndarray:
@@ -133,11 +119,10 @@ def volterra_source(chain: ChainModel, init: InitialState, omap: OrthogonalMap,
 
 
 def solve_volterra_closed(params: VolterraParams, F, times) -> np.ndarray:
-    """Closed solution x = F + R * F with the two-sine resolvent kernel.
-
-    F is sampled on `times`; the convolution uses the same Lagrange +
-    Gauss-Legendre machinery as the source construction.
+    """Closed solution x = F + R * F, with R = D0^2/(mu1 mu2) times the
+    nested kernel sin(mu1 .) * sin(mu2 .): one two-level cascade on the
+    samples of F on `times`.
     """
-    freqs, coeffs = resolvent_series(params)
     F = np.asarray(F, dtype=float)
-    return F + convolve_on_grid(freqs, coeffs, F, times)
+    pref = params.D0**2 / (params.mu1 * params.mu2)
+    return F + nested_convolve([params.mu1, params.mu2], [0.0, pref * F], times)

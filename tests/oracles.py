@@ -14,6 +14,8 @@ same quantities:
 - the level-n free ladder `free_source_series` and Volterra source
   `source_term`, which read level n = N as the untruncated chain, the
   reduced-form identity `x_reduced_form` and a marching Volterra solver;
+- the resolvent kernel as the paper's partial-fraction sine series
+  (`resolvent_series`);
 - the truncation-error decomposition (`epsilon1` on the cascade,
   `epsilon1_pointwise`, `epsilon2`, `error_report`, `thermal_error_mc`);
 - the full-map equivalence check `verify_equivalence`, the dense
@@ -50,7 +52,7 @@ from chainbath.dynamics import (
 )
 from chainbath.errors import ChainBathError, DimensionMismatch, check_index
 from chainbath.kernels import _gl_rule, check_grid, convolve_on_grid
-from chainbath.solution import VolterraParams, nested_convolve, resolvent_series
+from chainbath.solution import VolterraParams, nested_convolve
 from chainbath.spectral import (
     _RTOL,
     ChainModel,
@@ -625,6 +627,15 @@ def epsilon1_pointwise(chain: ChainModel, n: int, t_points, x_next_eval,
         kv = np.array([kernel_taylor(freqs, order, tv) for tv in t - s])
         out[m] = pref * float(np.sum(wt * kv * x_next_eval(s)))
     return out
+
+
+def resolvent_series(params: VolterraParams):
+    """Sine-series (freqs, coeffs) of the resolvent kernel R, the paper's
+    partial fractions: singular where mu1 = mu2, which the nested solve
+    `solution.solve_volterra_closed` is not."""
+    m1, m2, D = params.mu1, params.mu2, params.D0
+    pref = D**2 / (m1 * m2 * (m2**2 - m1**2))
+    return np.array([m1, m2]), np.array([pref * m2, -pref * m1])
 
 
 def epsilon2(params: VolterraParams, eps1_series, times) -> np.ndarray:

@@ -478,9 +478,9 @@ class TestSimulate:
                    else dynamics.evolve_truncated_x(chain, n, init, omap, times))
             assert np.array_equal(data[:, header.index(f"x_n{n}")], x_n)
 
-    def test_three_grid_convolutions(self, tmp_path, monkeypatch):
-        # the source is one two-level cascade, one single-sine convolution
-        # per level, and the resolvent one two-sine convolution
+    def test_four_single_sine_convolutions(self, tmp_path, monkeypatch):
+        # the source and the resolvent solve are one two-level cascade each,
+        # one single-sine convolution per level
         calls = []
         convolve = kernels.convolve_on_grid
 
@@ -493,7 +493,7 @@ class TestSimulate:
         cfg = tmp_path / "cfg.json"
         write_config(cfg, model=LINEAR_16, truncations=[1, 16], t_max=4.0)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
-        assert calls == [1, 1, 2]
+        assert calls == [1, 1, 1, 1]
 
 
 class TestSimulateVerdict:
@@ -521,6 +521,23 @@ class TestSimulateVerdict:
         data = np.loadtxt(out.read_text().splitlines()[1:], delimiter=",")
         assert diag["passed"] is True
         assert diag["max_volterra_error"] <= 1e-12 * np.abs(data[:, 1]).max()
+
+    def test_resonant_weak_coupling_passes(self, tmp_path, capsys):
+        # one bath mode at the system's frequency, coupled at 1e-7: the two
+        # resolvent frequencies agree to 1e-7, and the nested resolvent solve
+        # needs no distinct frequencies (the system starts displaced; at rest,
+        # x is a 1e-7 remainder whose rounding in x_full the gate would see)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model={"omega": [1.0], "c": [1e-7]}, Omega0=1.0,
+                     truncations=[1], initial_state={"q0": [0.3], "qdot0": [-0.2],
+                                                     "x0": 0.5, "xdot0": 0.1})
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        diag = json.loads((tmp_path / "traj.csv.resolved.json").read_text())["diagnostics"]
+        data = np.loadtxt(out.read_text().splitlines()[1:], delimiter=",")
+        assert diag["passed"] is True
+        assert diag["max_volterra_error"] <= 1e-13 * np.abs(data[:, 1]).max()
 
     def test_uncertified_run_exits_6(self, tmp_path, monkeypatch, capsys):
         # a Volterra column off by 1e-6 still writes both files, then exits 6
@@ -847,7 +864,37 @@ class TestBoundCommand:
                      Omega0=1.2, t_max=10.0, samples=2048, truncations=[100], seed=1)
         assert main(["bound", "--config", str(cfg), "--out", str(tmp_path / "bound.csv")]) == 0
         diag = json.loads((tmp_path / "bound.csv.resolved.json").read_text())["diagnostics"]
-        assert diag == {"max_ratio": 0.0, "samples_below_floor": 2048}
+        assert diag == {"max_ratio": 0.0, "samples_below_floor": 2048, "samples_vacuous": 0}
+
+    def test_vacuous_bounds_are_counted(self, tmp_path, capsys):
+        # the linear N = 64 chain to t = 1e6: nearly every bound_det sample
+        # is inf, and says nothing of eps; max_ratio reads only the finite
+        # ones above the floor, and each sample is one of the three kinds
+        N = 64
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, model={"family": "linear", "N": N, "omega_min": 0.5,
+                                      "omega_max": 2.5, "c0": 0.0625},
+                     Omega0=1.2, t_max=1e6, samples=2048, truncations=[4, 16])
+        out = tmp_path / "bound.csv"
+        assert main(["bound", "--config", str(cfg_path), "--out", str(out)]) == 0
+        summary = capsys.readouterr().out
+        diag = json.loads((tmp_path / "bound.csv.resolved.json").read_text())["diagnostics"]
+        lines = out.read_text().splitlines()
+        header = lines[0].split(",")
+        data = np.loadtxt(lines[1:], delimiter=",")
+        eps = data[:, [header.index(f"eps_n{n}") for n in (4, 16)]]
+        b_det = data[:, [header.index(f"bound_det_n{n}") for n in (4, 16)]]
+        ratio = data[:, [header.index(f"ratio_n{n}") for n in (4, 16)]]
+        cfg = resolve_config(cfg_path, {})
+        io = build_model(cfg)
+        floor = eps_floor(dynamics.evolve_io_x(io, build_initial_state(cfg, io), data[:, 0]))
+        above = eps > floor
+        vacuous = above & np.isinf(b_det)
+        assert diag["samples_vacuous"] == np.count_nonzero(vacuous) > 4000
+        assert diag["samples_below_floor"] == np.count_nonzero(~above)
+        read = above & ~vacuous
+        assert diag["max_ratio"] == ratio[read].max(initial=0.0)
+        assert f"{diag['samples_vacuous']} with a vacuous bound" in summary
 
     def test_builds_only_the_rows_it_reads(self, tmp_path, chain_builds):
         # bound builds max(truncations) < N rows; min-modes builds no map
@@ -971,6 +1018,24 @@ class TestMinModesCommand:
                 assert bounds.bound_thermal(io, chain, n, t, th) <= tol
                 if n > 0:
                     assert bounds.bound_thermal(io, chain, n - 1, t, th) > tol
+
+    @pytest.mark.parametrize("key", ["times", "tols"])
+    def test_unsorted_inputs_are_checked_for_monotonicity(self, tmp_path, monkeypatch, key):
+        # a table whose n falls as t grows (and grows as tol grows), given
+        # its times or tolerances out of order: the check reads them sorted
+        from chainbath import bounds
+
+        monkeypatch.setattr(bounds, "min_modes", lambda io, chain, t, tol, th:
+                            bounds.MinModesResult(n=int(10 * tol + 4 / t), certified=True,
+                                                  bound=0.0))
+        mm = {"times": [0.5, 1.0], "tols": [0.1, 0.2]}
+        mm[key] = mm[key][::-1]
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, min_modes=mm)
+        out = tmp_path / "mm.csv"
+        assert main(["min-modes", "--config", str(cfg), "--out", str(out)]) == 0
+        diag = json.loads((tmp_path / "mm.csv.resolved.json").read_text())["diagnostics"]
+        assert diag["monotone_in_t"] is False and diag["monotone_in_tol"] is False
 
 
 class TestSweep:

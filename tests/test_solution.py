@@ -17,7 +17,8 @@ from chainbath.errors import (
     NonpositiveParameter,
 )
 from chainbath.instances import coupling_profile, linear_spectrum
-from chainbath.solution import mu_delta, resolvent_series, solve_volterra_closed
+from chainbath.kernels import convolve_on_grid
+from chainbath.solution import VolterraParams, mu_delta, solve_volterra_closed
 from chainbath.spectral import ChainModel, OrthogonalMap, build_io_model, chain_from_io
 from chainbath.dynamics import InitialState
 from tests.conftest import make_instance
@@ -28,6 +29,7 @@ from tests.oracles import (
     free_source_series,
     kernel_closed_form,
     kernel_eval,
+    resolvent_series,
     solve_volterra_numeric,
     source_term,
     x_reduced_form,
@@ -64,7 +66,7 @@ class TestMuDelta:
         # mu^2 = (5 +- sqrt(13))/2; frozen from the resolvent-coefficient
         # identities below.
         p = mu_delta(2.0, 1.0, 1.0)
-        assert p.Delta == pytest.approx(13.0)
+        assert p.mu1**2 - p.mu2**2 == pytest.approx(np.sqrt(13.0))
         assert p.mu1**2 == pytest.approx((5 + np.sqrt(13)) / 2)
         assert p.mu2**2 == pytest.approx((5 - np.sqrt(13)) / 2)
         assert p.mu1 > p.mu2 > 0
@@ -86,6 +88,14 @@ class TestMuDelta:
         p = mu_delta(2.0, 1.0, 1e-9)
         assert p.mu1 == pytest.approx(2.0, abs=1e-9)
         assert p.mu2 == pytest.approx(1.0, abs=1e-9)
+
+    def test_coincident_frequencies_accepted(self):
+        # a weakly coupled resonant pair: mu1 and mu2 agree to 1e-7, which
+        # the nested solve needs no partial fractions for
+        p = mu_delta(1.0, 1.0, 1e-7)
+        assert p.mu1 == pytest.approx(1.0, abs=1e-7)
+        assert p.mu2 == pytest.approx(1.0, abs=1e-7)
+        assert p.mu1 >= p.mu2 > 0
 
     def test_positivity_required(self):
         with pytest.raises(NonpositiveParameter):
@@ -196,6 +206,31 @@ class TestVolterraSolvers:
         p = mu_delta(2.0, 1.0, 1.0)
         times = np.linspace(0, 5, 257)
         assert np.all(solve_volterra_closed(p, np.zeros_like(times), times) == 0)
+
+    @pytest.mark.parametrize("Om0, Om1, D0", [(1.6, 1.1, 0.8), (2.0, 1.0, 1.0),
+                                              (1.3, 2.2, 0.7), (0.9, 1.1, 0.5)])
+    def test_nested_solve_matches_partial_fractions(self, Om0, Om1, D0):
+        # separated mu: the nested two-sine cascade against the paper's
+        # resolvent series on the same grid quadrature
+        p = mu_delta(Om0, Om1, D0)
+        times = np.linspace(0, 12, 2049)
+        F = np.cos(1.3 * times) + 0.4 * np.sin(0.7 * times) * times
+        freqs, coeffs = resolvent_series(p)
+        ref = F + convolve_on_grid(freqs, coeffs, F, times)
+        x = solve_volterra_closed(p, F, times)
+        assert np.abs(x - ref).max() <= 1e-13 * np.abs(F).max()
+
+    def test_equal_resolvent_frequencies(self):
+        # mu1 = mu2 = 1, where the partial fractions read 0/0: R is then
+        # D0^2 (sin(tau) - tau cos(tau)) / 2, checked by Gauss-Legendre
+        p = VolterraParams(mu1=1.0, mu2=1.0, D0=0.5)
+        times = np.linspace(0, 6, 1025)
+        x = solve_volterra_closed(p, np.cos(1.3 * times), times)
+        for m in (256, 700, 1024):
+            t = times[m]
+            conv = gl_convolve(lambda u: 0.25 * (np.sin(u) - u * np.cos(u)) / 2,
+                               lambda s: np.cos(1.3 * s), t)
+            assert x[m] == pytest.approx(np.cos(1.3 * t) + conv, abs=1e-12)
 
     def test_weak_coupling_limit(self):
         p = mu_delta(2.0, 1.0, 1e-8)
