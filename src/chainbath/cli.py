@@ -35,15 +35,16 @@ roundoff; below it eps can be rounding alone) and whose bound_det is
 finite, `samples_below_floor`, the count of the samples at or below the
 floor, and `samples_vacuous`, of those above it whose bound_det is inf:
 each sample is one of the three.  The CSV's `ratio_n*` columns keep every
-sample.
-`sweep`'s `max_ratio` reads above the same floor within its cell (0 where
-n >= N and eps is 0).  The `bound_*` columns hold a finite value or inf,
-never NaN, and inf only where the bound is above float64's largest value;
-a `ratio_n*` sample is inf only where a bound underflowed under a
-rounding-level eps.
+sample.  A cut at n = N writes exactly 0 in its four columns and builds no
+chain: x_N is x_full, and P_N vanishes on the bath's spectrum.  `sweep`'s
+`max_ratio` reads above the same floor within its cell (0 where n >= N).
+The `bound_*` columns hold a finite value or inf, never NaN, and inf only
+where the bound is above float64's largest value; a `ratio_n*` sample is
+inf only where a bound underflowed under a rounding-level eps.
 
 Exit codes: 0 ok; 2 invalid input: an unwritable `<out>`, or a config
-refused before any output (fewer than 2 `samples`; a `t_max` outside (0, 1.16e77]; a negative or
+refused before any output (a config that is not a JSON object; fewer
+than 2 `samples`; a `t_max` outside (0, 1.16e77]; a negative or
 non-finite `min_modes` time or a non-finite tolerance; a config value of
 another JSON type than its default's, or than its `model` family or
 `initial_state` kind gives it, with a float refused where the default is
@@ -151,8 +152,9 @@ def write_sidecar(path, resolved, diagnostics=None):
 def resolve_config(path, overrides) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    if "resolved_config" in raw:  # a sidecar fed back in
+    if isinstance(raw, dict) and "resolved_config" in raw:  # a sidecar fed back in
         raw = raw["resolved_config"]
+    _check_types(raw, {}, "config")
     cfg = json.loads(json.dumps(_DEFAULTS))
     cfg.update(raw)
     for key in ("seed", "samples"):
@@ -287,8 +289,6 @@ def _truncations(cfg, N, what="truncation index"):
 
 def cmd_simulate(cfg, out):
     io = build_model(cfg)
-    # the grid gate reads every Omega_j, from RKPW, which checks every coupling
-    top = float(spectral.chain_coefficients(io).mode_freqs.max())
     truncations, below = _truncations(cfg, io.N)
     # the level-1 source reads Omega_1, D_1 and X_2; a cut, its own rows
     chain, omap = spectral.chain_from_io(io, rows=min(io.N, max([2, *below])))
@@ -296,13 +296,16 @@ def cmd_simulate(cfg, out):
     times = time_grid(cfg)
     x_full, *X_2 = dynamics.evolve_io_modes(io, init, omap.O[1:2], times)
     params = solution.mu_delta(chain.Omega0, chain.Omega[0], chain.D0)
-    kernels.check_grid(times, 1.0, top)
+    # the grid gate reads the rows built and the resolvent's top frequency
+    kernels.check_grid(times, 1.0, max(float(chain.mode_freqs.max()), params.mu1))
     F = solution.volterra_source(chain, init, omap, times, *X_2)
     x_vol = solution.solve_volterra_closed(params, F, times)
 
     cols = {"t": times, "x_full": x_full}
     for n in truncations:
-        cols[f"x_n{n}"] = _truncated_x(chain, n, init, omap, times, x_full)
+        # n = N, the bath size, is x_full itself, with no second eigensolve
+        cols[f"x_n{n}"] = (x_full if n == io.N
+                           else dynamics.evolve_truncated_x(chain, n, init, omap, times))
     err = np.abs(x_full - x_vol)
     bound = VOLTERRA_RTOL * float(np.abs(x_full).max())
     passed = bool(err.max() <= bound)
@@ -333,13 +336,6 @@ def cmd_kernels(cfg, out):
     return cols, None, f"kernel table written to {out}: orders {orders}", None
 
 
-def _truncated_x(chain, n, init, omap, times, x_full):
-    """x(t) cut after mode n; n = N, the bath size, is `x_full` itself, with
-    no second eigensolve.  `chain` and `omap` may hold only the leading n
-    modes."""
-    return x_full if n == init.N else dynamics.evolve_truncated_x(chain, n, init, omap, times)
-
-
 def _ratio(eps, bound):
     """eps/bound where the bound is positive, 0 where it vanishes; inf where
     a rounding-level eps sits over a bound that underflowed."""
@@ -348,22 +344,24 @@ def _ratio(eps, bound):
 
 
 def _cut_route(io, init, times, truncations):
-    """The rounding floor of eps and, per cut n, (n, chain, eps, bound_det,
-    ratio) with eps = |x_full - x_n|: cuts below N read the Lanczos rows of
-    the largest of them, and at least one, n = N reads RKPW and its x_n is
-    x_full, which comes from the secular equation."""
+    """The rounding floor of eps, the Lanczos rows of the largest cut below
+    N (at least one; None if no cut is below N) and, per cut n, (n, eps,
+    bound_det, ratio) with eps = |x_full - x_n|, x_full from the secular
+    equation.  n = N is the bath itself: x_N is x_full and P_N vanishes on
+    the bath's spectrum, so its columns are exactly 0."""
     below = [n for n in truncations if n < io.N]
     chain, omap = spectral.chain_from_io(io, rows=max(1, *below)) if below else (None, None)
-    full = spectral.chain_coefficients(io) if io.N in truncations else None
     x_full = dynamics.evolve_io_x(io, init, times)
     floor = EPS_FLOOR_ROUNDOFFS * (np.finfo(float).eps / 2) * float(np.abs(x_full).max())
     cuts = []
     for n in truncations:
-        cut = full if n == io.N else chain
-        eps = np.abs(x_full - _truncated_x(cut, n, init, omap, times, x_full))
-        b_det = bounds.bound_deterministic(io, cut, n, times, init)
-        cuts.append((n, cut, eps, b_det, _ratio(eps, b_det)))
-    return floor, cuts
+        if n == io.N:
+            cuts.append((n, *[np.zeros_like(times)] * 3))
+            continue
+        eps = np.abs(x_full - dynamics.evolve_truncated_x(chain, n, init, omap, times))
+        b_det = bounds.bound_deterministic(io, chain, n, times, init)
+        cuts.append((n, eps, b_det, _ratio(eps, b_det)))
+    return floor, chain, cuts
 
 
 def _above_floor(floor, cuts):
@@ -373,7 +371,7 @@ def _above_floor(floor, cuts):
     above it whose bound is inf (vacuous).  Neither of those two kinds says
     anything about the bound."""
     max_ratio, below_floor, vacuous = 0.0, 0, 0
-    for _, _, eps, b_det, ratio in cuts:
+    for _, eps, b_det, ratio in cuts:
         above = eps > floor
         inf = above & np.isinf(b_det)
         max_ratio = max(max_ratio, float(ratio[above & ~inf].max(initial=0.0)))
@@ -390,11 +388,12 @@ def cmd_bound(cfg, out):
     times = time_grid(cfg)
 
     cols = {"t": times}
-    floor, cuts = _cut_route(io, init, times, truncations)
-    for n, cut, eps, b_det, ratio in cuts:
+    floor, chain, cuts = _cut_route(io, init, times, truncations)
+    for n, eps, b_det, ratio in cuts:
         cols[f"eps_n{n}"] = eps
         cols[f"bound_det_n{n}"] = b_det
-        cols[f"bound_thermal_n{n}"] = bounds.bound_thermal(io, cut, n, times, th)
+        cols[f"bound_thermal_n{n}"] = (bounds.bound_thermal(io, chain, n, times, th)
+                                       if n < io.N else np.zeros_like(times))
         cols[f"ratio_n{n}"] = ratio
     max_ratio, below_floor, vacuous = _above_floor(floor, cuts)
     return (cols, {"max_ratio": max_ratio, "samples_below_floor": below_floor,
@@ -446,8 +445,8 @@ def _sweep_cell(args):
         child = np.random.SeedSequence(seed_seq.entropy, spawn_key=seed_seq.spawn_key + (0,))
         init = bounds.sample_thermal(io, bounds.ThermalState(kT), child)
         times = np.linspace(0.0, 3.0 / float(io.omega.max()), samples)
-        floor, cuts = _cut_route(io, init, times, [min(n, N)])
-        max_ratio, eps = _above_floor(floor, cuts)[0], cuts[0][2]
+        floor, _, cuts = _cut_route(io, init, times, [min(n, N)])
+        max_ratio, eps = _above_floor(floor, cuts)[0], cuts[0][1]
         return (N, n, kT, float(eps.max()), max_ratio, "ok", ""), time.perf_counter() - t0
     except ChainBathError as exc:
         return (N, n, kT, np.nan, np.nan, "error", type(exc).__name__), time.perf_counter() - t0
@@ -456,7 +455,7 @@ def _sweep_cell(args):
 def cmd_sweep(cfg, out):
     samples = _sample_count(cfg)
     sw = cfg["sweep"]
-    # a cell's cut min(n, N) reads at least one map row
+    # a cell cuts at min(n, N): below N it reads at least one map row
     for key in ("N", "n"):
         if not sw[key] or min(sw[key]) < 1:
             raise ValueError(f"config.sweep.{key} must be a nonempty list of integers >= 1")

@@ -241,6 +241,21 @@ class TestThermalBound:
             assert np.all(mean <= b + 3 * se), f"n={n}"
 
 
+def test_bounds_at_the_full_cut_are_rounding_noise():
+    # P_N vanishes on the bath's spectrum, so at n = N both bounds hold only
+    # its rounding floor, on RKPW's chain and on Lanczos's alike, and that
+    # floor is negligible beside the cut n = 1
+    N = 16
+    omega = linear_spectrum(N, 0.5, 2.5)
+    io = build_io_model(omega, coupling_profile(omega, 0.125), 1.1)
+    init = random_initial_state(np.random.default_rng(5), N)
+    times = np.linspace(0.0, 4.0, 512)
+    for chain in (chain_coefficients(io), chain_from_io(io)[0]):
+        for bound, data in ((bound_deterministic, init), (bound_thermal, ThermalState(1.0))):
+            full_cut = bound(io, chain, N, times, data)
+            assert full_cut.max() <= 1e-12 * bound(io, chain, 1, times, data).max()
+
+
 class TestThermalSampler:
     def test_half_normal_mean(self):
         io, _, _, _ = make_instance(81, 4)

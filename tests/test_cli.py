@@ -118,18 +118,19 @@ class TestExitCodes:
         assert err.startswith("error: chain construction breakdown: coupling D_0")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("command", ["bound", "kernels"])
+    @pytest.mark.parametrize("command", ["simulate", "bound", "kernels"])
     def test_breakdown_only_inside_the_rows_built(self, tmp_path, command):
-        # D_1 is numerically zero: a cut at n = 1 builds one row and never
-        # meets it, a cut at n = 2 does
+        # D_2 = 8.7e-12 is below 1e-12 max(omega^2) = 1.6e-11: a cut at
+        # n = 1 builds at most two rows and never meets it, a cut at n = 3
+        # builds three and does; a cut at n = N builds no row
         cfg = tmp_path / "cfg.json"
         out = str(tmp_path / "o.csv")
-        write_config(cfg, model={"omega": [1.0, 2.0], "c": [1.0, 1e-13]},
-                     truncations=[1])
-        assert main([command, "--config", str(cfg), "--out", out]) == 0
-        write_config(cfg, model={"omega": [1.0, 2.0], "c": [1.0, 1e-13]},
-                     truncations=[1, 2])
-        assert main([command, "--config", str(cfg), "--out", out]) == 3
+        far = {"model": {"omega": [1.0, 2.0, 3.0, 4.0], "c": [1.0, 1.0, 1e-13, 1e-13]},
+               "Omega0": 2.0}
+        runs = [([1], 0), ([3], 3)] + [([2, 4], 0)] * (command == "bound")
+        for truncations, code in runs:
+            write_config(cfg, **far, truncations=truncations)
+            assert main([command, "--config", str(cfg), "--out", out]) == code
 
     def test_unstable_regime(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -138,6 +139,19 @@ class TestExitCodes:
                      Omega0=1.0)
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "o.csv")]) == 4
+
+    @pytest.mark.parametrize("body", ["[1, 2]", "42", "null", '"x"', '{"resolved_config": 3}'])
+    def test_config_not_an_object(self, tmp_path, capsys, body):
+        # a config body, or a sidecar's resolved config, that is no JSON
+        # object is refused in one stderr line, with no traceback
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(body)
+        out = tmp_path / "o.csv"
+        assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration or input: config must be a JSON "
+                              "object") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_missing_config(self, tmp_path):
         assert main(["bound", "--config", str(tmp_path / "absent.json"),
@@ -494,6 +508,19 @@ class TestSimulate:
         write_config(cfg, model=LINEAR_16, truncations=[1, 16], t_max=4.0)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
         assert calls == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("samples, code", [(218, 2), (219, 0)])
+    def test_grid_gate(self, tmp_path, capsys, samples, code):
+        # the gate reads the largest frequency the cascades convolve: on the
+        # linear family that is Omega_2, among the rows simulate builds
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model={"family": "linear", "N": 8, "omega_min": 0.5,
+                                 "omega_max": 2.5, "c0": 0.5 / math.sqrt(8)},
+                     Omega0=1.2, truncations=[1, 2, 4], t_max=6.0, samples=samples, seed=1)
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert ("refine the grid" in err) == (code == 2) and out.exists() == (code == 0)
 
 
 class TestSimulateVerdict:
@@ -906,40 +933,38 @@ class TestBoundCommand:
         assert chain_builds == [4]
 
     def test_full_cut_builds_no_full_map(self, tmp_path, monkeypatch, chain_builds):
-        # a cut at n = N reads the coefficients alone: one map row for the
-        # cut at n = 1, and RKPW for the bound columns at n = N
-        from chainbath import bounds
+        # a cut at n = N is the bath itself: no command but build-chain and
+        # min-modes runs RKPW, bound's n = N columns are exactly 0, and the
+        # n = 1 columns are bitwise those of the run without the n = N cut
+        def refuse(io):
+            raise AssertionError("chain_coefficients called")
 
+        monkeypatch.setattr(spectral, "chain_coefficients", refuse)
         N = LINEAR_16["N"]
-        coefficient_builds = []
-        monkeypatch.setattr(spectral, "chain_coefficients",
-                            lambda io: coefficient_builds.append(io.N)
-                            or chain_coefficients(io))
-        cfg_path = tmp_path / "cfg.json"
-        write_config(cfg_path, model=LINEAR_16, truncations=[1, N], t_max=4.0)
-        out = tmp_path / "bound.csv"
-        assert main(["bound", "--config", str(cfg_path), "--out", str(out)]) == 0
-        assert chain_builds == [1] and coefficient_builds == [N]
-        lines = out.read_text().splitlines()
-        header = lines[0].split(",")
-        data = np.loadtxt(lines[1:], delimiter=",")
-        cfg = resolve_config(cfg_path, {})
-        io = build_model(cfg)
-        init = build_initial_state(cfg, io)
-        th = bounds.ThermalState(cfg["kT"])
-        times = data[:, 0]
-        routes = {"bound_det": lambda chain: bounds.bound_deterministic(io, chain, N, times, init),
-                  "bound_thermal": lambda chain: bounds.bound_thermal(io, chain, N, times, th)}
-        for kind, bound in routes.items():
-            got = data[:, header.index(f"{kind}_n{N}")]
-            assert np.array_equal(got, bound(chain_coefficients(io)))
-            # P_N vanishes on the bath spectrum, so both routes give only its
-            # rounding floor, and that floor is negligible beside the cut n = 1
-            floor = 1e-12 * data[:, header.index(f"{kind}_n1")].max()
-            assert got.max() <= floor
-            assert bound(chain_from_io(io)[0]).max() <= floor
-        for name in (f"eps_n{N}", f"ratio_n{N}"):
-            assert np.all(data[:, header.index(name)] == 0.0)
+        cfg = tmp_path / "cfg.json"
+        for command in ("simulate", "bound"):
+            tables = []
+            for truncations in ([1, N], [1]):
+                write_config(cfg, model=LINEAR_16, truncations=truncations, t_max=4.0)
+                out = tmp_path / f"{command}.csv"
+                assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+                lines = [line.split(",") for line in out.read_text().splitlines()]
+                tables.append({name: [row[j] for row in lines[1:]]
+                               for j, name in enumerate(lines[0])})
+            with_full, without = tables
+            for name, column in without.items():
+                assert with_full[name] == column
+            full_cut = [name for name in with_full if name.endswith(f"_n{N}")]
+            assert len(full_cut) == {"simulate": 1, "bound": 4}[command]
+            for name in full_cut:
+                expected = with_full["x_full"] if command == "simulate" else ["0"] * 512
+                assert with_full[name] == expected
+        assert chain_builds == [2, 2, 1, 1]
+        write_config(cfg, sweep={"N": [4], "n": [1, 4, 8], "kT": [1.0]}, samples=64)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[3:6] for row in rows[1:]] == [["0", "0", "ok"]] * 2
 
     def test_repeated_index_is_one_column(self, tmp_path):
         cfg = tmp_path / "cfg.json"
