@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: build-chain, simulate, kernels, bound, min-modes, sweep.  A
+Commands: build-chain, simulate, kernels, bound, min-modes, sweep.  A
 JSON config describes the model, grids, temperature and seed.  Each command
 builds only the part of the chain it reads (README, Performance): none
 builds a full map or runs an eigensolve at the bath's size.
@@ -11,11 +11,12 @@ reason); `main` alone reports them.  It writes `<out>` through `write_csv`
 (UTF-8, LF, header row, 17 significant digits, which round-trip; a name
 given twice is one column) and `<out>.resolved.json`, the resolved config
 (fed back as the config, it reproduces the run) with the diagnostics, and
-prints the summary as the one stdout line.  Every nonzero exit prints one
-stderr line `error: ...` and no traceback.  Identical config+seed gives
-byte-identical CSVs: all randomness flows from the seed through numpy
-SeedSequences.  `sweep`'s cell wall times go to `<out>.timings.json`, the
-one file a command writes itself and the one non-deterministic output.
+prints the summary as the one stdout line.  Every nonzero exit, on a bad
+command line too, prints one stderr line `error: ...` and no traceback.
+Identical config+seed gives byte-identical CSVs: all randomness flows from
+the seed through numpy SeedSequences.  `sweep` runs each distinct cell
+once; its cell wall times go to `<out>.timings.json`, the one file a
+command writes itself and the one non-deterministic output.
 
 Threads: a command runs BLAS and LAPACK on one thread.  Importing this
 module sets `OPENBLAS_NUM_THREADS=1` unless the caller set it,
@@ -42,9 +43,11 @@ The `bound_*` columns hold a finite value or inf, never NaN, and inf only
 where the bound is above float64's largest value; a `ratio_n*` sample is
 inf only where a bound underflowed under a rounding-level eps.
 
-Exit codes: 0 ok; 2 invalid input: an unwritable `<out>`, or a config
-refused before any output (a config that is not a JSON object; fewer
-than 2 `samples`; a `t_max` outside (0, 1.16e77]; a negative or
+Exit codes: 0 ok; 2 invalid input: a command line the parser refuses, an
+unwritable `<out>`, or a config refused before any output (a config that
+is not a JSON object; a missing key that the `model` family, the explicit
+model or the explicit `initial_state` needs, named by its path; fewer than
+2 `samples`; a `t_max` outside (0, 1.16e77]; a negative or
 non-finite `min_modes` time or a non-finite tolerance; a config value of
 another JSON type than its default's, or than its `model` family or
 `initial_state` kind gives it, with a float refused where the default is
@@ -211,19 +214,29 @@ def _given(section, *keys) -> dict:
     return {key: section[key] for key in keys if key in section}
 
 
+def _require(section, name, *keys):
+    """ValueError naming `name.key` for the first of `keys` not in `section`."""
+    for key in keys:
+        if key not in section:
+            raise ValueError(f"{name}.{key} is required")
+
+
 def build_model(cfg):
     """IOModel from an explicit or parametric model section."""
     m = cfg["model"]
     family = m.get("family", "linear")
     if "omega" in m:
+        _require(m, "config.model", "c")
         omega, c = np.asarray(m["omega"], dtype=float), np.asarray(m["c"], dtype=float)
     elif family == "random":
+        _require(m, "config.model", "N")
         rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]).spawn(1)[0])
         return instances.random_io_model(rng, m["N"], **_given(m, "omega_range", "c_range"),
                                          Omega0_range=(cfg["Omega0"],) * 2)
     elif family in ("linear", "geometric"):
         spectrum = {"linear": instances.linear_spectrum,
                     "geometric": instances.geometric_spectrum}[family]
+        _require(m, "config.model", "N", "omega_min", "omega_max")
         omega = spectrum(m["N"], m["omega_min"], m["omega_max"])
         c = instances.coupling_profile(omega, m.get("c0", 0.5), **_given(m, "power"))
     else:
@@ -234,6 +247,7 @@ def build_model(cfg):
 def build_initial_state(cfg, io) -> dynamics.InitialState:
     section = cfg["initial_state"]
     if "q0" in section:
+        _require(section, "config.initial_state", "qdot0")
         return dynamics.InitialState(
             q0=np.asarray(section["q0"], dtype=float),
             qdot0=np.asarray(section["qdot0"], dtype=float),
@@ -291,21 +305,21 @@ def cmd_simulate(cfg, out):
     io = build_model(cfg)
     truncations, below = _truncations(cfg, io.N)
     # the level-1 source reads Omega_1, D_1 and X_2; a cut, its own rows
-    chain, omap = spectral.chain_from_io(io, rows=min(io.N, max([2, *below])))
+    chain, O = spectral.chain_from_io(io, rows=min(io.N, max([2, *below])))
     init = build_initial_state(cfg, io)
     times = time_grid(cfg)
-    x_full, *X_2 = dynamics.evolve_io_modes(io, init, omap.O[1:2], times)
+    x_full, *X_2 = dynamics.evolve_io_modes(io, init, O[1:2], times)
     params = solution.mu_delta(chain.Omega0, chain.Omega[0], chain.D0)
     # the grid gate reads the rows built and the resolvent's top frequency
-    kernels.check_grid(times, 1.0, max(float(chain.mode_freqs.max()), params.mu1))
-    F = solution.volterra_source(chain, init, omap, times, *X_2)
+    kernels.check_grid(times, max(float(chain.mode_freqs.max()), params.mu1))
+    F = solution.volterra_source(chain, init, O, times, *X_2)
     x_vol = solution.solve_volterra_closed(params, F, times)
 
     cols = {"t": times, "x_full": x_full}
     for n in truncations:
         # n = N, the bath size, is x_full itself, with no second eigensolve
         cols[f"x_n{n}"] = (x_full if n == io.N
-                           else dynamics.evolve_truncated_x(chain, n, init, omap, times))
+                           else dynamics.evolve_truncated_x(chain, n, init, O, times))
     err = np.abs(x_full - x_vol)
     bound = VOLTERRA_RTOL * float(np.abs(x_full).max())
     passed = bool(err.max() <= bound)
@@ -324,13 +338,13 @@ def cmd_kernels(cfg, out):
     chain, _ = spectral.chain_from_io(io, rows=max(top, 1))
     freqs = chain.mode_freqs
     times = time_grid(cfg)
-    kernels.check_grid(times, 1.0, float(freqs[: top + 1].max()))
+    kernels.check_grid(times, float(freqs[: top + 1].max()))
     # K_0 = sin(Omega_0 t), K_i = K_{i-1} * sin(Omega_i .): one grid convolution per order
     cols = {"tau": times}
     k = np.sin(freqs[0] * times)
     for i in range(top + 1):
         if i:
-            k = kernels.convolve_on_grid([freqs[i]], [1.0], k, times)
+            k = kernels.convolve_on_grid([freqs[i]], k, times)
         if i in orders:
             cols[f"K_{i}"] = k
     return cols, None, f"kernel table written to {out}: orders {orders}", None
@@ -350,7 +364,7 @@ def _cut_route(io, init, times, truncations):
     equation.  n = N is the bath itself: x_N is x_full and P_N vanishes on
     the bath's spectrum, so its columns are exactly 0."""
     below = [n for n in truncations if n < io.N]
-    chain, omap = spectral.chain_from_io(io, rows=max(1, *below)) if below else (None, None)
+    chain, O = spectral.chain_from_io(io, rows=max(1, *below)) if below else (None, None)
     x_full = dynamics.evolve_io_x(io, init, times)
     floor = EPS_FLOOR_ROUNDOFFS * (np.finfo(float).eps / 2) * float(np.abs(x_full).max())
     cuts = []
@@ -358,7 +372,7 @@ def _cut_route(io, init, times, truncations):
         if n == io.N:
             cuts.append((n, *[np.zeros_like(times)] * 3))
             continue
-        eps = np.abs(x_full - dynamics.evolve_truncated_x(chain, n, init, omap, times))
+        eps = np.abs(x_full - dynamics.evolve_truncated_x(chain, n, init, O, times))
         b_det = bounds.bound_deterministic(io, chain, n, times, init)
         cuts.append((n, eps, b_det, _ratio(eps, b_det)))
     return floor, chain, cuts
@@ -463,7 +477,8 @@ def cmd_sweep(cfg, out):
     if not (sw["kT"] and all(0.0 < kT <= spectral.SCALE[1] for kT in sw["kT"])):
         raise ValueError(f"config.sweep.kT must be a nonempty list of numbers within "
                          f"(0, {spectral.SCALE[1]:.3g}]")
-    cells = sorted((N, n, float(kT)) for N in sw["N"] for n in sw["n"] for kT in sw["kT"])
+    # a cell given twice is one cell
+    cells = sorted({(N, n, float(kT)) for N in sw["N"] for n in sw["n"] for kT in sw["kT"]})
     seqs = np.random.SeedSequence(cfg["seed"]).spawn(len(cells))
     jobs = [(N, n, kT, seq, samples) for (N, n, kT), seq in zip(cells, seqs)]
     results = [_sweep_cell(job) for job in jobs]
@@ -488,26 +503,29 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # `main` prints it as one line and exits 2
+        raise ValueError(message)
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chainbath",
         description="Bath-to-chain mapping, exact reduced dynamics, and "
                     "certified truncation bounds.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--out", required=True, help="output CSV path")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--samples", type=int, default=None, help="override sample count")
-        p.add_argument("--tmax", type=float, default=None, help="override t_max")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True, help="JSON run configuration")
+    parser.add_argument("--out", required=True, help="output CSV path")
+    parser.add_argument("--seed", type=int, default=None, help="override config seed")
+    parser.add_argument("--samples", type=int, default=None, help="override sample count")
+    parser.add_argument("--tmax", type=float, default=None, help="override t_max")
     return parser
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         cfg = resolve_config(args.config, vars(args))
         columns, diagnostics, summary, verdict = _COMMANDS[args.command](cfg, args.out)
         write_csv(args.out, columns)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, UnstableMode, check_index
 from .kernels import _uniform_step
-from .spectral import SCALE, ChainModel, IOModel, OrthogonalMap
+from .spectral import SCALE, ChainModel, IOModel
 
 # Rows per block of `evolve_io_x`'s O(N^2) sweeps over (root, pole) pairs:
 # one or two BLOCK x N arrays are live at a time, 2 MB each at N = 2048
@@ -133,33 +133,24 @@ def _modal_row(modal, y0, i, times) -> np.ndarray:
     return y0[i] + (x - x[0])
 
 
-def extended_initial_conditions(omap: OrthogonalMap, init: InitialState, n: int):
+def extended_initial_conditions(O, init: InitialState, n: int):
     """Initial data (y0, ydot0) of the system plus the first n chain modes,
     system first, chain modes X(0) = -O[:n] q(0) (only the kept rows of the
-    map are applied).  The map may hold only its leading rows; its bath
+    map O are applied).  The map may hold only its leading rows; its bath
     dimension must match the initial state's."""
-    if omap.O.shape[1] != init.N:
-        raise DimensionMismatch(f"map bath size {omap.O.shape[1]} != initial-state size {init.N}")
-    O = omap.O[:n]
+    if O.shape[1] != init.N:
+        raise DimensionMismatch(f"map bath size {O.shape[1]} != initial-state size {init.N}")
+    O = O[:n]
     return (np.concatenate([[init.x0], -(O @ init.q0)]),
             np.concatenate([[init.xdot0], -(O @ init.qdot0)]))
 
 
-def evolve_truncated_x(chain: ChainModel, n: int, init: InitialState,
-                       omap: OrthogonalMap, times) -> np.ndarray:
+def evolve_truncated_x(chain: ChainModel, n: int, init: InitialState, O, times) -> np.ndarray:
     """System coordinate x(t) of the chain cut after mode n (coupling D_n
     dropped), on a uniform grid from 0, its chain data from the bath's
-    through the map: n = chain.N on the full map is untruncated."""
-    y0, ydot0 = extended_initial_conditions(omap, init, n)
+    through the map O: n = chain.N on the full map is untruncated."""
+    y0, ydot0 = extended_initial_conditions(O, init, n)
     return _modal_row(_modal_data(assemble_extended_matrix(chain, n), y0, ydot0), y0, 0, times)
-
-
-def _io_initial_conditions(io: IOModel, init: InitialState):
-    """Initial data (y0, ydot0) in the independent-oscillator picture."""
-    if io.N != init.N:
-        raise DimensionMismatch(f"bath size {io.N} != initial-state size {init.N}")
-    return (np.concatenate([[init.x0], init.q0]),
-            np.concatenate([[init.xdot0], init.qdot0]))
 
 
 def evolve_io_x(io: IOModel, init: InitialState, times) -> np.ndarray:
@@ -186,7 +177,8 @@ def evolve_io_modes(io: IOModel, init: InitialState, O, times) -> np.ndarray:
     exact eigenvalues (`_loewner_couplings`), and Q is rebuilt a BLOCK of
     rows at a time.
     """
-    y0, _ = _io_initial_conditions(io, init)
+    if io.N != init.N:
+        raise DimensionMismatch(f"bath size {io.N} != initial-state size {init.N}")
     if O.ndim != 2 or O.shape[1] != io.N:
         raise DimensionMismatch(f"map rows of shape {O.shape} do not act on {io.N} bath modes")
     # a coupling below the matrix's rounding level decouples its mode
@@ -220,7 +212,7 @@ def evolve_io_modes(io: IOModel, init: InitialState, O, times) -> np.ndarray:
     w = np.sqrt(sigma + tau)
     a = v0 * (init.x0 + amp[:, 0])
     b = v0 * (init.xdot0 + amp[:, 1]) / w
-    x = _modal_row((w, v0[None, :], a, b), y0, 0, times)
+    x = _modal_row((w, v0[None, :], a, b), [init.x0], 0, times)
     free, w_free = ~keep, io.omega[~keep]
     chain = (np.concatenate([w, w_free]), np.concatenate([v0 * amp_O.T, -O[:, free]], axis=1),
              np.concatenate([a, init.q0[free]]), np.concatenate([b, init.qdot0[free] / w_free]))

@@ -11,7 +11,8 @@ sampled signal against cos/sin by per-interval Gauss-Legendre and
 accumulates the moments.  Angle addition moves the trig to the grid points
 and folds the node weights into one small matrix per stencil offset, so a
 call costs O(M F) trig plus O(M STENCIL F) window products for M samples
-and F frequencies.  `check_grid` refuses grids too coarse for it.
+and F frequencies.  `check_grid` refuses grids too coarse for it, by an
+interpolation estimate relative to the signal's size.
 
 The closed-form, Taylor and nested-quadrature evaluations of K_i that
 the tests check this nesting against live in `tests/oracles.py`.
@@ -72,10 +73,10 @@ def _stencil_weights(P: int) -> dict[int, np.ndarray]:
     return weights
 
 
-def convolve_on_grid(freqs, coeffs, values, times) -> np.ndarray:
-    """Convolution of a sine series with a sampled signal, on the signal's grid.
+def convolve_on_grid(freqs, values, times) -> np.ndarray:
+    """Convolution of a sum of sines with a sampled signal, on the signal's grid.
 
-    Returns conv[m] = int_0^{t_m} sum_j coeffs[j] sin(freqs[j] (t_m - s)) v(s) ds
+    Returns conv[m] = int_0^{t_m} sum_j sin(freqs[j] (t_m - s)) v(s) ds
     where v is the local 6-point Lagrange interpolant of (times, values)
     (exact for quintics): interval [t_k, t_{k+1}] uses the stencil
     t_{k-2}, ..., t_{k+3}, shifted one-sided at the ends of the grid (all M
@@ -97,7 +98,6 @@ def convolve_on_grid(freqs, coeffs, values, times) -> np.ndarray:
     M = len(times)
     h = _uniform_step(times, "convolution")
     freqs = np.asarray(freqs, dtype=float)
-    coeffs = np.asarray(coeffs, dtype=float)
     F = len(freqs)
 
     # Gauss-Legendre weights times [cos, sin](f (s - t_k)) at the nodes of one interval
@@ -122,24 +122,23 @@ def convolve_on_grid(freqs, coeffs, values, times) -> np.ndarray:
     S = np.zeros((M, F))
     np.cumsum(cos_ft[:-1] * A - sin_ft[:-1] * B, axis=0, out=C[1:])
     np.cumsum(sin_ft[:-1] * A + cos_ft[:-1] * B, axis=0, out=S[1:])
-    return (sin_ft * C - cos_ft * S) @ coeffs
+    return (sin_ft * C - cos_ft * S).sum(axis=1)
 
 
-def check_grid(times, vmax: float, max_freq: float) -> None:
+def check_grid(times, max_freq: float) -> None:
     """Raise GridTooCoarse when the grid is too coarse for convolve_on_grid
-    on signals of size vmax with frequencies up to max_freq.
+    on signals with frequencies up to max_freq.
 
-    The gate is the fourth-order interpolation estimate (5/384) h^4 max|v^(4)|,
-    taking |v^(4)| ~ max_freq^4 vmax, which must stay within 1e-7 * vmax.
-    The interpolant is sixth-order, so this gate is conservative: at the
-    coarsest grid it accepts, the measured error of one convolution and of
-    the whole Volterra cascade is 500-1000x below 1e-7 * vmax.
+    The gate is the fourth-order interpolation estimate (5/384) h^4 max|v^(4)|
+    relative to max|v|, taking |v^(4)| ~ max_freq^4 max|v|: (5/384)
+    (h max_freq)^4 must stay within 1e-7.  The interpolant is sixth-order,
+    so this gate is conservative: at the coarsest grid it accepts, the
+    measured error of one convolution and of the whole Volterra cascade is
+    500-1000x below 1e-7 max|v|.
     """
     h = float(np.max(np.diff(times)))
     hf = h * max_freq  # from about 1e77 on, hf ** 4 raises OverflowError: read it as inf
-    est = (5.0 / 384.0) * hf**4 * vmax if hf < 1e75 else np.inf
-    if est > 1e-7 * max(vmax, 1e-300):
+    est = (5.0 / 384.0) * hf**4 if hf < 1e75 else np.inf
+    if est > 1e-7:
         raise GridTooCoarse(
-            f"estimated interpolation error {est:.3e} exceeds "
-            f"1e-7 * max|X| = {1e-7 * vmax:.3e}; refine the grid"
-        )
+            f"estimated relative interpolation error {est:.3e} exceeds 1e-7; refine the grid")

@@ -47,7 +47,7 @@ import numpy as np
 from .dynamics import InitialState, extended_initial_conditions, free_mode_evolution
 from .errors import ComplexResolvent, NonpositiveParameter
 from .kernels import convolve_on_grid
-from .spectral import ChainModel, OrthogonalMap
+from .spectral import ChainModel
 
 
 @dataclass(frozen=True)
@@ -91,12 +91,11 @@ def nested_convolve(freqs, hs, times) -> np.ndarray:
     """
     acc = np.zeros(len(times))
     for w, h in zip(freqs[::-1], hs[::-1]):
-        acc = convolve_on_grid([w], [1.0], h + acc, times)
+        acc = convolve_on_grid([w], h + acc, times)
     return acc
 
 
-def volterra_source(chain: ChainModel, init: InitialState, omap: OrthogonalMap,
-                    times, x2=None) -> np.ndarray:
+def volterra_source(chain: ChainModel, init: InitialState, O, times, x2=None) -> np.ndarray:
     """The untruncated source F_N of the system's Volterra equation on `times`,
 
         F_N = f_0 + S_0 * (p_1 f_1 + S_1 * (p_2 X_2)),
@@ -105,11 +104,11 @@ def volterra_source(chain: ChainModel, init: InitialState, omap: OrthogonalMap,
     p_1 = D0/Omega0, p_2 = p_1 D_1/Omega_1 and `x2` the samples of X_2 from
     the full evolution: one two-level cascade.  With no X_2 (a one-mode
     bath, where D_1 = 0) the cascade is one level deep.  Reads only
-    Omega_1, D_1 and the map's first row, so a cut chain serves.
+    Omega_1, D_1 and the first row of the map O, so a cut chain serves.
     """
     times = np.asarray(times, dtype=float)
     freqs = chain.mode_freqs
-    y0, ydot0 = extended_initial_conditions(omap, init, 1)
+    y0, ydot0 = extended_initial_conditions(O, init, 1)
     f0, f1 = (free_mode_evolution(freqs[i], y0[i], ydot0[i], times) for i in (0, 1))
     p1 = chain.D0 / freqs[0]
     hs = [p1 * f1]

@@ -105,19 +105,6 @@ class ChainModel:
 
 
 @dataclass(frozen=True)
-class OrthogonalMap:
-    """Row j holds the coefficients of chain mode j in bath coordinates:
-    X_j = sum_k O[j, k] q_k.  Row 0 is c/||c||, by construction.  A cut
-    map holds the leading rows only; N counts rows, O.shape[1] the bath."""
-
-    O: np.ndarray
-
-    @property
-    def N(self) -> int:
-        return self.O.shape[0]
-
-
-@dataclass(frozen=True)
 class ChainCertificate:
     """Backward-error certificate of chain coefficients against a bath, from
     `certify_chain`.  `failed` names, as in the `build-chain` sidecar, the
@@ -166,8 +153,11 @@ def _breakdown(j: int, d: float) -> Breakdown:
     )
 
 
-def chain_from_io(io: IOModel, rows: int | None = None) -> tuple[ChainModel, OrthogonalMap]:
-    """The equivalent chain and its orthogonal map, by Lanczos.
+def chain_from_io(io: IOModel, rows: int | None = None) -> tuple[ChainModel, np.ndarray]:
+    """The equivalent chain and its orthogonal map O, by Lanczos.
+
+    Row j of O holds the coefficients of chain mode j in bath coordinates:
+    X_j = sum_k O[j, k] q_k.  Row 0 is c/||c||, by construction.
 
     Runs Lanczos on diag(omega^2) seeded with v1 = c/||c||, with full
     reorthogonalization at every step: one classical Gram-Schmidt pass
@@ -179,10 +169,10 @@ def chain_from_io(io: IOModel, rows: int | None = None) -> tuple[ChainModel, Ort
 
     `rows` (1 <= rows <= N, default N) stops after the first `rows` Lanczos
     vectors, at O(rows^2 N): the returned chain holds Omega_1..Omega_rows
-    and D_1..D_{rows-1}, the map its first `rows` rows, each bitwise equal
-    to the full map's.
+    and D_1..D_{rows-1}, and the cut map only the leading rows, each
+    bitwise equal to the full map's.
 
-    Returns (ChainModel, OrthogonalMap).  Raises Breakdown when an
+    Returns (ChainModel, O), O a read-only (rows, N) array.  Raises Breakdown when an
     intermediate coupling (the norm left after reorthogonalization) falls
     below 1e-12 * max(omega^2), which signals an effectively reducible
     spectrum/coupling combination; a cut map checks only the couplings it
@@ -233,7 +223,7 @@ def chain_from_io(io: IOModel, rows: int | None = None) -> tuple[ChainModel, Ort
         D0=float(np.linalg.norm(io.c)),
         Omega0=io.Omega0,
     )
-    return chain, OrthogonalMap(V)
+    return chain, V
 
 
 def chain_coefficients(io: IOModel) -> ChainModel:

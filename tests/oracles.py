@@ -42,7 +42,6 @@ from chainbath.bounds import (
 from chainbath.dynamics import (
     InitialState,
     _decompose,
-    _io_initial_conditions,
     _modal_data,
     _modal_row,
     assemble_extended_matrix,
@@ -57,7 +56,6 @@ from chainbath.spectral import (
     _RTOL,
     ChainModel,
     IOModel,
-    OrthogonalMap,
     _spectrum_mismatch,
 )
 
@@ -368,22 +366,23 @@ def evolve_exact(A, y0, ydot0, times) -> Trajectory:
                       x=Y[:, 0], xdot=Ydot[:, 0], X=Y[:, 1:].T, Xdot=Ydot[:, 1:].T)
 
 
-def evolve_truncated(chain: ChainModel, n: int, init: InitialState,
-                     omap: OrthogonalMap, times) -> Trajectory:
+def evolve_truncated(chain: ChainModel, n: int, init: InitialState, O, times) -> Trajectory:
     """Evolution with the chain cut after mode n (coupling D_n dropped).
 
     Initial chain data come from the bath initial data through the
     orthogonal map; n = chain.N gives the untruncated dynamics.
     """
     return evolve_exact(assemble_extended_matrix(chain, n),
-                        *extended_initial_conditions(omap, init, n), times)
+                        *extended_initial_conditions(O, init, n), times)
 
 
 def evolve_io(io: IOModel, init: InitialState, times) -> Trajectory:
     """Evolution in the independent-oscillator picture (X holds the bath
     coordinates q here).  Used to cross-check picture equivalence."""
-    y0, ydot0 = _io_initial_conditions(io, init)
-    return evolve_exact(assemble_io_matrix(io), y0, ydot0, times)
+    if io.N != init.N:
+        raise DimensionMismatch(f"bath size {io.N} != initial-state size {init.N}")
+    return evolve_exact(assemble_io_matrix(io), np.concatenate([[init.x0], init.q0]),
+                        np.concatenate([[init.xdot0], init.qdot0]), times)
 
 
 def total_energy(A, traj: Trajectory) -> np.ndarray:
@@ -431,25 +430,24 @@ def coupling_products(chain: ChainModel, n: int) -> np.ndarray:
     return np.concatenate([[1.0], np.cumprod(ratios)])
 
 
-def _check_level(chain: ChainModel, n: int, omap: OrthogonalMap) -> None:
+def _check_level(chain: ChainModel, n: int, O) -> None:
     """Range check of a level n that reads n = chain.N as the untruncated
     chain.  A map cut by `chain_from_io(io, rows=k)` gives a chain with
     N = k whose level k is not untruncated: DimensionMismatch there."""
     check_index(n, chain.N, "level")
-    if n == chain.N and omap.N < omap.O.shape[1]:
+    if n == chain.N and len(O) < O.shape[1]:
         raise DimensionMismatch(
-            f"level {n} ends a chain cut at {omap.N} of {omap.O.shape[1]} modes, "
+            f"level {n} ends a chain cut at {len(O)} of {O.shape[1]} modes, "
             "not the untruncated chain; build the full map")
 
 
-def _free_ladder(chain: ChainModel, n: int, init: InitialState,
-                 omap: OrthogonalMap, times):
+def _free_ladder(chain: ChainModel, n: int, init: InitialState, O, times):
     """(f_0, hs) with f-tilde_n = f_0 + nested_convolve(freqs[:n+1], hs, times):
     hs[j] = p_{j+1} f_{j+1} for j < n and hs[n] = 0, where f_i is the free
     evolution of mode i from its initial data."""
     freqs = chain.mode_freqs
     p = coupling_products(chain, n)
-    y0, ydot0 = extended_initial_conditions(omap, init, n)
+    y0, ydot0 = extended_initial_conditions(O, init, n)
     f = np.array([free_mode_evolution(freqs[i], y0[i], ydot0[i], times)
                   for i in range(n + 1)])
     hs = np.zeros_like(f)
@@ -457,14 +455,13 @@ def _free_ladder(chain: ChainModel, n: int, init: InitialState,
     return f[0], hs
 
 
-def free_source_series(chain: ChainModel, n: int, init: InitialState,
-                       omap: OrthogonalMap, times) -> np.ndarray:
+def free_source_series(chain: ChainModel, n: int, init: InitialState, O, times) -> np.ndarray:
     """The ladder f-tilde_0 = f_0,
     f-tilde_i = f-tilde_{i-1} + (prod_{l<i} D_l/Omega_l) K_{i-1} * f_i,
     sampled on `times`, f_i the free evolution of mode i."""
-    _check_level(chain, n, omap)
+    _check_level(chain, n, O)
     times = np.asarray(times, dtype=float)
-    f0, hs = _free_ladder(chain, n, init, omap, times)
+    f0, hs = _free_ladder(chain, n, init, O, times)
     return f0 + nested_convolve(chain.mode_freqs[: n + 1], hs, times)
 
 
@@ -478,13 +475,8 @@ def _add_mode_terms(chain: ChainModel, traj: Trajectory, hs, lo: int):
         hs[j] += p[j] * (coupling(chain, j - 1) / freqs[j]) * traj.mode(j - 1)
 
 
-def _check_grid(chain: ChainModel, traj: Trajectory):
-    vmax = max(np.abs(traj.x).max(), np.abs(traj.X).max() if traj.X.size else 0.0)
-    check_grid(traj.times, vmax, float(chain.mode_freqs.max()))
-
-
 def source_term(chain: ChainModel, n_used: int, traj: Trajectory,
-                init: InitialState, omap: OrthogonalMap) -> np.ndarray:
+                init: InitialState, O) -> np.ndarray:
     """Source F_n of the system's Volterra equation, sampled on traj.times.
 
     F_n(t) = f-tilde_n(t)
@@ -494,17 +486,17 @@ def source_term(chain: ChainModel, n_used: int, traj: Trajectory,
     with the X_{i-1} taken from the supplied (exact) trajectories, all
     through one nested_convolve cascade.  At n = N it is the oracle for
     F_1 + eps1(1), which needs X_2 alone.  Raises GridTooCoarse when the
-    estimated interpolation error exceeds 1e-7 * max|X|.
+    estimated relative interpolation error exceeds 1e-7.
     """
-    _check_level(chain, n_used, omap)
-    _check_grid(chain, traj)
-    f0, hs = _free_ladder(chain, n_used, init, omap, traj.times)
+    _check_level(chain, n_used, O)
+    check_grid(traj.times, float(chain.mode_freqs.max()))
+    f0, hs = _free_ladder(chain, n_used, init, O, traj.times)
     _add_mode_terms(chain, traj, hs, lo=2)
     return f0 + nested_convolve(chain.mode_freqs[: n_used + 1], hs, traj.times)
 
 
 def x_reduced_form(chain: ChainModel, n: int, traj: Trajectory,
-                   init: InitialState, omap: OrthogonalMap) -> np.ndarray:
+                   init: InitialState, O) -> np.ndarray:
     """Level-n rewriting of x(t) from injected trajectories (identity check).
 
     x(t) = f-tilde_n(t)
@@ -515,9 +507,9 @@ def x_reduced_form(chain: ChainModel, n: int, traj: Trajectory,
     trajectories this reproduces traj.x to quadrature precision for every n.
     """
     check_index(n, chain.N, "level", lo=1)
-    _check_level(chain, n, omap)
-    _check_grid(chain, traj)
-    f0, hs = _free_ladder(chain, n, init, omap, traj.times)
+    _check_level(chain, n, O)
+    check_grid(traj.times, float(chain.mode_freqs.max()))
+    f0, hs = _free_ladder(chain, n, init, O, traj.times)
     _add_mode_terms(chain, traj, hs, lo=1)
     if n < chain.N:
         hs[n] += coupling_products(chain, n)[n + 1] * traj.mode(n + 1)
@@ -586,7 +578,7 @@ def epsilon1(chain: ChainModel, n: int, times, x_next) -> np.ndarray:
         return np.zeros_like(times)
     x_next = np.asarray(x_next, dtype=float)
     freqs = chain.mode_freqs[: n + 1]
-    check_grid(times, float(np.abs(x_next).max()), float(freqs.max()))
+    check_grid(times, float(freqs.max()))
     hs = np.zeros((n + 1, len(times)))
     hs[n] = coupling_products(chain, n)[n + 1] * x_next
     return nested_convolve(freqs, hs, times)
@@ -641,10 +633,11 @@ def resolvent_series(params: VolterraParams):
 def epsilon2(params: VolterraParams, eps1_series, times) -> np.ndarray:
     """Resolvent correction eps2 = R * eps1 on the grid."""
     freqs, coeffs = resolvent_series(params)
-    return convolve_on_grid(freqs, coeffs, np.asarray(eps1_series, dtype=float), times)
+    eps1_series = np.asarray(eps1_series, dtype=float)
+    return sum(a * convolve_on_grid([f], eps1_series, times) for f, a in zip(freqs, coeffs))
 
 
-def thermal_error_mc(io: IOModel, chain: ChainModel, omap: OrthogonalMap,
+def thermal_error_mc(io: IOModel, chain: ChainModel, O,
                      n: int, th: ThermalState, times, n_samples: int, seed):
     """Monte-Carlo mean and standard error of eps(n, t) over the thermal state.
 
@@ -654,7 +647,6 @@ def thermal_error_mc(io: IOModel, chain: ChainModel, omap: OrthogonalMap,
     times.
     """
     times = np.asarray(times, dtype=float)
-    O = omap.O
     Gq_f, Gv_f = system_response(assemble_extended_matrix(chain, chain.N), times)
     Gq_t, Gv_t = system_response(assemble_extended_matrix(chain, n), times)
     # x(t) = Gq[:,1:] . X(0) + Gv[:,1:] . Xdot(0), with X(0) = -O q(0)
@@ -685,7 +677,7 @@ def fit_loglog_slope(times, values, t_lo=None, t_hi=None) -> float:
     return float(np.polyfit(np.log(times[mask]), np.log(values[mask]), 1)[0])
 
 
-def error_report(io: IOModel, chain: ChainModel, omap: OrthogonalMap, n: int,
+def error_report(io: IOModel, chain: ChainModel, O, n: int,
                  init: InitialState, times, th: ThermalState | None = None
                  ) -> ErrorReport:
     """Assemble the empirical error, both bounds, and the small-time slope
@@ -698,15 +690,15 @@ def error_report(io: IOModel, chain: ChainModel, omap: OrthogonalMap, n: int,
     X_{n+1}(s), summed mode by mode at the geometric slope times, so a chain
     cut by `chain_from_io(io, rows=k)` raises DimensionMismatch for every n.
     """
-    if omap.N < omap.O.shape[1]:
+    if len(O) < O.shape[1]:
         raise DimensionMismatch(
             f"error_report evolves the untruncated chain; the map holds only "
-            f"{omap.N} of {omap.O.shape[1]} rows")
+            f"{len(O)} of {O.shape[1]} rows")
     times = np.asarray(times, dtype=float)
-    y0, ydot0 = extended_initial_conditions(omap, init, chain.N)
+    y0, ydot0 = extended_initial_conditions(O, init, chain.N)
     full = _modal_data(assemble_extended_matrix(chain, chain.N), y0, ydot0)
     x_full = _modal_row(full, y0, 0, times)
-    x_n = x_full if n == chain.N else evolve_truncated_x(chain, n, init, omap, times)
+    x_n = x_full if n == chain.N else evolve_truncated_x(chain, n, init, O, times)
     eps = np.abs(x_full - x_n)
     b_det = bound_deterministic(io, chain, n, times, init)
     b_th = bound_thermal(io, chain, n, times, th) if th is not None else None
@@ -790,7 +782,7 @@ class EquivalenceReport:
         return [name for name, (value, bound) in bounds.items() if not value <= bound]
 
 
-def verify_equivalence(io: IOModel, chain: ChainModel, omap: OrthogonalMap,
+def verify_equivalence(io: IOModel, chain: ChainModel, O,
                        rtol: float = _RTOL) -> EquivalenceReport:
     """Residuals of the defining relations of the chain map.
 
@@ -811,11 +803,10 @@ def verify_equivalence(io: IOModel, chain: ChainModel, omap: OrthogonalMap,
     1e-16 * max(omega^2); where they fail, it is the distance of the
     eigenvalue bisected on the same counts, above delta.
     """
-    if not (io.N == chain.N == omap.N):
+    if not (io.N == chain.N == len(O)):
         raise DimensionMismatch(
-            f"sizes disagree: io N={io.N}, chain N={chain.N}, map N={omap.N}"
+            f"sizes disagree: io N={io.N}, chain N={chain.N}, map N={len(O)}"
         )
-    O = omap.O
     w2 = io.omega**2
     scale = w2.max()
     a, off = chain.Omega**2, chain.D

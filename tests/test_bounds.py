@@ -122,7 +122,7 @@ class TestEpsilon1Pointwise:
         chain, omap = chain_from_io(io)
         init = sample_thermal(io, ThermalState(1.0), 0)
         A = assemble_extended_matrix(chain, chain.N)
-        y0, ydot0 = extended_initial_conditions(omap, init, omap.N)
+        y0, ydot0 = extended_initial_conditions(omap, init, len(omap))
 
         def x_next(n):
             return lambda s: evolve_raw(A, y0, ydot0, s)[0][:, n + 1]
@@ -176,7 +176,7 @@ class TestEpsilon2:
         wmax = float(io.omega.max())
         n = 1
         A_full = assemble_extended_matrix(chain, chain.N)
-        y0, ydot0 = extended_initial_conditions(omap, init, omap.N)
+        y0, ydot0 = extended_initial_conditions(omap, init, len(omap))
         ts = np.geomspace(0.02 / wmax, 0.2 / wmax, 10)
 
         def x_next(s):
@@ -417,7 +417,7 @@ class TestSmallTimeSlope:
         ts = np.geomspace(0.05 / wmax, 0.4 / wmax, 12)
         A_full = assemble_extended_matrix(chain, chain.N)
         A_tr = assemble_extended_matrix(chain, n)
-        yf, ydf = extended_initial_conditions(omap, init, omap.N)
+        yf, ydf = extended_initial_conditions(omap, init, len(omap))
         eps = np.abs(evolve_raw(A_full, yf, ydf, ts)[0][:, 0]
                      - evolve_raw(A_tr, yf[: n + 1], ydf[: n + 1], ts)[0][:, 0])
         slope_traj = fit_loglog_slope(ts, eps)
@@ -462,7 +462,7 @@ class TestSmallTimeSlope:
         assert np.array_equal(rep.eps_empirical, np.abs(x_full - x_n))
 
         A_full = assemble_extended_matrix(chain, N)
-        yf, ydf = extended_initial_conditions(omap, init, omap.N)
+        yf, ydf = extended_initial_conditions(omap, init, len(omap))
         wmax = float(chain.mode_freqs.max())
         ts = np.geomspace(1e-3 / wmax, 1e-2 / wmax, 9)
         e1 = epsilon1_pointwise(

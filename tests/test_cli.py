@@ -153,6 +153,46 @@ class TestExitCodes:
                               "object") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["bound"], id="no-flags"),
+        pytest.param(["bogus", "--config", "c.json", "--out", "o.csv"], id="unknown-command"),
+        pytest.param(["bound", "--config", "c.json", "--out", "o.csv", "--seed", "1.5"],
+                     id="fractional-seed"),
+    ])
+    def test_bad_command_line(self, tmp_path, monkeypatch, capsys, argv):
+        # the parser's refusal is one stderr line, as every nonzero exit's,
+        # with no usage text
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path / "c.json")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == "" and not (tmp_path / "o.csv").exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0 and "min-modes" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, overrides, key", [
+        ("simulate", {"model": {"omega": [1.0, 2.0]}}, "config.model.c"),
+        ("bound", {"initial_state": {"q0": [0.1, 0.2, 0.3, 0.4]}}, "config.initial_state.qdot0"),
+        ("min-modes", {"model": {"family": "linear", "omega_min": 0.5, "omega_max": 2.5}},
+         "config.model.N"),
+        ("build-chain", {"model": {"family": "random"}}, "config.model.N"),
+        ("kernels", {"model": {"family": "geometric", "N": 4, "omega_max": 2.5}},
+         "config.model.omega_min"),
+    ])
+    def test_missing_model_or_state_key(self, tmp_path, capsys, command, overrides, key):
+        # a key the model family, the explicit model or the explicit state
+        # needs is named by its config path, not by a bare KeyError
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, **overrides)
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: invalid configuration or input: {key} is required\n"
+        assert not out.exists()
+
     def test_missing_config(self, tmp_path):
         assert main(["bound", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "o.csv")]) == 2
@@ -498,9 +538,9 @@ class TestSimulate:
         calls = []
         convolve = kernels.convolve_on_grid
 
-        def counting(freqs, coeffs, values, times):
+        def counting(freqs, values, times):
             calls.append(len(freqs))
-            return convolve(freqs, coeffs, values, times)
+            return convolve(freqs, values, times)
 
         monkeypatch.setattr(kernels, "convolve_on_grid", counting)
         monkeypatch.setattr(solution, "convolve_on_grid", counting)
@@ -1083,6 +1123,17 @@ class TestSweep:
         assert sha(out) == h1
         data = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
         assert data == sorted(data, key=lambda r: (int(r[0]), int(r[1])))
+
+    def test_a_cell_given_twice_is_one_cell(self, tmp_path):
+        # one CSV row and one timing per distinct cell, as if given once
+        once, twice = tmp_path / "once.csv", tmp_path / "twice.csv"
+        for out, sweep in ((once, {"N": [4], "n": [1], "kT": [1.0]}),
+                           (twice, {"N": [4, 4], "n": [1], "kT": [1.0, 1]})):
+            write_config(tmp_path / "cfg.json", sweep=sweep)
+            assert main(["sweep", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 0
+        assert twice.read_bytes() == once.read_bytes()
+        assert list(json.loads(Path(f"{twice}.timings.json").read_text())) == ["N4_n1_kT1"]
+        assert json.loads(Path(f"{twice}.resolved.json").read_text())["diagnostics"]["cells"] == 1
 
     def test_cells_build_only_their_cut(self, tmp_path, monkeypatch, chain_builds):
         # a cell reads map rows up to its cut min(n, N) when that is below N,

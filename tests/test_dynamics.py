@@ -84,7 +84,7 @@ class TestEvolveExact:
     def test_against_adaptive_rk(self):
         io, chain, omap, init = make_instance(99, 6)
         A = assemble_extended_matrix(chain, chain.N)
-        y0, ydot0 = extended_initial_conditions(omap, init, omap.N)
+        y0, ydot0 = extended_initial_conditions(omap, init, len(omap))
         times = np.linspace(0, 20, 101)
         traj = evolve_exact(A, y0, ydot0, times)
 
@@ -100,7 +100,7 @@ class TestEvolveExact:
         _, chain, omap, init = small_instance
         A = assemble_extended_matrix(chain, chain.N)
         times = np.linspace(0, 50 / chain.Omega0, 513)
-        traj = evolve_exact(A, *extended_initial_conditions(omap, init, omap.N), times)
+        traj = evolve_exact(A, *extended_initial_conditions(omap, init, len(omap)), times)
         E = total_energy(A, traj)
         assert np.abs(E - E[0]).max() <= 1e-9 * abs(E[0])
 
@@ -111,7 +111,7 @@ class TestEvolveExact:
     def test_time_reversal(self, small_instance):
         _, chain, omap, init = small_instance
         A = assemble_extended_matrix(chain, chain.N)
-        y0, ydot0 = extended_initial_conditions(omap, init, omap.N)
+        y0, ydot0 = extended_initial_conditions(omap, init, len(omap))
         t1 = 7.3
         Y, Yd = evolve_raw(A, y0, ydot0, np.array([t1]))
         Y2, Yd2 = evolve_raw(A, Y[0], -Yd[0], np.array([t1]))
@@ -151,7 +151,7 @@ class TestEvolveTruncated:
         ts = np.geomspace(0.05 / wmax, 0.5 / wmax, 12)
         A_full = assemble_extended_matrix(chain, chain.N)
         A_tr = assemble_extended_matrix(chain, n)
-        yf, ydf = extended_initial_conditions(omap, init, omap.N)
+        yf, ydf = extended_initial_conditions(omap, init, len(omap))
         yt, ydt = yf[: n + 1], ydf[: n + 1]
         err = np.abs(evolve_raw(A_full, yf, ydf, ts)[0][:, 0]
                      - evolve_raw(A_tr, yt, ydt, ts)[0][:, 0])
@@ -199,7 +199,7 @@ def chain_modal_data(seed):
     """A seeded 12-mode instance, its untruncated chain's initial data y0
     and the `_modal_data` of that chain."""
     io, chain, omap, init = make_instance(seed, 12)
-    y0, ydot0 = extended_initial_conditions(omap, init, omap.N)
+    y0, ydot0 = extended_initial_conditions(omap, init, len(omap))
     modal = _modal_data(assemble_extended_matrix(chain, chain.N), y0, ydot0)
     return io, init, y0, modal
 
@@ -447,7 +447,7 @@ class TestEvolveIoModes:
         # with map rows, the rows are the chain coordinates X_j(t)
         io, chain, omap, init = make_instance(6, 12)
         times = np.linspace(0.0, 10.0, 257)
-        rows = evolve_io_modes(io, init, omap.O[:3], times)
+        rows = evolve_io_modes(io, init, omap[:3], times)
         X = evolve_truncated(chain, chain.N, init, omap, times).X[:3]
         assert np.abs(rows[1:] - X).max() <= 1e-12 * np.abs(X).max()
 
@@ -479,7 +479,7 @@ class TestPictures:
         io, chain, omap, init = small_instance
         y0, ydot0 = extended_initial_conditions(omap, init, io.N)
         assert y0.shape == (io.N + 1,) and ydot0.shape == (io.N + 1,)
-        assert np.array_equal(y0[1:], -(omap.O @ init.q0)) and y0[0] == init.x0
+        assert np.array_equal(y0[1:], -(omap @ init.q0)) and y0[0] == init.x0
         other = InitialState(q0=np.zeros(2), qdot0=np.zeros(2))
         with pytest.raises(DimensionMismatch):
             extended_initial_conditions(omap, other, io.N)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
-from chainbath.kernels import NODES, STENCIL, convolve_on_grid
+from chainbath.errors import GridTooCoarse
+from chainbath.kernels import NODES, STENCIL, check_grid, convolve_on_grid
 from tests.oracles import (
     DegenerateFrequencies,
     ToleranceNotReached,
@@ -225,7 +226,7 @@ def gl_sine_convolution(freq, values_fn, t, nodes=128):
     return 0.5 * t * np.sum(w * np.sin(freq * (t - s)) * values_fn(s))
 
 
-def convolve_per_node(freqs, coeffs, values, times):
+def convolve_per_node(freqs, values, times):
     """convolve_on_grid's sum in its per-node form: each interval's
     STENCIL-point Lagrange interpolant (stencil t_{k-2}..t_{k+3}, one-sided
     at the ends) evaluated at its NODES Gauss-Legendre nodes, and cos/sin of
@@ -243,10 +244,10 @@ def convolve_per_node(freqs, coeffs, values, times):
         vs[k] = values[start:start + P] @ np.array(lag)
     s = 0.5 * (times[1:] + times[:-1])[:, None] + 0.5 * h * x
     out = np.zeros(M)
-    for f, a in zip(freqs, coeffs):
+    for f in freqs:
         C = np.concatenate([[0.0], np.cumsum(np.cos(f * s) * vs @ (0.5 * h * w))])
         S = np.concatenate([[0.0], np.cumsum(np.sin(f * s) * vs @ (0.5 * h * w))])
-        out += a * (np.sin(f * times) * C - np.cos(f * times) * S)
+        out += np.sin(f * times) * C - np.cos(f * times) * S
     return out
 
 
@@ -257,7 +258,7 @@ class TestConvolveOnGrid:
         quintic = np.poly1d([0.3, -1.1, 0.7, 1.9, -0.4, 0.8])
         for M in range(6, 65):
             times = np.linspace(0, 2, M)
-            conv = convolve_on_grid([1.3], [1.0], quintic(times), times)
+            conv = convolve_on_grid([1.3], quintic(times), times)
             ref = [gl_sine_convolution(1.3, quintic, t) for t in times]
             assert np.abs(conv - ref).max() <= 1e-12, f"M={M}"
 
@@ -266,16 +267,16 @@ class TestConvolveOnGrid:
            M=st.sampled_from([2, 3, 4, 5, 6, 7, 64, 2048]),
            F=st.integers(1, 3), t_max=st.floats(0.1, 20.0))
     def test_matches_per_node_form(self, seed, M, F, t_max):
-        # the grid-point trig regroups the per-node sum; on random signals,
-        # frequencies and coefficients the two agree to rounding, including
+        # the grid-point trig regroups the per-node sum; on random signals
+        # and frequencies the two agree to rounding, including
         # the one-sided end windows and grids shorter than one stencil
         rng = np.random.default_rng(seed)
         times = np.linspace(0, t_max, M)
         values = rng.standard_normal(M) * 10.0 ** rng.uniform(-3, 3)
-        freqs, coeffs = rng.uniform(0.05, 5.0, F), rng.uniform(-1.0, 1.0, F)
+        freqs = rng.uniform(0.05, 5.0, F)
         scale = np.abs(values).max() * t_max
-        conv = convolve_on_grid(freqs, coeffs, values, times)
-        ref = convolve_per_node(freqs, coeffs, values, times)
+        conv = convolve_on_grid(freqs, values, times)
+        ref = convolve_per_node(freqs, values, times)
         assert np.abs(conv - ref).max() <= 1e-13 * scale
 
     @settings(max_examples=20, deadline=None, derandomize=True)
@@ -284,10 +285,10 @@ class TestConvolveOnGrid:
         rng = np.random.default_rng(seed)
         times = np.linspace(0, 10.0, M)
         values = rng.standard_normal(M)
-        (f1, f2), (a1, a2) = rng.uniform(0.05, 5.0, 2), rng.uniform(-1.0, 1.0, 2)
-        both = convolve_on_grid([f1, f2], [a1, a2], values, times)
-        parts = (convolve_on_grid([f1], [a1], values, times)
-                 + convolve_on_grid([f2], [a2], values, times))
+        # a sum of sines convolves as the sum of its terms' convolutions
+        f1, f2 = rng.uniform(0.05, 5.0, 2)
+        both = convolve_on_grid([f1, f2], values, times)
+        parts = convolve_on_grid([f1], values, times) + convolve_on_grid([f2], values, times)
         assert np.abs(both - parts).max() <= 1e-15 * np.abs(values).max() * times[-1]
 
     @pytest.mark.parametrize("M", [2, 3, 4, 5])
@@ -296,19 +297,31 @@ class TestConvolveOnGrid:
         # polynomials of degree M-1
         poly = np.poly1d(np.linspace(1.0, -0.5, M))
         times = np.linspace(0, 1.5, M)
-        conv = convolve_on_grid([0.9], [1.0], poly(times), times)
+        conv = convolve_on_grid([0.9], poly(times), times)
         ref = [gl_sine_convolution(0.9, poly, t) for t in times]
         assert np.abs(conv - ref).max() <= 1e-13
 
     def test_grid_must_be_uniform(self):
         times = np.linspace(0, 3, 101)
         v = np.sin(times)
-        convolve_on_grid([1.0], [1.0], v, times)
+        convolve_on_grid([1.0], v, times)
         bent = times.copy()
         bent[50] += 1e-6 * times[1]
         with pytest.raises(ValueError, match="uniform"):
-            convolve_on_grid([1.0], [1.0], v, bent)
+            convolve_on_grid([1.0], v, bent)
         with pytest.raises(ValueError):
-            convolve_on_grid([1.0], [1.0], v, times + 0.5)
+            convolve_on_grid([1.0], v, times + 0.5)
         with pytest.raises(ValueError):
-            convolve_on_grid([1.0], [1.0], v[:1], times[:1])
+            convolve_on_grid([1.0], v[:1], times[:1])
+
+
+class TestCheckGrid:
+    def test_gate_reads_the_grid_and_frequency_alone(self):
+        # (5/384) (h max_freq)^4 against 1e-7, whatever the signal's size:
+        # h max_freq = 0.05 reads 8.1e-8, 0.06 reads 1.69e-7
+        times = np.linspace(0, 1, 101)
+        check_grid(times, 5.0)
+        with pytest.raises(GridTooCoarse, match=r"relative interpolation error 1\.688e-07 exceeds 1e-7"):
+            check_grid(times, 6.0)
+        with pytest.raises(GridTooCoarse):
+            check_grid(times, 1e80)
