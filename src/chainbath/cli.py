@@ -9,9 +9,11 @@ Run protocol: a command returns its named columns, its diagnostics (or
 none), a one-line summary and a verdict (none, or exit 5 or 6 with a
 reason); `main` alone reports them.  It writes `<out>` through `write_csv`
 (UTF-8, LF, header row, 17 significant digits, which round-trip; a name
-given twice is one column) and `<out>.resolved.json`, the resolved config
-(fed back as the config, it reproduces the run) with the diagnostics, and
-prints the summary as the one stdout line.  Every nonzero exit, on a bad
+given twice is one column; a block of rows at a time) and
+`<out>.resolved.json`, the resolved config (the defaults filled in, down
+to the keys a partial `min_modes` or `sweep` section leaves out; fed back
+as the config, it reproduces the run) with the diagnostics, and prints the
+summary as the one stdout line.  Every nonzero exit, on a bad
 command line too, prints one stderr line `error: ...` and no traceback.
 Identical config+seed gives byte-identical CSVs: all randomness flows from
 the seed through numpy SeedSequences.  `sweep` runs each distinct cell
@@ -98,6 +100,8 @@ VOLTERRA_RTOL = 1e-9
 EPS_FLOOR_ROUNDOFFS = 1024
 # what a command's verdict, exit 5 or 6, says of the outputs `main` wrote
 _WRITTEN = {5: "outputs written", 6: "outputs written but not certified"}
+# Rows per block of `write_csv`: one block's values are Python objects at a time
+CSV_ROWS = 1024
 
 _DEFAULTS = {
     "Omega0": 1.0,
@@ -130,13 +134,15 @@ def fmt(x) -> str:
 
 def write_csv(path, columns):
     """Write `columns`, an ordered mapping of header name to 1-D column, as
-    one CSV table.  Numeric columns print as `fmt` does (integers below 2^53
-    print as integers), text columns as they are."""
+    one CSV table, CSV_ROWS rows at a time.  Numeric columns print as `fmt`
+    does (integers below 2^53 print as integers), text columns as they are."""
     cols = [np.asarray(col) for col in columns.values()]
     line = ",".join("%s" if col.dtype.kind in "US" else "%.17g" for col in cols) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        fh.writelines(line % row for row in zip(*(col.tolist() for col in cols), strict=True))
+        for start in range(0, max(map(len, cols), default=0), CSV_ROWS):
+            block = (col[start:start + CSV_ROWS].tolist() for col in cols)
+            fh.writelines(line % row for row in zip(*block, strict=True))
 
 
 def write_json(path, payload):
@@ -159,6 +165,9 @@ def resolve_config(path, overrides) -> dict:
         raw = raw["resolved_config"]
     _check_types(raw, {}, "config")
     cfg = json.loads(json.dumps(_DEFAULTS))
+    for key in ("min_modes", "sweep"):  # the defaults fill a partial section
+        if isinstance(raw.get(key), dict):
+            cfg[key].update(raw.pop(key))
     cfg.update(raw)
     for key in ("seed", "samples"):
         if overrides.get(key) is not None:

@@ -13,9 +13,9 @@ untruncated x(t), and any chain coordinate whose map row is given
 is an arrowhead, whose eigenvalues are the roots of a secular equation and
 whose eigenvectors follow from them in closed form, in O(N^2) time and
 BLOCK rows at a time.  Single coordinates (`_modal_row`) take a uniform
-grid from 0 by angle addition, with trig on about 2 sqrt(M) points per
-mode for M samples instead of M.  The dense evolutions that check these
-routes are in `tests/oracles.py`.
+grid from 0 by angle addition, BLOCK modes at a time, with trig on about
+2 sqrt(M) points per mode for M samples instead of M.  The dense
+evolutions that check these routes are in `tests/oracles.py`.
 
 Sign conventions: the extended chain matrix carries -D0 and -D_j off the
 diagonal (so the equations of motion read x'' = -Omega0^2 x + D0 X_1 with
@@ -35,9 +35,10 @@ from .errors import DimensionMismatch, UnstableMode, check_index
 from .kernels import _uniform_step
 from .spectral import SCALE, ChainModel, IOModel
 
-# Rows per block of `evolve_io_x`'s O(N^2) sweeps over (root, pole) pairs:
-# one or two BLOCK x N arrays are live at a time, 2 MB each at N = 2048
-BLOCK = 128
+# Rows per block of `evolve_io_x`'s O(N^2) sweeps over (root, pole) pairs,
+# and modes per block of `_modal_row`'s sums: one BLOCK x N distance buffer
+# is live at a time, 1 MB at N = 2048
+BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -112,10 +113,11 @@ def _modal_row(modal, y0, i, times) -> np.ndarray:
     otherwise), and the samples go by angle addition: sample p B + q sits
     at t_pB + t_q, B = ceil(sqrt(M)) for M samples, and
     a cos(w t) + b sin(w t) there is (a cos(w t_pB) + b sin(w t_pB)) cos(w t_q)
-    + (b cos(w t_pB) - a sin(w t_pB)) sin(w t_q), so x is one
-    (P, 2 dim) x (2 dim, B) product, P = ceil(M / B), with trig on
-    (P + B) dim points instead of M dim and no (M, dim) array; the
-    increment is taken from the product's own t = 0 entry.
+    + (b cos(w t_pB) - a sin(w t_pB)) sin(w t_q), so x is a sum of
+    (P, 2 b) x (2 b, B) products over the modes, BLOCK (b) at a time,
+    P = ceil(M / B), with trig on (P + B) dim points instead of M dim and
+    no (M, dim) array; the increment is taken from the sum's own t = 0
+    entry.  Up to BLOCK modes the sum is one product.
     """
     w, V, a, b = modal
     alpha, beta = a * V[i], b * V[i]
@@ -123,13 +125,17 @@ def _modal_row(modal, y0, i, times) -> np.ndarray:
     _uniform_step(times, "modal sum")
     M = len(times)
     B = math.isqrt(M - 1) + 1
-    phase = np.multiply.outer(times[::B], w)
-    cos_p, sin_p = np.cos(phase), np.sin(phase, out=phase)
-    coarse = np.concatenate([alpha * cos_p + beta * sin_p, beta * cos_p - alpha * sin_p], axis=1)
-    del cos_p, sin_p, phase
-    phase = np.multiply.outer(w, times[:B])
-    fine = np.concatenate([np.cos(phase), np.sin(phase, out=phase)])
-    x = (coarse @ fine).ravel()[:M]
+    for s in range(0, len(w), BLOCK):
+        wb, al, be = w[s:s + BLOCK], alpha[s:s + BLOCK], beta[s:s + BLOCK]
+        phase = np.multiply.outer(times[::B], wb)
+        cos_p, sin_p = np.cos(phase), np.sin(phase, out=phase)
+        coarse = np.concatenate([al * cos_p + be * sin_p, be * cos_p - al * sin_p], axis=1)
+        del cos_p, sin_p, phase
+        phase = np.multiply.outer(wb, times[:B])
+        fine = np.concatenate([np.cos(phase), np.sin(phase, out=phase)])
+        # no zero start: the first block's product is x, -0.0 included
+        x = coarse @ fine if s == 0 else x + coarse @ fine
+    x = x.ravel()[:M]
     return y0[i] + (x - x[0])
 
 
@@ -208,6 +214,7 @@ def evolve_io_modes(io: IOModel, init: InitialState, O, times) -> np.ndarray:
         amp_O[rows] = Q @ weighted_O
         np.square(Q, out=Q)
         norm2[rows] = Q @ c2_hat
+    del Q  # the sweep's buffer goes before the modal sums
     v0 = 1.0 / np.sqrt(1.0 + norm2)
     w = np.sqrt(sigma + tau)
     a = v0 * (init.x0 + amp[:, 0])
@@ -225,7 +232,7 @@ def _distance_blocks(d, sigma, tau):
     for the rows' roots lambda = sigma + tau, taken from each root's origin
     as (d_k - sigma_r) - tau_r.  Every block is a view of one
     BLOCK x len(d) buffer, filled again for the next block: the caller may
-    overwrite it, but must not keep it past its own block."""
+    overwrite it, but must not keep it past its own block or the loop."""
     buf = np.empty((min(BLOCK, len(sigma)), len(d)))
     for start in range(0, len(sigma), BLOCK):
         rows = slice(start, min(start + BLOCK, len(sigma)))
@@ -285,6 +292,7 @@ def _secular_roots(d, c2, alpha):
         for own in _bracket_poles(rows, N):
             inv[own] = 0.0
         rest[rows] = inv @ c2
+    del inv
     rest += mid - alpha
     g_mid = rest + p_lo / (lo_end - mid) + p_hi / (hi_end - mid)
     # the nearer end is the origin; its pole (none at the outer ends) is
@@ -322,6 +330,7 @@ def _secular_roots(d, c2, alpha):
             s_abs[rows] = inv @ c2
             np.square(inv, out=inv)
             s2[rows] = inv @ c2
+        del inv
         pole_term = p[todo] / t
         shift = s - alpha
         rest = shift + t + s1
@@ -362,10 +371,11 @@ def _loewner_couplings(d, sigma, tau):
     N = len(d)
     col = np.arange(N)
     prod = np.ones(N)
+    # row 0 carries the product so far, so that one reduction continues it
+    # in row order
+    buf = np.empty((min(BLOCK, len(sigma)) + 1, N))
     for rows, dist in _distance_blocks(d, sigma, tau):
-        # row 0 carries the product so far, so that one reduction
-        # continues it in row order
-        ratio = np.empty((len(dist) + 1, N))
+        ratio = buf[: len(dist) + 1]
         ratio[0] = prod
         # pair d_k - lambda_j with d_k - d_j below the pole and d_k - d_{j-1}
         # above it; the two roots that straddle d_k keep their own

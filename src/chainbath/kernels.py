@@ -7,11 +7,11 @@ single-sine `convolve_on_grid` per level: the Volterra source and its
 resolvent solve through `solution.nested_convolve`, and the `kernels`
 command by convolving sin(Omega_0 t) up the chain.  `convolve_on_grid` needs only numpy:
 it integrates the local 6-point Lagrange interpolant of the uniformly
-sampled signal against cos/sin by per-interval Gauss-Legendre and
-accumulates the moments.  Angle addition moves the trig to the grid points
-and folds the node weights into one small matrix per stencil offset, so a
-call costs O(M F) trig plus O(M STENCIL F) window products for M samples
-and F frequencies.  `check_grid` refuses grids too coarse for it, by an
+sampled signal against cos/sin by per-interval Gauss-Legendre (a fixed
+8-node table) and accumulates the moments.  Angle addition moves the trig
+to the grid points and folds the node weights into one small matrix per
+stencil offset, so a call costs O(M F) trig plus O(M STENCIL F) window
+products for M samples and F frequencies.  `check_grid` refuses grids too coarse for it, by an
 interpolation estimate relative to the signal's size.
 
 The closed-form, Taylor and nested-quadrature evaluations of K_i that
@@ -24,7 +24,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.polynomial.legendre import leggauss
 
 from .errors import GridTooCoarse
 
@@ -32,12 +31,14 @@ from .errors import GridTooCoarse
 NODES = 8
 # Points of the local Lagrange interpolant behind convolve_on_grid
 STENCIL = 6
-
-
-@lru_cache(maxsize=8)
-def _gl_rule(nodes: int):
-    x, w = leggauss(nodes)
-    return x, w
+# The NODES-point Gauss-Legendre rule on [-1, 1], numpy's leggauss(8) as
+# literals: no command loads numpy.polynomial for it
+_GL_X = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+                  -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+                  0.7966664774136267, 0.9602898564975362])
+_GL_W = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                  0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                  0.22238103445337443, 0.10122853629037706])
 
 
 def _uniform_step(times, what: str) -> float:
@@ -58,8 +59,7 @@ def _stencil_weights(P: int) -> dict[int, np.ndarray]:
     t_{k+d}, ..., t_{k+d+P-1} at the Gauss-Legendre nodes of [t_k, t_{k+1}],
     keyed by d = 2-P, ..., 0 (every stencil holds t_k and t_{k+1}).  On a
     uniform grid they do not depend on k or on the step."""
-    x, _ = _gl_rule(NODES)
-    u = 0.5 * (x + 1.0)                                     # nodes in steps from t_k
+    u = 0.5 * (_GL_X + 1.0)                                 # nodes in steps from t_k
     weights = {}
     for d in range(2 - P, 1):
         pts = d + np.arange(P)
@@ -101,9 +101,8 @@ def convolve_on_grid(freqs, values, times) -> np.ndarray:
     F = len(freqs)
 
     # Gauss-Legendre weights times [cos, sin](f (s - t_k)) at the nodes of one interval
-    x, w = _gl_rule(NODES)
-    fhu = np.multiply.outer(0.5 * h * (x + 1.0), freqs)    # (NODES, F)
-    E = (0.5 * h * w)[:, None] * np.concatenate([np.cos(fhu), np.sin(fhu)], axis=1)
+    fhu = np.multiply.outer(0.5 * h * (_GL_X + 1.0), freqs)  # (NODES, F)
+    E = (0.5 * h * _GL_W)[:, None] * np.concatenate([np.cos(fhu), np.sin(fhu)], axis=1)
     P = min(STENCIL, M)
     c = P // 2 - 1                                          # centred stencil starts at t_{k-c}
     G = {d: W.T @ E for d, W in _stencil_weights(P).items()}  # (P, 2F) each

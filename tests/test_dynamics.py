@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from chainbath import dynamics
 from chainbath.dynamics import (
     BLOCK,
     InitialState,
@@ -261,14 +262,17 @@ class TestEvolveIoX:
         init = random_initial_state(np.random.default_rng(seed), N)
         assert_matches_dense(io, init, np.linspace(0.0, 10.0, 257))
 
-    @pytest.mark.parametrize("N", [BLOCK - 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("N", [BLOCK - 2, BLOCK - 1, BLOCK, BLOCK + 1,
+                                   2 * BLOCK - 2, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1,
+                                   4 * BLOCK, 4 * BLOCK + 1])
     def test_block_edges(self, N):
-        # N + 1 roots: one short of a block, a block, one over, two and one over
+        # N + 1 roots and modes: one short of one, two and four blocks, those
+        # blocks, and one over
         io = long_chain(linear_spectrum, N)
         init = random_initial_state(np.random.default_rng(N), N)
         assert_matches_dense(io, init, np.linspace(0.0, 10.0, 257))
 
-    @pytest.mark.parametrize("roots", [1, BLOCK, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("roots", [1, BLOCK, 2 * BLOCK, 2 * BLOCK + 1, 4 * BLOCK + 1])
     def test_distance_blocks_refill_one_buffer(self, roots):
         # every block is (d - sigma) - tau bit for bit, in one buffer that
         # the caller may overwrite
@@ -311,10 +315,28 @@ class TestEvolveIoX:
         assert x[0] == y0[0]
         assert np.abs(x - direct).max() <= 1e-13 * np.abs(direct).max()
 
+    @pytest.mark.parametrize("dim", [BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_modes_go_by_blocks(self, monkeypatch, dim):
+        # up to BLOCK modes x is the one product, bit for bit; past it the
+        # blocks' sum is that product to rounding of the modal amplitudes
+        rng = np.random.default_rng(dim)
+        w, V, a, b = modal = (rng.uniform(0.5, 2.5, dim), rng.standard_normal((1, dim)),
+                              rng.standard_normal(dim), rng.standard_normal(dim))
+        times = np.linspace(0.0, 10.0, 2048)
+        x = _modal_row(modal, [0.3], 0, times)
+        monkeypatch.setattr(dynamics, "BLOCK", 10**6)
+        one = _modal_row(modal, [0.3], 0, times)
+        if dim <= BLOCK:
+            assert np.array_equal(x, one)
+        else:
+            amplitudes = float(np.sum(np.abs(V[0]) * np.hypot(a, b)))
+            assert np.abs(x - one).max() <= 4 * np.finfo(float).eps * amplitudes
+
     def test_memory_is_a_few_blocks(self):
         # no (N+1) x N and no samples x (N+1) array: the O(N^2) sweeps hold
-        # BLOCK rows at a time and the modal sums 2 sqrt(M) rows; measured
-        # 0.20 (N+1) N doubles, where whole arrays took 2.13
+        # one BLOCK x N buffer at a time and the modal sums 2 sqrt(M) rows
+        # of BLOCK modes; measured 0.074 (N+1) N doubles, where whole
+        # arrays took 2.13
         N = 2048
         io = long_chain(linear_spectrum, N)
         init = random_initial_state(np.random.default_rng(12), N)
@@ -326,7 +348,7 @@ class TestEvolveIoX:
         finally:
             tracemalloc.stop()
         assert x[0] == init.x0
-        assert peak <= 0.25 * (N + 1) * N * 8
+        assert peak <= 0.1 * (N + 1) * N * 8
 
     @pytest.mark.parametrize("omega, c", [([0.7], [0.3]), ([0.7, 1.3], [0.3, 0.5])])
     def test_one_and_two_modes(self, omega, c):
@@ -435,7 +457,7 @@ class TestEvolveIoModes:
         assert np.array_equal(rows[1:, 0], -(O @ init.q0))
         assert np.abs(rows[1:] - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("N", [1, 12, BLOCK + 1])
+    @pytest.mark.parametrize("N", [1, 12, BLOCK + 1, 2 * BLOCK + 1])
     def test_rows_match_the_dense_route(self, N):
         io = long_chain(linear_spectrum, N)
         rng = np.random.default_rng(N)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from chainbath.errors import GridTooCoarse
-from chainbath.kernels import NODES, STENCIL, check_grid, convolve_on_grid
+from chainbath.kernels import _GL_W, _GL_X, NODES, STENCIL, check_grid, convolve_on_grid
 from tests.oracles import (
     DegenerateFrequencies,
     ToleranceNotReached,
@@ -313,6 +313,25 @@ class TestConvolveOnGrid:
             convolve_on_grid([1.0], v, times + 0.5)
         with pytest.raises(ValueError):
             convolve_on_grid([1.0], v[:1], times[:1])
+
+
+class TestGaussLegendreTable:
+    def test_matches_leggauss(self):
+        # the literal table is numpy's rule to 2 ulp
+        x, w = leggauss(NODES)
+        assert np.all(np.abs(_GL_X - x) <= 2 * np.spacing(np.abs(x)))
+        assert np.all(np.abs(_GL_W - w) <= 2 * np.spacing(w))
+
+    def test_symmetric(self):
+        assert np.array_equal(_GL_X, -_GL_X[::-1])
+        assert np.array_equal(_GL_W, _GL_W[::-1])
+
+    def test_exact_through_degree_15(self):
+        # NODES points integrate x^k over [-1, 1] exactly up to k = 2 NODES - 1;
+        # leggauss's rounded weights miss the even moments by up to 1.2e-15
+        for k in range(2 * NODES):
+            exact = (1 - (-1) ** (k + 1)) / (k + 1)
+            assert abs(_GL_W @ _GL_X**k - exact) <= 2e-15, k
 
 
 class TestCheckGrid:
