@@ -47,18 +47,20 @@ inf only where a bound underflowed under a rounding-level eps.
 
 Exit codes: 0 ok; 2 invalid input: a command line the parser refuses, an
 unwritable `<out>`, or a config refused before any output (a config that
-is not a JSON object; a missing key that the `model` family, the explicit
-model or the explicit `initial_state` needs, named by its path; fewer than
-2 `samples`; a `t_max` outside (0, 1.16e77]; a negative or
-non-finite `min_modes` time or a non-finite tolerance; a config value of
-another JSON type than its default's, or than its `model` family or
+is not a JSON object or has no `model`; a missing key that the `model`
+family, the explicit model or the explicit `initial_state` needs, named by
+its path; an unknown `model.family` or `initial_state.kind`; fewer than 2
+`samples`; a `t_max` outside (0, 1.16e77]; a negative or non-finite
+`min_modes` time or a tolerance that is non-finite or <= 0; a config value
+of another JSON type than its default's, or than its `model` family or
 `initial_state` kind gives it, with a float refused where the default is
 an integer; a model `N` below 1; a random family's `omega_range` or
 `c_range` that is not two numbers lo <= hi within [3.5e-39, 3.4e38]; a
 `sweep` with no cell, an `N` or `n` below 1 or a `kT` outside
 (0, 1.16e77]; a frequency or `Omega0` outside `spectral.SCALE`, about
 [1.2e-77, 1.16e77], a coupling above it or a non-finite one, as a `c0` or
-`power` that overflows gives; an initial-state entry or random `scale`
+`power` that overflows gives; an explicit `q0` and `qdot0` of different
+lengths or shorter than the bath; an initial-state entry or random `scale`
 above 1.16e77); 3 chain-construction breakdown, reported only inside the
 part of the chain the command builds; 4 unstable/complex-resolvent regime;
 5 every sweep cell failed numerically: outputs written; 6 a numerical
@@ -456,10 +458,9 @@ def cmd_min_modes(cfg, out):
 _SWEEP_COLUMNS = ("N", "n", "kT", "max_eps", "max_ratio", "status", "error")
 
 
-def _sweep_cell(args):
+def _sweep_cell(N, n, kT, seed_seq, samples):
     """One sweep cell's `_SWEEP_COLUMNS` values, and its wall time: `bound`'s
     route at the one cut min(n, N), on a random bath and a thermal draw."""
-    N, n, kT, seed_seq, samples = args
     t0 = time.perf_counter()
     try:
         io = instances.random_io_model(np.random.default_rng(seed_seq), N)
@@ -489,8 +490,7 @@ def cmd_sweep(cfg, out):
     # a cell given twice is one cell
     cells = sorted({(N, n, float(kT)) for N in sw["N"] for n in sw["n"] for kT in sw["kT"]})
     seqs = np.random.SeedSequence(cfg["seed"]).spawn(len(cells))
-    jobs = [(N, n, kT, seq, samples) for (N, n, kT), seq in zip(cells, seqs)]
-    results = [_sweep_cell(job) for job in jobs]
+    results = [_sweep_cell(N, n, kT, seq, samples) for (N, n, kT), seq in zip(cells, seqs)]
     write_json(str(out) + ".timings.json",
                {f"N{r[0]}_n{r[1]}_kT{fmt(r[2])}": dt for r, dt in results})
 

@@ -27,12 +27,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridTooCoarse
 
-# Gauss-Legendre nodes per grid interval in convolve_on_grid
-NODES = 8
 # Points of the local Lagrange interpolant behind convolve_on_grid
 STENCIL = 6
-# The NODES-point Gauss-Legendre rule on [-1, 1], numpy's leggauss(8) as
-# literals: no command loads numpy.polynomial for it
+# The Gauss-Legendre rule on [-1, 1] that convolve_on_grid applies per grid
+# interval, numpy's leggauss(8) as literals: no command loads
+# numpy.polynomial for it
 _GL_X = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
                   -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
                   0.7966664774136267, 0.9602898564975362])
@@ -55,7 +54,7 @@ def _uniform_step(times, what: str) -> float:
 
 @lru_cache(maxsize=8)
 def _stencil_weights(P: int) -> dict[int, np.ndarray]:
-    """Weights (NODES, P) of the P-point Lagrange interpolant through
+    """Weights (len(_GL_X), P) of the P-point Lagrange interpolant through
     t_{k+d}, ..., t_{k+d+P-1} at the Gauss-Legendre nodes of [t_k, t_{k+1}],
     keyed by d = 2-P, ..., 0 (every stencil holds t_k and t_{k+1}).  On a
     uniform grid they do not depend on k or on the step."""
@@ -63,7 +62,7 @@ def _stencil_weights(P: int) -> dict[int, np.ndarray]:
     weights = {}
     for d in range(2 - P, 1):
         pts = d + np.arange(P)
-        w = np.ones((NODES, P))
+        w = np.ones((len(_GL_X), P))
         for j in range(P):
             for l in range(P):
                 if l != j:
@@ -82,7 +81,7 @@ def convolve_on_grid(freqs, values, times) -> np.ndarray:
     t_{k-2}, ..., t_{k+3}, shifted one-sided at the ends of the grid (all M
     points when M < STENCIL).  Expanding the sine of a difference reduces the
     whole family of integrals to two cumulative moments per frequency, each
-    interval's share by NODES-point Gauss-Legendre.  By angle addition the
+    interval's share by 8-point Gauss-Legendre.  By angle addition the
     cosine share is cos(f t_k) A_k - sin(f t_k) B_k and the sine share
     sin(f t_k) A_k + cos(f t_k) B_k, where (A_k, B_k), the moments of
     cos/sin(f (s - t_k)), are the stencil window of samples times one fixed
@@ -101,7 +100,7 @@ def convolve_on_grid(freqs, values, times) -> np.ndarray:
     F = len(freqs)
 
     # Gauss-Legendre weights times [cos, sin](f (s - t_k)) at the nodes of one interval
-    fhu = np.multiply.outer(0.5 * h * (_GL_X + 1.0), freqs)  # (NODES, F)
+    fhu = np.multiply.outer(0.5 * h * (_GL_X + 1.0), freqs)  # (8, F)
     E = (0.5 * h * _GL_W)[:, None] * np.concatenate([np.cos(fhu), np.sin(fhu)], axis=1)
     P = min(STENCIL, M)
     c = P // 2 - 1                                          # centred stencil starts at t_{k-c}

@@ -53,6 +53,23 @@ def numpy_bath(seed, N):
                           10.0 ** rng.uniform(-6.0, 0.0, N), 1.0)
 
 
+def schur(io):
+    """sum c_k^2/omega_k^2: the system's Omega0^2 must exceed it."""
+    return float(np.sum(io.c**2 / io.omega**2))
+
+
+# the sample grid of the large-bath dense-route check and its reference
+LARGE_BATH_TIMES = np.linspace(0.0, 10.0, 257)
+
+
+def large_bath_case(seed, N, margin):
+    """The `numpy_bath` of (seed, N) with Omega0^2 = schur + margin, which
+    keeps it stable, and a random initial state from seed."""
+    bath = numpy_bath(seed, N)
+    io = build_io_model(bath.omega, bath.c, np.sqrt(schur(bath) + margin))
+    return io, random_initial_state(np.random.default_rng(seed), N)
+
+
 def long_chain(spectrum, N=1024):
     """The N-mode bath on [0.5, 2.5] with ||c|| = 0.5 and Omega0 = 1.2."""
     omega = spectrum(N, 0.5, 2.5)

@@ -38,6 +38,8 @@ from tests.oracles import (
 
 
 LINEAR_4 = {"family": "linear", "N": 4, "omega_min": 0.8, "omega_max": 2.4, "c0": 0.4}
+# an override that leaves its key out of the config
+ABSENT = object()
 
 
 def write_config(path, **overrides):
@@ -51,6 +53,7 @@ def write_config(path, **overrides):
         "seed": 5,
     }
     cfg.update(overrides)
+    cfg = {key: value for key, value in cfg.items() if value is not ABSENT}
     path.write_text(json.dumps(cfg))
     return cfg
 
@@ -230,44 +233,63 @@ class TestExitCodes:
         assert main(["min-modes", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, overrides", [
-        pytest.param("bound", {"truncations": 5}, id="bound-truncations"),
-        *(pytest.param(command, {"model": [1, 2]}, id=f"{command}-model")
+    @pytest.mark.parametrize("command, overrides, says", [
+        pytest.param("bound", {"truncations": 5}, " config.", id="bound-truncations"),
+        *(pytest.param(command, {"model": [1, 2]}, " config.", id=f"{command}-model")
           for command in ("build-chain", "simulate", "kernels", "bound", "min-modes")),
-        pytest.param("min-modes", {"min_modes": {"times": 1, "tols": [0.1]}},
+        pytest.param("min-modes", {"min_modes": {"times": 1, "tols": [0.1]}}, " config.",
                      id="min-modes-times"),
-        pytest.param("bound", {"seed": 1.5}, id="bound-seed"),
-        pytest.param("bound", {"truncations": [1.5]}, id="bound-truncations-fraction"),
+        pytest.param("bound", {"seed": 1.5}, " config.", id="bound-seed"),
+        pytest.param("bound", {"truncations": [1.5]}, " config.",
+                     id="bound-truncations-fraction"),
         # the cut n = 1 exists at N = 1, so a model N run as 1 passes the cut check
         *(pytest.param(command, {"model": {**LINEAR_4, **model}, "truncations": [1]},
-                       id=f"{command}-{name}")
+                       " config.", id=f"{command}-{name}")
           for command in ("bound", "min-modes")
           for name, model in (("N-list", {"N": [4]}), ("N-zero", {"N": 0}),
                               ("N-fraction", {"N": 1.5}), ("N-true", {"N": True}),
                               ("c0-string", {"c0": "x"}),
                               ("omega_range-number", {"family": "random", "omega_range": 3}))),
-        pytest.param("bound", {"initial_state": {"kind": "random", "scale": "x"}},
+        pytest.param("bound", {"initial_state": {"kind": "random", "scale": "x"}}, " config.",
                      id="bound-scale-string"),
         # a range is exactly two numbers
-        *(pytest.param(command, {"model": {"family": "random", "N": 4, **model}},
+        *(pytest.param(command, {"model": {"family": "random", "N": 4, **model}}, " config.",
                        id=f"{command}-{name}")
           for command in ("build-chain", "simulate", "kernels", "bound", "min-modes")
           for name, model in (("c_range-three", {"c_range": [0.1, 0.2, 0.3]}),
                               ("omega_range-three", {"omega_range": [0.5, 1.0, 2.0]}),
                               ("c_range-one", {"c_range": [1]}),
                               ("c_range-empty", {"c_range": []}))),
+        # values of the right type that the command cannot use
+        pytest.param("bound", {"model": ABSENT}, "config must contain a 'model' section",
+                     id="bound-no-model"),
+        pytest.param("build-chain", {"model": {"family": "cubic", "N": 4}},
+                     "unknown model family 'cubic'", id="build-chain-family-unknown"),
+        pytest.param("simulate", {"initial_state": {"kind": "frozen"}},
+                     "unknown initial_state kind 'frozen'", id="simulate-kind-unknown"),
+        *(pytest.param("min-modes", {"min_modes": {"times": [1.0], "tols": [tol]}},
+                       "tol must be positive", id=f"min-modes-tol-{name}")
+          for name, tol in (("zero", 0.0), ("negative", -1e-3))),
+        pytest.param("simulate", {"initial_state": {"q0": [0.1] * 4, "qdot0": [0.1] * 3}},
+                     "q0 and qdot0 must be 1-d arrays of equal length",
+                     id="simulate-state-uneven"),
+        *(pytest.param(command, {"initial_state": {"q0": [0.1, 0.2], "qdot0": [0.1, 0.2]}},
+                       "bath size 4 != initial-state size 2", id=f"{command}-state-short")
+          for command in ("simulate", "bound")),
     ])
-    def test_wrong_json_type(self, tmp_path, capsys, command, overrides):
+    def test_wrong_json_type(self, tmp_path, capsys, command, overrides, says):
         # a value of another JSON type than its default's, or a model N that
-        # is no integer >= 1, fails the config check, in one stderr line,
-        # before the command builds anything
+        # is no integer >= 1, fails the config check, in one stderr line
+        # that names the key, before the command builds anything; so does a
+        # missing model, an unknown family or kind, a tolerance <= 0, or an
+        # explicit state that does not fit the bath, in its own words
         cfg = tmp_path / "cfg.json"
         write_config(cfg, **overrides)
         out = tmp_path / "o.csv"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: invalid configuration") and err.count("\n") == 1
-        assert " config." in err  # names the key
+        assert says in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, overrides", [
@@ -284,6 +306,8 @@ class TestExitCodes:
         pytest.param("bound", {"initial_state": {"kind": "random", "scale": 1e308}},
                      id="bound-scale"),
         pytest.param("bound", {"t_max": 1e300}, id="bound-t_max"),
+        pytest.param("bound", {"initial_state": {"q0": [1e300, 0.0, 0.0, 0.0],
+                                                 "qdot0": [0.0] * 4}}, id="bound-state-entry"),
     ])
     def test_value_float64_cannot_hold(self, tmp_path, capsys, command, overrides):
         # a bath or state whose squares or draws overflow float64 is refused
@@ -1199,9 +1223,9 @@ class TestSweep:
         # one job run twice draws the same bath and thermal state: the cell
         # derives its seeds without spawning from the job's sequence
         job = (8, 4, 1.0, np.random.SeedSequence(12345).spawn(3)[1], 128)
-        first, _ = _sweep_cell(job)
+        first, _ = _sweep_cell(*job)
         assert first[5] == "ok"
-        assert _sweep_cell(job)[0] == first
+        assert _sweep_cell(*job)[0] == first
 
     def test_all_cells_failed(self, tmp_path, monkeypatch, capsys):
         # a valid grid whose every cell fails numerically writes both files,
@@ -1249,7 +1273,7 @@ class TestRandomFamily:
     def test_large_bath_runs_without_a_full_map(self, tmp_path, monkeypatch, chain_builds):
         # one O(N) draw at N = 1024: each command exits 0, builds map rows
         # only up to its cuts and solves no eigenproblem above cut + 1, or
-        # above the Gauss-Legendre rule's kernels.NODES
+        # above the Gauss-Legendre rule's node count
         sizes = []
         for name in ("eigh", "eigvalsh"):
             solve = getattr(np.linalg, name)
@@ -1262,7 +1286,7 @@ class TestRandomFamily:
             out = tmp_path / f"{cmd}.csv"
             assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 0, cmd
         assert chain_builds and max(chain_builds) <= 4
-        assert sizes and max(sizes) <= max(5, kernels.NODES)
+        assert sizes and max(sizes) <= max(5, len(kernels._GL_X))
 
 
 class TestDeterminismAndRoundTrip:

@@ -27,7 +27,15 @@ from chainbath.dynamics import (
 from chainbath.errors import DimensionMismatch, IndexOutOfRange, UnstableMode
 from chainbath.instances import geometric_spectrum, linear_spectrum, random_initial_state
 from chainbath.spectral import ChainModel, build_io_model, chain_from_io
-from tests.conftest import long_chain, make_instance, numpy_bath, random_bath
+from tests.conftest import (
+    LARGE_BATH_TIMES,
+    large_bath_case,
+    long_chain,
+    make_instance,
+    random_bath,
+    schur,
+)
+from tests.make_x_reference import committed_reference
 from tests.oracles import (
     Trajectory,
     assemble_io_matrix,
@@ -213,16 +221,12 @@ def direct_row(modal, y0, times):
     return y0[0] + (np.cos(wt) - 1.0) @ (a * V[0]) + np.sin(wt) @ (b * V[0])
 
 
-def schur(io):
-    """sum c_k^2/omega_k^2: the system's Omega0^2 must exceed it."""
-    return float(np.sum(io.c**2 / io.omega**2))
-
-
-def assert_matches_dense(io, init, times):
-    """`evolve_io_x` against the dense eigensolve of `evolve_io`: x to
-    1e-12 max|x|, the eigenvalues to 1e-13 lambda_max, x0 exact at t = 0."""
+def assert_matches_dense(io, init, times, ref=None):
+    """`evolve_io_x` against the dense eigensolve of `evolve_io`, or against
+    `ref` where given: x to 1e-12 max|x|, the eigenvalues to 1e-13
+    lambda_max, x0 exact at t = 0."""
     x = evolve_io_x(io, init, times)
-    ref = evolve_io(io, init, times).x
+    ref = evolve_io(io, init, times).x if ref is None else ref
     assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
     assert x[0] == init.x0
     sigma, tau = _secular_roots(io.omega**2, io.c**2, io.Omega0**2)
@@ -252,15 +256,23 @@ class TestEvolveIoX:
             with pytest.raises(UnstableMode):
                 evolve(io, init, np.linspace(0.0, 1.0, 3))
 
-    @settings(max_examples=8, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**32 - 1), N=st.integers(97, 640),
-           margin=st.floats(1e-3, 4.0))
-    def test_matches_dense_route_on_large_random_baths(self, seed, N, margin):
-        # above the sizes hypothesis can draw, and across several blocks
-        bath = numpy_bath(seed, N)
-        io = build_io_model(bath.omega, bath.c, np.sqrt(schur(bath) + margin))
-        init = random_initial_state(np.random.default_rng(seed), N)
-        assert_matches_dense(io, init, np.linspace(0.0, 10.0, 257))
+    # seed in [0, 2^32), N in [97, 640] and margin in [1e-3, 4], drawn once,
+    # and (0, 511, 1.0), on which the dense eigh oracle is 2.3e-12 max|x|
+    # from a 30-digit x(t) and the secular route 1.7e-15
+    LARGE_BATH_CASES = [
+        (0, 511, 1.0), (4079841081, 336, 0.407), (2683220641, 628, 0.474),
+        (385344134, 604, 3.187), (642921185, 542, 2.001), (2751905003, 318, 3.337),
+        (1236245523, 465, 2.529), (210481816, 511, 1.623), (509645319, 237, 3.69),
+    ]
+
+    def test_matches_dense_route_on_large_random_baths(self):
+        # above the sizes hypothesis can draw, and across several blocks;
+        # where the dense oracle misses the bound itself, against the
+        # committed reference of tests/make_x_reference.py
+        for seed, N, margin in self.LARGE_BATH_CASES:
+            io, init = large_bath_case(seed, N, margin)
+            assert_matches_dense(io, init, LARGE_BATH_TIMES,
+                                 committed_reference(seed, N, margin))
 
     @pytest.mark.parametrize("N", [BLOCK - 2, BLOCK - 1, BLOCK, BLOCK + 1,
                                    2 * BLOCK - 2, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1,

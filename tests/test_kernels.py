@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from chainbath.errors import GridTooCoarse
-from chainbath.kernels import _GL_W, _GL_X, NODES, STENCIL, check_grid, convolve_on_grid
+from chainbath.kernels import _GL_W, _GL_X, STENCIL, check_grid, convolve_on_grid
 from tests.oracles import (
     DegenerateFrequencies,
     ToleranceNotReached,
@@ -18,6 +18,9 @@ from tests.oracles import (
     kernel_taylor,
     kernel_taylor_remainder,
 )
+
+# Gauss-Legendre nodes per grid interval: the table's length
+NODES = len(_GL_X)
 
 
 def random_distinct_freqs(rng, count, lo=0.5, hi=5.0):
