@@ -45,34 +45,23 @@ The `bound_*` columns hold a finite value or inf, never NaN, and inf only
 where the bound is above float64's largest value; a `ratio_n*` sample is
 inf only where a bound underflowed under a rounding-level eps.
 
-Exit codes: 0 ok; 2 invalid input: a command line the parser refuses, an
-unwritable `<out>`, or a config refused before any output (a config that
-is not a JSON object or has no `model`; a missing key that the `model`
-family, the explicit model or the explicit `initial_state` needs, named by
-its path; an unknown `model.family` or `initial_state.kind`; fewer than 2
-`samples`; a `t_max` outside (0, 1.16e77]; a negative or non-finite
-`min_modes` time or a tolerance that is non-finite or <= 0; a config value
-of another JSON type than its default's, or than its `model` family or
-`initial_state` kind gives it, with a float refused where the default is
-an integer; a model `N` below 1; a random family's `omega_range` or
-`c_range` that is not two numbers lo <= hi within [3.5e-39, 3.4e38]; a
-`sweep` with no cell, an `N` or `n` below 1 or a `kT` outside
-(0, 1.16e77]; a frequency or `Omega0` outside `spectral.SCALE`, about
-[1.2e-77, 1.16e77], a coupling above it or a non-finite one, as a `c0` or
-`power` that overflows gives; an explicit `q0` and `qdot0` of different
-lengths or shorter than the bath; an initial-state entry or random `scale`
-above 1.16e77); 3 chain-construction breakdown, reported only inside the
-part of the chain the command builds; 4 unstable/complex-resolvent regime;
-5 every sweep cell failed numerically: outputs written; 6 a numerical
-check failed: outputs written but not certified (`build-chain` when its
-certificate fails, `simulate` when its Volterra residual is above its
-bound).
+Exit codes: 0 ok; 2 invalid input, before any output: a command line
+the parser refuses, an unwritable `<out>`, a config value that
+`resolve_config` refuses (it judges the whole config, whatever the command
+reads, and names the key by its config path), or a bath built from valid
+keys that float64 or the grid cannot hold; 3 chain-construction breakdown,
+reported only inside the part of the chain the command builds; 4
+unstable/complex-resolvent regime; 5 every sweep cell failed numerically:
+outputs written; 6 a numerical check failed: outputs written but not
+certified (`build-chain` when its certificate fails, `simulate` when its
+Volterra residual is above its bound).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -85,13 +74,7 @@ if "numpy" not in sys.modules and not any(key in os.environ for key in _THREAD_V
 import numpy as np
 
 from . import bounds, dynamics, instances, kernels, solution, spectral
-from .errors import (
-    Breakdown,
-    ChainBathError,
-    ComplexResolvent,
-    UnstableMode,
-    check_index,
-)
+from .errors import Breakdown, ChainBathError, ComplexResolvent, UnstableMode
 
 # `simulate` certifies its Volterra column only within this share of max|x_full|
 VOLTERRA_RTOL = 1e-9
@@ -116,17 +99,47 @@ _DEFAULTS = {
     "min_modes": {"times": [0.5, 1.0, 2.0], "tols": [1e-2, 1e-4, 1e-6]},
     "sweep": {"N": [4], "n": [1], "kT": [1.0]},
 }
-# The JSON types of `model` by family (or as explicit omega and c) and of
-# `initial_state` by kind (or as explicit data), read as `_DEFAULTS` is; a
-# tuple is a list of exactly its length
-_MODEL_TYPES = {
-    "linear": {"N": 1, "omega_min": 0.0, "omega_max": 0.0, "c0": 0.0, "power": 0.0},
-    "random": {"N": 1, "omega_range": (0.0, 0.0), "c_range": (0.0, 0.0)},
+# By `model` family (None: an explicit model, one that gives `omega`) and by
+# `initial_state` kind (None: explicit data, given `q0`): the keys it
+# requires, and the JSON types of its keys, read as `_DEFAULTS` is; a tuple
+# is a range, exactly as many numbers, in nondecreasing order
+_FAMILIES = {
+    None: (("c",), {"omega": [0.0], "c": [0.0]}),
+    "linear": (("N", "omega_min", "omega_max"),
+               {"N": 1, "omega_min": 0.0, "omega_max": 0.0, "c0": 0.0, "power": 0.0}),
+    "random": (("N",), {"N": 1, "omega_range": (0.0, 0.0), "c_range": (0.0, 0.0)}),
 }
-_MODEL_TYPES["geometric"] = _MODEL_TYPES["linear"]
-_EXPLICIT_MODEL = {"omega": [0.0], "c": [0.0]}
-_STATE_TYPES = {"random": {"scale": 0.0}}
-_EXPLICIT_STATE = {"q0": [0.0], "qdot0": [0.0], "x0": 0.0, "xdot0": 0.0}
+_FAMILIES["geometric"] = _FAMILIES["linear"]
+_KINDS = {None: (("qdot0",), {"q0": [0.0], "qdot0": [0.0], "x0": 0.0, "xdot0": 0.0}),
+          "thermal": ((), {}), "random": ((), {"scale": 0.0})}
+_POSITIVE = math.ulp(0.0)  # the least positive float: [_POSITIVE, hi] is (0, hi]
+_FINITE = float(np.finfo(float).max)
+_HUGE = spectral.SCALE[1]
+_JSON_TYPES = {bool: "boolean", int: "number", float: "number", str: "string", list: "list",
+               tuple: "list", dict: "object"}
+# The closed interval [lo, hi] that holds each number, by config path ("[]"
+# for every item of a list), and for a list its length; NaN lies in none.
+# Each is what the library needs of the value, or the command that reads it:
+# with every frequency within SCALE, each phase up to t_max is finite; the
+# bound is even in t; a sweep cell cuts at min(n, N), so below N it reads at
+# least one map row, and its bath has omega_k >= 0.5, so its thermal draw
+# stays within SCALE.  The random family's Omega0 lies within instances.RANGE.
+_RANGES = {
+    "Omega0": spectral.SCALE, "t_max": (_POSITIVE, _HUGE), "kT": (_POSITIVE, _FINITE),
+    "samples": (2, math.inf), "seed": (0, math.inf), "truncations[]": (0, math.inf),
+    "min_modes.times[]": (0.0, _FINITE), "min_modes.tols[]": (_POSITIVE, _FINITE),
+    # a list at least 1 long, or an integer >= 1
+    **dict.fromkeys(("sweep.N", "sweep.n", "sweep.kT", "sweep.N[]", "sweep.n[]", "model.N",
+                     "model.omega"), (1, math.inf)),
+    "sweep.kT[]": (_POSITIVE, _HUGE),
+    "model.omega_min": spectral.SCALE, "model.omega_max": spectral.SCALE,
+    "model.c0": (_POSITIVE, _HUGE), "model.power": (-_FINITE, _FINITE),
+    "model.omega_range[]": instances.RANGE, "model.c_range[]": instances.RANGE,
+    "model.omega[]": spectral.SCALE, "model.c[]": (_POSITIVE, _HUGE),
+    "initial_state.scale": (0.0, _HUGE),
+    **dict.fromkeys(("initial_state.q0[]", "initial_state.qdot0[]", "initial_state.x0",
+                     "initial_state.xdot0"), (-_HUGE, _HUGE)),
+}
 
 
 def fmt(x) -> str:
@@ -161,62 +174,94 @@ def write_sidecar(path, resolved, diagnostics=None):
 
 
 def resolve_config(path, overrides) -> dict:
+    """The run config: the JSON object at `path` (or a sidecar's
+    `resolved_config`) over `_DEFAULTS`, a partial `min_modes` or `sweep`
+    section filled from them, with the command line's `overrides`.
+
+    The one place that refuses a config value, whatever the command reads:
+    a ValueError names the first key refused by its config path.  The
+    config must be an object with a `model`; `model.family` and
+    `initial_state.kind` must be known, with every key they require
+    (`_FAMILIES`, `_KINDS`); each value must have its default's JSON type
+    (`_check_types`) and each number, and each list's length, lie within
+    its `_RANGES` interval.  An explicit model gives as many couplings as
+    frequencies, and the random family's `Omega0` lies within
+    `instances.RANGE`.  Only the bath's size is checked later, by the
+    command that reads the key: each truncation is at most N, and an
+    explicit `q0` and `qdot0` hold N entries."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if isinstance(raw, dict) and "resolved_config" in raw:  # a sidecar fed back in
         raw = raw["resolved_config"]
-    _check_types(raw, {}, "config")
+    _check_types(raw, {}, "config", "")
     cfg = json.loads(json.dumps(_DEFAULTS))
     for key in ("min_modes", "sweep"):  # the defaults fill a partial section
         if isinstance(raw.get(key), dict):
             cfg[key].update(raw.pop(key))
     cfg.update(raw)
-    for key in ("seed", "samples"):
-        if overrides.get(key) is not None:
-            cfg[key] = overrides[key]
-    if overrides.get("tmax") is not None:
-        cfg["t_max"] = overrides["tmax"]
+    for key, flag in (("seed", "seed"), ("samples", "samples"), ("t_max", "tmax")):
+        if overrides.get(flag) is not None:
+            cfg[key] = overrides[flag]
     if "model" not in cfg:
-        raise ValueError("config must contain a 'model' section")
-    _check_types(cfg, {**_DEFAULTS, "model": {"family": ""}}, "config")
+        raise ValueError("config.model is required")
+    _check_types(cfg, {**_DEFAULTS, "model": {"family": ""}}, "config", "")
     model, state = cfg["model"], cfg["initial_state"]
-    types = (_EXPLICIT_MODEL if "omega" in model
-             else _MODEL_TYPES.get(model.get("family", "linear"), {}))
-    _check_types(model, types, "config.model")
-    _check_types(state, _EXPLICIT_STATE if "q0" in state
-                 else _STATE_TYPES.get(state.get("kind", "thermal"), {}), "config.initial_state")
-    if "N" in types and model.get("N", 1) < 1:
-        raise ValueError(f"config.model.N must be >= 1, not {model['N']}")
+    family = None if "omega" in model else model.get("family", "linear")
+    kind = None if "q0" in state else state.get("kind", "thermal")
+    for key, section, selector, choice, tables in (("model", model, "family", family, _FAMILIES),
+                                                   ("initial_state", state, "kind", kind, _KINDS)):
+        if choice not in tables:
+            known = ", ".join(sorted(name for name in tables if name))
+            raise ValueError(f"config.{key}.{selector} must be one of {known}, "
+                             f"not {json.dumps(choice)}")
+        required, types = tables[choice]
+        for name in required:
+            if name not in section:
+                raise ValueError(f"config.{key}.{name} is required")
+        _check_types(section, types, f"config.{key}", key)
+    if family is None:
+        _check_range(model["c"], len(model["omega"]), len(model["omega"]), "config.model.c")
+    if family == "random":
+        _check_range(cfg["Omega0"], *instances.RANGE, "config.Omega0")
     return cfg
 
 
 def _json_type(value) -> str:
-    for types, name in ((bool, "boolean"), ((int, float), "number"), (str, "string"),
-                        ((list, tuple), "list"), (dict, "object")):
-        if isinstance(value, types):
-            return name
-    return "null"
+    return _JSON_TYPES.get(type(value), "null")
 
 
-def _check_types(value, default, name):
-    """ValueError where `value` has another JSON type than its `default`:
+def _check_types(value, default, name, key):
+    """ValueError naming `name` where `value` has another JSON type than its
+    `default`, or lies outside the `_RANGES` interval of its path `key`:
     objects stay objects (keys with no default pass), lists stay lists,
-    each item typed as the default's first, and as long as a tuple default,
-    numbers stay numbers, and integers (a default that is an int) stay
-    integers."""
+    each item typed as the default's first, a tuple default a range
+    (exactly its length, lo <= hi), numbers stay numbers, and integers (a
+    default that is an int) stay integers."""
     if _json_type(value) != _json_type(default):
         raise ValueError(f"{name} must be a JSON {_json_type(default)}, not {json.dumps(value)}")
     if isinstance(default, int) and isinstance(value, float):
         raise ValueError(f"{name} must be an integer, not {json.dumps(value)}")
     if isinstance(default, dict):
-        for key in default:
-            if key in value:
-                _check_types(value[key], default[key], f"{name}.{key}")
+        for sub in default:
+            if sub in value:
+                _check_types(value[sub], default[sub], f"{name}.{sub}",
+                             f"{key}.{sub}" if key else sub)
     elif isinstance(default, (list, tuple)):
-        if isinstance(default, tuple) and len(value) != len(default):
-            raise ValueError(f"{name} must hold {len(default)} items, not {json.dumps(value)}")
         for i, item in enumerate(value):
-            _check_types(item, default[0], f"{name}[{i}]")
+            _check_types(item, default[0], f"{name}[{i}]", f"{key}[]")
+        if isinstance(default, tuple) and (len(value) != len(default) or value != sorted(value)):
+            raise ValueError(f"{name} must hold {len(default)} numbers lo <= hi, "
+                             f"not {json.dumps(value)}")
+    if key in _RANGES:
+        _check_range(value, *_RANGES[key], name)
+
+
+def _check_range(value, lo, hi, name):
+    """ValueError naming `name` unless lo <= value <= hi, or for a list
+    lo <= its length <= hi (NaN fails every comparison)."""
+    size, what = (len(value), "have a length") if isinstance(value, list) else (value, "lie")
+    if not lo <= size <= hi:
+        raise ValueError(f"{name} must {what} within [{lo:.3g}, {hi:.3g}], not {json.dumps(size)}")
 
 
 def _given(section, *keys) -> dict:
@@ -225,67 +270,41 @@ def _given(section, *keys) -> dict:
     return {key: section[key] for key in keys if key in section}
 
 
-def _require(section, name, *keys):
-    """ValueError naming `name.key` for the first of `keys` not in `section`."""
-    for key in keys:
-        if key not in section:
-            raise ValueError(f"{name}.{key} is required")
-
-
 def build_model(cfg):
-    """IOModel from an explicit or parametric model section."""
+    """IOModel from the explicit or parametric model section of a resolved
+    config."""
     m = cfg["model"]
     family = m.get("family", "linear")
     if "omega" in m:
-        _require(m, "config.model", "c")
         omega, c = np.asarray(m["omega"], dtype=float), np.asarray(m["c"], dtype=float)
     elif family == "random":
-        _require(m, "config.model", "N")
         rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]).spawn(1)[0])
         return instances.random_io_model(rng, m["N"], **_given(m, "omega_range", "c_range"),
                                          Omega0_range=(cfg["Omega0"],) * 2)
-    elif family in ("linear", "geometric"):
+    else:
         spectrum = {"linear": instances.linear_spectrum,
                     "geometric": instances.geometric_spectrum}[family]
-        _require(m, "config.model", "N", "omega_min", "omega_max")
         omega = spectrum(m["N"], m["omega_min"], m["omega_max"])
         c = instances.coupling_profile(omega, m.get("c0", 0.5), **_given(m, "power"))
-    else:
-        raise ValueError(f"unknown model family {family!r}")
     return spectral.build_io_model(omega, c, cfg["Omega0"])
 
 
 def build_initial_state(cfg, io) -> dynamics.InitialState:
+    """The initial state of a resolved config on the bath `io`: explicit
+    data must hold one entry per bath mode."""
     section = cfg["initial_state"]
     if "q0" in section:
-        _require(section, "config.initial_state", "qdot0")
+        for key in ("q0", "qdot0"):
+            _check_range(section[key], io.N, io.N, f"config.initial_state.{key}")
         return dynamics.InitialState(
             q0=np.asarray(section["q0"], dtype=float),
             qdot0=np.asarray(section["qdot0"], dtype=float),
             **{key: float(value) for key, value in _given(section, "x0", "xdot0").items()})
-    kind = section.get("kind", "thermal")
     sub = np.random.SeedSequence(cfg["seed"]).spawn(2)[1]
-    if kind == "thermal":
+    if section.get("kind", "thermal") == "thermal":
         return bounds.sample_thermal(io, bounds.ThermalState(cfg["kT"]), sub)
-    if kind == "random":
-        rng = np.random.default_rng(sub)
-        return instances.random_initial_state(rng, io.N, **_given(section, "scale"))
-    raise ValueError(f"unknown initial_state kind {kind!r}")
-
-
-def _sample_count(cfg) -> int:
-    if cfg["samples"] < 2:
-        raise ValueError("samples must be >= 2")
-    return cfg["samples"]
-
-
-def time_grid(cfg) -> np.ndarray:
-    samples = _sample_count(cfg)
-    t_max = float(cfg["t_max"])
-    # with every frequency within spectral.SCALE too, each phase is finite
-    if not 0.0 < t_max <= spectral.SCALE[1]:
-        raise ValueError(f"t_max must lie within (0, {spectral.SCALE[1]:.3g}], not {t_max}")
-    return np.linspace(0.0, t_max, samples)
+    rng = np.random.default_rng(sub)
+    return instances.random_initial_state(rng, io.N, **_given(section, "scale"))
 
 
 def cmd_build_chain(cfg, out):
@@ -304,11 +323,12 @@ def cmd_build_chain(cfg, out):
              "D_j": np.append(chain.D, 0.0)}, diag, summary, verdict)
 
 
-def _truncations(cfg, N, what="truncation index"):
-    """The cut indices, each once (one name, one column), and those below N."""
+def _truncations(cfg, N):
+    """The cut indices, each at most N and given once (one name, one
+    column), and those below N."""
+    for i, n in enumerate(cfg["truncations"]):
+        _check_range(n, 0, N, f"config.truncations[{i}]")
     truncations = list(dict.fromkeys(cfg["truncations"]))
-    for n in truncations:
-        check_index(n, N, what)
     return truncations, [n for n in truncations if n < N]
 
 
@@ -318,7 +338,7 @@ def cmd_simulate(cfg, out):
     # the level-1 source reads Omega_1, D_1 and X_2; a cut, its own rows
     chain, O = spectral.chain_from_io(io, rows=min(io.N, max([2, *below])))
     init = build_initial_state(cfg, io)
-    times = time_grid(cfg)
+    times = np.linspace(0.0, float(cfg["t_max"]), cfg["samples"])
     x_full, *X_2 = dynamics.evolve_io_modes(io, init, O[1:2], times)
     params = solution.mu_delta(chain.Omega0, chain.Omega[0], chain.D0)
     # the grid gate reads the rows built and the resolvent's top frequency
@@ -343,12 +363,12 @@ def cmd_simulate(cfg, out):
 
 def cmd_kernels(cfg, out):
     io = build_model(cfg)
-    orders = sorted(_truncations(cfg, io.N, "kernel order")[0])
+    orders = sorted(_truncations(cfg, io.N)[0])
     top = max(orders, default=0)
     # K_top reads Omega_0..Omega_top: the first `top` chain rows
     chain, _ = spectral.chain_from_io(io, rows=max(top, 1))
     freqs = chain.mode_freqs
-    times = time_grid(cfg)
+    times = np.linspace(0.0, float(cfg["t_max"]), cfg["samples"])
     kernels.check_grid(times, float(freqs[: top + 1].max()))
     # K_0 = sin(Omega_0 t), K_i = K_{i-1} * sin(Omega_i .): one grid convolution per order
     cols = {"tau": times}
@@ -410,7 +430,7 @@ def cmd_bound(cfg, out):
     truncations, _ = _truncations(cfg, io.N)
     init = build_initial_state(cfg, io)
     th = bounds.ThermalState(cfg["kT"])
-    times = time_grid(cfg)
+    times = np.linspace(0.0, float(cfg["t_max"]), cfg["samples"])
 
     cols = {"t": times}
     floor, chain, cuts = _cut_route(io, init, times, truncations)
@@ -477,20 +497,11 @@ def _sweep_cell(N, n, kT, seed_seq, samples):
 
 
 def cmd_sweep(cfg, out):
-    samples = _sample_count(cfg)
     sw = cfg["sweep"]
-    # a cell cuts at min(n, N): below N it reads at least one map row
-    for key in ("N", "n"):
-        if not sw[key] or min(sw[key]) < 1:
-            raise ValueError(f"config.sweep.{key} must be a nonempty list of integers >= 1")
-    # a cell's bath has omega_k >= 0.5, so its thermal draw stays within spectral.SCALE
-    if not (sw["kT"] and all(0.0 < kT <= spectral.SCALE[1] for kT in sw["kT"])):
-        raise ValueError(f"config.sweep.kT must be a nonempty list of numbers within "
-                         f"(0, {spectral.SCALE[1]:.3g}]")
     # a cell given twice is one cell
     cells = sorted({(N, n, float(kT)) for N in sw["N"] for n in sw["n"] for kT in sw["kT"]})
     seqs = np.random.SeedSequence(cfg["seed"]).spawn(len(cells))
-    results = [_sweep_cell(N, n, kT, seq, samples) for (N, n, kT), seq in zip(cells, seqs)]
+    results = [_sweep_cell(N, n, kT, seq, cfg["samples"]) for (N, n, kT), seq in zip(cells, seqs)]
     write_json(str(out) + ".timings.json",
                {f"N{r[0]}_n{r[1]}_kT{fmt(r[2])}": dt for r, dt in results})
 

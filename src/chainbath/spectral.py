@@ -167,7 +167,7 @@ def chain_from_io(io: IOModel, rows: int | None = None) -> tuple[ChainModel, np.
     at j = 2048): far under the Breakdown floor, and a second pass only
     lowers beta, so Breakdown is raised either way.  The first pass kept at
     least 1 - 4e-16 of ||r|| on the perfbench workloads and 0.9997 on
-    near-reducible random baths (README).  Row signs alternate: T has -D_j
+    near-reducible random baths (CHANGES.md).  Row signs alternate: T has -D_j
     off the diagonal, D_j > 0, and row 0 stays +c/||c||.
 
     `rows` (1 <= rows <= N, default N) stops after the first `rows` Lanczos

@@ -340,6 +340,12 @@ class TestMinModes:
         with pytest.raises(ValueError, match=">= 0"):
             min_modes(io, chain, -1.0, 1e-3, ThermalState(1.0))
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-3])
+    def test_nonpositive_tolerance(self, small_instance, tol):
+        io, chain, _, _ = small_instance
+        with pytest.raises(NonpositiveParameter, match="tol must be positive"):
+            min_modes(io, chain, 1.0, tol, ThermalState(1.0))
+
     def test_not_certified_flag(self, small_instance):
         io, chain, _, _ = small_instance
         res = min_modes(io, chain, 2.0, 1e-300, ThermalState(1.0))

@@ -185,6 +185,8 @@ class TestExitCodes:
         ("build-chain", {"model": {"family": "random"}}, "config.model.N"),
         ("kernels", {"model": {"family": "geometric", "N": 4, "omega_max": 2.5}},
          "config.model.omega_min"),
+        # a config is judged whole: sweep reads no model key
+        ("sweep", {"model": {"family": "random"}}, "config.model.N"),
     ])
     def test_missing_model_or_state_key(self, tmp_path, capsys, command, overrides, key):
         # a key the model family, the explicit model or the explicit state
@@ -261,28 +263,54 @@ class TestExitCodes:
                               ("c_range-one", {"c_range": [1]}),
                               ("c_range-empty", {"c_range": []}))),
         # values of the right type that the command cannot use
-        pytest.param("bound", {"model": ABSENT}, "config must contain a 'model' section",
-                     id="bound-no-model"),
+        pytest.param("bound", {"model": ABSENT}, "config.model is required", id="bound-no-model"),
         pytest.param("build-chain", {"model": {"family": "cubic", "N": 4}},
-                     "unknown model family 'cubic'", id="build-chain-family-unknown"),
+                     "config.model.family must be one of geometric, linear, random, "
+                     'not "cubic"', id="build-chain-family-unknown"),
         pytest.param("simulate", {"initial_state": {"kind": "frozen"}},
-                     "unknown initial_state kind 'frozen'", id="simulate-kind-unknown"),
-        *(pytest.param("min-modes", {"min_modes": {"times": [1.0], "tols": [tol]}},
-                       "tol must be positive", id=f"min-modes-tol-{name}")
+                     'config.initial_state.kind must be one of random, thermal, not "frozen"',
+                     id="simulate-kind-unknown"),
+        *(pytest.param("min-modes", {"min_modes": {"times": [1.0], "tols": [0.1, tol]}},
+                       "config.min_modes.tols[1] must lie within", id=f"min-modes-tol-{name}")
           for name, tol in (("zero", 0.0), ("negative", -1e-3))),
+        # the random family draws Omega0 within instances.RANGE, narrower
+        # than the SCALE that the other families allow
+        pytest.param("build-chain", {"model": {"family": "random", "N": 4}, "Omega0": 1e50},
+                     "config.Omega0 must lie within [3.49e-39, 3.4e+38]",
+                     id="build-chain-random-Omega0"),
+        pytest.param("build-chain", {"model": {"family": "random", "N": 4,
+                                               "omega_range": [2.0, 1.0]}},
+                     "config.model.omega_range must hold 2 numbers lo <= hi",
+                     id="build-chain-omega_range-reversed"),
+        pytest.param("bound", {"model": {"omega": [1.0, 2.0], "c": [0.1, 0.2, 0.3]}},
+                     "config.model.c must have a length within [2, 2]", id="bound-c-longer"),
+        # a config is judged whole: a key refused even where the command
+        # does not read it
+        pytest.param("build-chain", {"kT": 0.0}, "config.kT must lie within",
+                     id="build-chain-kT-zero"),
+        pytest.param("build-chain", {"samples": 1}, "config.samples must lie within [2, inf]",
+                     id="build-chain-samples-one"),
+        pytest.param("build-chain", {"min_modes": {"tols": [0]}},
+                     "config.min_modes.tols[0] must lie within", id="build-chain-tol-zero"),
+        # the bath's size, checked by the command that reads the key
         pytest.param("simulate", {"initial_state": {"q0": [0.1] * 4, "qdot0": [0.1] * 3}},
-                     "q0 and qdot0 must be 1-d arrays of equal length",
+                     "config.initial_state.qdot0 must have a length within [4, 4], not 3",
                      id="simulate-state-uneven"),
         *(pytest.param(command, {"initial_state": {"q0": [0.1, 0.2], "qdot0": [0.1, 0.2]}},
-                       "bath size 4 != initial-state size 2", id=f"{command}-state-short")
+                       "config.initial_state.q0 must have a length within [4, 4], not 2",
+                       id=f"{command}-state-short")
           for command in ("simulate", "bound")),
+        *(pytest.param(command, {"truncations": [1, 5]},
+                       "config.truncations[1] must lie within [0, 4], not 5",
+                       id=f"{command}-truncation-past-N")
+          for command in ("simulate", "kernels", "bound")),
     ])
     def test_wrong_json_type(self, tmp_path, capsys, command, overrides, says):
-        # a value of another JSON type than its default's, or a model N that
-        # is no integer >= 1, fails the config check, in one stderr line
-        # that names the key, before the command builds anything; so does a
-        # missing model, an unknown family or kind, a tolerance <= 0, or an
-        # explicit state that does not fit the bath, in its own words
+        # a missing model, an unknown family or kind, or a value of another
+        # JSON type than its default's or outside its range fails the config
+        # check in one stderr line that names the key, before the command
+        # builds anything; so does a cut or an explicit state that does not
+        # fit the bath
         cfg = tmp_path / "cfg.json"
         write_config(cfg, **overrides)
         out = tmp_path / "o.csv"

@@ -5,7 +5,9 @@ config: small baths (N <= 8, sweep N <= 16, at most 64 samples) whose
 values mix in-regime numbers with negative ones, zeros, magnitudes from
 1e-300 to 1e300, wrong list lengths and empty lists.  pytest turns every
 numpy `RuntimeWarning` into an error, so a warning fails the property as a
-traceback does.
+traceback does.  An exit 2 names the `config.` path of the key refused,
+unless the bath built from valid keys is what float64 or the grid cannot
+hold (`BATH_REFUSALS`).
 """
 
 import contextlib
@@ -47,6 +49,18 @@ def pair(lo, hi):
     return mostly(st.tuples(st.floats(lo, (lo + hi) / 2), st.floats((lo + hi) / 2 + 0.1, hi))
                   .map(list), st.lists(BAD_NUMBERS, max_size=3))
 
+
+# the refusals of a bath, built from keys each within its range, that no
+# one key decides: a spectrum that does not increase (omega_min above
+# omega_max, or an explicit omega out of order), couplings c0 (omega_k /
+# omega_1)^power or a thermal draw of scale sqrt(kT) / omega_k that float64
+# cannot hold, and a grid too coarse for the chain's frequencies
+BATH_REFUSALS = (
+    "bath frequencies must be strictly increasing",
+    "omega_k and Omega0 must lie within",
+    "initial state entries must be finite",
+    "refine the grid",
+)
 
 SIZES = mostly(st.integers(1, 8), st.integers(-1, 0))
 MODELS = st.one_of(
@@ -123,6 +137,8 @@ def test_every_config_ends_in_a_documented_exit(tmp_path_factory, command, cfg):
     assert code in (0, 2, 3, 4, 5, 6)
     if code:
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        if code == 2:
+            assert " config." in err or any(text in err for text in BATH_REFUSALS), err
     else:
         assert err == ""
         check_csv(tmp / "o.csv")

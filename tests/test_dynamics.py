@@ -499,6 +499,12 @@ class TestEvolveIoModes:
         with pytest.raises(DimensionMismatch):
             evolve_io_modes(io, init, np.ones((1, io.N + 1)), np.linspace(0.0, 1.0, 3))
 
+    def test_state_must_fit_the_bath(self, small_instance):
+        io, _, _, _ = small_instance
+        other = InitialState(q0=np.zeros(io.N + 1), qdot0=np.zeros(io.N + 1))
+        with pytest.raises(DimensionMismatch, match=f"bath size {io.N} != initial-state size"):
+            evolve_io_modes(io, other, np.empty((0, io.N)), np.linspace(0.0, 1.0, 3))
+
 
 class TestPictures:
     def test_equivalence_of_pictures(self):
@@ -517,6 +523,20 @@ class TestPictures:
         other = InitialState(q0=np.zeros(2), qdot0=np.zeros(2))
         with pytest.raises(DimensionMismatch):
             extended_initial_conditions(omap, other, io.N)
+
+
+class TestInitialState:
+    @pytest.mark.parametrize("q0, qdot0", [([0.1, 0.2], [0.1]), ([[0.1]], [[0.1]])])
+    def test_shapes_must_agree(self, q0, qdot0):
+        with pytest.raises(DimensionMismatch, match="1-d arrays of equal length"):
+            InitialState(q0=np.array(q0), qdot0=np.array(qdot0))
+
+    @pytest.mark.parametrize("entries", [{"q0": [1e78]}, {"qdot0": [np.nan]}, {"x0": -1e78},
+                                         {"xdot0": np.inf}])
+    def test_entries_must_be_finite_within_scale(self, entries):
+        data = {"q0": [0.1], "qdot0": [0.1], **entries}
+        with pytest.raises(ValueError, match="finite and at most"):
+            InitialState(q0=np.array(data.pop("q0")), qdot0=np.array(data.pop("qdot0")), **data)
 
 
 class TestFreeMode:

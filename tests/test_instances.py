@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from chainbath import spectral
+from chainbath.errors import NonpositiveParameter
 from chainbath.instances import (
     MARGIN,
+    RANGE,
     coupling_profile,
     geometric_spectrum,
     linear_spectrum,
+    random_initial_state,
     random_io_model,
 )
 from chainbath.spectral import chain_from_io
@@ -24,6 +27,28 @@ def test_geometric_spectrum_ratio():
     w = geometric_spectrum(4, 0.5, 4.0)
     ratios = w[1:] / w[:-1]
     assert ratios == pytest.approx(np.full(3, 2.0))
+
+
+@pytest.mark.parametrize("omega_min, omega_max", [(0.0, 2.0), (1.0, -2.0)])
+def test_geometric_spectrum_needs_positive_ends(omega_min, omega_max):
+    with pytest.raises(NonpositiveParameter, match="> 0"):
+        geometric_spectrum(4, omega_min, omega_max)
+
+
+@pytest.mark.parametrize("ranges", [{"omega_range": (3.0, 0.5)},
+                                    {"c_range": (0.1, 2 * RANGE[1])},
+                                    {"Omega0_range": (RANGE[0] / 2, 1.0)},
+                                    {"Omega0_range": (1.0, np.nan)}])
+def test_random_ranges_lie_within_range(ranges):
+    # each range is lo <= hi within RANGE, where the scaling's (sum c^2)^2 is finite
+    with pytest.raises(NonpositiveParameter, match=f"{next(iter(ranges))} must be lo <= hi"):
+        random_io_model(np.random.default_rng(0), 4, **ranges)
+
+
+@pytest.mark.parametrize("scale", [-0.5, 1e78, np.nan])
+def test_random_state_scale_within_scale(scale):
+    with pytest.raises(NonpositiveParameter, match="scale must lie within"):
+        random_initial_state(np.random.default_rng(0), 4, scale)
 
 
 def test_coupling_profile_power_law():

@@ -74,6 +74,8 @@ class TestBuildIOModel:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             build_io_model([1.0, 2.0], [1.0], 1.0)
+        with pytest.raises(DimensionMismatch, match="nonempty"):
+            build_io_model([], [], 1.0)
 
     def test_immutability(self):
         io = build_io_model([1.0, 2.0], [1.0, 1.0], 1.0)
