@@ -48,8 +48,10 @@ inf only where a bound underflowed under a rounding-level eps.
 Exit codes: 0 ok; 2 invalid input, before any output: a command line
 the parser refuses, an unwritable `<out>`, a config value that
 `resolve_config` refuses (it judges the whole config, whatever the command
-reads, and names the key by its config path), or a bath built from valid
-keys that float64 or the grid cannot hold; 3 chain-construction breakdown,
+reads, and names the key by its config path), or, built from keys each
+within its range, a bath (`config.model`), a thermal draw (`config.kT`)
+or a grid (`config.samples`) that float64 or the convolution cannot hold,
+named by that path; 3 chain-construction breakdown,
 reported only inside the part of the chain the command builds; 4
 unstable/complex-resolvent regime; 5 every sweep cell failed numerically:
 outputs written; 6 a numerical check failed: outputs written but not
@@ -74,7 +76,7 @@ if "numpy" not in sys.modules and not any(key in os.environ for key in _THREAD_V
 import numpy as np
 
 from . import bounds, dynamics, instances, kernels, solution, spectral
-from .errors import Breakdown, ChainBathError, ComplexResolvent, UnstableMode
+from .errors import Breakdown, ChainBathError, ComplexResolvent, GridTooCoarse, UnstableMode
 
 # `simulate` certifies its Volterra column only within this share of max|x_full|
 VOLTERRA_RTOL = 1e-9
@@ -270,28 +272,41 @@ def _given(section, *keys) -> dict:
     return {key: section[key] for key in keys if key in section}
 
 
+def _naming(path, build, *args, **kwargs):
+    """build(*args, **kwargs), re-raising its ValueError or GridTooCoarse as
+    a ValueError prefixed with the config `path` it was built from: a bath,
+    thermal draw or grid that float64 or the convolution cannot hold though
+    each key lies within its range."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, GridTooCoarse) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def build_model(cfg):
     """IOModel from the explicit or parametric model section of a resolved
-    config."""
+    config; a bath whose spectrum does not increase, or that float64 cannot
+    hold, is refused as `config.model`."""
     m = cfg["model"]
     family = m.get("family", "linear")
     if "omega" in m:
         omega, c = np.asarray(m["omega"], dtype=float), np.asarray(m["c"], dtype=float)
     elif family == "random":
         rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]).spawn(1)[0])
-        return instances.random_io_model(rng, m["N"], **_given(m, "omega_range", "c_range"),
-                                         Omega0_range=(cfg["Omega0"],) * 2)
+        return _naming("config.model", instances.random_io_model, rng, m["N"],
+                       **_given(m, "omega_range", "c_range"), Omega0_range=(cfg["Omega0"],) * 2)
     else:
         spectrum = {"linear": instances.linear_spectrum,
                     "geometric": instances.geometric_spectrum}[family]
         omega = spectrum(m["N"], m["omega_min"], m["omega_max"])
         c = instances.coupling_profile(omega, m.get("c0", 0.5), **_given(m, "power"))
-    return spectral.build_io_model(omega, c, cfg["Omega0"])
+    return _naming("config.model", spectral.build_io_model, omega, c, cfg["Omega0"])
 
 
 def build_initial_state(cfg, io) -> dynamics.InitialState:
     """The initial state of a resolved config on the bath `io`: explicit
-    data must hold one entry per bath mode."""
+    data must hold one entry per bath mode, and a thermal draw that float64
+    cannot hold is refused as `config.kT`."""
     section = cfg["initial_state"]
     if "q0" in section:
         for key in ("q0", "qdot0"):
@@ -302,7 +317,7 @@ def build_initial_state(cfg, io) -> dynamics.InitialState:
             **{key: float(value) for key, value in _given(section, "x0", "xdot0").items()})
     sub = np.random.SeedSequence(cfg["seed"]).spawn(2)[1]
     if section.get("kind", "thermal") == "thermal":
-        return bounds.sample_thermal(io, bounds.ThermalState(cfg["kT"]), sub)
+        return _naming("config.kT", bounds.sample_thermal, io, bounds.ThermalState(cfg["kT"]), sub)
     rng = np.random.default_rng(sub)
     return instances.random_initial_state(rng, io.N, **_given(section, "scale"))
 
@@ -342,7 +357,8 @@ def cmd_simulate(cfg, out):
     x_full, *X_2 = dynamics.evolve_io_modes(io, init, O[1:2], times)
     params = solution.mu_delta(chain.Omega0, chain.Omega[0], chain.D0)
     # the grid gate reads the rows built and the resolvent's top frequency
-    kernels.check_grid(times, max(float(chain.mode_freqs.max()), params.mu1))
+    _naming("config.samples", kernels.check_grid, times,
+            max(float(chain.mode_freqs.max()), params.mu1))
     F = solution.volterra_source(chain, init, O, times, *X_2)
     x_vol = solution.solve_volterra_closed(params, F, times)
 
@@ -369,13 +385,13 @@ def cmd_kernels(cfg, out):
     chain, _ = spectral.chain_from_io(io, rows=max(top, 1))
     freqs = chain.mode_freqs
     times = np.linspace(0.0, float(cfg["t_max"]), cfg["samples"])
-    kernels.check_grid(times, float(freqs[: top + 1].max()))
+    _naming("config.samples", kernels.check_grid, times, float(freqs[: top + 1].max()))
     # K_0 = sin(Omega_0 t), K_i = K_{i-1} * sin(Omega_i .): one grid convolution per order
     cols = {"tau": times}
     k = np.sin(freqs[0] * times)
     for i in range(top + 1):
         if i:
-            k = kernels.convolve_on_grid([freqs[i]], k, times)
+            k = kernels.convolve_on_grid(freqs[i], k, times)
         if i in orders:
             cols[f"K_{i}"] = k
     return cols, None, f"kernel table written to {out}: orders {orders}", None

@@ -10,9 +10,9 @@ it integrates the local 6-point Lagrange interpolant of the uniformly
 sampled signal against cos/sin by per-interval Gauss-Legendre (a fixed
 8-node table) and accumulates the moments.  Angle addition moves the trig
 to the grid points and folds the node weights into one small matrix per
-stencil offset, so a call costs O(M F) trig plus O(M STENCIL F) window
-products for M samples and F frequencies.  `check_grid` refuses grids too coarse for it, by an
-interpolation estimate relative to the signal's size.
+stencil offset, so a call costs O(M) trig plus O(M STENCIL) window
+products for M samples.  `check_grid` refuses grids too coarse for it, by
+an interpolation estimate relative to the signal's size.
 
 The closed-form, Taylor and nested-quadrature evaluations of K_i that
 the tests check this nesting against live in `tests/oracles.py`.
@@ -73,21 +73,22 @@ def _stencil_weights(P: int) -> dict[int, np.ndarray]:
 
 
 def convolve_on_grid(freqs, values, times) -> np.ndarray:
-    """Convolution of a sum of sines with a sampled signal, on the signal's grid.
+    """Convolution of one sine with a sampled signal, on the signal's grid.
 
-    Returns conv[m] = int_0^{t_m} sum_j sin(freqs[j] (t_m - s)) v(s) ds
-    where v is the local 6-point Lagrange interpolant of (times, values)
-    (exact for quintics): interval [t_k, t_{k+1}] uses the stencil
-    t_{k-2}, ..., t_{k+3}, shifted one-sided at the ends of the grid (all M
-    points when M < STENCIL).  Expanding the sine of a difference reduces the
-    whole family of integrals to two cumulative moments per frequency, each
-    interval's share by 8-point Gauss-Legendre.  By angle addition the
-    cosine share is cos(f t_k) A_k - sin(f t_k) B_k and the sine share
-    sin(f t_k) A_k + cos(f t_k) B_k, where (A_k, B_k), the moments of
-    cos/sin(f (s - t_k)), are the stencil window of samples times one fixed
-    (STENCIL, 2) matrix per stencil offset.  The cost is O(M F) trig at the
-    grid points plus O(M STENCIL F) window products, for M samples and F
-    frequencies; no per-node array is formed.
+    Returns conv[m] = int_0^{t_m} sin(f (t_m - s)) v(s) ds for the one
+    frequency f = `freqs` (a real scalar; `perfbench/tracer.py` binds the
+    parameter by that name), where v is the local 6-point Lagrange
+    interpolant of (times, values) (exact for quintics): interval
+    [t_k, t_{k+1}] uses the stencil t_{k-2}, ..., t_{k+3}, shifted one-sided
+    at the ends of the grid (all M points when M < STENCIL).  Expanding the
+    sine of a difference reduces the whole family of integrals to two
+    cumulative moments, each interval's share by 8-point Gauss-Legendre.
+    By angle addition the cosine share is cos(f t_k) A_k - sin(f t_k) B_k
+    and the sine share sin(f t_k) A_k + cos(f t_k) B_k, where (A_k, B_k),
+    the moments of cos/sin(f (s - t_k)), are the stencil window of samples
+    times one fixed (STENCIL, 2) matrix per stencil offset.  The cost is
+    O(M) trig at the grid points plus O(M STENCIL) window products, for M
+    samples; no per-node array is formed.
 
     `times` must be uniform (to a relative 1e-8 in the step) and start at 0
     (the dynamics all start there); ValueError otherwise.
@@ -96,31 +97,32 @@ def convolve_on_grid(freqs, values, times) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     M = len(times)
     h = _uniform_step(times, "convolution")
-    freqs = np.asarray(freqs, dtype=float)
-    F = len(freqs)
+    f = float(freqs)
 
     # Gauss-Legendre weights times [cos, sin](f (s - t_k)) at the nodes of one interval
-    fhu = np.multiply.outer(0.5 * h * (_GL_X + 1.0), freqs)  # (8, F)
-    E = (0.5 * h * _GL_W)[:, None] * np.concatenate([np.cos(fhu), np.sin(fhu)], axis=1)
+    fhu = 0.5 * h * (_GL_X + 1.0) * f
+    E = (0.5 * h * _GL_W)[:, None] * np.stack([np.cos(fhu), np.sin(fhu)], axis=1)  # (8, 2)
     P = min(STENCIL, M)
     c = P // 2 - 1                                          # centred stencil starts at t_{k-c}
-    G = {d: W.T @ E for d, W in _stencil_weights(P).items()}  # (P, 2F) each
-    AB = np.empty((M - 1, 2 * F))
+    G = {d: W.T @ E for d, W in _stencil_weights(P).items()}  # (P, 2) each
+    AB = np.empty((M - 1, 2))
     AB[c:M - P + c + 1] = sliding_window_view(values, P) @ G[-c]
     for k in range(c):                                      # stencil t_0 .. t_{P-1}
         AB[k] = values[:P] @ G[-k]
     for k in range(M - P + c + 1, M - 1):                   # stencil t_{M-P} .. t_{M-1}
         AB[k] = values[M - P:] @ G[M - P - k]
-    A, B = AB[:, :F], AB[:, F:]
+    A, B = AB.T
 
     # cumulative moments C(t_m) = int_0^{t_m} cos(f s) v(s) ds, S(t_m) likewise with sin
-    ft = np.multiply.outer(times, freqs)                    # (M, F)
+    ft = f * times
     cos_ft, sin_ft = np.cos(ft), np.sin(ft)
-    C = np.zeros((M, F))
-    S = np.zeros((M, F))
-    np.cumsum(cos_ft[:-1] * A - sin_ft[:-1] * B, axis=0, out=C[1:])
-    np.cumsum(sin_ft[:-1] * A + cos_ft[:-1] * B, axis=0, out=S[1:])
-    return (sin_ft * C - cos_ft * S).sum(axis=1)
+    C = np.zeros(M)
+    S = np.zeros(M)
+    np.cumsum(cos_ft[:-1] * A - sin_ft[:-1] * B, out=C[1:])
+    np.cumsum(sin_ft[:-1] * A + cos_ft[:-1] * B, out=S[1:])
+    # an exact cancellation can leave -0.0; + 0.0 writes it as +0.0, so a
+    # zero prints as `0` in the CSVs, never `-0`
+    return sin_ft * C - cos_ft * S + 0.0
 
 
 def check_grid(times, max_freq: float) -> None:

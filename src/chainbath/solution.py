@@ -91,7 +91,7 @@ def nested_convolve(freqs, hs, times) -> np.ndarray:
     """
     acc = np.zeros(len(times))
     for w, h in zip(freqs[::-1], hs[::-1]):
-        acc = convolve_on_grid([w], h + acc, times)
+        acc = convolve_on_grid(w, h + acc, times)
     return acc
 
 

@@ -661,7 +661,7 @@ def epsilon2(params: VolterraParams, eps1_series, times) -> np.ndarray:
     """Resolvent correction eps2 = R * eps1 on the grid."""
     freqs, coeffs = resolvent_series(params)
     eps1_series = np.asarray(eps1_series, dtype=float)
-    return sum(a * convolve_on_grid([f], eps1_series, times) for f, a in zip(freqs, coeffs))
+    return sum(a * convolve_on_grid(f, eps1_series, times) for f, a in zip(freqs, coeffs))
 
 
 def thermal_error_mc(io: IOModel, chain: ChainModel, O,

@@ -320,32 +320,43 @@ class TestExitCodes:
         assert says in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, overrides", [
+    @pytest.mark.parametrize("command, overrides, path", [
         pytest.param("bound", {"model": {**LINEAR_4, "c0": 1e200}, "truncations": [1]},
-                     id="bound-c0"),
-        pytest.param("simulate", {"Omega0": 1e200}, id="simulate-Omega0"),
+                     "config.model.c0", id="bound-c0"),
+        pytest.param("simulate", {"Omega0": 1e200}, "config.Omega0", id="simulate-Omega0"),
         pytest.param("build-chain", {"model": {"family": "random", "N": 4,
                                                "omega_range": [0.5, 1e300]}},
-                     id="build-chain-omega_range"),
-        pytest.param("bound", {"model": {**LINEAR_4, "power": 1e10}}, id="bound-power"),
+                     "config.model.omega_range[1]", id="build-chain-omega_range"),
+        pytest.param("bound", {"model": {**LINEAR_4, "power": 1e10}}, "config.model",
+                     id="bound-power"),
         *(pytest.param("bound", {"model": {**LINEAR_4, "N": N, "omega_min": 1e308,
-                                           "omega_max": -1e308}}, id=f"bound-omega-span-N{N}")
+                                           "omega_max": -1e308}}, "config.model.omega_min",
+                       id=f"bound-omega-span-N{N}")
           for N in (1, 4)),
+        pytest.param("bound", {"model": {**LINEAR_4, "omega_max": LINEAR_4["omega_min"]}},
+                     "config.model", id="bound-omega-equal"),
         pytest.param("bound", {"initial_state": {"kind": "random", "scale": 1e308}},
-                     id="bound-scale"),
-        pytest.param("bound", {"t_max": 1e300}, id="bound-t_max"),
+                     "config.initial_state.scale", id="bound-scale"),
+        pytest.param("bound", {"t_max": 1e300}, "config.t_max", id="bound-t_max"),
         pytest.param("bound", {"initial_state": {"q0": [1e300, 0.0, 0.0, 0.0],
-                                                 "qdot0": [0.0] * 4}}, id="bound-state-entry"),
+                                                 "qdot0": [0.0] * 4}},
+                     "config.initial_state.q0[0]", id="bound-state-entry"),
+        pytest.param("bound", {"kT": 1e300}, "config.kT", id="bound-kT"),
     ])
-    def test_value_float64_cannot_hold(self, tmp_path, capsys, command, overrides):
+    def test_value_float64_cannot_hold(self, tmp_path, capsys, command, overrides, path):
         # a bath or state whose squares or draws overflow float64 is refused
-        # in one stderr line, with no numpy warning and nothing written
+        # in one stderr line that names its config path, with no numpy
+        # warning and nothing written; a bath built from keys each within its
+        # range (an overflowing coupling, a spectrum that does not increase,
+        # a thermal draw) is named by the keys it was built from
         cfg = tmp_path / "cfg.json"
         write_config(cfg, **overrides)
         out = tmp_path / "o.csv"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: invalid configuration") and err.count("\n") == 1
+        named = err.removeprefix("error: invalid configuration or input: ").split()[0]
+        assert named.rstrip(":") == path, err
         assert not out.exists()
 
     def test_sweep_needs_two_samples(self, tmp_path):
@@ -588,7 +599,7 @@ class TestSimulate:
         convolve = kernels.convolve_on_grid
 
         def counting(freqs, values, times):
-            calls.append(len(freqs))
+            calls.append(freqs)
             return convolve(freqs, values, times)
 
         monkeypatch.setattr(kernels, "convolve_on_grid", counting)
@@ -596,7 +607,8 @@ class TestSimulate:
         cfg = tmp_path / "cfg.json"
         write_config(cfg, model=LINEAR_16, truncations=[1, 16], t_max=4.0)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
-        assert calls == [1, 1, 1, 1]
+        assert len(calls) == 4
+        assert all(isinstance(f, float) for f in calls), calls
 
     @pytest.mark.parametrize("samples, code", [(218, 2), (219, 0)])
     def test_grid_gate(self, tmp_path, capsys, samples, code):
@@ -609,7 +621,8 @@ class TestSimulate:
         out = tmp_path / "o.csv"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == code
         err = capsys.readouterr().err
-        assert ("refine the grid" in err) == (code == 2) and out.exists() == (code == 0)
+        assert ("config.samples: " in err and "refine the grid" in err) == (code == 2)
+        assert out.exists() == (code == 0)
 
 
 class TestSimulateVerdict:

@@ -229,11 +229,11 @@ def gl_sine_convolution(freq, values_fn, t, nodes=128):
     return 0.5 * t * np.sum(w * np.sin(freq * (t - s)) * values_fn(s))
 
 
-def convolve_per_node(freqs, values, times):
-    """convolve_on_grid's sum in its per-node form: each interval's
-    STENCIL-point Lagrange interpolant (stencil t_{k-2}..t_{k+3}, one-sided
-    at the ends) evaluated at its NODES Gauss-Legendre nodes, and cos/sin of
-    every node."""
+def convolve_per_node(f, values, times):
+    """convolve_on_grid in its per-node form: each interval's STENCIL-point
+    Lagrange interpolant (stencil t_{k-2}..t_{k+3}, one-sided at the ends)
+    evaluated at its NODES Gauss-Legendre nodes, and cos/sin of every
+    node."""
     M = len(times)
     P, h = min(STENCIL, M), times[-1] / (M - 1)
     x, w = leggauss(NODES)
@@ -246,12 +246,9 @@ def convolve_per_node(freqs, values, times):
                for j in range(P)]
         vs[k] = values[start:start + P] @ np.array(lag)
     s = 0.5 * (times[1:] + times[:-1])[:, None] + 0.5 * h * x
-    out = np.zeros(M)
-    for f in freqs:
-        C = np.concatenate([[0.0], np.cumsum(np.cos(f * s) * vs @ (0.5 * h * w))])
-        S = np.concatenate([[0.0], np.cumsum(np.sin(f * s) * vs @ (0.5 * h * w))])
-        out += np.sin(f * times) * C - np.cos(f * times) * S
-    return out
+    C = np.concatenate([[0.0], np.cumsum(np.cos(f * s) * vs @ (0.5 * h * w))])
+    S = np.concatenate([[0.0], np.cumsum(np.sin(f * s) * vs @ (0.5 * h * w))])
+    return np.sin(f * times) * C - np.cos(f * times) * S
 
 
 class TestConvolveOnGrid:
@@ -261,38 +258,32 @@ class TestConvolveOnGrid:
         quintic = np.poly1d([0.3, -1.1, 0.7, 1.9, -0.4, 0.8])
         for M in range(6, 65):
             times = np.linspace(0, 2, M)
-            conv = convolve_on_grid([1.3], quintic(times), times)
+            conv = convolve_on_grid(1.3, quintic(times), times)
             ref = [gl_sine_convolution(1.3, quintic, t) for t in times]
             assert np.abs(conv - ref).max() <= 1e-12, f"M={M}"
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1),
            M=st.sampled_from([2, 3, 4, 5, 6, 7, 64, 2048]),
-           F=st.integers(1, 3), t_max=st.floats(0.1, 20.0))
-    def test_matches_per_node_form(self, seed, M, F, t_max):
+           t_max=st.floats(0.1, 20.0))
+    def test_matches_per_node_form(self, seed, M, t_max):
         # the grid-point trig regroups the per-node sum; on random signals
         # and frequencies the two agree to rounding, including
         # the one-sided end windows and grids shorter than one stencil
         rng = np.random.default_rng(seed)
         times = np.linspace(0, t_max, M)
         values = rng.standard_normal(M) * 10.0 ** rng.uniform(-3, 3)
-        freqs = rng.uniform(0.05, 5.0, F)
+        f = rng.uniform(0.05, 5.0)
         scale = np.abs(values).max() * t_max
-        conv = convolve_on_grid(freqs, values, times)
-        ref = convolve_per_node(freqs, values, times)
+        conv = convolve_on_grid(f, values, times)
+        ref = convolve_per_node(f, values, times)
         assert np.abs(conv - ref).max() <= 1e-13 * scale
 
-    @settings(max_examples=20, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**32 - 1), M=st.sampled_from([3, 7, 64, 2048]))
-    def test_linear_in_the_sine_series(self, seed, M):
-        rng = np.random.default_rng(seed)
-        times = np.linspace(0, 10.0, M)
-        values = rng.standard_normal(M)
-        # a sum of sines convolves as the sum of its terms' convolutions
-        f1, f2 = rng.uniform(0.05, 5.0, 2)
-        both = convolve_on_grid([f1, f2], values, times)
-        parts = convolve_on_grid([f1], values, times) + convolve_on_grid([f2], values, times)
-        assert np.abs(both - parts).max() <= 1e-15 * np.abs(values).max() * times[-1]
+    def test_zero_signal_gives_positive_zeros(self):
+        # an exact cancellation is written as +0.0, so a CSV never prints -0
+        times = np.linspace(0, 10, 64)
+        conv = convolve_on_grid(1.0, np.zeros(64), times)
+        assert np.all(conv == 0.0) and not np.any(np.signbit(conv))
 
     @pytest.mark.parametrize("M", [2, 3, 4, 5])
     def test_fewer_points_than_stencil(self, M):
@@ -300,22 +291,22 @@ class TestConvolveOnGrid:
         # polynomials of degree M-1
         poly = np.poly1d(np.linspace(1.0, -0.5, M))
         times = np.linspace(0, 1.5, M)
-        conv = convolve_on_grid([0.9], poly(times), times)
+        conv = convolve_on_grid(0.9, poly(times), times)
         ref = [gl_sine_convolution(0.9, poly, t) for t in times]
         assert np.abs(conv - ref).max() <= 1e-13
 
     def test_grid_must_be_uniform(self):
         times = np.linspace(0, 3, 101)
         v = np.sin(times)
-        convolve_on_grid([1.0], v, times)
+        convolve_on_grid(1.0, v, times)
         bent = times.copy()
         bent[50] += 1e-6 * times[1]
         with pytest.raises(ValueError, match="uniform"):
-            convolve_on_grid([1.0], v, bent)
+            convolve_on_grid(1.0, v, bent)
         with pytest.raises(ValueError):
-            convolve_on_grid([1.0], v, times + 0.5)
+            convolve_on_grid(1.0, v, times + 0.5)
         with pytest.raises(ValueError):
-            convolve_on_grid([1.0], v[:1], times[:1])
+            convolve_on_grid(1.0, v[:1], times[:1])
 
 
 class TestGaussLegendreTable:

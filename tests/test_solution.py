@@ -216,7 +216,7 @@ class TestVolterraSolvers:
         times = np.linspace(0, 12, 2049)
         F = np.cos(1.3 * times) + 0.4 * np.sin(0.7 * times) * times
         freqs, coeffs = resolvent_series(p)
-        ref = F + sum(a * convolve_on_grid([f], F, times) for f, a in zip(freqs, coeffs))
+        ref = F + sum(a * convolve_on_grid(f, F, times) for f, a in zip(freqs, coeffs))
         x = solve_volterra_closed(p, F, times)
         assert np.abs(x - ref).max() <= 1e-13 * np.abs(F).max()
 
