@@ -20,6 +20,10 @@ Both are evaluated in log space: one run of the minors' recurrence, rescaled
 by exact powers of two, gives every n's weight sum without overflow, and the
 bracket takes lgamma for the factorials.  A bound is finite, or inf above
 float64's range, never NaN; `min_modes` reads every n from one pass.
+
+The cut at n = N is the bath itself: x_N is x, so both bounds are exactly 0
+there, without reading the chain, and `min_modes` returns N when no shorter
+cut meets its tolerance.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import InitialState
-from .errors import NonpositiveParameter, check_index
+from .errors import check_index
 from .spectral import ChainModel, IOModel
 
 
@@ -43,17 +47,7 @@ class ThermalState:
 
     def __post_init__(self):
         if not (self.kT > 0 and np.isfinite(self.kT)):
-            raise NonpositiveParameter("kT must be positive and finite")
-
-
-@dataclass(frozen=True)
-class MinModesResult:
-    """Smallest certified truncation index; certified=False means even the
-    full chain's (rounding-level) bound exceeded the tolerance."""
-
-    n: int
-    certified: bool
-    bound: float
+            raise ValueError("kT must be positive and finite")
 
 
 def _log_weight_sums(io: IOModel, chain: ChainModel, u):
@@ -90,7 +84,9 @@ def _bound(chain: ChainModel, n: int, t, log_s):
 
 
 def _bound_at(io: IOModel, chain: ChainModel, n: int, t, u):
-    """The bound at cut n for the bath weights u."""
+    """The bound at cut n for the bath weights u: exactly 0 at n = N."""
+    if n == io.N:
+        return np.zeros(np.shape(t)) if np.ndim(t) else 0.0
     check_index(n, chain.N, "truncation index")
     return _bound(chain, n, t, next(itertools.islice(_log_weight_sums(io, chain, u), n, None)))
 
@@ -104,10 +100,7 @@ def bound_deterministic(io: IOModel, chain: ChainModel, n: int, t,
                         init: InitialState):
     """Deterministic truncation-error bound for given bath initial data.
 
-    t may be a scalar or an array; the return matches.  At n = N the
-    weights |P_N(omega_k^2)| are the N-th minor on its own spectrum, zero
-    in exact arithmetic, so the bound holds rounding noise only (it differs
-    by up to 1.67x between the Lanczos and RKPW coefficients of one bath).
+    t may be a scalar or an array; the return matches.
     """
     return _bound_at(io, chain, n, t, np.abs(init.q0) + np.abs(init.qdot0) / io.omega)
 
@@ -117,7 +110,6 @@ def bound_thermal(io: IOModel, chain: ChainModel, n: int, t, th: ThermalState):
 
     sqrt(8 kT / pi) * sum_k |P_n(omega_k^2)|/omega_k replaces the
     initial-data factor of the deterministic bound; scales as sqrt(kT).
-    At n = N it holds rounding noise only, as `bound_deterministic` does.
     """
     return _bound_at(io, chain, n, t, _thermal_weights(io, th))
 
@@ -138,19 +130,18 @@ def sample_thermal(io: IOModel, th: ThermalState, seed) -> InitialState:
 
 
 def min_modes(io: IOModel, chain: ChainModel, t: float, tol: float,
-              th: ThermalState) -> MinModesResult:
-    """Smallest n whose thermal bound at time t is within tol (one pass).
+              th: ThermalState) -> int:
+    """Smallest n whose thermal bound at time t is within tol, from one pass
+    over the cuts n < N of the full `chain`; N when none of them is.
 
-    Returns certified=False with n = N when even the untruncated chain's
-    rounding-level bound exceeds tol.  A negative or non-finite t, or a
-    non-finite tol, raises ValueError: the bound is even in t.
+    A negative or non-finite t, or a tol that is not finite and positive,
+    raises ValueError: the bound is even in t.
     """
     if not (0.0 <= t < math.inf and math.isfinite(tol)):
         raise ValueError(f"t = {t} must be finite and >= 0, and tol = {tol} finite")
     if tol <= 0:
-        raise NonpositiveParameter("tol must be positive")
-    for n, log_s in enumerate(_log_weight_sums(io, chain, _thermal_weights(io, th))):
-        b = _bound(chain, n, t, log_s)
-        if b <= tol:
-            return MinModesResult(n=n, certified=True, bound=b)
-    return MinModesResult(n=chain.N, certified=False, bound=b)
+        raise ValueError("tol must be positive")
+    for n, log_s in zip(range(io.N), _log_weight_sums(io, chain, _thermal_weights(io, th))):
+        if _bound(chain, n, t, log_s) <= tol:
+            return n
+    return io.N

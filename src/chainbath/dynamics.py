@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnstableMode, check_index
+from .errors import UnstableMode, check_index
 from .kernels import _uniform_step
 from .spectral import SCALE, ChainModel, IOModel
 
@@ -55,7 +55,7 @@ class InitialState:
         q0 = np.asarray(self.q0, dtype=float)
         qdot0 = np.asarray(self.qdot0, dtype=float)
         if q0.shape != qdot0.shape or q0.ndim != 1:
-            raise DimensionMismatch("q0 and qdot0 must be 1-d arrays of equal length")
+            raise ValueError("q0 and qdot0 must be 1-d arrays of equal length")
         # NaN fails the comparison too
         if not np.all(np.abs(np.concatenate([q0, qdot0, [self.x0, self.xdot0]])) <= SCALE[1]):
             raise ValueError(f"initial state entries must be finite and at most {SCALE[1]:.3g}")
@@ -145,7 +145,7 @@ def extended_initial_conditions(O, init: InitialState, n: int):
     map O are applied).  The map may hold only its leading rows; its bath
     dimension must match the initial state's."""
     if O.shape[1] != init.N:
-        raise DimensionMismatch(f"map bath size {O.shape[1]} != initial-state size {init.N}")
+        raise ValueError(f"map bath size {O.shape[1]} != initial-state size {init.N}")
     O = O[:n]
     return (np.concatenate([[init.x0], -(O @ init.q0)]),
             np.concatenate([[init.xdot0], -(O @ init.qdot0)]))
@@ -184,9 +184,9 @@ def evolve_io_modes(io: IOModel, init: InitialState, O, times) -> np.ndarray:
     rows at a time.
     """
     if io.N != init.N:
-        raise DimensionMismatch(f"bath size {io.N} != initial-state size {init.N}")
+        raise ValueError(f"bath size {io.N} != initial-state size {init.N}")
     if O.ndim != 2 or O.shape[1] != io.N:
-        raise DimensionMismatch(f"map rows of shape {O.shape} do not act on {io.N} bath modes")
+        raise ValueError(f"map rows of shape {O.shape} do not act on {io.N} bath modes")
     # a coupling below the matrix's rounding level decouples its mode
     # (deflation): its root would sit closer to the pole than a double
     # resolves; it keeps its frequency and reaches the chain rows alone
@@ -288,13 +288,16 @@ def _secular_roots(d, c2, alpha):
     # g at the middle without the bracket's own poles
     rest = np.empty(N + 1)
     for rows, inv in _distance_blocks(d, mid, np.zeros(N + 1)):
-        np.reciprocal(inv, out=inv)
         for own in _bracket_poles(rows, N):
-            inv[own] = 0.0
+            inv[own] = np.inf  # 1/inf: a +0.0 that drops them, even at distance 0
+        np.reciprocal(inv, out=inv)
         rest[rows] = inv @ c2
     del inv
     rest += mid - alpha
-    g_mid = rest + p_lo / (lo_end - mid) + p_hi / (hi_end - mid)
+    # a bracket one ulp wide can round its middle onto one of its own poles:
+    # that term is then inf of the sign that puts the origin at that pole
+    with np.errstate(divide="ignore"):
+        g_mid = rest + p_lo / (lo_end - mid) + p_hi / (hi_end - mid)
     # the nearer end is the origin; its pole (none at the outer ends) is
     # column `pole` with weight p
     lower = g_mid >= 0

@@ -1,35 +1,19 @@
-"""Exception types shared by all chainbath modules."""
+"""Exception types of the numerical failures that callers tell apart.
+
+Bad input, a value outside what a function accepts, raises ValueError
+throughout the library.  The types below name the numerical failures that
+the command line maps to their own exit codes: `Breakdown` (3) and
+`UnstableMode` and `ComplexResolvent` (4).
+"""
 
 
 class ChainBathError(Exception):
-    """Base class for all library-specific errors."""
-
-
-class NonincreasingSpectrum(ChainBathError, ValueError):
-    """Bath frequencies are not strictly increasing."""
-
-
-class NonpositiveParameter(ChainBathError, ValueError):
-    """A frequency, coupling, or temperature is not positive, or not of a size float64 holds."""
+    """Base class of the numerical failures."""
 
 
 class Breakdown(ChainBathError):
     """Chain construction broke down: an intermediate coupling is numerically
     zero, i.e. the spectrum/coupling combination is effectively reducible."""
-
-
-class DimensionMismatch(ChainBathError, ValueError):
-    """Array dimensions of related objects disagree."""
-
-
-class IndexOutOfRange(ChainBathError, IndexError):
-    """A mode or minor index lies outside [0, N]."""
-
-
-def check_index(i: int, hi: int, what: str, lo: int = 0) -> None:
-    """Raise IndexOutOfRange unless lo <= i <= hi."""
-    if not lo <= i <= hi:
-        raise IndexOutOfRange(f"{what} {i} outside [{lo}, {hi}]")
 
 
 class UnstableMode(ChainBathError):
@@ -42,5 +26,7 @@ class ComplexResolvent(ChainBathError):
     D >= Omega*Omega_1)."""
 
 
-class GridTooCoarse(ChainBathError):
-    """The sample grid is too coarse for the requested quadrature accuracy."""
+def check_index(i: int, hi: int, what: str, lo: int = 0) -> None:
+    """Raise ValueError unless lo <= i <= hi."""
+    if not lo <= i <= hi:
+        raise ValueError(f"{what} {i} outside [{lo}, {hi}]")

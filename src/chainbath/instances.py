@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import InitialState
-from .errors import NonpositiveParameter
 from .spectral import SCALE, IOModel, build_io_model
 
 # share of each regime limit a random instance may reach
@@ -32,7 +31,7 @@ def linear_spectrum(N: int, omega_min: float, omega_max: float) -> np.ndarray:
 def geometric_spectrum(N: int, omega_min: float, omega_max: float) -> np.ndarray:
     """Geometrically spaced bath frequencies on [omega_min, omega_max]."""
     if not (omega_min > 0 and omega_max > 0):
-        raise NonpositiveParameter("a geometric spectrum needs omega_min and omega_max > 0")
+        raise ValueError("a geometric spectrum needs omega_min and omega_max > 0")
     with np.errstate(all="ignore"):  # build_io_model refuses an inf or NaN omega_k
         return np.geomspace(omega_min, omega_max, N)
 
@@ -54,8 +53,7 @@ def random_io_model(rng: np.random.Generator, N: int,
     for name, (lo, hi) in (("omega_range", omega_range), ("c_range", c_range),
                            ("Omega0_range", Omega0_range)):
         if not RANGE[0] <= lo <= hi <= RANGE[1]:
-            raise NonpositiveParameter(f"{name} must be lo <= hi within "
-                                       f"[{RANGE[0]:.3g}, {RANGE[1]:.3g}]")
+            raise ValueError(f"{name} must be lo <= hi within [{RANGE[0]:.3g}, {RANGE[1]:.3g}]")
     omega = np.sort(rng.uniform(*omega_range, N))
     c = rng.uniform(*c_range, N)
     Omega0 = rng.uniform(*Omega0_range)
@@ -69,7 +67,7 @@ def random_io_model(rng: np.random.Generator, N: int,
 def random_initial_state(rng: np.random.Generator, N: int, scale: float = 1.0) -> InitialState:
     """Uniform(-scale, scale) bath and system initial data, 0 <= scale <= SCALE[1]."""
     if not 0.0 <= scale <= SCALE[1]:
-        raise NonpositiveParameter(f"scale must lie within [0, {SCALE[1]:.3g}], not {scale}")
+        raise ValueError(f"scale must lie within [0, {SCALE[1]:.3g}], not {scale}")
     q0 = rng.uniform(-scale, scale, N)
     qdot0 = rng.uniform(-scale, scale, N)
     x0 = rng.uniform(-scale, scale)

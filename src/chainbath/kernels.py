@@ -25,8 +25,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import GridTooCoarse
-
 # Points of the local Lagrange interpolant behind convolve_on_grid
 STENCIL = 6
 # The Gauss-Legendre rule on [-1, 1] that convolve_on_grid applies per grid
@@ -126,7 +124,7 @@ def convolve_on_grid(freqs, values, times) -> np.ndarray:
 
 
 def check_grid(times, max_freq: float) -> None:
-    """Raise GridTooCoarse when the grid is too coarse for convolve_on_grid
+    """Raise ValueError when the grid is too coarse for convolve_on_grid
     on signals with frequencies up to max_freq.
 
     The gate is the fourth-order interpolation estimate (5/384) h^4 max|v^(4)|
@@ -140,5 +138,5 @@ def check_grid(times, max_freq: float) -> None:
     hf = h * max_freq  # from about 1e77 on, hf ** 4 raises OverflowError: read it as inf
     est = (5.0 / 384.0) * hf**4 if hf < 1e75 else np.inf
     if est > 1e-7:
-        raise GridTooCoarse(
+        raise ValueError(
             f"estimated relative interpolation error {est:.3e} exceeds 1e-7; refine the grid")

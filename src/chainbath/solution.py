@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import InitialState, extended_initial_conditions, free_mode_evolution
-from .errors import ComplexResolvent, NonpositiveParameter
+from .errors import ComplexResolvent
 from .kernels import convolve_on_grid
 from .spectral import ChainModel
 
@@ -67,7 +67,7 @@ def mu_delta(Omega0: float, Omega1: float, D0: float) -> VolterraParams:
     would not be real).
     """
     if Omega0 <= 0 or Omega1 <= 0 or D0 <= 0:
-        raise NonpositiveParameter("Omega0, Omega1 and D0 must be positive")
+        raise ValueError("Omega0, Omega1 and D0 must be positive")
     if D0 >= Omega0 * Omega1:
         raise ComplexResolvent(
             f"D0 = {D0:g} >= Omega0*Omega1 = {Omega0 * Omega1:g}; "

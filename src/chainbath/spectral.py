@@ -39,13 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    Breakdown,
-    DimensionMismatch,
-    NonincreasingSpectrum,
-    NonpositiveParameter,
-    check_index,
-)
+from .errors import Breakdown, check_index
 
 # The certificates' tolerance, relative to max(omega^2) for T's eigenvalues
 # and to max(c_k^2) for its weights
@@ -116,27 +110,24 @@ class ChainCertificate:
 def build_io_model(omega, c, Omega0) -> IOModel:
     """Validate and freeze an independent-oscillator bath description.
 
-    Raises NonincreasingSpectrum if omega is not strictly increasing and
-    NonpositiveParameter if any frequency or coupling is not finite and
-    positive, or lies outside `SCALE` (about 1e-77 to 1e77; a coupling may
-    be smaller).
+    Raises ValueError if omega is not strictly increasing, if any frequency
+    or coupling is not finite and positive, or lies outside `SCALE` (about
+    1e-77 to 1e77; a coupling may be smaller).
     """
     omega = np.asarray(omega, dtype=float)
     c = np.asarray(c, dtype=float)
     if omega.ndim != 1 or c.ndim != 1 or len(omega) == 0:
-        raise DimensionMismatch("omega and c must be nonempty 1-d sequences")
+        raise ValueError("omega and c must be nonempty 1-d sequences")
     if len(omega) != len(c):
-        raise DimensionMismatch(
-            f"len(omega)={len(omega)} differs from len(c)={len(c)}"
-        )
+        raise ValueError(f"len(omega)={len(omega)} differs from len(c)={len(c)}")
     lo, hi = SCALE
     # NaN fails every comparison
     if not (lo <= Omega0 <= hi and lo <= omega.min() and omega.max() <= hi
             and 0 < c.min() and c.max() <= hi):
-        raise NonpositiveParameter(f"omega_k and Omega0 must lie within [{lo:.3g}, {hi:.3g}] "
-                                   f"and c_k within (0, {hi:.3g}]")
+        raise ValueError(f"omega_k and Omega0 must lie within [{lo:.3g}, {hi:.3g}] "
+                         f"and c_k within (0, {hi:.3g}]")
     if np.any(np.diff(omega) <= 0):
-        raise NonincreasingSpectrum("bath frequencies must be strictly increasing")
+        raise ValueError("bath frequencies must be strictly increasing")
     return IOModel(_frozen_array(omega), _frozen_array(c), float(Omega0))
 
 
@@ -380,7 +371,7 @@ def certify_chain(io: IOModel, chain: ChainModel) -> ChainCertificate:
     O(N^2) time, O(N) memory.
     """
     if io.N != chain.N:
-        raise DimensionMismatch(f"sizes disagree: io N={io.N}, chain N={chain.N}")
+        raise ValueError(f"sizes disagree: io N={io.N}, chain N={chain.N}")
     w2 = io.omega**2
     scale = w2.max()
     eig_mis, step = _spectrum_mismatch(chain, w2, _RTOL * scale)

@@ -49,7 +49,7 @@ from chainbath.dynamics import (
     extended_initial_conditions,
     free_mode_evolution,
 )
-from chainbath.errors import ChainBathError, DimensionMismatch, check_index
+from chainbath.errors import ChainBathError, check_index
 from chainbath.kernels import check_grid, convolve_on_grid
 from chainbath.solution import VolterraParams, nested_convolve
 from chainbath.spectral import (
@@ -63,7 +63,7 @@ from chainbath.spectral import (
 # --- errors ---------------------------------------------------------------
 
 
-class GridMismatch(ChainBathError, ValueError):
+class GridMismatch(ValueError):
     """Two sampled series do not share the same time grid."""
 
 
@@ -320,7 +320,7 @@ class Trajectory:
             raise ValueError("time grid must have uniform step")
         if not (self.x.shape == np.shape(self.xdot) == t.shape
                 and self.X.shape[1:] == t.shape and np.shape(self.Xdot) == self.X.shape):
-            raise DimensionMismatch("trajectory array shapes are inconsistent")
+            raise ValueError("trajectory array shapes are inconsistent")
 
     def mode(self, i: int) -> np.ndarray:
         """Samples of X_i(t); mode(0) is the system coordinate x."""
@@ -397,7 +397,7 @@ def evolve_io(io: IOModel, init: InitialState, times) -> Trajectory:
     quotients are only as good as eigh's.
     """
     if io.N != init.N:
-        raise DimensionMismatch(f"bath size {io.N} != initial-state size {init.N}")
+        raise ValueError(f"bath size {io.N} != initial-state size {init.N}")
     A = assemble_io_matrix(io)
     y0 = np.concatenate([[init.x0], init.q0])
     ydot0 = np.concatenate([[init.xdot0], init.qdot0])
@@ -460,10 +460,10 @@ def coupling_products(chain: ChainModel, n: int) -> np.ndarray:
 def _check_level(chain: ChainModel, n: int, O) -> None:
     """Range check of a level n that reads n = chain.N as the untruncated
     chain.  A map cut by `chain_from_io(io, rows=k)` gives a chain with
-    N = k whose level k is not untruncated: DimensionMismatch there."""
+    N = k whose level k is not untruncated: ValueError there."""
     check_index(n, chain.N, "level")
     if n == chain.N and len(O) < O.shape[1]:
-        raise DimensionMismatch(
+        raise ValueError(
             f"level {n} ends a chain cut at {len(O)} of {O.shape[1]} modes, "
             "not the untruncated chain; build the full map")
 
@@ -512,7 +512,7 @@ def source_term(chain: ChainModel, n_used: int, traj: Trajectory,
 
     with the X_{i-1} taken from the supplied (exact) trajectories, all
     through one nested_convolve cascade.  At n = N it is the oracle for
-    F_1 + eps1(1), which needs X_2 alone.  Raises GridTooCoarse when the
+    F_1 + eps1(1), which needs X_2 alone.  Raises ValueError when the
     estimated relative interpolation error exceeds 1e-7.
     """
     _check_level(chain, n_used, O)
@@ -715,10 +715,10 @@ def error_report(io: IOModel, chain: ChainModel, O, n: int,
     below the float64 subtraction floor).  One eigendecomposition of the
     full chain serves both x(t) on the uniform grid and the slope's
     X_{n+1}(s), summed mode by mode at the geometric slope times, so a chain
-    cut by `chain_from_io(io, rows=k)` raises DimensionMismatch for every n.
+    cut by `chain_from_io(io, rows=k)` raises ValueError for every n.
     """
     if len(O) < O.shape[1]:
-        raise DimensionMismatch(
+        raise ValueError(
             f"error_report evolves the untruncated chain; the map holds only "
             f"{len(O)} of {O.shape[1]} rows")
     times = np.asarray(times, dtype=float)
@@ -831,7 +831,7 @@ def verify_equivalence(io: IOModel, chain: ChainModel, O,
     eigenvalue bisected on the same counts, above delta.
     """
     if not (io.N == chain.N == len(O)):
-        raise DimensionMismatch(
+        raise ValueError(
             f"sizes disagree: io N={io.N}, chain N={chain.N}, map N={len(O)}"
         )
     w2 = io.omega**2

@@ -263,7 +263,7 @@ def test_a08_half_normal_sampler():
 
 
 def test_a09_min_modes_consistency():
-    """On a 10x10 (t, tol) grid the returned n is certified and minimal,
+    """On a 10x10 (t, tol) grid the returned n meets tol and is minimal,
     verified by recomputing the bound at n and n-1."""
     rng = np.random.default_rng(99)
     io = random_io_model(rng, 8)
@@ -273,12 +273,10 @@ def test_a09_min_modes_consistency():
     ok = True
     for t in np.linspace(0.2, 3.0, 10) / wmax:
         for tol in np.geomspace(1e-1, 1e-10, 10):
-            res = min_modes(io, chain, float(t), float(tol), th)
-            if not res.certified:
-                continue
-            if bound_thermal(io, chain, res.n, t, th) > tol:
+            n = min_modes(io, chain, float(t), float(tol), th)
+            if bound_thermal(io, chain, n, t, th) > tol:
                 ok = False
-            if res.n > 0 and bound_thermal(io, chain, res.n - 1, t, th) <= tol:
+            if n > 0 and bound_thermal(io, chain, n - 1, t, th) <= tol:
                 ok = False
     report("A9 min-modes consistency", ok)
 

@@ -853,6 +853,15 @@ class TestBoundCommand:
         ratio = outs[1][1:] / outs[0][1:]
         assert ratio == pytest.approx(np.full_like(ratio, 2.0), rel=1e-12)
 
+    def test_frequencies_one_ulp_apart_write_no_warning(self, tmp_path, capsys):
+        # two bath frequencies one ulp apart: exit 0 and an empty stderr
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model={"omega": [2.9999999999999996, 3.0], "c": [0.25, 0.25]},
+                     Omega0=1.2, truncations=[1], samples=32)
+        out = tmp_path / "bound.csv"
+        assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_full_cut_reuses_the_full_trajectory(self, tmp_path, monkeypatch):
         # n = N is x_full itself, which needs no eigensolve: one for n = 1
         N = 8
@@ -1104,9 +1113,10 @@ class TestMinModesCommand:
         data = np.loadtxt(out.read_text().splitlines()[1:], delimiter=",")
         assert np.all(data[:, 1] == 0)
 
-    def test_time_past_float64_reads_uncertified(self, tmp_path, capsys):
-        # at t = 1e308 the bound's cosh arguments overflow: the bound is inf,
-        # so no cut is certified, and no numpy warning reaches stderr
+    def test_time_past_float64_reads_the_bath_size(self, tmp_path, capsys):
+        # at t = 1e308 the bound's cosh arguments overflow: every cut n < N
+        # reads inf, so the cell writes N, the bath itself, whose bound is 0;
+        # no numpy warning reaches stderr
         cfg = tmp_path / "cfg.json"
         write_config(cfg, min_modes={"times": [1.0, 1e308], "tols": [1e-3]})
         out = tmp_path / "mm.csv"
@@ -1114,7 +1124,7 @@ class TestMinModesCommand:
         assert capsys.readouterr().err == ""
         assert out.read_text().splitlines()[2] == "1e+308,4"
         side = json.loads((tmp_path / "mm.csv.resolved.json").read_text())
-        assert side["diagnostics"]["uncertified_cells"] == 1
+        assert side["diagnostics"]["uncertified_cells"] == 0
 
     def test_repeated_tolerance_is_one_column(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -1155,8 +1165,7 @@ class TestMinModesCommand:
         from chainbath import bounds
 
         monkeypatch.setattr(bounds, "min_modes", lambda io, chain, t, tol, th:
-                            bounds.MinModesResult(n=int(10 * tol + 4 / t), certified=True,
-                                                  bound=0.0))
+                            int(10 * tol + 4 / t))
         mm = {"times": [0.5, 1.0], "tols": [0.1, 0.2]}
         mm[key] = mm[key][::-1]
         cfg = tmp_path / "cfg.json"
@@ -1405,7 +1414,7 @@ class TestDeterminismAndRoundTrip:
         floats = [0.1, -0.0, math.nan]
         edges = [math.inf, -math.inf, 5e-324]
         big = np.array([1e300, -1e-300, 1 / 3])
-        text = ["", "ok", "NonpositiveParameter"]
+        text = ["", "ok", "Breakdown"]
         out = tmp_path / "t.csv"
         write_csv(out, {"i": ints, "a": floats, "b": edges, "c": big, "s": text})
         expect = "i,a,b,c,s\n" + "".join(

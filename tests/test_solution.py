@@ -10,12 +10,7 @@ from numpy.polynomial.legendre import leggauss
 
 from chainbath.bounds import ThermalState, sample_thermal
 from chainbath.dynamics import extended_initial_conditions, free_mode_evolution
-from chainbath.errors import (
-    ComplexResolvent,
-    DimensionMismatch,
-    GridTooCoarse,
-    NonpositiveParameter,
-)
+from chainbath.errors import ComplexResolvent
 from chainbath.instances import coupling_profile, linear_spectrum
 from chainbath.kernels import convolve_on_grid
 from chainbath.solution import VolterraParams, mu_delta, solve_volterra_closed
@@ -98,7 +93,7 @@ class TestMuDelta:
         assert p.mu1 >= p.mu2 > 0
 
     def test_positivity_required(self):
-        with pytest.raises(NonpositiveParameter):
+        with pytest.raises(ValueError, match="must be positive"):
             mu_delta(-1.0, 1.0, 0.5)
 
     def test_resolvent_equation(self):
@@ -163,7 +158,7 @@ class TestSourceTerm:
         io, chain, omap, init = small_instance
         times = np.linspace(0, 20, 33)
         traj = evolve_truncated(chain, chain.N, init, omap, times)
-        with pytest.raises(GridTooCoarse):
+        with pytest.raises(ValueError, match="relative interpolation error .* exceeds 1e-7"):
             source_term(chain, chain.N, traj, init, omap)
 
     def test_free_ladder_vs_quadrature(self):
@@ -259,7 +254,7 @@ class TestVolterraSolvers:
         # check accepts for this family; 320 samples is refused
         _, chain, omap, init = linear_instance(N)
         coarse = np.linspace(0, 10, 320)
-        with pytest.raises(GridTooCoarse):
+        with pytest.raises(ValueError, match="relative interpolation error .* exceeds 1e-7"):
             source_term(chain, chain.N,
                         evolve_truncated(chain, chain.N, init, omap, coarse), init, omap)
         err, scale = volterra_error(chain, omap, init, np.linspace(0, 10, 384))
@@ -348,21 +343,21 @@ class TestCutMap:
 
     def test_source_term(self, cut):
         chain, omap, cut_chain, cut_map, init, traj = cut
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="ends a chain cut"):
             source_term(cut_chain, 4, traj, init, cut_map)
         assert np.array_equal(source_term(cut_chain, 3, traj, init, cut_map),
                               source_term(chain, 3, traj, init, omap))
 
     def test_x_reduced_form(self, cut):
         chain, omap, cut_chain, cut_map, init, traj = cut
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="ends a chain cut"):
             x_reduced_form(cut_chain, 4, traj, init, cut_map)
         assert np.array_equal(x_reduced_form(cut_chain, 3, traj, init, cut_map),
                               x_reduced_form(chain, 3, traj, init, omap))
 
     def test_free_source_series(self, cut):
         chain, omap, cut_chain, cut_map, init, traj = cut
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="ends a chain cut"):
             free_source_series(cut_chain, 4, init, cut_map, traj.times)
         assert np.array_equal(free_source_series(cut_chain, 3, init, cut_map, traj.times),
                               free_source_series(chain, 3, init, omap, traj.times))

@@ -9,13 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainbath import spectral
-from chainbath.errors import (
-    Breakdown,
-    DimensionMismatch,
-    IndexOutOfRange,
-    NonincreasingSpectrum,
-    NonpositiveParameter,
-)
+from chainbath.errors import Breakdown
 from chainbath.instances import geometric_spectrum, linear_spectrum
 from chainbath.spectral import (
     ChainModel,
@@ -62,19 +56,19 @@ class TestBuildIOModel:
         assert io.omega[0] == 2.0 and io.c[0] == 1.0
 
     def test_degenerate_spectrum_rejected(self):
-        with pytest.raises(NonincreasingSpectrum):
+        with pytest.raises(ValueError, match="strictly increasing"):
             build_io_model([1.0, 1.0], [1.0, 1.0], 1.0)
 
     def test_sign_violation_rejected(self):
-        with pytest.raises(NonpositiveParameter):
+        with pytest.raises(ValueError, match="c_k within"):
             build_io_model([1.0, 2.0], [-1.0, 1.0], 1.0)
-        with pytest.raises(NonpositiveParameter):
+        with pytest.raises(ValueError, match="Omega0 must lie within"):
             build_io_model([1.0, 2.0], [1.0, 1.0], 0.0)
 
     def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match=r"len\(omega\)=2 differs from len\(c\)=1"):
             build_io_model([1.0, 2.0], [1.0], 1.0)
-        with pytest.raises(DimensionMismatch, match="nonempty"):
+        with pytest.raises(ValueError, match="nonempty"):
             build_io_model([], [], 1.0)
 
     def test_immutability(self):
@@ -200,7 +194,7 @@ class TestChainFromIO:
     def test_row_cut_out_of_range(self, small_instance):
         io = small_instance[0]
         for rows in (0, io.N + 1):
-            with pytest.raises(IndexOutOfRange):
+            with pytest.raises(ValueError, match=f"map rows {rows} outside"):
                 chain_from_io(io, rows=rows)
 
     def test_row_cut_checks_only_its_couplings(self):
@@ -315,7 +309,7 @@ class TestCharPoly:
 
     def test_index_out_of_range(self, small_instance):
         _, chain, _, _ = small_instance
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(ValueError, match=f"minor index {chain.N + 1} outside"):
             char_poly_eval(chain, chain.N + 1, 0.0)
 
 
@@ -348,7 +342,7 @@ class TestVerifyEquivalence:
     def test_dimension_mismatch(self, small_instance):
         io, chain, omap, _ = small_instance
         other = build_io_model([1.0, 2.0], [1.0, 1.0], 1.0)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="sizes disagree"):
             verify_equivalence(other, chain, omap)
 
 
@@ -631,5 +625,5 @@ class TestCertifyChain:
 
     def test_dimension_mismatch(self, small_instance):
         io, chain, _, _ = small_instance
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="sizes disagree"):
             certify_chain(build_io_model([1.0, 2.0], [1.0, 1.0], 1.0), chain)
