@@ -30,12 +30,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import InitialState
-from .errors import check_index
+from .errors import POSITIVE, check_range
 from .spectral import ChainModel, IOModel
 
 
@@ -46,8 +47,7 @@ class ThermalState:
     kT: float
 
     def __post_init__(self):
-        if not (self.kT > 0 and np.isfinite(self.kT)):
-            raise ValueError("kT must be positive and finite")
+        check_range(self.kT, POSITIVE, sys.float_info.max, "kT")
 
 
 def _log_weight_sums(io: IOModel, chain: ChainModel, u):
@@ -87,7 +87,7 @@ def _bound_at(io: IOModel, chain: ChainModel, n: int, t, u):
     """The bound at cut n for the bath weights u: exactly 0 at n = N."""
     if n == io.N:
         return np.zeros(np.shape(t)) if np.ndim(t) else 0.0
-    check_index(n, chain.N, "truncation index")
+    check_range(n, 0, chain.N, "truncation index")
     return _bound(chain, n, t, next(itertools.islice(_log_weight_sums(io, chain, u), n, None)))
 
 
@@ -134,13 +134,11 @@ def min_modes(io: IOModel, chain: ChainModel, t: float, tol: float,
     """Smallest n whose thermal bound at time t is within tol, from one pass
     over the cuts n < N of the full `chain`; N when none of them is.
 
-    A negative or non-finite t, or a tol that is not finite and positive,
-    raises ValueError: the bound is even in t.
+    t must lie within [0, max float] (the bound is even in t) and tol
+    within (0, max float]: `errors.check_range` refuses any other, NaN too.
     """
-    if not (0.0 <= t < math.inf and math.isfinite(tol)):
-        raise ValueError(f"t = {t} must be finite and >= 0, and tol = {tol} finite")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_range(t, 0.0, sys.float_info.max, "t")
+    check_range(tol, POSITIVE, sys.float_info.max, "tol")
     for n, log_s in zip(range(io.N), _log_weight_sums(io, chain, _thermal_weights(io, th))):
         if _bound(chain, n, t, log_s) <= tol:
             return n

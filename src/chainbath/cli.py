@@ -80,7 +80,8 @@ if "numpy" not in sys.modules and not any(key in os.environ for key in _THREAD_V
 import numpy as np
 
 from . import bounds, dynamics, instances, kernels, solution, spectral
-from .errors import Breakdown, ChainBathError, ComplexResolvent, UnstableMode
+from .errors import (POSITIVE, Breakdown, ChainBathError, ComplexResolvent, UnstableMode,
+                     check_range)
 
 # `simulate` certifies its Volterra column only within this share of max|x_full|
 VOLTERRA_RTOL = 1e-9
@@ -118,7 +119,6 @@ _FAMILIES = {
 _FAMILIES["geometric"] = _FAMILIES["linear"]
 _KINDS = {None: (("qdot0",), {"q0": [0.0], "qdot0": [0.0], "x0": 0.0, "xdot0": 0.0}),
           "thermal": ((), {}), "random": ((), {"scale": 0.0})}
-_POSITIVE = math.ulp(0.0)  # the least positive float: [_POSITIVE, hi] is (0, hi]
 _FINITE = float(np.finfo(float).max)
 _HUGE = spectral.SCALE[1]
 _JSON_TYPES = {bool: "boolean", int: "number", float: "number", str: "string", list: "list",
@@ -131,17 +131,17 @@ _JSON_TYPES = {bool: "boolean", int: "number", float: "number", str: "string", l
 # least one map row, and its bath has omega_k >= 0.5, so its thermal draw
 # stays within SCALE.  The random family's Omega0 lies within instances.RANGE.
 _RANGES = {
-    "Omega0": spectral.SCALE, "t_max": (_POSITIVE, _HUGE), "kT": (_POSITIVE, _FINITE),
+    "Omega0": spectral.SCALE, "t_max": (POSITIVE, _HUGE), "kT": (POSITIVE, _FINITE),
     "samples": (2, math.inf), "seed": (0, math.inf), "truncations[]": (0, math.inf),
-    "min_modes.times[]": (0.0, _FINITE), "min_modes.tols[]": (_POSITIVE, _FINITE),
+    "min_modes.times[]": (0.0, _FINITE), "min_modes.tols[]": (POSITIVE, _FINITE),
     # a list at least 1 long, or an integer >= 1
     **dict.fromkeys(("sweep.N", "sweep.n", "sweep.kT", "sweep.N[]", "sweep.n[]", "model.N",
                      "model.omega"), (1, math.inf)),
-    "sweep.kT[]": (_POSITIVE, _HUGE),
+    "sweep.kT[]": (POSITIVE, _HUGE),
     "model.omega_min": spectral.SCALE, "model.omega_max": spectral.SCALE,
-    "model.c0": (_POSITIVE, _HUGE), "model.power": (-_FINITE, _FINITE),
+    "model.c0": (POSITIVE, _HUGE), "model.power": (-_FINITE, _FINITE),
     "model.omega_range[]": instances.RANGE, "model.c_range[]": instances.RANGE,
-    "model.omega[]": spectral.SCALE, "model.c[]": (_POSITIVE, _HUGE),
+    "model.omega[]": spectral.SCALE, "model.c[]": (POSITIVE, _HUGE),
     "initial_state.scale": (0.0, _HUGE),
     **dict.fromkeys(("initial_state.q0[]", "initial_state.qdot0[]", "initial_state.x0",
                      "initial_state.xdot0"), (-_HUGE, _HUGE)),
@@ -190,7 +190,8 @@ def resolve_config(path, overrides) -> dict:
     `initial_state.kind` must be known, with every key they require
     (`_FAMILIES`, `_KINDS`); each value must have its default's JSON type
     (`_check_types`) and each number, and each list's length, lie within
-    its `_RANGES` interval.  An explicit model gives as many couplings as
+    its `_RANGES` interval (`errors.check_range`, which prints the bounds
+    and the value exactly).  An explicit model gives as many couplings as
     frequencies, and the random family's `Omega0` lies within
     `instances.RANGE`.  Only the bath's size is checked later, by the
     command that reads the key: each truncation is at most N, and an
@@ -226,9 +227,9 @@ def resolve_config(path, overrides) -> dict:
                 raise ValueError(f"config.{key}.{name} is required")
         _check_types(section, types, f"config.{key}", key)
     if family is None:
-        _check_range(model["c"], len(model["omega"]), len(model["omega"]), "config.model.c")
+        check_range(model["c"], len(model["omega"]), len(model["omega"]), "config.model.c")
     if family == "random":
-        _check_range(cfg["Omega0"], *instances.RANGE, "config.Omega0")
+        check_range(cfg["Omega0"], *instances.RANGE, "config.Omega0")
     return cfg
 
 
@@ -259,15 +260,7 @@ def _check_types(value, default, name, key):
             raise ValueError(f"{name} must hold {len(default)} numbers lo <= hi, "
                              f"not {json.dumps(value)}")
     if key in _RANGES:
-        _check_range(value, *_RANGES[key], name)
-
-
-def _check_range(value, lo, hi, name):
-    """ValueError naming `name` unless lo <= value <= hi, or for a list
-    lo <= its length <= hi (NaN fails every comparison)."""
-    size, what = (len(value), "have a length") if isinstance(value, list) else (value, "lie")
-    if not lo <= size <= hi:
-        raise ValueError(f"{name} must {what} within [{lo:.3g}, {hi:.3g}], not {json.dumps(size)}")
+        check_range(value, *_RANGES[key], name)
 
 
 def _given(section, *keys) -> dict:
@@ -314,7 +307,7 @@ def build_initial_state(cfg, io) -> dynamics.InitialState:
     section = cfg["initial_state"]
     if "q0" in section:
         for key in ("q0", "qdot0"):
-            _check_range(section[key], io.N, io.N, f"config.initial_state.{key}")
+            check_range(section[key], io.N, io.N, f"config.initial_state.{key}")
         return dynamics.InitialState(
             q0=np.asarray(section["q0"], dtype=float),
             qdot0=np.asarray(section["qdot0"], dtype=float),
@@ -346,7 +339,7 @@ def _truncations(cfg, N):
     """The cut indices, each at most N and given once (one name, one
     column), and those below N."""
     for i, n in enumerate(cfg["truncations"]):
-        _check_range(n, 0, N, f"config.truncations[{i}]")
+        check_range(n, 0, N, f"config.truncations[{i}]")
     truncations = list(dict.fromkeys(cfg["truncations"]))
     return truncations, [n for n in truncations if n < N]
 

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnstableMode, check_index
+from .errors import POSITIVE, UnstableMode, check_range
 from .kernels import _uniform_step
-from .spectral import SCALE, ChainModel, IOModel
+from .spectral import SCALE, ChainModel, IOModel, _frozen_array
 
 # Rows per block of `evolve_io_x`'s O(N^2) sweeps over (root, pole) pairs,
 # and modes per block of `_modal_row`'s sums: one BLOCK x N distance buffer
@@ -52,15 +52,12 @@ class InitialState:
     xdot0: float = 0.0
 
     def __post_init__(self):
-        q0 = np.asarray(self.q0, dtype=float)
-        qdot0 = np.asarray(self.qdot0, dtype=float)
+        q0, qdot0 = _frozen_array(self.q0), _frozen_array(self.qdot0)
         if q0.shape != qdot0.shape or q0.ndim != 1:
             raise ValueError("q0 and qdot0 must be 1-d arrays of equal length")
         # NaN fails the comparison too
         if not np.all(np.abs(np.concatenate([q0, qdot0, [self.x0, self.xdot0]])) <= SCALE[1]):
-            raise ValueError(f"initial state entries must be finite and at most {SCALE[1]:.3g}")
-        q0.flags.writeable = False
-        qdot0.flags.writeable = False
+            raise ValueError(f"initial state entries must be finite and at most {SCALE[1]!r}")
         object.__setattr__(self, "q0", q0)
         object.__setattr__(self, "qdot0", qdot0)
 
@@ -74,7 +71,7 @@ def assemble_extended_matrix(chain: ChainModel, n: int) -> np.ndarray:
     chain modes: diagonal (Omega0^2, Omega_1^2, ..., Omega_n^2),
     off-diagonal (-D0, -D_1, ..., -D_{n-1}).  n = 0 is the isolated system;
     truncation at n < N just drops the rows/columns past mode n."""
-    check_index(n, chain.N, "truncation index")
+    check_range(n, 0, chain.N, "truncation index")
     A = np.zeros((n + 1, n + 1))
     A[0, 0] = chain.Omega0**2
     for i in range(1, n + 1):
@@ -144,8 +141,7 @@ def extended_initial_conditions(O, init: InitialState, n: int):
     system first, chain modes X(0) = -O[:n] q(0) (only the kept rows of the
     map O are applied).  The map may hold only its leading rows; its bath
     dimension must match the initial state's."""
-    if O.shape[1] != init.N:
-        raise ValueError(f"map bath size {O.shape[1]} != initial-state size {init.N}")
+    check_range(O.shape[1], init.N, init.N, "map bath size")
     O = O[:n]
     return (np.concatenate([[init.x0], -(O @ init.q0)]),
             np.concatenate([[init.xdot0], -(O @ init.qdot0)]))
@@ -183,8 +179,7 @@ def evolve_io_modes(io: IOModel, init: InitialState, O, times) -> np.ndarray:
     exact eigenvalues (`_loewner_couplings`), and Q is rebuilt a BLOCK of
     rows at a time.
     """
-    if io.N != init.N:
-        raise ValueError(f"bath size {io.N} != initial-state size {init.N}")
+    check_range(init.N, io.N, io.N, "initial-state size")
     if O.ndim != 2 or O.shape[1] != io.N:
         raise ValueError(f"map rows of shape {O.shape} do not act on {io.N} bath modes")
     # a coupling below the matrix's rounding level decouples its mode
@@ -397,8 +392,7 @@ def _loewner_couplings(d, sigma, tau):
 
 def free_mode_evolution(Omega_i: float, X0: float, Xdot0: float, t):
     """Uncoupled mode: X0 cos(Omega t) + Xdot0 sin(Omega t)/Omega."""
-    if Omega_i <= 0:
-        raise ValueError("mode frequency must be positive")
+    check_range(Omega_i, POSITIVE, math.inf, "mode frequency")
     t = np.asarray(t, dtype=float)
     out = X0 * np.cos(Omega_i * t) + Xdot0 * np.sin(Omega_i * t) / Omega_i
     return out if out.ndim else float(out)

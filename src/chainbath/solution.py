@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import InitialState, extended_initial_conditions, free_mode_evolution
-from .errors import ComplexResolvent
+from .errors import POSITIVE, ComplexResolvent, check_range
 from .kernels import convolve_on_grid
 from .spectral import ChainModel
 
@@ -63,11 +63,12 @@ class VolterraParams:
 def mu_delta(Omega0: float, Omega1: float, D0: float) -> VolterraParams:
     """Resolvent frequencies of the closed Volterra solution.
 
-    Raises ComplexResolvent when D0 >= Omega0*Omega1 (the lower frequency
+    Raises ValueError, naming the parameter, unless each is above 0 (NaN is
+    not), and ComplexResolvent when D0 >= Omega0*Omega1 (the lower frequency
     would not be real).
     """
-    if Omega0 <= 0 or Omega1 <= 0 or D0 <= 0:
-        raise ValueError("Omega0, Omega1 and D0 must be positive")
+    for name, value in (("Omega0", Omega0), ("Omega1", Omega1), ("D0", D0)):
+        check_range(value, POSITIVE, np.inf, name)
     if D0 >= Omega0 * Omega1:
         raise ComplexResolvent(
             f"D0 = {D0:g} >= Omega0*Omega1 = {Omega0 * Omega1:g}; "

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Breakdown, check_index
+from .errors import Breakdown, check_range
 
 # The certificates' tolerance, relative to max(omega^2) for T's eigenvalues
 # and to max(c_k^2) for its weights
@@ -118,14 +118,13 @@ def build_io_model(omega, c, Omega0) -> IOModel:
     c = np.asarray(c, dtype=float)
     if omega.ndim != 1 or c.ndim != 1 or len(omega) == 0:
         raise ValueError("omega and c must be nonempty 1-d sequences")
-    if len(omega) != len(c):
-        raise ValueError(f"len(omega)={len(omega)} differs from len(c)={len(c)}")
+    check_range(len(c), len(omega), len(omega), "len(c)")
     lo, hi = SCALE
     # NaN fails every comparison
     if not (lo <= Omega0 <= hi and lo <= omega.min() and omega.max() <= hi
             and 0 < c.min() and c.max() <= hi):
-        raise ValueError(f"omega_k and Omega0 must lie within [{lo:.3g}, {hi:.3g}] "
-                         f"and c_k within (0, {hi:.3g}]")
+        raise ValueError(f"omega_k and Omega0 must lie within [{lo!r}, {hi!r}] "
+                         f"and c_k within (0, {hi!r}]")
     if np.any(np.diff(omega) <= 0):
         raise ValueError("bath frequencies must be strictly increasing")
     return IOModel(_frozen_array(omega), _frozen_array(c), float(Omega0))
@@ -175,7 +174,7 @@ def chain_from_io(io: IOModel, rows: int | None = None) -> tuple[ChainModel, np.
     w2 = io.omega**2
     N = io.N
     rows = N if rows is None else rows
-    check_index(rows, N, "map rows", lo=1)
+    check_range(rows, 1, N, "map rows")
     scale = w2.max()
 
     V = np.zeros((rows, N))
@@ -370,8 +369,7 @@ def certify_chain(io: IOModel, chain: ChainModel) -> ChainCertificate:
     for the w_k: near-degenerate nodes may pass above 1e-9.  A NaN fails.
     O(N^2) time, O(N) memory.
     """
-    if io.N != chain.N:
-        raise ValueError(f"sizes disagree: io N={io.N}, chain N={chain.N}")
+    check_range(chain.N, io.N, io.N, "chain size")
     w2 = io.omega**2
     scale = w2.max()
     eig_mis, step = _spectrum_mismatch(chain, w2, _RTOL * scale)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -17,6 +19,13 @@ def make_instance(seed, N, **kwargs):
     chain, omap = chain_from_io(io)
     init = random_initial_state(rng, io.N)
     return io, chain, omap, init
+
+
+def assert_outside_printed_interval(err):
+    """A range refusal `... within [lo, hi], not v` in `err` prints a v that
+    lies outside [lo, hi]: its bounds are printed exactly, not rounded."""
+    for lo, hi, value in re.findall(r"within \[(\S+), (\S+)\], not (\S+)$", err, re.M):
+        assert not float(lo) <= float(value) <= float(hi), err
 
 
 @pytest.fixture

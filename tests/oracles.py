@@ -49,7 +49,7 @@ from chainbath.dynamics import (
     extended_initial_conditions,
     free_mode_evolution,
 )
-from chainbath.errors import ChainBathError, check_index
+from chainbath.errors import ChainBathError, check_range
 from chainbath.kernels import check_grid, convolve_on_grid
 from chainbath.solution import VolterraParams, nested_convolve
 from chainbath.spectral import (
@@ -324,7 +324,7 @@ class Trajectory:
 
     def mode(self, i: int) -> np.ndarray:
         """Samples of X_i(t); mode(0) is the system coordinate x."""
-        check_index(i, len(self.X), "mode index")
+        check_range(i, 0, len(self.X), "mode index")
         return self.x if i == 0 else self.X[i - 1]
 
 
@@ -441,7 +441,7 @@ def system_response(A, times):
 def coupling(chain: ChainModel, l: int) -> float:
     """D_l with the boundary conventions: D_0 is the system coupling and
     D_N = 0 terminates sums."""
-    check_index(l, chain.N, "coupling index")
+    check_range(l, 0, chain.N, "coupling index")
     if l == 0:
         return chain.D0
     if l == chain.N:
@@ -461,7 +461,7 @@ def _check_level(chain: ChainModel, n: int, O) -> None:
     """Range check of a level n that reads n = chain.N as the untruncated
     chain.  A map cut by `chain_from_io(io, rows=k)` gives a chain with
     N = k whose level k is not untruncated: ValueError there."""
-    check_index(n, chain.N, "level")
+    check_range(n, 0, chain.N, "level")
     if n == chain.N and len(O) < O.shape[1]:
         raise ValueError(
             f"level {n} ends a chain cut at {len(O)} of {O.shape[1]} modes, "
@@ -533,7 +533,7 @@ def x_reduced_form(chain: ChainModel, n: int, traj: Trajectory,
     where the last term vanishes for n = N (D_N = 0).  With exact
     trajectories this reproduces traj.x to quadrature precision for every n.
     """
-    check_index(n, chain.N, "level", lo=1)
+    check_range(n, 1, chain.N, "level")
     _check_level(chain, n, O)
     check_grid(traj.times, float(chain.mode_freqs.max()))
     f0, hs = _free_ladder(chain, n, init, O, traj.times)
@@ -599,7 +599,7 @@ def epsilon1(chain: ChainModel, n: int, times, x_next) -> np.ndarray:
     Identically zero at n = N, so `chain` must be the full chain: one cut
     by `chain_from_io(io, rows=k)` returns zero at n = k, and with no map
     in hand this function cannot tell."""
-    check_index(n, chain.N, "truncation index")
+    check_range(n, 0, chain.N, "truncation index")
     times = np.asarray(times, dtype=float)
     if n == chain.N:
         return np.zeros_like(times)
@@ -621,7 +621,7 @@ def epsilon1_pointwise(chain: ChainModel, n: int, t_points, x_next_eval,
     (e.g. from the eigendecomposition).  Raises ValueError at larger times,
     which `epsilon1` covers on a time grid.
     """
-    check_index(n, chain.N, "truncation index")
+    check_range(n, 0, chain.N, "truncation index")
     t_points = np.asarray(t_points, dtype=float)
     if n == chain.N:
         return np.zeros_like(t_points)
@@ -776,7 +776,7 @@ def char_poly_eval(chain: ChainModel, j: int, lam):
     Three-term recurrence P_{j+1} = (Omega_{j+1}^2 - lam) P_j - D_j^2 P_{j-1}
     with P_0 = 1, P_{-1} = 0.  lam may be a scalar or an array.
     """
-    check_index(j, chain.N, "minor index")
+    check_range(j, 0, chain.N, "minor index")
     lam = np.asarray(lam, dtype=float)
     p_prev = np.zeros_like(lam)
     p = np.ones_like(lam)

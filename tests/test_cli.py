@@ -28,6 +28,7 @@ from chainbath.cli import (
 )
 from chainbath.errors import Breakdown
 from chainbath.spectral import chain_coefficients, chain_from_io
+from tests.conftest import assert_outside_printed_interval
 from tests.oracles import (
     char_poly_eval,
     evolve_truncated,
@@ -38,6 +39,8 @@ from tests.oracles import (
 
 
 LINEAR_4 = {"family": "linear", "N": 4, "omega_min": 0.8, "omega_max": 2.4, "c0": 0.4}
+LINEAR_1536 = {"family": "linear", "N": 1536, "omega_min": 0.5, "omega_max": 2.5,
+               "c0": 0.5 / math.sqrt(1536)}
 # an override that leaves its key out of the config
 ABSENT = object()
 
@@ -276,8 +279,12 @@ class TestExitCodes:
         # the random family draws Omega0 within instances.RANGE, narrower
         # than the SCALE that the other families allow
         pytest.param("build-chain", {"model": {"family": "random", "N": 4}, "Omega0": 1e50},
-                     "config.Omega0 must lie within [3.49e-39, 3.4e+38]",
-                     id="build-chain-random-Omega0"),
+                     "config.Omega0 must lie within [3.4947656141084224e-39, "
+                     "3.402823669209385e+38], not 1e+50", id="build-chain-random-Omega0"),
+        # a bound prints exactly: rounded, 1.16e77 read as inside [1.22e-77, 1.16e+77]
+        pytest.param("build-chain", {"Omega0": 1.16e77},
+                     "config.Omega0 must lie within [1.221338669755462e-77, "
+                     "1.157920892373162e+77], not 1.16e+77", id="build-chain-Omega0-above-SCALE"),
         pytest.param("build-chain", {"model": {"family": "random", "N": 4,
                                                "omega_range": [2.0, 1.0]}},
                      "config.model.omega_range must hold 2 numbers lo <= hi",
@@ -304,6 +311,14 @@ class TestExitCodes:
                        "config.truncations[1] must lie within [0, 4], not 5",
                        id=f"{command}-truncation-past-N")
           for command in ("simulate", "kernels", "bound")),
+        # rounded to three digits, 1537 and 1540 read as inside [0, 1.54e+03]
+        pytest.param("kernels", {"model": LINEAR_1536, "truncations": [1537]},
+                     "config.truncations[0] must lie within [0, 1536], not 1537",
+                     id="kernels-truncation-past-N1536"),
+        pytest.param("bound", {"model": LINEAR_1536, "truncations": [1],
+                               "initial_state": {"q0": [0.1] * 1540, "qdot0": [0.1] * 1540}},
+                     "config.initial_state.q0 must have a length within [1536, 1536], not 1540",
+                     id="bound-state-past-N1536"),
     ])
     def test_wrong_json_type(self, tmp_path, capsys, command, overrides, says):
         # a missing model, an unknown family or kind, or a value of another
@@ -318,6 +333,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid configuration") and err.count("\n") == 1
         assert says in err
+        assert_outside_printed_interval(err)
         assert not out.exists()
 
     @pytest.mark.parametrize("command, overrides, path", [

@@ -7,7 +7,8 @@ values mix in-regime numbers with negative ones, zeros, magnitudes from
 numpy `RuntimeWarning` into an error, so a warning fails the property as a
 traceback does.  An exit 2 names a `config.` path: the key refused, or
 the keys a bath, thermal draw or grid was built from where float64 or the
-convolution cannot hold it.
+convolution cannot hold it; a value refused for its range lies outside the
+interval the line prints.
 """
 
 import contextlib
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainbath.cli import _COMMANDS, main
+from tests.conftest import assert_outside_printed_interval
 
 MAGNITUDES = st.integers(-300, 300).map(lambda e: 10.0 ** e)
 # an extreme or invalid number: a magnitude from 1e-300 to 1e300 of either
@@ -127,6 +129,7 @@ def test_every_config_ends_in_a_documented_exit(tmp_path_factory, command, cfg):
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
         if code == 2:
             assert " config." in err, err
+            assert_outside_printed_interval(err)
     else:
         assert err == ""
         check_csv(tmp / "o.csv")

@@ -1,5 +1,6 @@
 """Exact linear evolution: assembly, trivial solutions, oracles, invariants."""
 
+import re
 import tracemalloc
 
 import mpmath
@@ -66,7 +67,8 @@ class TestAssembly:
 
     def test_index_out_of_range(self, small_instance):
         _, chain, _, _ = small_instance
-        with pytest.raises(ValueError, match=f"truncation index {chain.N + 1} outside"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"truncation index must lie within [0, {chain.N}], not {chain.N + 1}")):
             assemble_extended_matrix(chain, chain.N + 1)
 
     def test_io_matrix_layout(self):
@@ -187,7 +189,8 @@ class TestEvolveTruncatedX:
 
     def test_index_out_of_range(self, small_instance):
         _, chain, omap, init = small_instance
-        with pytest.raises(ValueError, match=f"truncation index {chain.N + 1} outside"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"truncation index must lie within [0, {chain.N}], not {chain.N + 1}")):
             evolve_truncated_x(chain, chain.N + 1, init, omap, np.linspace(0, 1, 3))
 
 
@@ -510,7 +513,8 @@ class TestEvolveIoModes:
     def test_state_must_fit_the_bath(self, small_instance):
         io, _, _, _ = small_instance
         other = InitialState(q0=np.zeros(io.N + 1), qdot0=np.zeros(io.N + 1))
-        with pytest.raises(ValueError, match=f"bath size {io.N} != initial-state size"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"initial-state size must lie within [{io.N}, {io.N}], not {io.N + 1}")):
             evolve_io_modes(io, other, np.empty((0, io.N)), np.linspace(0.0, 1.0, 3))
 
 
@@ -546,6 +550,14 @@ class TestInitialState:
         with pytest.raises(ValueError, match="finite and at most"):
             InitialState(q0=np.array(data.pop("q0")), qdot0=np.array(data.pop("qdot0")), **data)
 
+    def test_freezes_a_copy(self):
+        # the state is read-only, the caller's arrays stay theirs
+        q, p = np.array([0.1, 0.2]), np.array([0.3, 0.4])
+        init = InitialState(q0=q, qdot0=p)
+        q[0] = p[0] = 1.0
+        assert init.q0[0] == 0.1 and init.qdot0[0] == 0.3
+        assert not init.q0.flags.writeable and not init.qdot0.flags.writeable
+
 
 class TestFreeMode:
     def test_half_period(self):
@@ -561,8 +573,11 @@ class TestFreeMode:
         assert traj.x == pytest.approx(expect, abs=1e-12)
 
     def test_invalid_frequency(self):
-        with pytest.raises(ValueError):
-            free_mode_evolution(0.0, 1.0, 0.0, 0.5)
+        # NaN passes a bare `omega <= 0`: it once returned NaN samples
+        for omega in (0.0, np.nan):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"mode frequency must lie within [5e-324, inf], not {omega!r}")):
+                free_mode_evolution(omega, 1.0, 0.0, 0.5)
 
 
 class TestTrajectoryValidation:

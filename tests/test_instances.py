@@ -1,5 +1,7 @@
 """Parametric families and the seeded random instance generator."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,9 @@ def test_geometric_spectrum_ratio():
 
 @pytest.mark.parametrize("omega_min, omega_max", [(0.0, 2.0), (1.0, -2.0)])
 def test_geometric_spectrum_needs_positive_ends(omega_min, omega_max):
-    with pytest.raises(ValueError, match="> 0"):
+    name, value = ("omega_min", omega_min) if omega_min <= 0 else ("omega_max", omega_max)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must lie within [5e-324, inf], not {value!r}")):
         geometric_spectrum(4, omega_min, omega_max)
 
 
@@ -39,8 +43,13 @@ def test_geometric_spectrum_needs_positive_ends(omega_min, omega_max):
                                     {"Omega0_range": (RANGE[0] / 2, 1.0)},
                                     {"Omega0_range": (1.0, np.nan)}])
 def test_random_ranges_lie_within_range(ranges):
-    # each range is lo <= hi within RANGE, where the scaling's (sum c^2)^2 is finite
-    with pytest.raises(ValueError, match=f"{next(iter(ranges))} must be lo <= hi"):
+    # each range is lo <= hi within RANGE, where the scaling's (sum c^2)^2 is
+    # finite: lo is checked within RANGE, then hi within [lo, RANGE[1]]
+    (name, (lo, hi)), = ranges.items()
+    says = (f"{name}[0] must lie within [{RANGE[0]!r}, {RANGE[1]!r}], not {lo!r}"
+            if not RANGE[0] <= lo else
+            f"{name}[1] must lie within [{lo!r}, {RANGE[1]!r}], not {hi!r}")
+    with pytest.raises(ValueError, match=re.escape(says)):
         random_io_model(np.random.default_rng(0), 4, **ranges)
 
 

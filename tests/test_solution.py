@@ -1,6 +1,7 @@
 """Resolvent parameters, source construction, and the closed Volterra solution."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -93,8 +94,13 @@ class TestMuDelta:
         assert p.mu1 >= p.mu2 > 0
 
     def test_positivity_required(self):
-        with pytest.raises(ValueError, match="must be positive"):
+        with pytest.raises(ValueError, match=re.escape(
+                "Omega0 must lie within [5e-324, inf], not -1.0")):
             mu_delta(-1.0, 1.0, 0.5)
+        # NaN passes a bare `<= 0`: it once returned mu1 = mu2 = nan
+        with pytest.raises(ValueError, match=re.escape(
+                "Omega0 must lie within [5e-324, inf], not nan")):
+            mu_delta(np.nan, 1.0, 0.5)
 
     def test_resolvent_equation(self):
         # R = Lam K1 + Lam K1 * R with Lam = D0^2/(Om0 Om1)
