@@ -351,7 +351,7 @@ def cmd_simulate(cfg, out):
     chain, O = spectral.chain_from_io(io, rows=min(io.N, max([2, *below])))
     init = build_initial_state(cfg, io)
     times = np.linspace(0.0, float(cfg["t_max"]), cfg["samples"])
-    x_full, *X_2 = dynamics.evolve_io_modes(io, init, O[1:2], times)
+    x_full, *X_2 = dynamics.sample(dynamics.io_modes(io, init, O[1:2]), times)
     params = solution.mu_delta(chain.Omega0, chain.Omega[0], chain.D0)
     # the grid gate reads the rows built and the resolvent's top frequency
     _naming("config.samples", kernels.check_grid, times,
@@ -363,7 +363,7 @@ def cmd_simulate(cfg, out):
     for n in truncations:
         # n = N, the bath size, is x_full itself, with no second eigensolve
         cols[f"x_n{n}"] = (x_full if n == io.N
-                           else dynamics.evolve_truncated_x(chain, n, init, O, times))
+                           else dynamics.sample(dynamics.cut_modes(chain, n, init, O), times)[0])
     err = np.abs(x_full - x_vol)
     bound = VOLTERRA_RTOL * float(np.abs(x_full).max())
     passed = bool(err.max() <= bound)
@@ -409,11 +409,12 @@ def _cut_route(io, init, times, truncations):
     bound is exactly 0, so its columns are exactly 0 and it builds no chain."""
     below = [n for n in truncations if n < io.N]
     chain, O = spectral.chain_from_io(io, rows=max(1, *below)) if below else (None, None)
-    x_full = dynamics.evolve_io_x(io, init, times)
+    x_full = dynamics.sample(dynamics.io_modes(io, init, np.empty((0, io.N))), times)[0]
     floor = EPS_FLOOR_ROUNDOFFS * (np.finfo(float).eps / 2) * float(np.abs(x_full).max())
     cuts = []
     for n in truncations:
-        x_n = x_full if n == io.N else dynamics.evolve_truncated_x(chain, n, init, O, times)
+        x_n = (x_full if n == io.N
+               else dynamics.sample(dynamics.cut_modes(chain, n, init, O), times)[0])
         eps = np.abs(x_full - x_n)
         b_det = bounds.bound_deterministic(io, chain, n, times, init)
         cuts.append((n, eps, b_det, _ratio(eps, b_det)))

@@ -6,16 +6,21 @@ spectral decomposition:
     y(t) = V cos(sqrt(L) t) V^T y(0) + V sin(sqrt(L) t) L^{-1/2} V^T y'(0),
 
 which is exact up to eigensolver precision and has no time-step error.
-Truncating the chain after mode n means dropping the coupling D_n, i.e.
-keeping the leading (n+1) x (n+1) block of the extended matrix.  The
-untruncated x(t), and any chain coordinate whose map row is given
-(`evolve_io_modes`), need no eigensolve: the independent-oscillator matrix
-is an arrowhead, whose eigenvalues are the roots of a secular equation and
-whose eigenvectors follow from them in closed form, in O(N^2) time and
-BLOCK rows at a time.  Single coordinates (`_modal_row`) take a uniform
-grid from 0 by angle addition, BLOCK modes at a time, with trig on about
-2 sqrt(M) points per mode for M samples instead of M.  The dense
-evolutions that check these routes are in `tests/oracles.py`.
+Each evolution is a modal sum (w, V, a, b, y0), whose row i is
+
+    y0[i] + sum_j V[i, j] (a_j (cos(w_j t) - 1) + b_j sin(w_j t)),
+
+exact at t = 0.  `cut_modes` gives x alone for the chain cut after mode n,
+which drops the coupling D_n, i.e. keeps the leading (n+1) x (n+1) block
+of the extended matrix, from its dense eigensolve.  `io_modes` gives the
+untruncated x and any chain coordinate whose map row is given with no
+eigensolve: the independent-oscillator matrix is an arrowhead, whose
+eigenvalues are the roots of a secular equation and whose eigenvectors
+follow from them in closed form, in O(N^2) time and BLOCK rows at a time.
+`sample` puts every row on a uniform grid from 0 by angle addition, BLOCK
+modes at a time, with trig on about 2 sqrt(M) points per mode for M
+samples instead of M.  The dense evolutions that check these routes are
+in `tests/oracles.py`.
 
 Sign conventions: the extended chain matrix carries -D0 and -D_j off the
 diagonal (so the equations of motion read x'' = -Omega0^2 x + D0 X_1 with
@@ -35,9 +40,9 @@ from .errors import POSITIVE, UnstableMode, check_range
 from .kernels import _uniform_step
 from .spectral import SCALE, ChainModel, IOModel, _frozen_array
 
-# Rows per block of `evolve_io_x`'s O(N^2) sweeps over (root, pole) pairs,
-# and modes per block of `_modal_row`'s sums: one BLOCK x N distance buffer
-# is live at a time, 1 MB at N = 2048
+# Rows per block of `io_modes`' O(N^2) sweeps over (root, pole) pairs, and
+# modes per block of `sample`'s sums: one BLOCK x N distance buffer is live
+# at a time, 1 MB at N = 2048
 BLOCK = 64
 
 
@@ -93,49 +98,6 @@ def _decompose(A: np.ndarray):
     return np.sqrt(lam), V
 
 
-def _modal_data(A, y0, ydot0):
-    """Normal-mode frequencies w, eigenvectors V, and the modal amplitudes
-    a = V^T y0, b = V^T ydot0 / w of y'' = -A y."""
-    w, V = _decompose(A)
-    a = V.T @ np.asarray(y0, dtype=float)
-    b = (V.T @ np.asarray(ydot0, dtype=float)) / w
-    return w, V, a, b
-
-
-def _modal_row(modal, y0, i, times) -> np.ndarray:
-    """Coordinate i alone, y0[i] + sum_j (a_j (cos(w_j t) - 1) + b_j sin(w_j t)) V[i, j],
-    of the evolution `_modal_data` describes, exact at t = 0.
-
-    The grid must be uniform from 0 (`kernels._uniform_step`, ValueError
-    otherwise), and the samples go by angle addition: sample p B + q sits
-    at t_pB + t_q, B = ceil(sqrt(M)) for M samples, and
-    a cos(w t) + b sin(w t) there is (a cos(w t_pB) + b sin(w t_pB)) cos(w t_q)
-    + (b cos(w t_pB) - a sin(w t_pB)) sin(w t_q), so x is a sum of
-    (P, 2 b) x (2 b, B) products over the modes, BLOCK (b) at a time,
-    P = ceil(M / B), with trig on (P + B) dim points instead of M dim and
-    no (M, dim) array; the increment is taken from the sum's own t = 0
-    entry.  Up to BLOCK modes the sum is one product.
-    """
-    w, V, a, b = modal
-    alpha, beta = a * V[i], b * V[i]
-    times = np.asarray(times, dtype=float)
-    _uniform_step(times, "modal sum")
-    M = len(times)
-    B = math.isqrt(M - 1) + 1
-    for s in range(0, len(w), BLOCK):
-        wb, al, be = w[s:s + BLOCK], alpha[s:s + BLOCK], beta[s:s + BLOCK]
-        phase = np.multiply.outer(times[::B], wb)
-        cos_p, sin_p = np.cos(phase), np.sin(phase, out=phase)
-        coarse = np.concatenate([al * cos_p + be * sin_p, be * cos_p - al * sin_p], axis=1)
-        del cos_p, sin_p, phase
-        phase = np.multiply.outer(wb, times[:B])
-        fine = np.concatenate([np.cos(phase), np.sin(phase, out=phase)])
-        # no zero start: the first block's product is x, -0.0 included
-        x = coarse @ fine if s == 0 else x + coarse @ fine
-    x = x.ravel()[:M]
-    return y0[i] + (x - x[0])
-
-
 def extended_initial_conditions(O, init: InitialState, n: int):
     """Initial data (y0, ydot0) of the system plus the first n chain modes,
     system first, chain modes X(0) = -O[:n] q(0) (only the kept rows of the
@@ -147,25 +109,60 @@ def extended_initial_conditions(O, init: InitialState, n: int):
             np.concatenate([[init.xdot0], -(O @ init.qdot0)]))
 
 
-def evolve_truncated_x(chain: ChainModel, n: int, init: InitialState, O, times) -> np.ndarray:
-    """System coordinate x(t) of the chain cut after mode n (coupling D_n
-    dropped), on a uniform grid from 0, its chain data from the bath's
-    through the map O: n = chain.N on the full map is untruncated."""
+def cut_modes(chain: ChainModel, n: int, init: InitialState, O):
+    """The modal sum of x(t) alone for the chain cut after mode n (coupling
+    D_n dropped), its chain data from the bath's through the map O: n =
+    chain.N on the full map is untruncated.  w, V are the eigensystem of the
+    (n+1)-dimensional extended matrix, a = V^T y0 and b = V^T ydot0 / w;
+    V keeps the system row."""
     y0, ydot0 = extended_initial_conditions(O, init, n)
-    return _modal_row(_modal_data(assemble_extended_matrix(chain, n), y0, ydot0), y0, 0, times)
+    w, V = _decompose(assemble_extended_matrix(chain, n))
+    return w, V[:1], V.T @ y0, (V.T @ ydot0) / w, y0[:1]
 
 
-def evolve_io_x(io: IOModel, init: InitialState, times) -> np.ndarray:
-    """The untruncated x(t), with no eigensolve and no chain map: row 0 of
-    `evolve_io_modes` with no map rows."""
-    return evolve_io_modes(io, init, np.empty((0, io.N)), times)[0]
+def sample(modes, times) -> np.ndarray:
+    """Every row of the modal sum (w, V, a, b, y0),
+    y0[i] + sum_j V[i, j] (a_j (cos(w_j t) - 1) + b_j sin(w_j t)), one row
+    per row of V, exact at t = 0.
+
+    The grid must be uniform from 0 (`kernels._uniform_step`, ValueError
+    otherwise), and the samples go by angle addition: sample p B + q sits
+    at t_pB + t_q, B = ceil(sqrt(M)) for M samples, and
+    a cos(w t) + b sin(w t) there is (a cos(w t_pB) + b sin(w t_pB)) cos(w t_q)
+    + (b cos(w t_pB) - a sin(w t_pB)) sin(w t_q), so a row is a sum of
+    (P, 2 b) x (2 b, B) products over the modes, BLOCK (b) at a time,
+    P = ceil(M / B), with trig on (P + B) dim points instead of M dim and
+    no (M, dim) array; the increment is taken from the sum's own t = 0
+    entry.  Up to BLOCK modes the sum is one product.
+    """
+    w, V, a, b, y0 = modes
+    times = np.asarray(times, dtype=float)
+    _uniform_step(times, "modal sum")
+    M = len(times)
+    B = math.isqrt(M - 1) + 1
+    rows = np.empty((len(V), M))
+    for i, v in enumerate(V):
+        alpha, beta = a * v, b * v
+        for s in range(0, len(w), BLOCK):
+            wb, al, be = w[s:s + BLOCK], alpha[s:s + BLOCK], beta[s:s + BLOCK]
+            phase = np.multiply.outer(times[::B], wb)
+            cos_p, sin_p = np.cos(phase), np.sin(phase, out=phase)
+            coarse = np.concatenate([al * cos_p + be * sin_p, be * cos_p - al * sin_p], axis=1)
+            del cos_p, sin_p, phase
+            phase = np.multiply.outer(wb, times[:B])
+            fine = np.concatenate([np.cos(phase), np.sin(phase, out=phase)])
+            # no zero start: the first block's product is x, -0.0 included
+            x = coarse @ fine if s == 0 else x + coarse @ fine
+        x = x.ravel()[:M]
+        rows[i] = y0[i] + (x - x[0])
+    return rows
 
 
-def evolve_io_modes(io: IOModel, init: InitialState, O, times) -> np.ndarray:
-    """Rows x(t) and -O[i] . q(t), the chain coordinates of the map rows O,
-    from the independent-oscillator picture with no eigensolve:
-    O((N + len(O)) N) time besides the samples, O(BLOCK N) memory besides
-    `_modal_row`'s, and row 0 bitwise the same for any O.
+def io_modes(io: IOModel, init: InitialState, O):
+    """The modal sum of x(t) (row 0) and of -O[i] . q(t), the chain
+    coordinates of the map rows O (rows 1..), from the independent-oscillator
+    picture with no eigensolve: O((N + len(O)) N) time and O(BLOCK N) memory
+    besides the rows, and row 0 the same for any O.
 
     Eigenvalues come from `_secular_roots`, once the Schur complement
     Omega0^2 - sum_k c_k^2 / omega_k^2 > 0 shows that they are all positive
@@ -184,7 +181,8 @@ def evolve_io_modes(io: IOModel, init: InitialState, O, times) -> np.ndarray:
         raise ValueError(f"map rows of shape {O.shape} do not act on {io.N} bath modes")
     # a coupling below the matrix's rounding level decouples its mode
     # (deflation): its root would sit closer to the pole than a double
-    # resolves; it keeps its frequency and reaches the chain rows alone
+    # resolves; it keeps its frequency, weighs 0 in x and reaches the chain
+    # rows alone
     eps = np.finfo(float).eps
     keep = io.c > eps * (max(io.Omega0**2, io.omega[-1] ** 2) + np.linalg.norm(io.c))
     d, c2, alpha = io.omega[keep] ** 2, io.c[keep] ** 2, io.Omega0**2
@@ -209,17 +207,14 @@ def evolve_io_modes(io: IOModel, init: InitialState, O, times) -> np.ndarray:
         amp_O[rows] = Q @ weighted_O
         np.square(Q, out=Q)
         norm2[rows] = Q @ c2_hat
-    del Q  # the sweep's buffer goes before the modal sums
     v0 = 1.0 / np.sqrt(1.0 + norm2)
     w = np.sqrt(sigma + tau)
-    a = v0 * (init.x0 + amp[:, 0])
-    b = v0 * (init.xdot0 + amp[:, 1]) / w
-    x = _modal_row((w, v0[None, :], a, b), [init.x0], 0, times)
     free, w_free = ~keep, io.omega[~keep]
-    chain = (np.concatenate([w, w_free]), np.concatenate([v0 * amp_O.T, -O[:, free]], axis=1),
-             np.concatenate([a, init.q0[free]]), np.concatenate([b, init.qdot0[free] / w_free]))
-    X0 = -(O @ init.q0)
-    return np.array([x, *(_modal_row(chain, X0, i, times) for i in range(len(O)))])
+    V = np.block([[v0, np.zeros(len(w_free))], [v0 * amp_O.T, -O[:, free]]])
+    return (np.concatenate([w, w_free]), V,
+            np.concatenate([v0 * (init.x0 + amp[:, 0]), init.q0[free]]),
+            np.concatenate([v0 * (init.xdot0 + amp[:, 1]) / w, init.qdot0[free] / w_free]),
+            extended_initial_conditions(O, init, len(O))[0])
 
 
 def _distance_blocks(d, sigma, tau):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from chainbath.dynamics import cut_modes, io_modes, sample
 from chainbath.instances import (
     coupling_profile,
     random_initial_state,
@@ -19,6 +20,17 @@ def make_instance(seed, N, **kwargs):
     chain, omap = chain_from_io(io)
     init = random_initial_state(rng, io.N)
     return io, chain, omap, init
+
+
+def bath_x(io, init, times):
+    """The untruncated x(t) from the bath: row 0 of `io_modes` with no map
+    rows, sampled."""
+    return sample(io_modes(io, init, np.empty((0, io.N))), times)[0]
+
+
+def cut_x(chain, n, init, omap, times):
+    """x(t) of the chain cut after mode n, sampled."""
+    return sample(cut_modes(chain, n, init, omap), times)[0]
 
 
 def assert_outside_printed_interval(err):

@@ -27,7 +27,8 @@ from tests.conftest import LARGE_BATH_TIMES, large_bath_case
 
 # the cases whose dense oracle is further than half the test's 1e-12
 # max|x| from these samples: 2.27e-12, 7.64e-13, 1.08e-12 and 1.99e-12,
-# where `evolve_io_x` is within 4e-15 (the other five read 4e-14 to 4.4e-13)
+# where the secular route (`io_modes`) is within 4e-15 (the other five
+# read 4e-14 to 4.4e-13)
 CASES = [(0, 511, 1.0), (642921185, 542, 2.001), (2751905003, 318, 3.337),
          (210481816, 511, 1.623)]
 PATH = Path(__file__).with_name("x_reference.json")

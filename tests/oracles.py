@@ -9,8 +9,9 @@ same quantities:
   (`kernel_closed_form`, `kernel_eval`), the Taylor series at the origin
   (`kernel_deriv_zero`, `kernel_taylor`) and nested Gauss-Legendre
   quadrature (`kernel_quadrature`);
-- the dense eigendecomposition dynamics (`evolve_raw`, `evolve_exact`,
-  `evolve_truncated`, `evolve_io`) with the energy and response helpers;
+- the dense eigendecomposition dynamics (`dense_modes`, the modal sum of
+  every row, and `evolve_raw`, `evolve_exact`, `evolve_truncated`,
+  `evolve_io`) with the energy and response helpers;
 - the level-n free ladder `free_source_series` and Volterra source
   `source_term`, which read level n = N as the untruncated chain, the
   reduced-form identity `x_reduced_form` and a marching Volterra solver;
@@ -34,6 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from chainbath import dynamics
 from chainbath.bounds import (
     ThermalState,
     bound_deterministic,
@@ -41,15 +43,13 @@ from chainbath.bounds import (
 )
 from chainbath.dynamics import (
     InitialState,
-    _decompose,
-    _modal_data,
-    _modal_row,
     assemble_extended_matrix,
-    evolve_truncated_x,
+    cut_modes,
     extended_initial_conditions,
     free_mode_evolution,
+    sample,
 )
-from chainbath.errors import ChainBathError, check_range
+from chainbath.errors import POSITIVE, ChainBathError, check_range
 from chainbath.kernels import check_grid, convolve_on_grid
 from chainbath.solution import VolterraParams, nested_convolve
 from chainbath.spectral import (
@@ -208,10 +208,8 @@ def kernel_quadrature(freqs, tau, tol: float = 1e-10) -> float:
     Coincident frequencies are fine here.
     """
     freqs = _check_freqs(freqs)
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_range(tau, 0.0, math.inf, "tau")
+    check_range(tol, POSITIVE, math.inf, "tol")
     taus = np.array([float(tau)])
     depth = len(freqs) - 1
     if depth == 0:
@@ -252,8 +250,7 @@ def kernel_deriv_zero(freqs, k: int) -> float:
     for coincident frequencies as well (the confluent case).
     """
     freqs = _check_freqs(freqs)
-    if k < 0:
-        raise ValueError("derivative order must be >= 0")
+    check_range(k, 0, math.inf, "derivative order")
     i = len(freqs) - 1
     if k % 2 == 0 or k <= 2 * i:
         return 0.0
@@ -269,8 +266,7 @@ def kernel_taylor(freqs, max_order: int, tau) -> float:
     """
     freqs = _check_freqs(freqs)
     i = len(freqs) - 1
-    if max_order < 2 * i + 2:
-        raise ValueError(f"max_order must be >= {2 * i + 2} for nesting depth {i}")
+    check_range(max_order, 2 * i + 2, math.inf, "max_order")
     tau = float(tau)
     w2 = freqs**2
     prod = float(np.prod(freqs))
@@ -345,14 +341,23 @@ def evolve_raw(A, y0, ydot0, times):
     Returns (Y, Ydot) with shape (len(times), dim).  Raises UnstableMode if
     A has a non-positive eigenvalue.
     """
-    return _evolve_modal(_modal_data(A, y0, ydot0), y0, ydot0, times)
+    return _evolve_modal(dense_modes(A, y0, ydot0), ydot0, times)
 
 
-def _evolve_modal(modal, y0, ydot0, times):
-    """`evolve_raw`'s (Y, Ydot) from the modal data (w, V, a, b) of
-    `dynamics._modal_data`."""
-    w, V, a, b = modal
-    y0, ydot0 = np.asarray(y0, dtype=float), np.asarray(ydot0, dtype=float)
+def dense_modes(A, y0, ydot0):
+    """The modal sum (w, V, a, b, y0) of y'' = -A y with every row kept, as
+    `dynamics.cut_modes` forms it: w and V from the dense eigensolve,
+    a = V^T y0 and b = V^T ydot0 / w."""
+    w, V = dynamics._decompose(A)
+    y0 = np.asarray(y0, dtype=float)
+    return w, V, V.T @ y0, (V.T @ np.asarray(ydot0, dtype=float)) / w, y0
+
+
+def _evolve_modal(modes, ydot0, times):
+    """`evolve_raw`'s (Y, Ydot) from a modal sum (w, V, a, b, y0) and the
+    initial velocities ydot0, every row by the direct sum over the modes."""
+    w, V, a, b, y0 = modes
+    ydot0 = np.asarray(ydot0, dtype=float)
     wt = np.multiply.outer(np.asarray(times, dtype=float), w)
     cosm1_wt, sin_wt = np.cos(wt) - 1.0, np.sin(wt)
     # written as increments from the initial data so that t = 0 is bit-exact
@@ -396,18 +401,17 @@ def evolve_io(io: IOModel, init: InitialState, times) -> Trajectory:
     dense route is within 1.7e-13.  Where longdouble is double, the
     quotients are only as good as eigh's.
     """
-    if io.N != init.N:
-        raise ValueError(f"bath size {io.N} != initial-state size {init.N}")
+    check_range(init.N, io.N, io.N, "initial-state size")
     A = assemble_io_matrix(io)
     y0 = np.concatenate([[init.x0], init.q0])
     ydot0 = np.concatenate([[init.xdot0], init.qdot0])
-    w, V, a, b = _modal_data(A, y0, ydot0)
+    w, V, a, b, _ = dense_modes(A, y0, ydot0)
     Al, Vl = A.astype(np.longdouble), V.astype(np.longdouble)
     v0, vq = Vl[0], Vl[1:]
     quotient = (Al[0, 0] * v0 * v0 + 2 * v0 * (Al[0, 1:] @ vq)
                 + np.diag(Al)[1:] @ (vq * vq)) / np.sum(Vl * Vl, axis=0)
     w_rq = np.sqrt(quotient.astype(float))
-    Y, Ydot = _evolve_modal((w_rq, V, a, b * w / w_rq), y0, ydot0, times)
+    Y, Ydot = _evolve_modal((w_rq, V, a, b * w / w_rq, y0), ydot0, times)
     return Trajectory(times=np.asarray(times, dtype=float),
                       x=Y[:, 0], xdot=Ydot[:, 0], X=Y[:, 1:].T, Xdot=Ydot[:, 1:].T)
 
@@ -427,7 +431,7 @@ def system_response(A, times):
     conditions be propagated with one matrix product (used by the thermal
     Monte-Carlo machinery).
     """
-    w, V = _decompose(A)
+    w, V = dynamics._decompose(A)
     times = np.asarray(times, dtype=float)
     wt = np.multiply.outer(times, w)
     Gq = (np.cos(wt) * V[0]) @ V.T
@@ -723,9 +727,9 @@ def error_report(io: IOModel, chain: ChainModel, O, n: int,
             f"{len(O)} of {O.shape[1]} rows")
     times = np.asarray(times, dtype=float)
     y0, ydot0 = extended_initial_conditions(O, init, chain.N)
-    full = _modal_data(assemble_extended_matrix(chain, chain.N), y0, ydot0)
-    x_full = _modal_row(full, y0, 0, times)
-    x_n = x_full if n == chain.N else evolve_truncated_x(chain, n, init, O, times)
+    w, V, a, b, _ = full = dense_modes(assemble_extended_matrix(chain, chain.N), y0, ydot0)
+    x_full = sample((w, V[:1], a, b, y0[:1]), times)[0]
+    x_n = x_full if n == chain.N else sample(cut_modes(chain, n, init, O), times)[0]
     eps = np.abs(x_full - x_n)
     b_det = bound_deterministic(io, chain, n, times, init)
     b_th = bound_thermal(io, chain, n, times, th) if th is not None else None
@@ -734,13 +738,8 @@ def error_report(io: IOModel, chain: ChainModel, O, n: int,
     if n < chain.N:
         wmax = float(chain.mode_freqs.max())
         ts = np.geomspace(1e-3 / wmax, 1e-2 / wmax, 9)
-        w, V, a, b = full
-
-        def x_next(s):
-            ws = np.multiply.outer(s, w)
-            return y0[n + 1] + (np.cos(ws) - 1.0) @ (a * V[n + 1]) + np.sin(ws) @ (b * V[n + 1])
-
-        e1 = np.abs(epsilon1_pointwise(chain, n, ts, x_next))
+        e1 = np.abs(epsilon1_pointwise(
+            chain, n, ts, lambda s: _evolve_modal(full, ydot0, s)[0][:, n + 1]))
         if np.all(e1 > 0):
             slope = fit_loglog_slope(ts, e1)
 
@@ -830,10 +829,8 @@ def verify_equivalence(io: IOModel, chain: ChainModel, O,
     1e-16 * max(omega^2); where they fail, it is the distance of the
     eigenvalue bisected on the same counts, above delta.
     """
-    if not (io.N == chain.N == len(O)):
-        raise ValueError(
-            f"sizes disagree: io N={io.N}, chain N={chain.N}, map N={len(O)}"
-        )
+    check_range(chain.N, io.N, io.N, "chain size")
+    check_range(len(O), io.N, io.N, "map rows")
     w2 = io.omega**2
     scale = w2.max()
     a, off = chain.Omega**2, chain.D

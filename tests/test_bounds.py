@@ -20,7 +20,6 @@ from chainbath import dynamics
 from chainbath.dynamics import (
     InitialState,
     assemble_extended_matrix,
-    evolve_truncated_x,
     extended_initial_conditions,
 )
 from chainbath.instances import (
@@ -33,7 +32,7 @@ from chainbath.instances import (
 )
 from chainbath.solution import mu_delta, volterra_source
 from chainbath.spectral import build_io_model, chain_coefficients, chain_from_io
-from tests.conftest import long_chain, make_instance
+from tests.conftest import cut_x, long_chain, make_instance
 from tests.oracles import (
     GridMismatch,
     char_poly_eval,
@@ -470,8 +469,8 @@ class TestSmallTimeSlope:
         assert sorted(calls) == [n + 1, N + 1]
         monkeypatch.undo()
 
-        x_full = evolve_truncated_x(chain, N, init, omap, times)
-        x_n = evolve_truncated_x(chain, n, init, omap, times)
+        x_full = cut_x(chain, N, init, omap, times)
+        x_n = cut_x(chain, n, init, omap, times)
         assert np.array_equal(rep.eps_empirical, np.abs(x_full - x_n))
 
         A_full = assemble_extended_matrix(chain, N)

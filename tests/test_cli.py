@@ -28,7 +28,7 @@ from chainbath.cli import (
 )
 from chainbath.errors import Breakdown
 from chainbath.spectral import chain_coefficients, chain_from_io
-from tests.conftest import assert_outside_printed_interval
+from tests.conftest import assert_outside_printed_interval, bath_x, cut_x
 from tests.oracles import (
     char_poly_eval,
     evolve_truncated,
@@ -605,7 +605,7 @@ class TestSimulate:
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(traj.x).max()
         for n in cuts:
             x_n = (data[:, header.index("x_full")] if n == N
-                   else dynamics.evolve_truncated_x(chain, n, init, omap, times))
+                   else cut_x(chain, n, init, omap, times))
             assert np.array_equal(data[:, header.index(f"x_n{n}")], x_n)
 
     def test_four_single_sine_convolutions(self, tmp_path, monkeypatch):
@@ -915,9 +915,9 @@ class TestBoundCommand:
         init = build_initial_state(cfg, io)
         chain, omap = chain_from_io(io)
         times = data[:, 0]
-        x_full = dynamics.evolve_truncated_x(chain, N, init, omap, times)
+        x_full = cut_x(chain, N, init, omap, times)
         for n in (1, 4):
-            x_n = dynamics.evolve_truncated_x(chain, n, init, omap, times)
+            x_n = cut_x(chain, n, init, omap, times)
             eps = data[:, header.index(f"eps_n{n}")]
             assert np.abs(eps - np.abs(x_full - x_n)).max() <= 1e-13 * np.abs(x_full).max()
             assert eps.max() > 1e-6 * np.abs(x_full).max()
@@ -940,7 +940,7 @@ class TestBoundCommand:
         eps = data[:, [header.index(f"eps_n{n}") for n in (1, 4, 16, 32)]]
         cfg = resolve_config(cfg, {})
         io = build_model(cfg)
-        floor = eps_floor(dynamics.evolve_io_x(io, build_initial_state(cfg, io), data[:, 0]))
+        floor = eps_floor(bath_x(io, build_initial_state(cfg, io), data[:, 0]))
         assert diag["samples_below_floor"] == np.count_nonzero(eps <= floor)
         # the CSV's ratio columns are unchanged: there, the floor dominates
         assert data[:, header.index("ratio_n32")].max() > 1.0
@@ -1004,7 +1004,7 @@ class TestBoundCommand:
         assert np.isinf(ratio).any()
         cfg = resolve_config(cfg, {})
         io = build_model(cfg)
-        x_full = dynamics.evolve_io_x(io, build_initial_state(cfg, io), data[:, 0])
+        x_full = bath_x(io, build_initial_state(cfg, io), data[:, 0])
         assert np.all(eps[np.isinf(ratio)] <= eps_floor(x_full))
         diag = json.loads((tmp_path / "bound.csv.resolved.json").read_text())["diagnostics"]
         assert math.isfinite(diag["max_ratio"])
@@ -1043,7 +1043,7 @@ class TestBoundCommand:
         ratio = data[:, [header.index(f"ratio_n{n}") for n in (4, 16)]]
         cfg = resolve_config(cfg_path, {})
         io = build_model(cfg)
-        floor = eps_floor(dynamics.evolve_io_x(io, build_initial_state(cfg, io), data[:, 0]))
+        floor = eps_floor(bath_x(io, build_initial_state(cfg, io), data[:, 0]))
         above = eps > floor
         vacuous = above & np.isinf(b_det)
         assert diag["samples_vacuous"] == np.count_nonzero(vacuous) > 4000
@@ -1262,11 +1262,10 @@ class TestSweep:
             init = bounds.sample_thermal(io, bounds.ThermalState(0.5), seq.spawn(1)[0])
             times = np.linspace(0.0, 3.0 / float(io.omega.max()), 256)
             chain, omap = chain_from_io(io)
-            eps = np.abs(dynamics.evolve_io_x(io, init, times)
-                         - dynamics.evolve_truncated_x(chain, n, init, omap, times))
+            eps = np.abs(bath_x(io, init, times) - cut_x(chain, n, init, omap, times))
             assert max_eps == eps.max()
             b = bounds.bound_deterministic(io, chain, n, times, init)
-            above = eps > eps_floor(dynamics.evolve_io_x(io, init, times))
+            above = eps > eps_floor(bath_x(io, init, times))
             assert max_ratio == (eps[above] / b[above]).max()
             assert 0.0 < max_ratio <= 1.0
 

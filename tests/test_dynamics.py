@@ -15,21 +15,21 @@ from chainbath.dynamics import (
     BLOCK,
     InitialState,
     _distance_blocks,
-    _modal_data,
-    _modal_row,
     _secular_roots,
     assemble_extended_matrix,
-    evolve_io_modes,
-    evolve_io_x,
-    evolve_truncated_x,
+    cut_modes,
     extended_initial_conditions,
     free_mode_evolution,
+    io_modes,
+    sample,
 )
 from chainbath.errors import UnstableMode
 from chainbath.instances import geometric_spectrum, linear_spectrum, random_initial_state
 from chainbath.spectral import ChainModel, build_io_model, chain_from_io
 from tests.conftest import (
     LARGE_BATH_TIMES,
+    bath_x,
+    cut_x,
     large_bath_case,
     long_chain,
     make_instance,
@@ -40,6 +40,7 @@ from tests.make_x_reference import committed_reference
 from tests.oracles import (
     Trajectory,
     assemble_io_matrix,
+    dense_modes,
     evolve_exact,
     evolve_io,
     evolve_raw,
@@ -177,21 +178,36 @@ class TestEvolveTruncatedX:
         io, chain, omap, init = make_instance(seed, N)
         times = np.linspace(0, 20 / chain.Omega0, 257)
         for n in (0, 1, N // 2, N):
-            x = evolve_truncated_x(chain, n, init, omap, times)
+            x = cut_x(chain, n, init, omap, times)
             ref = evolve_truncated(chain, n, init, omap, times).x
             assert np.abs(x - ref).max() <= 1e-13 * np.abs(ref).max(), f"n={n}"
 
     def test_initial_value_exact(self, small_instance):
         _, chain, omap, init = small_instance
         for n in range(chain.N + 1):
-            x = evolve_truncated_x(chain, n, init, omap, np.linspace(0, 3, 7))
+            x = cut_x(chain, n, init, omap, np.linspace(0, 3, 7))
             assert x[0] == init.x0
 
     def test_index_out_of_range(self, small_instance):
         _, chain, omap, init = small_instance
         with pytest.raises(ValueError, match=re.escape(
                 f"truncation index must lie within [0, {chain.N}], not {chain.N + 1}")):
-            evolve_truncated_x(chain, chain.N + 1, init, omap, np.linspace(0, 1, 3))
+            cut_x(chain, chain.N + 1, init, omap, np.linspace(0, 1, 3))
+
+    def test_modal_sum_means_x(self):
+        # on seeded random baths and a strong one (c_k = 3), every cut: the
+        # moments are those of the cut matrix's (0, 0) entry, 1, Omega0^2
+        # and Omega0^4 + D0^2 (no D0 at n = 0)
+        cases = [make_instance(seed, N) for seed, N in ((1, 2), (2, 7), (3, 40), (4, 150))]
+        strong = build_io_model([0.5, 0.6, 0.7], [3.0, 3.0, 3.0], 10.0)
+        cases.append((strong, *chain_from_io(strong),
+                      random_initial_state(np.random.default_rng(8), strong.N)))
+        for _, chain, omap, init in cases:
+            times = np.linspace(0.0, 50.0, 1025)
+            for n in sorted({0, 1, chain.N // 2, chain.N}):
+                W2 = chain.Omega0**2
+                assert_modal_sum_facts(cut_modes(chain, n, init, omap), init.x0,
+                                       [1.0, W2, W2 * W2 + (chain.D0**2 if n else 0.0)], times)
 
 
 def x_mpmath(io, init, times, dps=40):
@@ -207,28 +223,26 @@ def x_mpmath(io, init, times, dps=40):
             for j in range(len(w)))) for t in map(mpmath.mpf, times)])
 
 
-def chain_modal_data(seed):
-    """A seeded 12-mode instance, its untruncated chain's initial data y0
-    and the `_modal_data` of that chain."""
-    io, chain, omap, init = make_instance(seed, 12)
-    y0, ydot0 = extended_initial_conditions(omap, init, len(omap))
-    modal = _modal_data(assemble_extended_matrix(chain, chain.N), y0, ydot0)
-    return io, init, y0, modal
-
-
-def direct_row(modal, y0, times):
-    """Coordinate 0 as the direct sum over the modes, which `_modal_row`'s
-    angle-addition product must reproduce."""
-    w, V, a, b = modal
-    wt = np.multiply.outer(times, w)
-    return y0[0] + (np.cos(wt) - 1.0) @ (a * V[0]) + np.sin(wt) @ (b * V[0])
+def assert_modal_sum_facts(modes, x0, moments, times):
+    """What a modal sum (w, V, a, b, y0) of x means: `sample` is y0 at
+    t = 0 exactly, sum_j V[0, j] a_j is x0, the even moments
+    sum_j V[0, j]^2 w_j^(2k) are `moments` (k = 0, 1, ...), and
+    max|x| <= A = sum_j |V[0, j]| hypot(a_j, b_j)."""
+    w, V, a, b, y0 = modes
+    rows = sample(modes, times)
+    assert np.array_equal(rows[:, 0], y0)
+    assert abs(np.sum(V[0] * a) - x0) <= 4e-15 * np.sum(np.abs(V[0] * a))
+    v2 = V[0] ** 2
+    for k, moment in enumerate(moments):
+        assert np.sum(v2 * w ** (2 * k)) == pytest.approx(moment, rel=4e-15), f"k={k}"
+    assert np.abs(rows[0]).max() <= np.sum(np.abs(V[0]) * np.hypot(a, b))
 
 
 def assert_matches_dense(io, init, times, ref=None):
-    """`evolve_io_x` against the dense eigensolve of `evolve_io`, or against
+    """`bath_x` against the dense eigensolve of `evolve_io`, or against
     `ref` where given: x to 1e-12 max|x|, the eigenvalues to 1e-13
     lambda_max, x0 exact at t = 0."""
-    x = evolve_io_x(io, init, times)
+    x = bath_x(io, init, times)
     ref = evolve_io(io, init, times).x if ref is None else ref
     assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
     assert x[0] == init.x0
@@ -255,7 +269,7 @@ class TestEvolveIoX:
         bath = random_bath(data, N)
         io = build_io_model(bath.omega, bath.c, np.sqrt(schur(bath) * (1.0 - below)))
         init = random_initial_state(np.random.default_rng(N), N)
-        for evolve in (evolve_io_x, evolve_io):
+        for evolve in (bath_x, evolve_io):
             with pytest.raises(UnstableMode):
                 evolve(io, init, np.linspace(0.0, 1.0, 3))
 
@@ -319,28 +333,32 @@ class TestEvolveIoX:
         bent[100] += 1e-6 * bent[1]
         for times in (np.geomspace(1e-3, 10.0, 65), bent):
             with pytest.raises(ValueError, match="uniform"):
-                evolve_io_x(io, init, times)
+                bath_x(io, init, times)
             with pytest.raises(ValueError, match="uniform"):
-                evolve_truncated_x(chain, 4, init, omap, times)
+                cut_x(chain, 4, init, omap, times)
 
     def test_uniform_grid_matches_the_direct_form(self):
-        _, _, y0, modal = chain_modal_data(22)
+        # every row of the untruncated chain's modal sum against the direct
+        # sum over the modes, which the angle-addition product must reproduce
+        _, chain, omap, init = make_instance(22, 12)
+        y0, ydot0 = extended_initial_conditions(omap, init, len(omap))
+        A = assemble_extended_matrix(chain, chain.N)
         times = np.linspace(0.0, 100.0, 8192)
-        x, direct = _modal_row(modal, y0, 0, times), direct_row(modal, y0, times)
-        assert x[0] == y0[0]
-        assert np.abs(x - direct).max() <= 1e-13 * np.abs(direct).max()
+        rows, direct = sample(dense_modes(A, y0, ydot0), times), evolve_raw(A, y0, ydot0, times)[0].T
+        assert np.array_equal(rows[:, 0], y0)
+        assert np.all(np.abs(rows - direct).max(axis=1) <= 1e-13 * np.abs(direct).max(axis=1))
 
     @pytest.mark.parametrize("dim", [BLOCK, BLOCK + 1, 3 * BLOCK + 5])
     def test_modes_go_by_blocks(self, monkeypatch, dim):
         # up to BLOCK modes x is the one product, bit for bit; past it the
         # blocks' sum is that product to rounding of the modal amplitudes
         rng = np.random.default_rng(dim)
-        w, V, a, b = modal = (rng.uniform(0.5, 2.5, dim), rng.standard_normal((1, dim)),
-                              rng.standard_normal(dim), rng.standard_normal(dim))
+        w, V, a, b, _ = modes = (rng.uniform(0.5, 2.5, dim), rng.standard_normal((1, dim)),
+                                 rng.standard_normal(dim), rng.standard_normal(dim), [0.3])
         times = np.linspace(0.0, 10.0, 2048)
-        x = _modal_row(modal, [0.3], 0, times)
+        x = sample(modes, times)[0]
         monkeypatch.setattr(dynamics, "BLOCK", 10**6)
-        one = _modal_row(modal, [0.3], 0, times)
+        one = sample(modes, times)[0]
         if dim <= BLOCK:
             assert np.array_equal(x, one)
         else:
@@ -358,7 +376,7 @@ class TestEvolveIoX:
         times = np.linspace(0.0, 10.0, 2048)
         tracemalloc.start()
         try:
-            x = evolve_io_x(io, init, times)
+            x = bath_x(io, init, times)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -403,7 +421,7 @@ class TestEvolveIoX:
         io = build_io_model(np.insert(omega, k, w_k), np.insert(c, k, coupling), 1.2)
         init = random_initial_state(np.random.default_rng(3), io.N)
         times = np.linspace(0.0, 20.0, 513)
-        x = evolve_io_x(io, init, times)
+        x = bath_x(io, init, times)
         ref = evolve_io(io, init, times).x
         assert np.abs(x - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -424,7 +442,7 @@ class TestEvolveIoX:
         init = random_initial_state(np.random.default_rng(3), io.N)
         times = np.linspace(0.0, 20.0, 129)
         ref = x_mpmath(io, init, times)
-        assert np.abs(evolve_io_x(io, init, times) - ref).max() <= 5e-15 * np.abs(ref).max()
+        assert np.abs(bath_x(io, init, times) - ref).max() <= 5e-15 * np.abs(ref).max()
 
     def test_frequencies_one_ulp_apart(self):
         # the middle of the bracket between the two poles rounds onto one of
@@ -443,7 +461,7 @@ class TestEvolveIoX:
         times = np.linspace(0.0, 10.0, 257)
         for c in ([0.5, tiny, 0.4], [tiny] * 3):
             io = build_io_model([1.0, 2.0, 3.0], c, 1.5)
-            x = evolve_io_x(io, init, times)
+            x = bath_x(io, init, times)
             assert np.abs(x - evolve_io(io, init, times).x).max() <= 1e-12 * np.abs(x).max()
 
     @pytest.mark.parametrize("side", [-1.0, 1.0])
@@ -456,7 +474,7 @@ class TestEvolveIoX:
         times = np.linspace(0.0, 10.0, 257)
         if side < 0:
             with pytest.raises(UnstableMode):
-                evolve_io_x(io, init, times)
+                bath_x(io, init, times)
         else:
             lam = assert_matches_dense(io, init, times)
             assert 0.0 < lam.min() < 1e-8
@@ -470,13 +488,13 @@ class TestEvolveIoX:
 
 class TestEvolveIoModes:
     """Rows -O[i] . q(t) for any rows O against the dense oscillator
-    picture; row 0 is `evolve_io_x` bit for bit."""
+    picture; row 0 is `bath_x` bit for bit."""
 
     @staticmethod
     def assert_rows_match_dense(io, O, init, times):
-        rows = evolve_io_modes(io, init, O, times)
+        rows = sample(io_modes(io, init, O), times)
         ref = -(O @ evolve_io(io, init, times).X)
-        assert np.array_equal(rows[0], evolve_io_x(io, init, times))
+        assert np.array_equal(rows[0], bath_x(io, init, times))
         assert np.array_equal(rows[1:, 0], -(O @ init.q0))
         assert np.abs(rows[1:] - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -492,7 +510,7 @@ class TestEvolveIoModes:
         # with map rows, the rows are the chain coordinates X_j(t)
         io, chain, omap, init = make_instance(6, 12)
         times = np.linspace(0.0, 10.0, 257)
-        rows = evolve_io_modes(io, init, omap[:3], times)
+        rows = sample(io_modes(io, init, omap[:3]), times)
         X = evolve_truncated(chain, chain.N, init, omap, times).X[:3]
         assert np.abs(rows[1:] - X).max() <= 1e-12 * np.abs(X).max()
 
@@ -505,17 +523,36 @@ class TestEvolveIoModes:
         self.assert_rows_match_dense(io, rng.standard_normal((2, 3)), init,
                                      np.linspace(0.0, 10.0, 257))
 
+    def test_modal_sum_means_x(self):
+        # on seeded random baths with map rows, a strong bath and a deflated
+        # one (its decoupled mode weighs 0 in x): the moments are those of
+        # the arrowhead's (0, 0) entry, 1, Omega0^2 and Omega0^4 + ||c||^2
+        cases = []
+        for seed in range(20):
+            N = int(np.random.default_rng(seed).integers(1, 200))
+            cases.append(large_bath_case(seed, N, 0.05 + seed / 5))
+        for omega, c, Omega0 in (([0.5, 0.6, 0.7], [3.0, 3.0, 3.0], 10.0),
+                                 ([1.0, 2.0, 3.0], [0.5, 1e-200, 0.4], 1.5)):
+            io = build_io_model(omega, c, Omega0)
+            cases.append((io, random_initial_state(np.random.default_rng(9), io.N)))
+        for io, init in cases:
+            O = np.random.default_rng(io.N).standard_normal((2, io.N))
+            W2 = io.Omega0**2
+            assert_modal_sum_facts(io_modes(io, init, O), init.x0,
+                                   [1.0, W2, W2 * W2 + float(np.sum(io.c**2))],
+                                   np.linspace(0.0, 50.0, 1025))
+
     def test_rows_must_act_on_the_bath(self, small_instance):
         io, _, _, init = small_instance
         with pytest.raises(ValueError, match="do not act on"):
-            evolve_io_modes(io, init, np.ones((1, io.N + 1)), np.linspace(0.0, 1.0, 3))
+            io_modes(io, init, np.ones((1, io.N + 1)))
 
     def test_state_must_fit_the_bath(self, small_instance):
         io, _, _, _ = small_instance
         other = InitialState(q0=np.zeros(io.N + 1), qdot0=np.zeros(io.N + 1))
         with pytest.raises(ValueError, match=re.escape(
                 f"initial-state size must lie within [{io.N}, {io.N}], not {io.N + 1}")):
-            evolve_io_modes(io, other, np.empty((0, io.N)), np.linspace(0.0, 1.0, 3))
+            io_modes(io, other, np.empty((0, io.N)))
 
 
 class TestPictures:

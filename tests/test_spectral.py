@@ -345,7 +345,8 @@ class TestVerifyEquivalence:
     def test_dimension_mismatch(self, small_instance):
         io, chain, omap, _ = small_instance
         other = build_io_model([1.0, 2.0], [1.0, 1.0], 1.0)
-        with pytest.raises(ValueError, match="sizes disagree"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"chain size must lie within [{other.N}, {other.N}], not {chain.N}")):
             verify_equivalence(other, chain, omap)
 
 
