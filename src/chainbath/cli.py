@@ -2,8 +2,9 @@
 
 Commands: build-chain, simulate, kernels, bound, min-modes, sweep.  A
 JSON config describes the model, grids, temperature and seed.  Each command
-builds only the part of the chain it reads (README, Performance): none
-builds a full map or runs an eigensolve at the bath's size.
+builds only the part of the chain it reads (README, Performance): the map
+rows up to its largest cut below N (all N only for `kernels` at order N),
+one (n+1)-dimensional eigensolve per cut n below N, and none for x_full.
 
 Run protocol: a command returns its named columns, its diagnostics (or
 none), a one-line summary and a verdict (none, or exit 5 or 6 with a
@@ -44,7 +45,7 @@ chain: the cut is the bath itself, so x_N is x_full and its bound is 0
 `uncertified_cells` reads 0 (the benchmark's checker requires the key).
 `sweep`'s `max_ratio` reads above the same floor within its cell (0 where
 n >= N), and a failed cell's `error` names its numerical failure:
-`Breakdown`, `UnstableMode` or `ComplexResolvent`.
+`Breakdown` or `UnstableMode`.
 The `bound_*` columns hold a finite value or inf, never NaN, and inf only
 where the bound is above float64's largest value; a `ratio_n*` sample is
 inf only where a bound underflowed under a rounding-level eps.
@@ -80,8 +81,7 @@ if "numpy" not in sys.modules and not any(key in os.environ for key in _THREAD_V
 import numpy as np
 
 from . import bounds, dynamics, instances, kernels, solution, spectral
-from .errors import (POSITIVE, Breakdown, ChainBathError, ComplexResolvent, UnstableMode,
-                     check_range)
+from .errors import POSITIVE, Breakdown, ChainBathError, UnstableMode, check_range
 
 # `simulate` certifies its Volterra column only within this share of max|x_full|
 VOLTERRA_RTOL = 1e-9
@@ -564,9 +564,8 @@ def main(argv=None) -> int:
     except Breakdown as exc:
         print(f"error: chain construction breakdown: {exc}", file=sys.stderr)
         return 3
-    except (UnstableMode, ComplexResolvent) as exc:
-        print(f"error: {type(exc).__name__}: {exc} "
-              "(requires positive-definite dynamics and D0 < Omega0*Omega1)",
+    except UnstableMode as exc:
+        print(f"error: {type(exc).__name__}: {exc} (requires positive-definite dynamics)",
               file=sys.stderr)
         return 4
     except (ValueError, KeyError, OSError) as exc:

@@ -18,9 +18,11 @@ eigensolve: the independent-oscillator matrix is an arrowhead, whose
 eigenvalues are the roots of a secular equation and whose eigenvectors
 follow from them in closed form, in O(N^2) time and BLOCK rows at a time.
 `sample` puts every row on a uniform grid from 0 by angle addition, BLOCK
-modes at a time, with trig on about 2 sqrt(M) points per mode for M
-samples instead of M.  The dense evolutions that check these routes are
-in `tests/oracles.py`.
+modes at a time, each block's trig, on about 2 sqrt(M) points per mode for
+M samples instead of M, shared by all rows.  It is the one place where an
+evolution goes onto the grid: the free modes of the Volterra source are a
+two-mode sum too.  The dense evolutions that check these routes are in
+`tests/oracles.py`.
 
 Sign conventions: the extended chain matrix carries -D0 and -D_j off the
 diagonal (so the equations of motion read x'' = -Omega0^2 x + D0 X_1 with
@@ -123,39 +125,39 @@ def cut_modes(chain: ChainModel, n: int, init: InitialState, O):
 def sample(modes, times) -> np.ndarray:
     """Every row of the modal sum (w, V, a, b, y0),
     y0[i] + sum_j V[i, j] (a_j (cos(w_j t) - 1) + b_j sin(w_j t)), one row
-    per row of V, exact at t = 0.
+    per row of V, exact at t = 0; a frequency w_j not above 0, NaN
+    included, is refused (ValueError).
 
     The grid must be uniform from 0 (`kernels._uniform_step`, ValueError
     otherwise), and the samples go by angle addition: sample p B + q sits
     at t_pB + t_q, B = ceil(sqrt(M)) for M samples, and
     a cos(w t) + b sin(w t) there is (a cos(w t_pB) + b sin(w t_pB)) cos(w t_q)
-    + (b cos(w t_pB) - a sin(w t_pB)) sin(w t_q), so a row is a sum of
-    (P, 2 b) x (2 b, B) products over the modes, BLOCK (b) at a time,
-    P = ceil(M / B), with trig on (P + B) dim points instead of M dim and
-    no (M, dim) array; the increment is taken from the sum's own t = 0
-    entry.  Up to BLOCK modes the sum is one product.
+    + (b cos(w t_pB) - a sin(w t_pB)) sin(w t_q).  So the rows are a sum of
+    (R, P, 2 b) x (2 b, B) products over the modes, BLOCK (b) at a time,
+    R rows, P = ceil(M / B): each block's trig on (P + B) b points serves
+    every row, with no (M, N) array; each row's increment is taken from its
+    own t = 0 entry.  Up to BLOCK modes the sum is one product.
     """
     w, V, a, b, y0 = modes
+    # NaN propagates through the minimum and fails the check
+    check_range(float(np.min(w)), POSITIVE, math.inf, "mode frequency")
     times = np.asarray(times, dtype=float)
     _uniform_step(times, "modal sum")
     M = len(times)
     B = math.isqrt(M - 1) + 1
-    rows = np.empty((len(V), M))
-    for i, v in enumerate(V):
-        alpha, beta = a * v, b * v
-        for s in range(0, len(w), BLOCK):
-            wb, al, be = w[s:s + BLOCK], alpha[s:s + BLOCK], beta[s:s + BLOCK]
-            phase = np.multiply.outer(times[::B], wb)
-            cos_p, sin_p = np.cos(phase), np.sin(phase, out=phase)
-            coarse = np.concatenate([al * cos_p + be * sin_p, be * cos_p - al * sin_p], axis=1)
-            del cos_p, sin_p, phase
-            phase = np.multiply.outer(wb, times[:B])
-            fine = np.concatenate([np.cos(phase), np.sin(phase, out=phase)])
-            # no zero start: the first block's product is x, -0.0 included
-            x = coarse @ fine if s == 0 else x + coarse @ fine
-        x = x.ravel()[:M]
-        rows[i] = y0[i] + (x - x[0])
-    return rows
+    alpha, beta = (a * V)[:, None], (b * V)[:, None]
+    for s in range(0, len(w), BLOCK):
+        wb, al, be = w[s:s + BLOCK], alpha[..., s:s + BLOCK], beta[..., s:s + BLOCK]
+        phase = np.multiply.outer(times[::B], wb)
+        cos_p, sin_p = np.cos(phase), np.sin(phase, out=phase)
+        coarse = np.concatenate([al * cos_p + be * sin_p, be * cos_p - al * sin_p], axis=2)
+        del cos_p, sin_p, phase
+        phase = np.multiply.outer(wb, times[:B])
+        fine = np.concatenate([np.cos(phase), np.sin(phase, out=phase)])
+        # no zero start: the first block's product is x, -0.0 included
+        x = coarse @ fine if s == 0 else x + coarse @ fine
+    x = x.reshape(len(V), -1)[:, :M]
+    return np.asarray(y0)[:, None] + (x - x[:, :1])
 
 
 def io_modes(io: IOModel, init: InitialState, O):
@@ -383,11 +385,3 @@ def _loewner_couplings(d, sigma, tau):
         np.divide(dist, den, out=den)
         prod = np.prod(ratio, axis=0)
     return np.sqrt(prod)
-
-
-def free_mode_evolution(Omega_i: float, X0: float, Xdot0: float, t):
-    """Uncoupled mode: X0 cos(Omega t) + Xdot0 sin(Omega t)/Omega."""
-    check_range(Omega_i, POSITIVE, math.inf, "mode frequency")
-    t = np.asarray(t, dtype=float)
-    out = X0 * np.cos(Omega_i * t) + Xdot0 * np.sin(Omega_i * t) / Omega_i
-    return out if out.ndim else float(out)

@@ -5,7 +5,7 @@ Bad input, a value outside what a function accepts, raises ValueError
 throughout the library; a number or a size outside its interval is refused
 by `check_range`, in one form.  The types below name the numerical failures
 that the command line maps to their own exit codes: `Breakdown` (3) and
-`UnstableMode` and `ComplexResolvent` (4).
+`UnstableMode` (4).
 """
 
 import math
@@ -25,13 +25,9 @@ class Breakdown(ChainBathError):
 
 
 class UnstableMode(ChainBathError):
-    """The evolution matrix has a non-positive eigenvalue (outside the
-    oscillatory regime)."""
-
-
-class ComplexResolvent(ChainBathError):
-    """The lower resolvent frequency is not real (coupling too strong:
-    D >= Omega*Omega_1)."""
+    """Outside the oscillatory regime: the evolution matrix has a
+    non-positive eigenvalue, or the lower resolvent frequency is not real
+    (D0 >= Omega0*Omega1)."""
 
 
 def _exact(x) -> str:

@@ -44,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import InitialState, extended_initial_conditions, free_mode_evolution
-from .errors import POSITIVE, ComplexResolvent, check_range
+from .dynamics import InitialState, extended_initial_conditions, sample
+from .errors import POSITIVE, UnstableMode, check_range
 from .kernels import convolve_on_grid
 from .spectral import ChainModel
 
@@ -64,13 +64,13 @@ def mu_delta(Omega0: float, Omega1: float, D0: float) -> VolterraParams:
     """Resolvent frequencies of the closed Volterra solution.
 
     Raises ValueError, naming the parameter, unless each is above 0 (NaN is
-    not), and ComplexResolvent when D0 >= Omega0*Omega1 (the lower frequency
+    not), and UnstableMode when D0 >= Omega0*Omega1 (the lower frequency
     would not be real).
     """
     for name, value in (("Omega0", Omega0), ("Omega1", Omega1), ("D0", D0)):
         check_range(value, POSITIVE, np.inf, name)
     if D0 >= Omega0 * Omega1:
-        raise ComplexResolvent(
+        raise UnstableMode(
             f"D0 = {D0:g} >= Omega0*Omega1 = {Omega0 * Omega1:g}; "
             "lower resolvent frequency is not real"
         )
@@ -101,16 +101,17 @@ def volterra_source(chain: ChainModel, init: InitialState, O, times, x2=None) ->
 
         F_N = f_0 + S_0 * (p_1 f_1 + S_1 * (p_2 X_2)),
 
-    with f_i the free evolution of mode i from its initial data,
-    p_1 = D0/Omega0, p_2 = p_1 D_1/Omega_1 and `x2` the samples of X_2 from
-    the full evolution: one two-level cascade.  With no X_2 (a one-mode
-    bath, where D_1 = 0) the cascade is one level deep.  Reads only
-    Omega_1, D_1 and the first row of the map O, so a cut chain serves.
+    with f_i the free evolution of mode i from its initial data (the two
+    rows of one diagonal modal sum), p_1 = D0/Omega0, p_2 = p_1 D_1/Omega_1
+    and `x2` the samples of X_2 from the full evolution: one two-level
+    cascade.  With no X_2 (a one-mode bath, where D_1 = 0) the cascade is
+    one level deep.  Reads only Omega_1, D_1 and the first row of the map
+    O, so a cut chain serves.
     """
     times = np.asarray(times, dtype=float)
     freqs = chain.mode_freqs
     y0, ydot0 = extended_initial_conditions(O, init, 1)
-    f0, f1 = (free_mode_evolution(freqs[i], y0[i], ydot0[i], times) for i in (0, 1))
+    f0, f1 = sample((freqs[:2], np.eye(2), y0, ydot0 / freqs[:2], y0), times)
     p1 = chain.D0 / freqs[0]
     hs = [p1 * f1]
     if x2 is not None:

@@ -11,14 +11,17 @@ same quantities:
   quadrature (`kernel_quadrature`);
 - the dense eigendecomposition dynamics (`dense_modes`, the modal sum of
   every row, and `evolve_raw`, `evolve_exact`, `evolve_truncated`,
-  `evolve_io`) with the energy and response helpers;
+  `evolve_io`) with the energy and response helpers, and an uncoupled
+  mode's closed form `free_mode`;
 - the level-n free ladder `free_source_series` and Volterra source
   `source_term`, which read level n = N as the untruncated chain, the
   reduced-form identity `x_reduced_form` and a marching Volterra solver;
 - the resolvent kernel as the paper's partial-fraction sine series
   (`resolvent_series`);
 - the truncation-error decomposition (`epsilon1` on the cascade,
-  `epsilon1_pointwise`, `epsilon2`, `error_report`, `thermal_error_mc`);
+  `epsilon1_pointwise`, `epsilon2`, `error_report`) and the thermal mean
+  error, exact (`thermal_error_exact`) and by Monte Carlo
+  (`thermal_error_mc`);
 - the full-map equivalence check `verify_equivalence`, the dense
   tridiagonal matrix `tridiagonal(chain)` and its leading minors'
   polynomials `char_poly_eval`, unscaled, which the bounds' weights are
@@ -46,7 +49,6 @@ from chainbath.dynamics import (
     assemble_extended_matrix,
     cut_modes,
     extended_initial_conditions,
-    free_mode_evolution,
     sample,
 )
 from chainbath.errors import POSITIVE, ChainBathError, check_range
@@ -416,6 +418,12 @@ def evolve_io(io: IOModel, init: InitialState, times) -> Trajectory:
                       x=Y[:, 0], xdot=Ydot[:, 0], X=Y[:, 1:].T, Xdot=Ydot[:, 1:].T)
 
 
+def free_mode(Omega, X0, Xdot0, t):
+    """Uncoupled mode by direct trig: X0 cos(Omega t) + Xdot0 sin(Omega t)/Omega."""
+    t = np.asarray(t, dtype=float)
+    return X0 * np.cos(Omega * t) + Xdot0 * np.sin(Omega * t) / Omega
+
+
 def total_energy(A, traj: Trajectory) -> np.ndarray:
     """H(t) = (|ydot|^2 + y^T A y) / 2 along a trajectory; constant for the
     exact solver."""
@@ -479,8 +487,7 @@ def _free_ladder(chain: ChainModel, n: int, init: InitialState, O, times):
     freqs = chain.mode_freqs
     p = coupling_products(chain, n)
     y0, ydot0 = extended_initial_conditions(O, init, n)
-    f = np.array([free_mode_evolution(freqs[i], y0[i], ydot0[i], times)
-                  for i in range(n + 1)])
+    f = np.array([free_mode(freqs[i], y0[i], ydot0[i], times) for i in range(n + 1)])
     hs = np.zeros_like(f)
     hs[:-1] = p[1:-1, None] * f[1:]
     return f[0], hs
@@ -668,6 +675,26 @@ def epsilon2(params: VolterraParams, eps1_series, times) -> np.ndarray:
     return sum(a * convolve_on_grid(f, eps1_series, times) for f, a in zip(freqs, coeffs))
 
 
+def _thermal_response(chain: ChainModel, O, n: int, times):
+    """(Dq, Dv), each (len(times), N): x(t) - x_n(t) = Dq . q(0) + Dv . qdot(0)
+    for a system that starts at rest, from the dense responses of the full
+    and the cut chain."""
+    times = np.asarray(times, dtype=float)
+    Gq_f, Gv_f = system_response(assemble_extended_matrix(chain, chain.N), times)
+    Gq_t, Gv_t = system_response(assemble_extended_matrix(chain, n), times)
+    # x(t) = Gq[:,1:] . X(0) + Gv[:,1:] . Xdot(0), with X(0) = -O q(0)
+    return -(Gq_f[:, 1:] @ O - Gq_t[:, 1:] @ O[:n]), -(Gv_f[:, 1:] @ O - Gv_t[:, 1:] @ O[:n])
+
+
+def thermal_error_exact(io: IOModel, chain: ChainModel, O, n: int, th: ThermalState, times):
+    """E|x - x_n|(t) over the thermal state, exactly: x - x_n is a centred
+    Gaussian of variance kT sum_k (Dq[t, k]^2 / omega_k^2 + Dv[t, k]^2), and
+    a centred Gaussian's mean modulus is sqrt(2/pi) times its deviation."""
+    Dq, Dv = _thermal_response(chain, O, n, times)
+    var = th.kT * (np.sum((Dq / io.omega) ** 2, axis=1) + np.sum(Dv**2, axis=1))
+    return math.sqrt(2.0 / math.pi) * np.sqrt(var)
+
+
 def thermal_error_mc(io: IOModel, chain: ChainModel, O,
                      n: int, th: ThermalState, times, n_samples: int, seed):
     """Monte-Carlo mean and standard error of eps(n, t) over the thermal state.
@@ -677,13 +704,7 @@ def thermal_error_mc(io: IOModel, chain: ChainModel, O,
     reduce to one matrix product.  Returns (mean, stderr), each shaped like
     times.
     """
-    times = np.asarray(times, dtype=float)
-    Gq_f, Gv_f = system_response(assemble_extended_matrix(chain, chain.N), times)
-    Gq_t, Gv_t = system_response(assemble_extended_matrix(chain, n), times)
-    # x(t) = Gq[:,1:] . X(0) + Gv[:,1:] . Xdot(0), with X(0) = -O q(0)
-    Dq = -(Gq_f[:, 1:] @ O - Gq_t[:, 1:] @ O[:n])
-    Dv = -(Gv_f[:, 1:] @ O - Gv_t[:, 1:] @ O[:n])
-
+    Dq, Dv = _thermal_response(chain, O, n, times)
     rng = np.random.default_rng(seed)
     root_kt = math.sqrt(th.kT)
     Zq = (root_kt / io.omega)[:, None] * rng.standard_normal((io.N, n_samples))

@@ -13,16 +13,23 @@ the temporary directory replaced by a fixed token (the summary line prints
 the `--out` path); the `.timings.json` file is not deterministic and is
 left out.
 
-With one root it prints the records as JSON.  With two it lists each
-invocation whose record differs and exits 1 if any does.  It reads
-`perfbench/` and writes nothing there; pytest does not collect it.
+With one root it prints the records as JSON.  With two it runs each
+invocation on both roots back to back, so that one pair of CSVs is held at
+a time, and lists each invocation whose record differs: the fields that
+differ (csv, sidecar, stdout, stderr), the exit codes and, under it, each
+CSV column that differs with its largest |before - after| over its largest
+finite |before| ("not comparable" for a column of text, of another
+length or on one side only).  It exits 1 if any invocation differs.  It reads `perfbench/` and
+writes nothing there; pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -49,7 +56,32 @@ def digest(data: bytes, work: str) -> str:
     return hashlib.sha256(data.replace(work.encode(), TOKEN)).hexdigest()
 
 
-def run_one(root: Path, command: str, config: dict) -> dict:
+def read_columns(path: Path) -> dict:
+    """The CSV's columns by name, each a list of its cells as text."""
+    with open(path, newline="", encoding="utf-8") as f:
+        header, *rows = csv.reader(f)
+    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+
+def column_move(before, after):
+    """max |before - after| / max finite |before| of two columns of numbers
+    (0 where they are equal cell by cell, inf or NaN included); None for
+    text or columns of different lengths."""
+    try:
+        x, y = [float(v) for v in before], [float(v) for v in after]
+    except ValueError:
+        return None
+    if len(x) != len(y):
+        return None
+    scale = max((abs(v) for v in x if math.isfinite(v)), default=0.0)
+    diff = max((0.0 if p == q or (p != p and q != q) else abs(p - q) for p, q in zip(x, y)),
+               default=0.0)
+    return diff / scale if scale else (0.0 if diff == 0 else math.inf)
+
+
+def run_one(root: Path, command: str, config: dict):
+    """The record of one invocation on `root`, and its CSV's columns (None
+    when it wrote no CSV)."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     with tempfile.TemporaryDirectory() as work:
         cfg, out = Path(work, "config.json"), Path(work, "out.csv")
@@ -62,12 +94,32 @@ def run_one(root: Path, command: str, config: dict) -> dict:
             record[field] = digest(path.read_bytes(), work) if path.exists() else None
         record["stdout"] = digest(proc.stdout, work)
         record["stderr"] = digest(proc.stderr, work)
-    return record
+        columns = read_columns(out) if out.exists() else None
+    return record, columns
 
 
-def records(root: Path, seeds) -> dict:
-    return {key: run_one(root, command, config)
-            for key, command, config in invocations(seeds)}
+def compare(before_root: Path, after_root: Path, seeds) -> int:
+    """Print what moved between the two roots, invocation by invocation;
+    the count of invocations that differ."""
+    total = differ = 0
+    for key, command, config in invocations(seeds):
+        (before, cols_b), (after, cols_a) = (run_one(root, command, config)
+                                             for root in (before_root, after_root))
+        total += 1
+        if before == after:
+            continue
+        differ += 1
+        fields = [f for f in before if before[f] != after[f]]
+        print(f"{key}: {', '.join(fields)} differ "
+              f"(exit {before['exit']} -> {after['exit']})")
+        if "csv" in fields and cols_b is not None and cols_a is not None:
+            for name in sorted(cols_b.keys() | cols_a.keys()):
+                if cols_b.get(name) != cols_a.get(name):
+                    move = (column_move(cols_b[name], cols_a[name])
+                            if name in cols_b and name in cols_a else None)
+                    print(f"    {name}: " + ("not comparable" if move is None else f"{move:.3g}"))
+    print(f"{total - differ} of {total} invocations identical")
+    return differ
 
 
 def main(argv=None) -> int:
@@ -77,18 +129,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if len(args.roots) > 2:
         parser.error("give one root or two")
-    runs = [records(root.resolve(), args.seeds) for root in args.roots]
-    if len(runs) == 1:
-        print(json.dumps(runs[0], indent=1, sort_keys=True))
-        return 0
-    before, after = runs
-    differ = [key for key in before if before[key] != after[key]]
-    for key in differ:
-        fields = [f for f in before[key] if before[key][f] != after[key][f]]
-        print(f"{key}: {', '.join(fields)} differ "
-              f"(exit {before[key]['exit']} -> {after[key]['exit']})")
-    print(f"{len(before) - len(differ)} of {len(before)} invocations identical")
-    return 1 if differ else 0
+    roots = [root.resolve() for root in args.roots]
+    if len(roots) == 2:
+        return 1 if compare(*roots, args.seeds) else 0
+    print(json.dumps({key: run_one(roots[0], command, config)[0]
+                      for key, command, config in invocations(args.seeds)},
+                     indent=1, sort_keys=True))
+    return 0
 
 
 if __name__ == "__main__":

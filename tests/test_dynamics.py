@@ -19,7 +19,6 @@ from chainbath.dynamics import (
     assemble_extended_matrix,
     cut_modes,
     extended_initial_conditions,
-    free_mode_evolution,
     io_modes,
     sample,
 )
@@ -45,6 +44,7 @@ from tests.oracles import (
     evolve_io,
     evolve_raw,
     evolve_truncated,
+    free_mode,
     total_energy,
 )
 
@@ -151,7 +151,7 @@ class TestEvolveTruncated:
         _, chain, omap, init = small_instance
         times = np.linspace(0, 5, 65)
         traj = evolve_truncated(chain, 0, init, omap, times)
-        expect = free_mode_evolution(chain.Omega0, init.x0, init.xdot0, times)
+        expect = free_mode(chain.Omega0, init.x0, init.xdot0, times)
         assert traj.x == pytest.approx(expect, abs=1e-12)
         assert traj.X.shape == (0, len(times))
 
@@ -492,7 +492,11 @@ class TestEvolveIoModes:
 
     @staticmethod
     def assert_rows_match_dense(io, O, init, times):
-        rows = sample(io_modes(io, init, O), times)
+        w, V, a, b, y0 = modes = io_modes(io, init, O)
+        rows = sample(modes, times)
+        # one pass over the modes serves every row: each is that row alone
+        for i in range(len(V)):
+            assert np.array_equal(rows[i], sample((w, V[i:i + 1], a, b, y0[i:i + 1]), times)[0])
         ref = -(O @ evolve_io(io, init, times).X)
         assert np.array_equal(rows[0], bath_x(io, init, times))
         assert np.array_equal(rows[1:, 0], -(O @ init.q0))
@@ -597,24 +601,14 @@ class TestInitialState:
 
 
 class TestFreeMode:
-    def test_half_period(self):
-        assert free_mode_evolution(1.0, 1.0, 0.0, np.pi) == pytest.approx(-1.0)
-
-    def test_velocity_start(self):
-        assert free_mode_evolution(2.0, 0.0, 2.0, np.pi / 4) == pytest.approx(1.0)
-
-    def test_matches_isolated_evolution(self):
-        times = np.linspace(0, 9, 97)
-        traj = evolve_exact(np.array([[2.89]]), [0.4], [-0.3], times)
-        expect = free_mode_evolution(1.7, 0.4, -0.3, times)
-        assert traj.x == pytest.approx(expect, abs=1e-12)
-
     def test_invalid_frequency(self):
-        # NaN passes a bare `omega <= 0`: it once returned NaN samples
+        # a free mode is a one-mode modal sum; NaN passes a bare
+        # `omega <= 0`: it once returned NaN samples
         for omega in (0.0, np.nan):
             with pytest.raises(ValueError, match=re.escape(
                     f"mode frequency must lie within [5e-324, inf], not {omega!r}")):
-                free_mode_evolution(omega, 1.0, 0.0, 0.5)
+                sample((np.array([omega]), np.ones((1, 1)), np.ones(1), np.zeros(1),
+                        np.ones(1)), np.linspace(0.0, 1.0, 3))
 
 
 class TestTrajectoryValidation:

@@ -10,18 +10,18 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from chainbath.bounds import ThermalState, sample_thermal
-from chainbath.dynamics import extended_initial_conditions, free_mode_evolution
-from chainbath.errors import ComplexResolvent
+from chainbath.dynamics import InitialState, extended_initial_conditions
+from chainbath.errors import UnstableMode
 from chainbath.instances import coupling_profile, linear_spectrum
 from chainbath.kernels import convolve_on_grid
 from chainbath.solution import VolterraParams, mu_delta, solve_volterra_closed
 from chainbath.spectral import ChainModel, build_io_model, chain_from_io
-from chainbath.dynamics import InitialState
 from tests.conftest import make_instance
 from tests.oracles import (
     Trajectory,
     coupling,
     evolve_truncated,
+    free_mode,
     free_source_series,
     kernel_closed_form,
     kernel_eval,
@@ -77,7 +77,8 @@ class TestMuDelta:
             )
 
     def test_complex_resolvent(self):
-        with pytest.raises(ComplexResolvent):
+        with pytest.raises(UnstableMode, match=re.escape(
+                "D0 = 1 >= Omega0*Omega1 = 1; lower resolvent frequency is not real")):
             mu_delta(1.0, 1.0, 1.0)
 
     def test_decoupled_limit(self):
@@ -132,8 +133,8 @@ class TestSourceTerm:
         F = source_term(chain, 1, traj, init, omap)
 
         y0, ydot0 = extended_initial_conditions(omap, init, 1)
-        f0 = lambda s: free_mode_evolution(chain.Omega0, init.x0, init.xdot0, s)
-        f1 = lambda s: free_mode_evolution(chain.Omega[0], y0[1], ydot0[1], s)
+        f0 = lambda s: free_mode(chain.Omega0, init.x0, init.xdot0, s)
+        f1 = lambda s: free_mode(chain.Omega[0], y0[1], ydot0[1], s)
         for m in (64, 200, 512):
             t = times[m]
             oracle = f0(t) + (chain.D0 / chain.Omega0) * gl_convolve(
@@ -176,7 +177,7 @@ class TestSourceTerm:
         modes0, modesd0 = extended_initial_conditions(omap, init, len(omap))
 
         def f(i):
-            return lambda s: free_mode_evolution(freqs[i], modes0[i], modesd0[i], s)
+            return lambda s: free_mode(freqs[i], modes0[i], modesd0[i], s)
 
         k0 = kernel_closed_form(freqs[:1])
         k1 = kernel_closed_form(freqs[:2])
