@@ -5,6 +5,8 @@ JSON config describes the model, grids, temperature and seed.  Each command
 builds only the part of the chain it reads (README, Performance): the map
 rows up to its largest cut below N (all N only for `kernels` at order N),
 one (n+1)-dimensional eigensolve per cut n below N, and none for x_full.
+`simulate`, `bound` and `sweep` share one route (`_trajectories`) to that
+chain prefix, x_full and each cut's x_n.
 
 Run protocol: a command returns its named columns, its diagnostics (or
 none), a one-line summary and a verdict (none, or exit 5 or 6 with a
@@ -43,9 +45,10 @@ sample.  A cut at n = N writes exactly 0 in its four columns and builds no
 chain: the cut is the bath itself, so x_N is x_full and its bound is 0
 (`bounds`).  `min-modes` finds an n, at most N, in every cell, so its
 `uncertified_cells` reads 0 (the benchmark's checker requires the key).
-`sweep`'s `max_ratio` reads above the same floor within its cell (0 where
-n >= N), and a failed cell's `error` names its numerical failure:
-`Breakdown` or `UnstableMode`.
+A sweep cell's `max_eps` and `max_ratio` are `bound`'s max(eps_n{cut})
+and `max_ratio` on the cell's bath and thermal draw (0 where n >= N), and
+a failed cell's `error` names its numerical failure: `Breakdown` or
+`UnstableMode`.
 The `bound_*` columns hold a finite value or inf, never NaN, and inf only
 where the bound is above float64's largest value; a `ratio_n*` sample is
 inf only where a bound underflowed under a rounding-level eps.
@@ -56,7 +59,8 @@ the parser refuses, an unwritable `<out>`, a config value that
 reads, and names the key by its config path), or, built from keys each
 within its range, a bath (`config.model`), a thermal draw (`config.kT`)
 or a grid (`config.samples`) that float64 or the convolution cannot hold,
-named by that path; 3 chain-construction breakdown,
+named by that path (`simulate` and `bound` draw the initial state before
+they build the chain, the grid after it); 3 chain-construction breakdown,
 reported only inside the part of the chain the command builds; 4
 unstable/complex-resolvent regime; 5 every sweep cell failed numerically:
 outputs written; 6 a numerical check failed: outputs written but not
@@ -337,21 +341,35 @@ def cmd_build_chain(cfg, out):
 
 def _truncations(cfg, N):
     """The cut indices, each at most N and given once (one name, one
-    column), and those below N."""
+    column)."""
     for i, n in enumerate(cfg["truncations"]):
         check_range(n, 0, N, f"config.truncations[{i}]")
-    truncations = list(dict.fromkeys(cfg["truncations"]))
-    return truncations, [n for n in truncations if n < N]
+    return list(dict.fromkeys(cfg["truncations"]))
+
+
+def _trajectories(io, init, times, truncations, rows=0):
+    """The one route of `simulate`, `bound` and `sweep`: the Lanczos prefix
+    (chain, O), at least `rows` deep and reaching the largest cut below N
+    (none when neither asks), x_full and the chain coordinates of map rows
+    1..rows-1 from the secular equation, and x_n per cut.  n = N is the bath
+    itself: x_N is x_full, with no eigensolve."""
+    below = [n for n in truncations if n < io.N]
+    depth = min(io.N, max(rows, 1, *below)) if rows or below else 0
+    chain, O = spectral.chain_from_io(io, rows=depth) if depth else (None, np.empty((0, io.N)))
+    x_full, *X = dynamics.sample(dynamics.io_modes(io, init, O[1:rows]), times)
+    x_cut = {n: x_full if n == io.N
+             else dynamics.sample(dynamics.cut_modes(chain, n, init, O), times)[0]
+             for n in truncations}
+    return chain, O, x_full, X, x_cut
 
 
 def cmd_simulate(cfg, out):
     io = build_model(cfg)
-    truncations, below = _truncations(cfg, io.N)
-    # the level-1 source reads Omega_1, D_1 and X_2; a cut, its own rows
-    chain, O = spectral.chain_from_io(io, rows=min(io.N, max([2, *below])))
+    truncations = _truncations(cfg, io.N)
     init = build_initial_state(cfg, io)
     times = np.linspace(0.0, float(cfg["t_max"]), cfg["samples"])
-    x_full, *X_2 = dynamics.sample(dynamics.io_modes(io, init, O[1:2]), times)
+    # the level-1 source reads Omega_1, D_1 and X_2
+    chain, O, x_full, X_2, x_cut = _trajectories(io, init, times, truncations, rows=2)
     params = solution.mu_delta(chain.Omega0, chain.Omega[0], chain.D0)
     # the grid gate reads the rows built and the resolvent's top frequency
     _naming("config.samples", kernels.check_grid, times,
@@ -359,24 +377,20 @@ def cmd_simulate(cfg, out):
     F = solution.volterra_source(chain, init, O, times, *X_2)
     x_vol = solution.solve_volterra_closed(params, F, times)
 
-    cols = {"t": times, "x_full": x_full}
-    for n in truncations:
-        # n = N, the bath size, is x_full itself, with no second eigensolve
-        cols[f"x_n{n}"] = (x_full if n == io.N
-                           else dynamics.sample(dynamics.cut_modes(chain, n, init, O), times)[0])
     err = np.abs(x_full - x_vol)
     bound = VOLTERRA_RTOL * float(np.abs(x_full).max())
     passed = bool(err.max() <= bound)
     verdict = None if passed else (6, f"max_volterra_error {err.max():.3e} exceeds "
                                       f"{VOLTERRA_RTOL:g} * max|x_full| ({bound:.3e})")
-    return ({**cols, "x_volterra": x_vol, "abs_err_volterra": err},
+    return ({"t": times, "x_full": x_full, **{f"x_n{n}": x for n, x in x_cut.items()},
+             "x_volterra": x_vol, "abs_err_volterra": err},
             {"max_volterra_error": float(err.max()), "passed": passed},
             f"simulation written to {out}: max |x_full - x_volterra| = {err.max():.3e}", verdict)
 
 
 def cmd_kernels(cfg, out):
     io = build_model(cfg)
-    orders = sorted(_truncations(cfg, io.N)[0])
+    orders = sorted(_truncations(cfg, io.N))
     top = max(orders, default=0)
     # K_top reads Omega_0..Omega_top: the first `top` chain rows
     chain, _ = spectral.chain_from_io(io, rows=max(top, 1))
@@ -394,69 +408,43 @@ def cmd_kernels(cfg, out):
     return cols, None, f"kernel table written to {out}: orders {orders}", None
 
 
-def _ratio(eps, bound):
-    """eps/bound where the bound is positive, 0 where it vanishes; inf where
-    a rounding-level eps sits over a bound that underflowed."""
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        return np.where(bound > 0, eps / np.where(bound > 0, bound, 1.0), 0.0)
-
-
-def _cut_route(io, init, times, truncations):
-    """The rounding floor of eps, the Lanczos rows of the largest cut below
-    N (at least one; None if no cut is below N) and, per cut n, (n, eps,
-    bound_det, ratio) with eps = |x_full - x_n|, x_full from the secular
-    equation.  n = N is the bath itself: x_N is x_full and the library's
-    bound is exactly 0, so its columns are exactly 0 and it builds no chain."""
-    below = [n for n in truncations if n < io.N]
-    chain, O = spectral.chain_from_io(io, rows=max(1, *below)) if below else (None, None)
-    x_full = dynamics.sample(dynamics.io_modes(io, init, np.empty((0, io.N))), times)[0]
+def _bound_table(io, init, times, truncations, th):
+    """`bound`'s columns and diagnostics (the module docstring) on the route
+    of `_trajectories`."""
+    chain, _, x_full, _, x_cut = _trajectories(io, init, times, truncations)
     floor = EPS_FLOOR_ROUNDOFFS * (np.finfo(float).eps / 2) * float(np.abs(x_full).max())
-    cuts = []
-    for n in truncations:
-        x_n = (x_full if n == io.N
-               else dynamics.sample(dynamics.cut_modes(chain, n, init, O), times)[0])
+    cols, max_ratio, below_floor, vacuous = {"t": times}, 0.0, 0, 0
+    for n, x_n in x_cut.items():
         eps = np.abs(x_full - x_n)
         b_det = bounds.bound_deterministic(io, chain, n, times, init)
-        cuts.append((n, eps, b_det, _ratio(eps, b_det)))
-    return floor, chain, cuts
-
-
-def _above_floor(floor, cuts):
-    """Over the samples of `_cut_route`'s cuts: the largest ratio where eps
-    > floor and the bound is finite, the count of samples whose eps is at
-    or below the floor (rounding alone can make it), and the count of those
-    above it whose bound is inf (vacuous).  Neither of those two kinds says
-    anything about the bound."""
-    max_ratio, below_floor, vacuous = 0.0, 0, 0
-    for _, eps, b_det, ratio in cuts:
+        # 0 where the bound vanishes; inf where a rounding-level eps sits
+        # over a bound that underflowed
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            ratio = np.where(b_det > 0, eps / np.where(b_det > 0, b_det, 1.0), 0.0)
+        cols |= {f"eps_n{n}": eps, f"bound_det_n{n}": b_det,
+                 f"bound_thermal_n{n}": bounds.bound_thermal(io, chain, n, times, th),
+                 f"ratio_n{n}": ratio}
+        # a sample at or below the floor (rounding alone can make its eps) or
+        # with an inf bound (vacuous) says nothing about the bound
         above = eps > floor
         inf = above & np.isinf(b_det)
         max_ratio = max(max_ratio, float(ratio[above & ~inf].max(initial=0.0)))
         below_floor += int(above.size - np.count_nonzero(above))
         vacuous += int(np.count_nonzero(inf))
-    return max_ratio, below_floor, vacuous
+    return cols, {"max_ratio": max_ratio, "samples_below_floor": below_floor,
+                  "samples_vacuous": vacuous}
 
 
 def cmd_bound(cfg, out):
     io = build_model(cfg)
-    truncations, _ = _truncations(cfg, io.N)
+    truncations = _truncations(cfg, io.N)
     init = build_initial_state(cfg, io)
-    th = bounds.ThermalState(cfg["kT"])
     times = np.linspace(0.0, float(cfg["t_max"]), cfg["samples"])
-
-    cols = {"t": times}
-    floor, chain, cuts = _cut_route(io, init, times, truncations)
-    for n, eps, b_det, ratio in cuts:
-        cols[f"eps_n{n}"] = eps
-        cols[f"bound_det_n{n}"] = b_det
-        cols[f"bound_thermal_n{n}"] = bounds.bound_thermal(io, chain, n, times, th)
-        cols[f"ratio_n{n}"] = ratio
-    max_ratio, below_floor, vacuous = _above_floor(floor, cuts)
-    return (cols, {"max_ratio": max_ratio, "samples_below_floor": below_floor,
-                   "samples_vacuous": vacuous},
-            f"error report written to {out}: max eps/bound ratio = {max_ratio:.6g} "
-            f"({below_floor} samples below the rounding floor, {vacuous} with a vacuous bound)",
-            None)
+    cols, diag = _bound_table(io, init, times, truncations, bounds.ThermalState(cfg["kT"]))
+    return (cols, diag,
+            f"error report written to {out}: max eps/bound ratio = {diag['max_ratio']:.6g} "
+            f"({diag['samples_below_floor']} samples below the rounding floor, "
+            f"{diag['samples_vacuous']} with a vacuous bound)", None)
 
 
 def _nondecreasing(values, keys):
@@ -491,18 +479,20 @@ _SWEEP_COLUMNS = ("N", "n", "kT", "max_eps", "max_ratio", "status", "error")
 
 def _sweep_cell(N, n, kT, seed_seq, samples):
     """One sweep cell's `_SWEEP_COLUMNS` values, and its wall time: `bound`'s
-    route at the one cut min(n, N), on a random bath and a thermal draw."""
+    table at the one cut min(n, N) on a random bath and a thermal draw, its
+    max_eps and max_ratio `bound`'s max(eps_n{cut}) and `max_ratio`."""
     t0 = time.perf_counter()
     try:
         io = instances.random_io_model(np.random.default_rng(seed_seq), N)
         # the first child `seed_seq.spawn(1)` would give, without advancing
         # seed_seq: a cell is a pure function of its job
         child = np.random.SeedSequence(seed_seq.entropy, spawn_key=seed_seq.spawn_key + (0,))
-        init = bounds.sample_thermal(io, bounds.ThermalState(kT), child)
+        th = bounds.ThermalState(kT)
+        init = bounds.sample_thermal(io, th, child)
         times = np.linspace(0.0, 3.0 / float(io.omega.max()), samples)
-        floor, _, cuts = _cut_route(io, init, times, [min(n, N)])
-        max_ratio, eps = _above_floor(floor, cuts)[0], cuts[0][1]
-        return (N, n, kT, float(eps.max()), max_ratio, "ok", ""), time.perf_counter() - t0
+        cols, diag = _bound_table(io, init, times, [min(n, N)], th)
+        return ((N, n, kT, float(cols[f"eps_n{min(n, N)}"].max()), diag["max_ratio"], "ok", ""),
+                time.perf_counter() - t0)
     except ChainBathError as exc:
         return (N, n, kT, np.nan, np.nan, "error", type(exc).__name__), time.perf_counter() - t0
 

@@ -34,6 +34,7 @@ are X(0) = -O q(0); `extended_initial_conditions` applies that once.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,8 +126,8 @@ def cut_modes(chain: ChainModel, n: int, init: InitialState, O):
 def sample(modes, times) -> np.ndarray:
     """Every row of the modal sum (w, V, a, b, y0),
     y0[i] + sum_j V[i, j] (a_j (cos(w_j t) - 1) + b_j sin(w_j t)), one row
-    per row of V, exact at t = 0; a frequency w_j not above 0, NaN
-    included, is refused (ValueError).
+    per row of V, exact at t = 0; a frequency w_j outside (0, float64's
+    largest], NaN and inf included, is refused (ValueError).
 
     The grid must be uniform from 0 (`kernels._uniform_step`, ValueError
     otherwise), and the samples go by angle addition: sample p B + q sits
@@ -140,7 +141,8 @@ def sample(modes, times) -> np.ndarray:
     """
     w, V, a, b, y0 = modes
     # NaN propagates through the minimum and fails the check
-    check_range(float(np.min(w)), POSITIVE, math.inf, "mode frequency")
+    for end in (np.min(w), np.max(w)):
+        check_range(float(end), POSITIVE, sys.float_info.max, "mode frequency")
     times = np.asarray(times, dtype=float)
     _uniform_step(times, "modal sum")
     M = len(times)

@@ -358,6 +358,12 @@ class TestExitCodes:
                                                  "qdot0": [0.0] * 4}},
                      "config.initial_state.q0[0]", id="bound-state-entry"),
         pytest.param("bound", {"kT": 1e300}, "config.kT", id="bound-kT"),
+        # the cut n = 3 of this bath breaks down (exit 3), but the initial
+        # state is drawn before the chain is built
+        *(pytest.param(command, {"model": {"omega": [1, 2, 3, 4], "c": [1, 1, 1e-13, 1e-13]},
+                                 "Omega0": 2, "truncations": [3], "kT": 1e300},
+                       "config.kT", id=f"{command}-kT-before-breakdown")
+          for command in ("simulate", "bound")),
     ])
     def test_value_float64_cannot_hold(self, tmp_path, capsys, command, overrides, path):
         # a bath or state whose squares or draws overflow float64 is refused
@@ -921,6 +927,27 @@ class TestBoundCommand:
             eps = data[:, header.index(f"eps_n{n}")]
             assert np.abs(eps - np.abs(x_full - x_n)).max() <= 1e-13 * np.abs(x_full).max()
             assert eps.max() > 1e-6 * np.abs(x_full).max()
+
+    def test_eps_matches_simulates_columns(self, tmp_path):
+        # simulate and bound share one route: |x_full - x_n| from simulate's
+        # CSV is bound's eps_n, bit for bit, at n = 0, 1, N - 1 and N
+        N = 8
+        cuts = [0, 1, N - 1, N]
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model={"family": "linear", "N": N, "omega_min": 0.8,
+                                 "omega_max": 2.4, "c0": 0.2},
+                     truncations=cuts, t_max=4.0)
+        tables = {}
+        for command in ("simulate", "bound"):
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            lines = out.read_text().splitlines()
+            data = np.loadtxt(lines[1:], delimiter=",")
+            tables[command] = {name: data[:, j] for j, name in enumerate(lines[0].split(","))}
+        x = tables["simulate"]
+        for n in cuts:
+            assert np.array_equal(np.abs(x["x_full"] - x[f"x_n{n}"]), tables["bound"][f"eps_n{n}"])
+        assert tables["bound"][f"eps_n{N - 1}"].max() > 0.0
 
     def test_max_ratio_reads_only_above_the_floor(self, tmp_path):
         # at N = 1024 eps_n32 sits at the float64 floor while bound_det_n32

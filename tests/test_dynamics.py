@@ -603,11 +603,13 @@ class TestInitialState:
 class TestFreeMode:
     def test_invalid_frequency(self):
         # a free mode is a one-mode modal sum; NaN passes a bare
-        # `omega <= 0`: it once returned NaN samples
-        for omega in (0.0, np.nan):
+        # `omega <= 0`, and inf beside a finite frequency passes a check of
+        # the smallest: each once returned NaN samples
+        for w in ([0.0], [np.nan], [np.inf, 1.0]):
             with pytest.raises(ValueError, match=re.escape(
-                    f"mode frequency must lie within [5e-324, inf], not {omega!r}")):
-                sample((np.array([omega]), np.ones((1, 1)), np.ones(1), np.zeros(1),
+                    "mode frequency must lie within [5e-324, 1.7976931348623157e+308], "
+                    f"not {w[0]!r}")):
+                sample((np.array(w), np.ones((1, len(w))), np.ones(len(w)), np.zeros(len(w)),
                         np.ones(1)), np.linspace(0.0, 1.0, 3))
 
 
