@@ -6,7 +6,8 @@ builds only the part of the chain it reads (README, Performance): the map
 rows up to its largest cut below N (all N only for `kernels` at order N),
 one (n+1)-dimensional eigensolve per cut n below N, and none for x_full.
 `simulate`, `bound` and `sweep` share one route (`_trajectories`) to that
-chain prefix, x_full and each cut's x_n.
+chain prefix, x_full and each cut's x_n, and `simulate` and `bound` one
+prologue (`_run`) that builds their bath, cuts, initial state and grid.
 
 Run protocol: a command returns its named columns, its diagnostics (or
 none), a one-line summary and a verdict (none, or exit 5 or 6 with a
@@ -16,8 +17,12 @@ given twice is one column; a block of rows at a time) and
 `<out>.resolved.json`, the resolved config (the defaults filled in, down
 to the keys a partial `min_modes` or `sweep` section leaves out; fed back
 as the config, it reproduces the run) with the diagnostics, and prints the
-summary as the one stdout line.  Every nonzero exit, on a bad
-command line too, prints one stderr line `error: ...` and no traceback.
+summary as the one stdout line.  Keys that a config leaves out of a
+`model` or `initial_state` section it gives (`family`, `c0`, `power`,
+`omega_range`, `c_range`; `kind`, `scale`, `x0`, `xdot0`) are not written
+there; the library's defaults fill them.
+Every exit 2 to 6, on a bad command line too, prints one stderr line
+`error: ...` and no traceback.
 Identical config+seed gives byte-identical CSVs: all randomness flows from
 the seed through numpy SeedSequences.  `sweep` runs each distinct cell
 once; its cell wall times go to `<out>.timings.json`, the one file a
@@ -40,11 +45,14 @@ whose eps is above EPS_FLOOR_ROUNDOFFS * u * max|x_full| (u the unit
 roundoff; below it eps can be rounding alone) and whose bound_det is
 finite, `samples_below_floor`, the count of the samples at or below the
 floor, and `samples_vacuous`, of those above it whose bound_det is inf:
-each sample is one of the three.  The CSV's `ratio_n*` columns keep every
-sample.  A cut at n = N writes exactly 0 in its four columns and builds no
-chain: the cut is the bath itself, so x_N is x_full and its bound is 0
-(`bounds`).  `min-modes` finds an n, at most N, in every cell, so its
-`uncertified_cells` reads 0 (the benchmark's checker requires the key).
+each sample is one of the three; a `max_ratio` above 1 is a bound the
+run broke (exit 6).  The CSV's `ratio_n*` columns keep every sample.  A
+cut at n = N writes exactly 0 in its four columns and builds no chain: the
+cut is the bath itself, so x_N is x_full and its bound is 0 (`bounds`).
+`min-modes` finds an n, at most N, in every cell, so its
+`uncertified_cells` reads 0 (the benchmark's checker requires the key);
+`monotone_in_t` and `monotone_in_tol` say whether n never falls as t grows
+and never rises as tol grows.
 A sweep cell's `max_eps` and `max_ratio` are `bound`'s max(eps_n{cut})
 and `max_ratio` on the cell's bath and thermal draw (0 where n >= N), and
 a failed cell's `error` names its numerical failure: `Breakdown` or
@@ -59,13 +67,16 @@ the parser refuses, an unwritable `<out>`, a config value that
 reads, and names the key by its config path), or, built from keys each
 within its range, a bath (`config.model`), a thermal draw (`config.kT`)
 or a grid (`config.samples`) that float64 or the convolution cannot hold,
-named by that path (`simulate` and `bound` draw the initial state before
-they build the chain, the grid after it); 3 chain-construction breakdown,
+named by that path (`simulate` and `bound` refuse them in `_run`'s order,
+`simulate`'s grid gate after the chain), or a `MemoryError`, a size this
+machine cannot hold, which names no key; 3 chain-construction breakdown,
 reported only inside the part of the chain the command builds; 4
 unstable/complex-resolvent regime; 5 every sweep cell failed numerically:
 outputs written; 6 a numerical check failed: outputs written but not
 certified (`build-chain` when its certificate fails, `simulate` when its
-Volterra residual is above its bound).
+Volterra residual is above its bound, `bound` when its `max_ratio` is above
+1).  Any other exception is a fault of the program, not an exit this
+contract names, and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -363,11 +374,20 @@ def _trajectories(io, init, times, truncations, rows=0):
     return chain, O, x_full, X, x_cut
 
 
-def cmd_simulate(cfg, out):
+def _run(cfg):
+    """The bath, the cuts, the initial state and the grid of `simulate` and
+    `bound`, refused in this order: `config.model`, `config.truncations[i]`,
+    `config.kT` or `config.initial_state.*`, then the grid.  `simulate`'s
+    grid gate (`config.samples`) runs later, after the chain, whose
+    frequencies it reads."""
     io = build_model(cfg)
     truncations = _truncations(cfg, io.N)
     init = build_initial_state(cfg, io)
-    times = np.linspace(0.0, float(cfg["t_max"]), cfg["samples"])
+    return io, truncations, init, np.linspace(0.0, float(cfg["t_max"]), cfg["samples"])
+
+
+def cmd_simulate(cfg, out):
+    io, truncations, init, times = _run(cfg)
     # the level-1 source reads Omega_1, D_1 and X_2
     chain, O, x_full, X_2, x_cut = _trajectories(io, init, times, truncations, rows=2)
     params = solution.mu_delta(chain.Omega0, chain.Omega[0], chain.D0)
@@ -436,42 +456,32 @@ def _bound_table(io, init, times, truncations, th):
 
 
 def cmd_bound(cfg, out):
-    io = build_model(cfg)
-    truncations = _truncations(cfg, io.N)
-    init = build_initial_state(cfg, io)
-    times = np.linspace(0.0, float(cfg["t_max"]), cfg["samples"])
+    io, truncations, init, times = _run(cfg)
     cols, diag = _bound_table(io, init, times, truncations, bounds.ThermalState(cfg["kT"]))
     return (cols, diag,
             f"error report written to {out}: max eps/bound ratio = {diag['max_ratio']:.6g} "
             f"({diag['samples_below_floor']} samples below the rounding floor, "
-            f"{diag['samples_vacuous']} with a vacuous bound)", None)
-
-
-def _nondecreasing(values, keys):
-    """Whether `values` never decrease as their `keys` increase."""
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    return all(values[i] <= values[j] for i, j in zip(order, order[1:]))
+            f"{diag['samples_vacuous']} with a vacuous bound)",
+            (6, f"max_ratio {diag['max_ratio']:.6g} exceeds 1") if diag["max_ratio"] > 1 else None)
 
 
 def cmd_min_modes(cfg, out):
     io = build_model(cfg)
     chain = spectral.chain_coefficients(io)
     th = bounds.ThermalState(cfg["kT"])
+    # Python floats: a JSON integer past int64 would make an object array
     ts = [float(t) for t in cfg["min_modes"]["times"]]
     tols = [float(v) for v in cfg["min_modes"]["tols"]]
-    table = [[bounds.min_modes(io, chain, t, tol, th) for tol in tols] for t in ts]
-
-    cols = {"t": ts}
-    for j, tol in enumerate(tols):
-        cols[f"n_tol_{fmt(tol)}"] = [line[j] for line in table]
-    monotone_t = all(_nondecreasing([line[j] for line in table], ts) for j in range(len(tols)))
-    monotone_tol = all(_nondecreasing([-n for n in line], tols) for line in table)
-    flag = "" if (monotone_t and monotone_tol) else "  [NON-MONOTONE]"
+    table = np.array([[bounds.min_modes(io, chain, t, tol, th) for tol in tols] for t in ts],
+                     dtype=int).reshape(len(ts), len(tols))
+    # n never falls as t grows, nor rises as tol grows; ties keep their order
+    monotone_t = bool(np.all(np.diff(table[np.argsort(ts, kind="stable")], axis=0) >= 0))
+    monotone_tol = bool(np.all(np.diff(table[:, np.argsort(tols, kind="stable")], axis=1) <= 0))
     # every cell finds its n (the module docstring): the key stays for the
     # benchmark's checker
-    return (cols, {"monotone_in_t": monotone_t, "monotone_in_tol": monotone_tol,
-                   "uncertified_cells": 0},
-            f"min-modes table written to {out}: {len(ts)}x{len(tols)} cells{flag}", None)
+    return ({"t": ts, **{f"n_tol_{fmt(tol)}": table[:, j] for j, tol in enumerate(tols)}},
+            {"monotone_in_t": monotone_t, "monotone_in_tol": monotone_tol, "uncertified_cells": 0},
+            f"min-modes table written to {out}: {len(ts)}x{len(tols)} cells", None)
 
 
 _SWEEP_COLUMNS = ("N", "n", "kT", "max_eps", "max_ratio", "status", "error")
@@ -558,8 +568,11 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}: {exc} (requires positive-definite dynamics)",
               file=sys.stderr)
         return 4
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: invalid configuration or input: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a size within its range that this machine cannot hold
+        print(f"error: out of memory: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     print(summary)
     if verdict is None:

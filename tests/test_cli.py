@@ -389,6 +389,35 @@ class TestExitCodes:
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "bound"])
+    def test_memory_error_exits_2(self, tmp_path, monkeypatch, capsys, command):
+        # a size this machine cannot hold, raised here by a stub (a real one
+        # could meet the OOM killer): one stderr line that says so, even
+        # when the exception carries no text, and no traceback
+        for exc, text in ((MemoryError(), "MemoryError"),
+                          (MemoryError("Unable to allocate 7.28 TiB"), "Unable to allocate")):
+            def raise_(*args, exc=exc):
+                raise exc
+            monkeypatch.setattr(dynamics, "sample", raise_)
+            cfg = tmp_path / "cfg.json"
+            write_config(cfg)
+            out = tmp_path / "o.csv"
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: out of memory: {text}"), err
+            assert not out.exists()
+
+    def test_key_error_is_no_invalid_input(self, tmp_path, monkeypatch):
+        # no config is refused by KeyError: one is a fault of the program,
+        # and `main` lets it through rather than blame the config
+        def raise_(*args):
+            raise KeyError("x")
+        monkeypatch.setattr(dynamics, "sample", raise_)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg)
+        with pytest.raises(KeyError):
+            main(["bound", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+
     def test_uncertified_chain(self, tmp_path, monkeypatch, capsys):
         # a failed certificate still writes both files, then exits 6
         def failed(io, chain):
@@ -846,6 +875,27 @@ class TestOneBlasThread:
 
 
 class TestBoundCommand:
+    def test_ratio_above_one_exits_6(self, tmp_path, capsys):
+        # a strong one-mode bath (c 2.939 above 1, ROADMAP item 2) where eps
+        # is 2.8 times bound_det: both files written, then exit 6; a weak
+        # linear N = 8 bath stays within its bound and exits 0
+        strong = {"model": {"omega": [2.974], "c": [2.939]}, "Omega0": 0.989,
+                  "truncations": [0], "t_max": 100, "samples": 2048, "seed": 114,
+                  "initial_state": {"kind": "random"}}
+        cfg, out = tmp_path / "strong.json", tmp_path / "strong.csv"
+        cfg.write_text(json.dumps(strong))
+        assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 6
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: max_ratio 2.81")
+        assert err[0].endswith("outputs written but not certified")
+        assert len(out.read_text().splitlines()) == 2049
+        diag = json.loads((tmp_path / "strong.csv.resolved.json").read_text())["diagnostics"]
+        assert diag["max_ratio"] > 1
+        write_config(cfg, model={"family": "linear", "N": 8, "omega_min": 0.5,
+                                 "omega_max": 2.5, "c0": 0.2}, truncations=[1, 4])
+        assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_ratio_below_one_and_zero_first_row(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(cfg, t_max=2.5)
@@ -1217,6 +1267,27 @@ class TestMinModesCommand:
         assert main(["min-modes", "--config", str(cfg), "--out", str(out)]) == 0
         diag = json.loads((tmp_path / "mm.csv.resolved.json").read_text())["diagnostics"]
         assert diag["monotone_in_t"] is False and diag["monotone_in_tol"] is False
+
+    @pytest.mark.parametrize("flag, cell", [
+        ("monotone_in_t", lambda t, tol: int(4 / t)),  # n falls as t grows
+        ("monotone_in_tol", lambda t, tol: int(10 * tol)),  # n falls as tol shrinks
+    ])
+    def test_each_monotone_flag_reads_its_own_axis(self, tmp_path, monkeypatch, flag, cell):
+        # a table that breaks one order sets that flag alone false, and the
+        # command still exits 0
+        from chainbath import bounds
+
+        monkeypatch.setattr(bounds, "min_modes", lambda io, chain, t, tol, th: cell(t, tol))
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, min_modes={"times": [1.0, 0.5, 2.0], "tols": [0.1, 0.3, 0.2]})
+        out = tmp_path / "mm.csv"
+        assert main(["min-modes", "--config", str(cfg), "--out", str(out)]) == 0
+        diag = json.loads((tmp_path / "mm.csv.resolved.json").read_text())["diagnostics"]
+        for key in ("monotone_in_t", "monotone_in_tol"):
+            assert diag[key] is (key != flag), key
+        assert out.read_text().splitlines()[1:] == [
+            ",".join([fmt(t)] + [str(cell(t, tol)) for tol in (0.1, 0.3, 0.2)])
+            for t in (1.0, 0.5, 2.0)]
 
 
 class TestSweep:
