@@ -11,22 +11,23 @@ prologue (`_run`) that builds their bath, cuts, initial state and grid.
 
 Run protocol: a command returns its named columns, its diagnostics (or
 none), a one-line summary and a verdict (none, or exit 5 or 6 with a
-reason); `main` alone reports them.  It writes `<out>` through `write_csv`
+reason); `sweep` alone returns a fifth item, its cell wall times.  `main`
+alone writes and reports them.  It writes `<out>` through `write_csv`
 (UTF-8, LF, header row, 17 significant digits, which round-trip; a name
-given twice is one column; a block of rows at a time) and
+given twice is one column; a block of rows at a time), then
 `<out>.resolved.json`, the resolved config (the defaults filled in, down
 to the keys a partial `min_modes` or `sweep` section leaves out; fed back
-as the config, it reproduces the run) with the diagnostics, and prints the
-summary as the one stdout line.  Keys that a config leaves out of a
-`model` or `initial_state` section it gives (`family`, `c0`, `power`,
-`omega_range`, `c_range`; `kind`, `scale`, `x0`, `xdot0`) are not written
-there; the library's defaults fill them.
+as the config, it reproduces the run) with the diagnostics, then
+`sweep`'s cell wall times to `<out>.timings.json`, the one
+non-deterministic output, and prints the summary as the one stdout line.
+Keys that a config leaves out of a `model` or `initial_state` section it
+gives (`family`, `c0`, `power`, `omega_range`, `c_range`; `kind`, `scale`,
+`x0`, `xdot0`) are not written there; the library's defaults fill them.
 Every exit 2 to 6, on a bad command line too, prints one stderr line
 `error: ...` and no traceback.
 Identical config+seed gives byte-identical CSVs: all randomness flows from
 the seed through numpy SeedSequences.  `sweep` runs each distinct cell
-once; its cell wall times go to `<out>.timings.json`, the one file a
-command writes itself and the one non-deterministic output.
+once.
 
 Threads: a command runs BLAS and LAPACK on one thread.  Importing this
 module sets `OPENBLAS_NUM_THREADS=1` unless the caller set it,
@@ -39,7 +40,15 @@ With one thread the CSV bytes do not depend on the machine's core count.
 Verdicts: `build-chain` writes `D0`, `eigenvalue_mismatch`,
 `weight_mismatch` and `passed`, the certificate of
 `spectral.certify_chain`.  `simulate` writes `max_volterra_error` and
-`passed`, which holds when max|x_full - x_volterra| <= 1e-9 max|x_full|.
+`passed`, which holds when max|x_full - x_volterra| <= 1e-9 max|x_full|,
+its one accuracy decision: a grid too coarse for the convolutions fails
+it, and one so long that float64 overflows leaves inf or NaN in
+`x_volterra` and `abs_err_volterra`, which fail it too.  `kernels` writes
+`error_estimate`, each order's Richardson estimate e_i (`cmd_kernels`),
+`grid_samples` and `passed`, which holds when every e_i <= 1e-9 max|K_i|
+with max|K_i| finite; while one is not, it halves the step, at most
+KERNEL_REFINEMENTS times, and an overflow leaves inf or NaN in `K_i` and
+its e_i on every grid.
 `bound` writes `max_ratio`, the largest eps/bound_det over the samples
 whose eps is above EPS_FLOOR_ROUNDOFFS * u * max|x_full| (u the unit
 roundoff; below it eps can be rounding alone) and whose bound_det is
@@ -65,16 +74,16 @@ Exit codes: 0 ok; 2 invalid input, before any output: a command line
 the parser refuses, an unwritable `<out>`, a config value that
 `resolve_config` refuses (it judges the whole config, whatever the command
 reads, and names the key by its config path), or, built from keys each
-within its range, a bath (`config.model`), a thermal draw (`config.kT`)
-or a grid (`config.samples`) that float64 or the convolution cannot hold,
-named by that path (`simulate` and `bound` refuse them in `_run`'s order,
-`simulate`'s grid gate after the chain), or a `MemoryError`, a size this
-machine cannot hold, which names no key; 3 chain-construction breakdown,
-reported only inside the part of the chain the command builds; 4
-unstable/complex-resolvent regime; 5 every sweep cell failed numerically:
-outputs written; 6 a numerical check failed: outputs written but not
-certified (`build-chain` when its certificate fails, `simulate` when its
-Volterra residual is above its bound, `bound` when its `max_ratio` is above
+within its range, a bath (`config.model`) or a thermal draw (`config.kT`)
+that float64 cannot hold, named by that path (`simulate` and `bound`
+refuse them in `_run`'s order, before they build the chain), or a
+`MemoryError`, a size this machine cannot hold, which names no key; 3
+chain-construction breakdown, reported only inside the part of the chain
+the command builds; 4 unstable/complex-resolvent regime; 5 every sweep
+cell failed numerically: outputs written; 6 a numerical check failed:
+outputs written but not certified (`build-chain` when its certificate
+fails, `simulate` when its Volterra residual is above its bound, `kernels`
+when an order's error estimate is, `bound` when its `max_ratio` is above
 1).  Any other exception is a fault of the program, not an exit this
 contract names, and keeps its traceback.
 """
@@ -98,8 +107,13 @@ import numpy as np
 from . import bounds, dynamics, instances, kernels, solution, spectral
 from .errors import POSITIVE, Breakdown, ChainBathError, UnstableMode, check_range
 
-# `simulate` certifies its Volterra column only within this share of max|x_full|
-VOLTERRA_RTOL = 1e-9
+# `simulate` certifies its Volterra column, and `kernels` each K_i, only
+# within this share of max|x_full| or of max|K_i|
+CONVOLUTION_RTOL = 1e-9
+# `kernels` halves its step at most this many times while an order's estimate
+# is above CONVOLUTION_RTOL: each halving cuts the O(h^6) error about 64-fold,
+# and a run costs at most 7.5 cascades on the requested grid
+KERNEL_REFINEMENTS = 2
 # `bound` and `sweep` read eps/bound only where eps = |x_full - x_n| exceeds
 # EPS_FLOOR_ROUNDOFFS * u * max|x_full|, u the unit roundoff: the two routes
 # to x agree to about 280 u max|x| at N = 2048 (README), so below that floor,
@@ -286,9 +300,8 @@ def _given(section, *keys) -> dict:
 
 def _naming(path, build, *args, **kwargs):
     """build(*args, **kwargs), re-raising its ValueError prefixed with the
-    config `path` it was built from: a bath, thermal draw or grid that
-    float64 or the convolution cannot hold though each key lies within its
-    range."""
+    config `path` it was built from: a bath or thermal draw that float64
+    cannot hold though each key lies within its range."""
     try:
         return build(*args, **kwargs)
     except ValueError as exc:
@@ -377,9 +390,8 @@ def _trajectories(io, init, times, truncations, rows=0):
 def _run(cfg):
     """The bath, the cuts, the initial state and the grid of `simulate` and
     `bound`, refused in this order: `config.model`, `config.truncations[i]`,
-    `config.kT` or `config.initial_state.*`, then the grid.  `simulate`'s
-    grid gate (`config.samples`) runs later, after the chain, whose
-    frequencies it reads."""
+    then `config.kT` or `config.initial_state.*`.  No refusal runs after
+    it: every grid is run, and `simulate` judges its own by its residual."""
     io = build_model(cfg)
     truncations = _truncations(cfg, io.N)
     init = build_initial_state(cfg, io)
@@ -391,41 +403,71 @@ def cmd_simulate(cfg, out):
     # the level-1 source reads Omega_1, D_1 and X_2
     chain, O, x_full, X_2, x_cut = _trajectories(io, init, times, truncations, rows=2)
     params = solution.mu_delta(chain.Omega0, chain.Omega[0], chain.D0)
-    # the grid gate reads the rows built and the resolvent's top frequency
-    _naming("config.samples", kernels.check_grid, times,
-            max(float(chain.mode_freqs.max()), params.mu1))
-    F = solution.volterra_source(chain, init, O, times, *X_2)
-    x_vol = solution.solve_volterra_closed(params, F, times)
-
-    err = np.abs(x_full - x_vol)
-    bound = VOLTERRA_RTOL * float(np.abs(x_full).max())
+    # a grid too coarse shows in the residual alone, and a float64 overflow
+    # (or mu2 rounded to 0) as an inf or NaN there, which fails the verdict
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        F = solution.volterra_source(chain, init, O, times, *X_2)
+        x_vol = solution.solve_volterra_closed(params, F, times)
+        err = np.abs(x_full - x_vol)
+    bound = CONVOLUTION_RTOL * float(np.abs(x_full).max())
     passed = bool(err.max() <= bound)
     verdict = None if passed else (6, f"max_volterra_error {err.max():.3e} exceeds "
-                                      f"{VOLTERRA_RTOL:g} * max|x_full| ({bound:.3e})")
+                                      f"{CONVOLUTION_RTOL:g} * max|x_full| ({bound:.3e})")
     return ({"t": times, "x_full": x_full, **{f"x_n{n}": x for n, x in x_cut.items()},
              "x_volterra": x_vol, "abs_err_volterra": err},
             {"max_volterra_error": float(err.max()), "passed": passed},
             f"simulation written to {out}: max |x_full - x_volterra| = {err.max():.3e}", verdict)
 
 
-def cmd_kernels(cfg, out):
-    io = build_model(cfg)
-    orders = sorted(_truncations(cfg, io.N))
-    top = max(orders, default=0)
-    # K_top reads Omega_0..Omega_top: the first `top` chain rows
-    chain, _ = spectral.chain_from_io(io, rows=max(top, 1))
-    freqs = chain.mode_freqs
-    times = np.linspace(0.0, float(cfg["t_max"]), cfg["samples"])
-    _naming("config.samples", kernels.check_grid, times, float(freqs[: top + 1].max()))
-    # K_0 = sin(Omega_0 t), K_i = K_{i-1} * sin(Omega_i .): one grid convolution per order
-    cols = {"tau": times}
-    k = np.sin(freqs[0] * times)
-    for i in range(top + 1):
-        if i:
-            k = kernels.convolve_on_grid(freqs[i], k, times)
+def _kernel_columns(freqs, orders, times):
+    """K_i on `times` for each i in `orders`: K_0 = sin(Omega_0 t) and
+    K_i = K_{i-1} * sin(Omega_i .), one grid convolution per order."""
+    cols, k = {}, np.sin(freqs[0] * times)
+    for i in range(max(orders, default=0) + 1):
+        k = kernels.convolve_on_grid(freqs[i], k, times) if i else k
         if i in orders:
             cols[f"K_{i}"] = k
-    return cols, None, f"kernel table written to {out}: orders {orders}", None
+    return cols
+
+
+def cmd_kernels(cfg, out):
+    """The kernel table on the requested grid, and each order's Richardson
+    estimate of its error: the 6-point interpolant's error is O(h^6), so the
+    same cascade on every other sample gives e_i = max|K_i(h)[::2] -
+    K_i(2h)| / 63.  On the linear N = 128 family (`t_max` 10, 401 samples)
+    it read 1.00 to 1.09 times the true error up to K_64 and 4.3 times at
+    K_128, and fell below it only at the rounding floor: an upper estimate
+    in practice, not a proof.  An order passes when e_i <= CONVOLUTION_RTOL
+    * max|K_i| and max|K_i| is finite.  While an order fails, the cascade
+    runs again on the grid with half the step, whose half grid is the last
+    one, at most KERNEL_REFINEMENTS times; the table is the last cascade
+    read on the requested samples, and the sidecar gives its estimates and
+    its sample count (`grid_samples`).  2 samples have no half grid: their
+    estimates start on 3."""
+    io = build_model(cfg)
+    orders = sorted(_truncations(cfg, io.N))
+    # K_i reads Omega_0..Omega_i: the first max(orders) chain rows
+    chain, _ = spectral.chain_from_io(io, rows=max(orders + [1]))
+    grid, step = np.linspace(0.0, float(cfg["t_max"]), cfg["samples"]), 1
+    # an overflow leaves inf or NaN, which fails its order on every grid
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = _kernel_columns(chain.mode_freqs, orders, grid[::2]) if len(grid) > 2 else {}
+        while True:
+            cols = _kernel_columns(chain.mode_freqs, orders, grid)
+            est = {name: float(np.abs(k[::2] - half[name]).max()) / 63 if half else math.inf
+                   for name, k in cols.items()}
+            failed = [name for name, k in cols.items()
+                      if not est[name] <= CONVOLUTION_RTOL * float(np.abs(k).max()) < math.inf]
+            if not failed or step == 2**KERNEL_REFINEMENTS:
+                break
+            half, step = cols, 2 * step
+            grid = np.linspace(0.0, grid[-1], 2 * len(grid) - 1)
+    return ({"tau": np.linspace(0.0, grid[-1], cfg["samples"]),
+             **{name: k[::step] for name, k in cols.items()}},
+            {"error_estimate": est, "grid_samples": len(grid), "passed": not failed},
+            f"kernel table written to {out}: orders {orders}",
+            (6, f"error_estimate exceeds {CONVOLUTION_RTOL:g} * max|K_i| at {', '.join(failed)}")
+            if failed else None)
 
 
 def _bound_table(io, init, times, truncations, th):
@@ -513,15 +555,13 @@ def cmd_sweep(cfg, out):
     cells = sorted({(N, n, float(kT)) for N in sw["N"] for n in sw["n"] for kT in sw["kT"]})
     seqs = np.random.SeedSequence(cfg["seed"]).spawn(len(cells))
     results = [_sweep_cell(N, n, kT, seq, cfg["samples"]) for (N, n, kT), seq in zip(cells, seqs)]
-    write_json(str(out) + ".timings.json",
-               {f"N{r[0]}_n{r[1]}_kT{fmt(r[2])}": dt for r, dt in results})
-
     cols = {name: [r[j] for r, _ in results] for j, name in enumerate(_SWEEP_COLUMNS)}
     ok = cols["status"].count("ok")
     failed = ", ".join(sorted(set(cols["error"])))
     verdict = None if ok else (5, f"every sweep cell failed ({failed})")
     return (cols, {"cells": len(cells), "failed": len(cells) - ok},
-            f"sweep written to {out}: {ok}/{len(cells)} cells succeeded", verdict)
+            f"sweep written to {out}: {ok}/{len(cells)} cells succeeded", verdict,
+            {f"N{r[0]}_n{r[1]}_kT{fmt(r[2])}": dt for r, dt in results})
 
 
 _COMMANDS = {
@@ -558,9 +598,11 @@ def main(argv=None) -> int:
     try:
         args = make_parser().parse_args(argv)
         cfg = resolve_config(args.config, vars(args))
-        columns, diagnostics, summary, verdict = _COMMANDS[args.command](cfg, args.out)
+        columns, diagnostics, summary, verdict, *timings = _COMMANDS[args.command](cfg, args.out)
         write_csv(args.out, columns)
         write_sidecar(args.out, cfg, diagnostics)
+        if timings:  # `sweep`'s cell wall times, written last
+            write_json(f"{args.out}.timings.json", timings[0])
     except Breakdown as exc:
         print(f"error: chain construction breakdown: {exc}", file=sys.stderr)
         return 3

@@ -11,8 +11,9 @@ sampled signal against cos/sin by per-interval Gauss-Legendre (a fixed
 8-node table) and accumulates the moments.  Angle addition moves the trig
 to the grid points and folds the node weights into one small matrix per
 stencil offset, so a call costs O(M) trig plus O(M STENCIL) window
-products for M samples.  `check_grid` refuses grids too coarse for it, by
-an interpolation estimate relative to the signal's size.
+products for M samples.  Its error is measured, not predicted: the
+`kernels` command runs its cascade again on every other sample
+(Richardson), and `simulate` compares its Volterra column with x_full.
 
 The closed-form, Taylor and nested-quadrature evaluations of K_i that
 the tests check this nesting against live in `tests/oracles.py`.
@@ -121,22 +122,3 @@ def convolve_on_grid(freqs, values, times) -> np.ndarray:
     # an exact cancellation can leave -0.0; + 0.0 writes it as +0.0, so a
     # zero prints as `0` in the CSVs, never `-0`
     return sin_ft * C - cos_ft * S + 0.0
-
-
-def check_grid(times, max_freq: float) -> None:
-    """Raise ValueError when the grid is too coarse for convolve_on_grid
-    on signals with frequencies up to max_freq.
-
-    The gate is the fourth-order interpolation estimate (5/384) h^4 max|v^(4)|
-    relative to max|v|, taking |v^(4)| ~ max_freq^4 max|v|: (5/384)
-    (h max_freq)^4 must stay within 1e-7.  The interpolant is sixth-order,
-    so this gate is conservative: at the coarsest grid it accepts, the
-    measured error of one convolution and of the whole Volterra cascade is
-    500-1000x below 1e-7 max|v|.
-    """
-    h = float(np.max(np.diff(times)))
-    hf = h * max_freq  # from about 1e77 on, hf ** 4 raises OverflowError: read it as inf
-    est = (5.0 / 384.0) * hf**4 if hf < 1e75 else np.inf
-    if est > 1e-7:
-        raise ValueError(
-            f"estimated relative interpolation error {est:.3e} exceeds 1e-7; refine the grid")

@@ -52,8 +52,9 @@ from .spectral import ChainModel
 
 @dataclass(frozen=True)
 class VolterraParams:
-    """Resolvent frequencies mu1 >= mu2 > 0 and the coupling D0 of the
-    closed solution of the system's integral equation."""
+    """Resolvent frequencies mu1 >= mu2 >= 0 and the coupling D0 of the
+    closed solution of the system's integral equation; mu2 is 0 only where
+    rounding loses it, one of Omega0 and Omega1 about 1e8 times the other."""
 
     mu1: float
     mu2: float
@@ -125,5 +126,7 @@ def solve_volterra_closed(params: VolterraParams, F, times) -> np.ndarray:
     samples of F on `times`.
     """
     F = np.asarray(F, dtype=float)
-    pref = params.D0**2 / (params.mu1 * params.mu2)
+    # inf, with a numpy warning, where rounding left mu2 at 0: a caller that
+    # measures its residual sees the run fail
+    pref = np.divide(params.D0**2, params.mu1 * params.mu2)
     return F + nested_convolve([params.mu1, params.mu2], [0.0, pref * F], times)

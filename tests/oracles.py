@@ -5,10 +5,11 @@ None of the `chainbath` CLI commands runs any of these; they are kept so
 that tests can compare the program against independent evaluations of the
 same quantities:
 
-- the nested kernels K_i three ways: the partial-fraction sine series
+- the nested kernels K_i four ways: the partial-fraction sine series
   (`kernel_closed_form`, `kernel_eval`), the Taylor series at the origin
-  (`kernel_deriv_zero`, `kernel_taylor`) and nested Gauss-Legendre
-  quadrature (`kernel_quadrature`);
+  in float64 (`kernel_deriv_zero`, `kernel_taylor`) and in `mpmath` at
+  any tau (`kernel_series_mp`), and nested Gauss-Legendre quadrature
+  (`kernel_quadrature`);
 - the dense eigendecomposition dynamics (`dense_modes`, the modal sum of
   every row, and `evolve_raw`, `evolve_exact`, `evolve_truncated`,
   `evolve_io`) with the energy and response helpers, and an uncoupled
@@ -16,6 +17,8 @@ same quantities:
 - the level-n free ladder `free_source_series` and Volterra source
   `source_term`, which read level n = N as the untruncated chain, the
   reduced-form identity `x_reduced_form` and a marching Volterra solver;
+  the cascades behind them refuse a grid too coarse for the frequencies
+  they convolve, a priori (`check_grid`);
 - the resolvent kernel as the paper's partial-fraction sine series
   (`resolvent_series`);
 - the truncation-error decomposition (`epsilon1` on the cascade,
@@ -35,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import mpmath
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
@@ -52,7 +56,7 @@ from chainbath.dynamics import (
     sample,
 )
 from chainbath.errors import POSITIVE, ChainBathError, check_range
-from chainbath.kernels import check_grid, convolve_on_grid
+from chainbath.kernels import convolve_on_grid
 from chainbath.solution import VolterraParams, nested_convolve
 from chainbath.spectral import (
     _RTOL,
@@ -295,6 +299,45 @@ def kernel_taylor_remainder(freqs, max_order: int, tau) -> float:
         / float(math.factorial(2 * k - 1))
 
 
+def kernel_series_mp(freqs, taus, dps: int = 80, rel: float = 1e-40) -> np.ndarray:
+    """K_n at each of `taus`, n = len(freqs) - 1, from its Taylor series
+
+        K_n(tau) = prod(Omega_l) sum_k (-1)^k h_k(Omega_0^2, ..., Omega_n^2)
+                   tau^(2n+1+2k) / (2n+1+2k)!
+
+    in `dps`-digit `mpmath` arithmetic, summed until a term falls within
+    `rel` of the sum.  Unlike `kernel_taylor` it holds at any tau where the
+    digits cover the terms' growth: 80 digits leave more than 40 at
+    tau Omega_max <= 30.  h_k comes from the power sums by Newton's
+    identities, k h_k = sum_{j=1..k} p_j h_{k-j}, every term positive."""
+    freqs = _check_freqs(freqs)
+    n = len(freqs) - 1
+    out = np.empty(len(taus))
+    with mpmath.workdps(dps):
+        w2 = [mpmath.mpf(float(f)) ** 2 for f in freqs]
+        powers, p, h = list(w2), [], [mpmath.mpf(1)]
+        prod = mpmath.fprod(mpmath.mpf(float(f)) for f in freqs)
+        for idx, tau in enumerate(taus):
+            t = mpmath.mpf(float(tau))
+            power = t ** (2 * n + 1) / mpmath.factorial(2 * n + 1)
+            total, k = mpmath.mpf(0), 0
+            while True:
+                if k == len(h):  # h_k from the power sums p_1 .. p_k
+                    p.append(mpmath.fsum(powers))
+                    powers = [x * w for x, w in zip(powers, w2)]
+                    h.append(mpmath.fsum(p[j] * h[k - 1 - j] for j in range(k)) / k)
+                term = (-1) ** k * h[k] * power
+                total += term
+                # a growing term is the largest so far, so this holds only
+                # past the terms' peak (or at tau = 0, where every term is 0)
+                if abs(term) <= rel * abs(total):
+                    break
+                power *= t * t / ((2 * n + 2 * k + 2) * (2 * n + 2 * k + 3))
+                k += 1
+            out[idx] = float(prod * total)
+    return out
+
+
 # --- dynamics -------------------------------------------------------------
 
 
@@ -478,6 +521,26 @@ def _check_level(chain: ChainModel, n: int, O) -> None:
         raise ValueError(
             f"level {n} ends a chain cut at {len(O)} of {O.shape[1]} modes, "
             "not the untruncated chain; build the full map")
+
+
+def check_grid(times, max_freq: float) -> None:
+    """Raise ValueError when the grid is too coarse for convolve_on_grid
+    on signals with frequencies up to max_freq: the oracles' own a-priori
+    precondition (the CLI measures its error instead).
+
+    The gate is the fourth-order interpolation estimate (5/384) h^4 max|v^(4)|
+    relative to max|v|, taking |v^(4)| ~ max_freq^4 max|v|: (5/384)
+    (h max_freq)^4 must stay within 1e-7.  The interpolant is sixth-order,
+    so this gate is conservative: at the coarsest grid it accepts, the
+    measured error of one convolution and of the whole Volterra cascade is
+    500-1000x below 1e-7 max|v|.
+    """
+    h = float(np.max(np.diff(times)))
+    hf = h * max_freq  # from about 1e77 on, hf ** 4 raises OverflowError: read it as inf
+    est = (5.0 / 384.0) * hf**4 if hf < 1e75 else np.inf
+    if est > 1e-7:
+        raise ValueError(
+            f"estimated relative interpolation error {est:.3e} exceeds 1e-7; refine the grid")
 
 
 def _free_ladder(chain: ChainModel, n: int, init: InitialState, O, times):

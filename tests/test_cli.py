@@ -17,6 +17,7 @@ import pytest
 import chainbath
 from chainbath import dynamics, kernels, solution, spectral
 from chainbath.cli import (
+    CONVOLUTION_RTOL,
     EPS_FLOOR_ROUNDOFFS,
     _sweep_cell,
     build_initial_state,
@@ -34,6 +35,7 @@ from tests.oracles import (
     evolve_truncated,
     kernel_closed_form,
     kernel_eval,
+    kernel_series_mp,
     source_term,
 )
 
@@ -418,6 +420,33 @@ class TestExitCodes:
         with pytest.raises(KeyError):
             main(["bound", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
 
+    @pytest.mark.parametrize("command, overrides, nonfinite", [
+        # t_max 1e77: the cascades overflow to a residual of 4.6e299, and K_8 to NaN
+        ("simulate", {"t_max": 1e77, "samples": 32}, ()),
+        ("kernels", {"t_max": 1e77, "samples": 32}, ("K_8",)),
+        # Omega0 1e20: mu2 rounds to 0, and the resolvent's D0^2/(mu1 mu2) to inf
+        ("simulate", {"Omega0": 1e20, "t_max": 1e-20, "samples": 64},
+         ("x_volterra", "abs_err_volterra"))])
+    def test_float64_overflow_fails_its_verdict(self, tmp_path, capsys, command, overrides,
+                                                nonfinite):
+        # no warning (pytest makes one an error) and no traceback: one stderr
+        # line, both files written, exit 6, and inf or NaN only in the columns
+        # README names
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, **{"model": {"family": "linear", "N": 8, "omega_min": 0.5,
+                                       "omega_max": 2.5, "c0": 0.2},
+                             "Omega0": 1.2, "truncations": [1, 2, 4, 8], **overrides})
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 6
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith("outputs written but not certified"), err
+        diag = json.loads(Path(f"{out}.resolved.json").read_text())["diagnostics"]
+        assert diag["passed"] is False
+        header = out.read_text().splitlines()[0].split(",")
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert [name for j, name in enumerate(header)
+                if not np.isfinite(data[:, j]).all()] == list(nonfinite)
+
     def test_uncertified_chain(self, tmp_path, monkeypatch, capsys):
         # a failed certificate still writes both files, then exits 6
         def failed(io, chain):
@@ -661,19 +690,21 @@ class TestSimulate:
         assert len(calls) == 4
         assert all(isinstance(f, float) for f in calls), calls
 
-    @pytest.mark.parametrize("samples, code", [(218, 2), (219, 0)])
+    @pytest.mark.parametrize("samples, code", [(96, 6), (218, 0), (219, 0)])
     def test_grid_gate(self, tmp_path, capsys, samples, code):
-        # the gate reads the largest frequency the cascades convolve: on the
-        # linear family that is Omega_2, among the rows simulate builds
+        # the residual alone judges the grid: 96 samples leave 6.5e-9 of
+        # max|x_full| (exit 6), 218 leave 4.4e-11 (exit 0)
         cfg = tmp_path / "cfg.json"
         write_config(cfg, model={"family": "linear", "N": 8, "omega_min": 0.5,
                                  "omega_max": 2.5, "c0": 0.5 / math.sqrt(8)},
                      Omega0=1.2, truncations=[1, 2, 4], t_max=6.0, samples=samples, seed=1)
         out = tmp_path / "o.csv"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == code
-        err = capsys.readouterr().err
-        assert ("config.samples: " in err and "refine the grid" in err) == (code == 2)
-        assert out.exists() == (code == 0)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == (code == 6) and all("max_volterra_error" in line for line in err)
+        assert out.exists() and Path(f"{out}.resolved.json").exists()
+        diag = json.loads(Path(f"{out}.resolved.json").read_text())["diagnostics"]
+        assert diag["passed"] == (code == 0)
 
 
 class TestSimulateVerdict:
@@ -738,20 +769,30 @@ class TestSimulateVerdict:
         assert diag["max_volterra_error"] > 1e-9 * np.abs(data[:, 1]).max()
 
 
+LINEAR_128 = {"family": "linear", "N": 128, "omega_min": 0.5, "omega_max": 2.5,
+              "c0": 0.5 / math.sqrt(128)}
+
+
 class TestKernelsCommand:
     def test_cascade_to_order_128(self, tmp_path):
         # the linear family at N = 128: every order obeys |K_i| <= tau^i/i!,
         # which the closed form breaks from order ~6 on, and the low orders
-        # agree with the closed form where it still holds its digits
+        # agree with the closed form where it still holds its digits.  On
+        # 2048 samples K_64 and K_128 are off by 9.5e-9 and 1.4e-6 of their
+        # maxima, so the cascade runs again on 4095 and on 8189 samples,
+        # where every estimate passes
         N = 128
         cfg = tmp_path / "cfg.json"
-        conf = write_config(
-            cfg, model={"family": "linear", "N": N, "omega_min": 0.5,
-                        "omega_max": 2.5, "c0": 0.5 / math.sqrt(N)},
-            Omega0=1.2, t_max=10.0, samples=2048, truncations=list(range(1, N + 1)))
+        conf = write_config(cfg, model=LINEAR_128, Omega0=1.2, t_max=10.0, samples=2048,
+                            truncations=list(range(1, N + 1)))
         out = tmp_path / "kernels.csv"
         assert main(["kernels", "--config", str(cfg), "--out", str(out)]) == 0
+        diag = json.loads(Path(f"{out}.resolved.json").read_text())["diagnostics"]
         data = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert diag["passed"] is True and diag["grid_samples"] == 4 * 2047 + 1
+        assert len(data) == 2048 and np.array_equal(data[:, 0], np.linspace(0.0, 10.0, 2048))
+        for i in range(1, N + 1):
+            assert diag["error_estimate"][f"K_{i}"] <= CONVOLUTION_RTOL * np.abs(data[:, i]).max()
         tau = data[:, 0]
         log_tau = np.log(np.where(tau > 0, tau, 1e-300))
         for i in range(1, N + 1):
@@ -781,10 +822,119 @@ class TestKernelsCommand:
                      "--out", str(tmp_path / "k.csv")]) == 2
 
     def test_grid_too_coarse(self, tmp_path):
+        # 16 samples leave an estimate of 4.2e-5 of max|K_2|, and the two
+        # halvings (31, then 61 samples) 7.4e-7 and 1.8e-8; K_1 still reads
+        # 1.7e-9 on 61: the table is written on the 16 samples asked for,
+        # not certified
         cfg = tmp_path / "cfg.json"
         write_config(cfg, samples=16)
-        assert main(["kernels", "--config", str(cfg),
-                     "--out", str(tmp_path / "k.csv")]) == 2
+        out = tmp_path / "k.csv"
+        assert main(["kernels", "--config", str(cfg), "--out", str(out)]) == 6
+        diag = json.loads(Path(f"{out}.resolved.json").read_text())["diagnostics"]
+        assert diag["passed"] is False and diag["grid_samples"] == 61
+        assert len(out.read_text().splitlines()) == 17
+
+    def test_a_passing_grid_is_not_refined(self, tmp_path, monkeypatch):
+        # every estimate passes on the grid asked for: one cascade on it and
+        # one on its half grid, and the table is that cascade
+        grids = []
+        convolve = kernels.convolve_on_grid
+
+        def counting(freqs, values, times):
+            grids.append(len(times))
+            return convolve(freqs, values, times)
+
+        monkeypatch.setattr(kernels, "convolve_on_grid", counting)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, samples=513, truncations=[1, 2])
+        out = tmp_path / "k.csv"
+        assert main(["kernels", "--config", str(cfg), "--out", str(out)]) == 0
+        assert grids == [257, 257, 513, 513]
+        diag = json.loads(Path(f"{out}.resolved.json").read_text())["diagnostics"]
+        assert diag["passed"] is True and diag["grid_samples"] == 513
+
+    def test_two_samples_start_their_estimates_on_three(self, tmp_path, capsys):
+        # 2 samples have no half grid: the cascade runs again on 3 and on 5
+        # samples.  K_0 = sin(Omega_0 t) is exact on any grid and passes on
+        # 3; K_2 still fails on 5; an empty order list passes on 2
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "k.csv"
+        for orders, code, samples in (([0], 0, 3), ([0, 2], 6, 5), ([], 0, 2)):
+            write_config(cfg, samples=2, truncations=orders)
+            assert main(["kernels", "--config", str(cfg), "--out", str(out)]) == code
+            diag = json.loads(Path(f"{out}.resolved.json").read_text())["diagnostics"]
+            assert diag["grid_samples"] == samples and diag["passed"] == (code == 0)
+            assert sorted(diag["error_estimate"]) == [f"K_{i}" for i in orders]
+            assert all(math.isfinite(e) for e in diag["error_estimate"].values())
+            assert len(out.read_text().splitlines()) == 3
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_order_128_on_400_samples(self, tmp_path, capsys):
+        # K_128 is off by 2.9e-2 of its maximum here, K_64 by 1.8e-4, and
+        # after both halvings (1597 samples) their estimates still read
+        # 6.5e-6 and 4.3e-8: both fail, and the one stderr line names them
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model=LINEAR_128, Omega0=1.2, t_max=10.0, samples=400,
+                     truncations=[64, 128])
+        out = tmp_path / "k.csv"
+        assert main(["kernels", "--config", str(cfg), "--out", str(out)]) == 6
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: error_estimate exceeds 1e-09 * max|K_i| at K_64, K_128; "
+                       "outputs written but not certified"]
+        diag = json.loads(Path(f"{out}.resolved.json").read_text())["diagnostics"]
+        assert diag["grid_samples"] == 4 * 399 + 1 and len(out.read_text().splitlines()) == 401
+
+    @pytest.mark.parametrize("samples, step, grid_samples", [(101, 2, 401), (513, 16, 2049)])
+    def test_estimate_against_mpmath(self, tmp_path, samples, step, grid_samples):
+        # the Richardson estimate against an 80-digit Taylor series at the
+        # CLI's own chain frequencies, on every `step`-th sample, the last
+        # among them.  K_128 fails on every grid here, so the estimates are
+        # those of the grid with a quarter of the step.  Measured
+        # estimate/true ratios for K_1, K_8, K_16, K_32, K_64 and K_128:
+        # 1.00, 1.00, 1.00, 1.02, 1.09 and 4.27 on 401 samples; 0.99 to 1.01
+        # from K_8 on on 2049, where K_1's true error is rounding (2.0e-15
+        # of its maximum) and its estimate 16 times below it
+        orders = (1, 8, 16, 32, 64, 128)
+        cfg = tmp_path / "cfg.json"
+        conf = write_config(cfg, model=LINEAR_128, Omega0=1.2, t_max=10.0, samples=samples,
+                            truncations=list(orders))
+        out = tmp_path / "k.csv"
+        assert main(["kernels", "--config", str(cfg), "--out", str(out)]) == 6
+        diag = json.loads(Path(f"{out}.resolved.json").read_text())["diagnostics"]
+        assert diag["grid_samples"] == grid_samples
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        chain, _ = chain_from_io(build_model(conf), rows=max(orders))
+        rows = np.arange(0, samples, step)
+        for j, i in enumerate(orders, start=1):
+            scale = np.abs(data[:, j]).max()
+            true = np.abs(data[rows, j] - kernel_series_mp(chain.mode_freqs[: i + 1],
+                                                           data[rows, 0])).max()
+            est = diag["error_estimate"][f"K_{i}"]
+            if true <= 1e-14 * scale:  # the rounding floor: the estimate may sit below it
+                assert est <= 1e-14 * scale, (i, est, true)
+            else:
+                top = 5.0 if (samples, i) == (101, 128) else 1.1
+                assert 0.98 * true <= est <= top * true, (i, est / true)
+
+    def test_refined_table_is_accurate(self, tmp_path):
+        # the volterra-wide probe's table: on 2048 samples K_64 and K_128
+        # are off by 9.5e-9 and 1.4e-6 of their maxima; the table written
+        # after two halvings (8189 samples) holds them within 2.3e-12 and
+        # 3.5e-10 of the 80-digit series, on every 64th sample and the last
+        orders = [2**k for k in range(8)]
+        cfg = tmp_path / "cfg.json"
+        conf = write_config(cfg, model=LINEAR_128, Omega0=1.2, t_max=10.0, samples=2048,
+                            truncations=orders)
+        out = tmp_path / "k.csv"
+        assert main(["kernels", "--config", str(cfg), "--out", str(out)]) == 0
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        chain, _ = chain_from_io(build_model(conf), rows=max(orders))
+        rows = np.append(np.arange(0, 2048, 64), 2047)
+        for j, i in enumerate(orders, start=1):
+            scale = np.abs(data[:, j]).max()
+            true = np.abs(data[rows, j] - kernel_series_mp(chain.mode_freqs[: i + 1],
+                                                           data[rows, 0])).max()
+            assert true <= CONVOLUTION_RTOL * scale, (i, true / scale)
 
 
 _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -1321,6 +1471,18 @@ class TestSweep:
         assert twice.read_bytes() == once.read_bytes()
         assert list(json.loads(Path(f"{twice}.timings.json").read_text())) == ["N4_n1_kT1"]
         assert json.loads(Path(f"{twice}.resolved.json").read_text())["diagnostics"]["cells"] == 1
+
+    def test_an_exit_2_writes_nothing(self, tmp_path, capsys):
+        # an `--out` that is a directory is refused before any file is
+        # written: the cell timings go last, after the CSV and the sidecar
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, sweep={"N": [4], "n": [1], "kT": [1.0]})
+        out = tmp_path / "outdir"
+        out.mkdir()
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "Is a directory" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "outdir"]
+        assert not any(out.iterdir())
 
     def test_cells_build_only_their_cut(self, tmp_path, monkeypatch, chain_builds):
         # a cell reads map rows up to its cut min(n, N) when that is below N,

@@ -1,4 +1,5 @@
-"""Closed-form, Taylor, and quadrature routes to the nested kernels."""
+"""Closed-form, Taylor (float64 and mpmath), and quadrature routes to the nested
+kernels."""
 
 import numpy as np
 import pytest
@@ -6,14 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
-from chainbath.kernels import _GL_W, _GL_X, STENCIL, check_grid, convolve_on_grid
+from chainbath.kernels import _GL_W, _GL_X, STENCIL, convolve_on_grid
 from tests.oracles import (
     DegenerateFrequencies,
     ToleranceNotReached,
+    check_grid,
     kernel_closed_form,
     kernel_deriv_zero,
     kernel_eval,
     kernel_quadrature,
+    kernel_series_mp,
     kernel_taylor,
     kernel_taylor_remainder,
 )
@@ -189,6 +192,19 @@ class TestCrossRouteAgreement:
                 quad = kernel_quadrature(freqs, tau, tol=1e-10)
                 assert closed == pytest.approx(taylor, abs=1e-8)
                 assert closed == pytest.approx(quad, abs=1e-8)
+
+    def test_mpmath_series(self):
+        # the 80-digit Taylor series against the sine series where that
+        # keeps its digits (order 2, well-separated frequencies, tau to 10:
+        # 4.4e-16 here), and against the float64 Taylor sum at small tau
+        freqs = np.array([1.2, 0.7, 2.1])
+        tau = np.linspace(0, 10, 21)
+        ref = kernel_eval(kernel_closed_form(freqs), tau)
+        assert np.abs(kernel_series_mp(freqs, tau) - ref).max() <= 2e-15
+        for t in (0.05, 0.2):
+            assert kernel_series_mp(freqs, [t])[0] == pytest.approx(kernel_taylor(freqs, 40, t),
+                                                                    rel=1e-15)
+        assert kernel_series_mp(freqs, [0.0])[0] == 0.0
 
     def test_recursion_consistency(self):
         # appending a frequency equals convolving with the new sine
