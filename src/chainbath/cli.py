@@ -9,20 +9,21 @@ one (n+1)-dimensional eigensolve per cut n below N, and none for x_full.
 chain prefix, x_full and each cut's x_n, and `simulate` and `bound` one
 prologue (`_run`) that builds their bath, cuts, initial state and grid.
 
-Run protocol: a command returns its named columns, its diagnostics (or
-none), a one-line summary and a verdict (none, or exit 5 or 6 with a
-reason); `sweep` alone returns a fifth item, its cell wall times.  `main`
-alone writes and reports them.  It writes `<out>` through `write_csv`
-(UTF-8, LF, header row, 17 significant digits, which round-trip; a name
-given twice is one column; a block of rows at a time), then
-`<out>.resolved.json`, the resolved config (the defaults filled in, down
-to the keys a partial `min_modes` or `sweep` section leaves out; fed back
-as the config, it reproduces the run) with the diagnostics, then
-`sweep`'s cell wall times to `<out>.timings.json`, the one
-non-deterministic output, and prints the summary as the one stdout line.
+Run protocol: every command returns the same four items, its named
+columns, its diagnostics (or none), a one-line summary and a verdict
+(none, or exit 5 or 6 with a reason), and `main` alone times, writes and
+reports them.  It writes `<out>` through `write_csv` (UTF-8, LF, header
+row, 17 significant digits, which round-trip; a name given twice is one
+column; a block of rows at a time), then `<out>.resolved.json`, the
+resolved config (the defaults filled in, down to the keys a partial
+`min_modes` or `sweep` section leaves out; fed back as the config, it
+reproduces the run) with the diagnostics, then `<out>.timings.json`, the
+one non-deterministic output: `command_s`, the command's wall time, and
+`write_s`, the CSV's and the sidecar's.  It prints the summary as the one
+stdout line.
 Keys that a config leaves out of a `model` or `initial_state` section it
-gives (`family`, `c0`, `power`, `omega_range`, `c_range`; `kind`, `scale`,
-`x0`, `xdot0`) are not written there; the library's defaults fill them.
+gives (`family`, `power`, `omega_range`, `c_range`; `kind`, `scale`, `x0`,
+`xdot0`) are not written there; the library's defaults fill them.
 Every exit 2 to 6, on a bad command line too, prints one stderr line
 `error: ...` and no traceback.
 Identical config+seed gives byte-identical CSVs: all randomness flows from
@@ -73,11 +74,12 @@ inf only where a bound underflowed under a rounding-level eps.
 Exit codes: 0 ok; 2 invalid input, before any output: a command line
 the parser refuses, an unwritable `<out>`, a config value that
 `resolve_config` refuses (it judges the whole config, whatever the command
-reads, and names the key by its config path), or, built from keys each
-within its range, a bath (`config.model`) or a thermal draw (`config.kT`)
-that float64 cannot hold, named by that path (`simulate` and `bound`
-refuse them in `_run`'s order, before they build the chain), or a
-`MemoryError`, a size this machine cannot hold, which names no key; 3
+reads, and names the key by its config path; a size above `_ARRAY_MAX`,
+which no array can hold, is one), or, built from keys each within its
+range, a bath (`config.model`) or a thermal draw (`config.kT`) that
+float64 cannot hold, named by that path (`simulate` and `bound` refuse
+them in `_run`'s order, before they build the chain), or a `MemoryError`,
+a size this machine cannot hold, which names no key; 3
 chain-construction breakdown, reported only inside the part of the chain
 the command builds; 4 unstable/complex-resolvent regime; 5 every sweep
 cell failed numerically: outputs written; 6 a numerical check failed:
@@ -141,7 +143,7 @@ _DEFAULTS = {
 # is a range, exactly as many numbers, in nondecreasing order
 _FAMILIES = {
     None: (("c",), {"omega": [0.0], "c": [0.0]}),
-    "linear": (("N", "omega_min", "omega_max"),
+    "linear": (("N", "omega_min", "omega_max", "c0"),
                {"N": 1, "omega_min": 0.0, "omega_max": 0.0, "c0": 0.0, "power": 0.0}),
     "random": (("N",), {"N": 1, "omega_range": (0.0, 0.0), "c_range": (0.0, 0.0)}),
 }
@@ -149,6 +151,8 @@ _FAMILIES["geometric"] = _FAMILIES["linear"]
 _KINDS = {None: (("qdot0",), {"q0": [0.0], "qdot0": [0.0], "x0": 0.0, "xdot0": 0.0}),
           "thermal": ((), {}), "random": ((), {"scale": 0.0})}
 _FINITE = float(np.finfo(float).max)
+# the most float64 values one numpy array can hold: its byte count is an intp
+_ARRAY_MAX = sys.maxsize // 8
 _HUGE = spectral.SCALE[1]
 _JSON_TYPES = {bool: "boolean", int: "number", float: "number", str: "string", list: "list",
                tuple: "list", dict: "object"}
@@ -161,11 +165,11 @@ _JSON_TYPES = {bool: "boolean", int: "number", float: "number", str: "string", l
 # stays within SCALE.  The random family's Omega0 lies within instances.RANGE.
 _RANGES = {
     "Omega0": spectral.SCALE, "t_max": (POSITIVE, _HUGE), "kT": (POSITIVE, _FINITE),
-    "samples": (2, math.inf), "seed": (0, math.inf), "truncations[]": (0, math.inf),
+    "samples": (2, _ARRAY_MAX), "seed": (0, math.inf), "truncations[]": (0, math.inf),
     "min_modes.times[]": (0.0, _FINITE), "min_modes.tols[]": (POSITIVE, _FINITE),
-    # a list at least 1 long, or an integer >= 1
-    **dict.fromkeys(("sweep.N", "sweep.n", "sweep.kT", "sweep.N[]", "sweep.n[]", "model.N",
-                     "model.omega"), (1, math.inf)),
+    # a list at least 1 long, or an integer >= 1; a size, at most _ARRAY_MAX
+    **dict.fromkeys(("sweep.N", "sweep.n", "sweep.kT", "sweep.n[]", "model.omega"), (1, math.inf)),
+    **dict.fromkeys(("sweep.N[]", "model.N"), (1, _ARRAY_MAX)),
     "sweep.kT[]": (POSITIVE, _HUGE),
     "model.omega_min": spectral.SCALE, "model.omega_max": spectral.SCALE,
     "model.c0": (POSITIVE, _HUGE), "model.power": (-_FINITE, _FINITE),
@@ -324,7 +328,7 @@ def build_model(cfg):
         spectrum = {"linear": instances.linear_spectrum,
                     "geometric": instances.geometric_spectrum}[family]
         omega = spectrum(m["N"], m["omega_min"], m["omega_max"])
-        c = instances.coupling_profile(omega, m.get("c0", 0.5), **_given(m, "power"))
+        c = instances.coupling_profile(omega, m["c0"], **_given(m, "power"))
     return _naming("config.model", spectral.build_io_model, omega, c, cfg["Omega0"])
 
 
@@ -530,10 +534,9 @@ _SWEEP_COLUMNS = ("N", "n", "kT", "max_eps", "max_ratio", "status", "error")
 
 
 def _sweep_cell(N, n, kT, seed_seq, samples):
-    """One sweep cell's `_SWEEP_COLUMNS` values, and its wall time: `bound`'s
-    table at the one cut min(n, N) on a random bath and a thermal draw, its
-    max_eps and max_ratio `bound`'s max(eps_n{cut}) and `max_ratio`."""
-    t0 = time.perf_counter()
+    """One sweep cell's `_SWEEP_COLUMNS` values: `bound`'s table at the one
+    cut min(n, N) on a random bath and a thermal draw, its max_eps and
+    max_ratio `bound`'s max(eps_n{cut}) and `max_ratio`."""
     try:
         io = instances.random_io_model(np.random.default_rng(seed_seq), N)
         # the first child `seed_seq.spawn(1)` would give, without advancing
@@ -543,10 +546,9 @@ def _sweep_cell(N, n, kT, seed_seq, samples):
         init = bounds.sample_thermal(io, th, child)
         times = np.linspace(0.0, 3.0 / float(io.omega.max()), samples)
         cols, diag = _bound_table(io, init, times, [min(n, N)], th)
-        return ((N, n, kT, float(cols[f"eps_n{min(n, N)}"].max()), diag["max_ratio"], "ok", ""),
-                time.perf_counter() - t0)
+        return N, n, kT, float(cols[f"eps_n{min(n, N)}"].max()), diag["max_ratio"], "ok", ""
     except ChainBathError as exc:
-        return (N, n, kT, np.nan, np.nan, "error", type(exc).__name__), time.perf_counter() - t0
+        return N, n, kT, np.nan, np.nan, "error", type(exc).__name__
 
 
 def cmd_sweep(cfg, out):
@@ -554,14 +556,13 @@ def cmd_sweep(cfg, out):
     # a cell given twice is one cell
     cells = sorted({(N, n, float(kT)) for N in sw["N"] for n in sw["n"] for kT in sw["kT"]})
     seqs = np.random.SeedSequence(cfg["seed"]).spawn(len(cells))
-    results = [_sweep_cell(N, n, kT, seq, cfg["samples"]) for (N, n, kT), seq in zip(cells, seqs)]
-    cols = {name: [r[j] for r, _ in results] for j, name in enumerate(_SWEEP_COLUMNS)}
+    rows = [_sweep_cell(N, n, kT, seq, cfg["samples"]) for (N, n, kT), seq in zip(cells, seqs)]
+    cols = {name: [row[j] for row in rows] for j, name in enumerate(_SWEEP_COLUMNS)}
     ok = cols["status"].count("ok")
     failed = ", ".join(sorted(set(cols["error"])))
     verdict = None if ok else (5, f"every sweep cell failed ({failed})")
     return (cols, {"cells": len(cells), "failed": len(cells) - ok},
-            f"sweep written to {out}: {ok}/{len(cells)} cells succeeded", verdict,
-            {f"N{r[0]}_n{r[1]}_kT{fmt(r[2])}": dt for r, dt in results})
+            f"sweep written to {out}: {ok}/{len(cells)} cells succeeded", verdict)
 
 
 _COMMANDS = {
@@ -598,11 +599,13 @@ def main(argv=None) -> int:
     try:
         args = make_parser().parse_args(argv)
         cfg = resolve_config(args.config, vars(args))
-        columns, diagnostics, summary, verdict, *timings = _COMMANDS[args.command](cfg, args.out)
+        start = time.perf_counter()
+        columns, diagnostics, summary, verdict = _COMMANDS[args.command](cfg, args.out)
+        ran = time.perf_counter()
         write_csv(args.out, columns)
         write_sidecar(args.out, cfg, diagnostics)
-        if timings:  # `sweep`'s cell wall times, written last
-            write_json(f"{args.out}.timings.json", timings[0])
+        write_json(f"{args.out}.timings.json",
+                   {"command_s": ran - start, "write_s": time.perf_counter() - ran})
     except Breakdown as exc:
         print(f"error: chain construction breakdown: {exc}", file=sys.stderr)
         return 3

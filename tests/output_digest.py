@@ -10,8 +10,9 @@ come from this checkout's `perfbench/` for every root, so two roots run the
 same inputs.  Each invocation's record is its exit code and the sha256 of
 its CSV, its `.resolved.json` sidecar, its stdout and its stderr, each with
 the temporary directory replaced by a fixed token (the summary line prints
-the `--out` path); the `.timings.json` file is not deterministic and is
-left out.
+the `--out` path).  The `.timings.json` file that every invocation
+writes on exits 0, 5 and 6 holds wall times, which no two runs share, and
+is left out.
 
 With one root it prints the records as JSON.  With two it runs each
 invocation on both roots back to back, so that one pair of CSVs is held at

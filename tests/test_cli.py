@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import chainbath
-from chainbath import dynamics, kernels, solution, spectral
+from chainbath import cli, dynamics, kernels, solution, spectral
 from chainbath.cli import (
     CONVOLUTION_RTOL,
     EPS_FLOOR_ROUNDOFFS,
@@ -72,6 +72,7 @@ def eps_floor(x_full):
     return EPS_FLOOR_ROUNDOFFS * (np.finfo(float).eps / 2) * np.abs(x_full).max()
 
 
+COMMANDS = ("build-chain", "simulate", "kernels", "bound", "min-modes", "sweep")
 LINEAR_16 = {"family": "linear", "N": 16, "omega_min": 0.5, "omega_max": 2.5, "c0": 0.125}
 
 
@@ -192,6 +193,10 @@ class TestExitCodes:
          "config.model.omega_min"),
         # a config is judged whole: sweep reads no model key
         ("sweep", {"model": {"family": "random"}}, "config.model.N"),
+        # c0 has no default: 0.5 with the default Omega0 of 1 put this bath
+        # outside the regime (sum c_k^2/omega_k^2 = 1.298)
+        *((command, {"model": {"N": 4, "omega_min": 0.5, "omega_max": 2.5}, "Omega0": ABSENT},
+           "config.model.c0") for command in COMMANDS),
     ])
     def test_missing_model_or_state_key(self, tmp_path, capsys, command, overrides, key):
         # a key the model family, the explicit model or the explicit state
@@ -206,6 +211,17 @@ class TestExitCodes:
     def test_missing_config(self, tmp_path):
         assert main(["bound", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("N", [1, 4, 64])
+    def test_defaults_compose_into_a_run(self, tmp_path, N):
+        # a linear bath given c0 = 0.2/sqrt(N), every other key left to its
+        # default, runs every command to exit 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"N": N, "omega_min": 0.5, "omega_max": 2.5,
+                                             "c0": 0.2 / math.sqrt(N)}}))
+        for command in COMMANDS:
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0, command
 
     @pytest.mark.parametrize("tmax", ["nan", "inf", "-inf"])
     def test_non_finite_tmax_flag(self, tmp_path, tmax):
@@ -297,8 +313,21 @@ class TestExitCodes:
         # does not read it
         pytest.param("build-chain", {"kT": 0.0}, "config.kT must lie within",
                      id="build-chain-kT-zero"),
-        pytest.param("build-chain", {"samples": 1}, "config.samples must lie within [2, inf]",
+        pytest.param("build-chain", {"samples": 1},
+                     f"config.samples must lie within [2, {sys.maxsize // 8}]",
                      id="build-chain-samples-one"),
+        # a size no numpy array of float64 holds, refused before anything is
+        # allocated: numpy's linspace raises IndexError for counts near
+        # 2^63, and a larger allocation fails with a line that names no key
+        *(pytest.param(command, {"samples": 2**63}, f"config.samples must lie within "
+                       f"[2, {sys.maxsize // 8}], not {2**63}", id=f"{command}-samples-2^63")
+          for command in ("bound", "kernels", "sweep")),
+        *(pytest.param(command, {"model": {**LINEAR_4, "N": 2**63 - 1}}, f"config.model.N must "
+                       f"lie within [1, {sys.maxsize // 8}], not {2**63 - 1}",
+                       id=f"{command}-N-2^63-1") for command in ("build-chain", "bound")),
+        pytest.param("sweep", {"sweep": {"N": [2**62], "n": [1], "kT": [1.0]}},
+                     f"config.sweep.N[0] must lie within [1, {sys.maxsize // 8}], not {2**62}",
+                     id="sweep-N-2^62"),
         pytest.param("build-chain", {"min_modes": {"tols": [0]}},
                      "config.min_modes.tols[0] must lie within", id="build-chain-tol-zero"),
         # the bath's size, checked by the command that reads the key
@@ -1462,19 +1491,21 @@ class TestSweep:
         assert data == sorted(data, key=lambda r: (int(r[0]), int(r[1])))
 
     def test_a_cell_given_twice_is_one_cell(self, tmp_path):
-        # one CSV row and one timing per distinct cell, as if given once
+        # one CSV row per distinct cell, as if given once; the timings are
+        # the run's, not the cells'
         once, twice = tmp_path / "once.csv", tmp_path / "twice.csv"
         for out, sweep in ((once, {"N": [4], "n": [1], "kT": [1.0]}),
                            (twice, {"N": [4, 4], "n": [1], "kT": [1.0, 1]})):
             write_config(tmp_path / "cfg.json", sweep=sweep)
             assert main(["sweep", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 0
         assert twice.read_bytes() == once.read_bytes()
-        assert list(json.loads(Path(f"{twice}.timings.json").read_text())) == ["N4_n1_kT1"]
+        assert sorted(json.loads(Path(f"{twice}.timings.json").read_text())) == [
+            "command_s", "write_s"]
         assert json.loads(Path(f"{twice}.resolved.json").read_text())["diagnostics"]["cells"] == 1
 
     def test_an_exit_2_writes_nothing(self, tmp_path, capsys):
         # an `--out` that is a directory is refused before any file is
-        # written: the cell timings go last, after the CSV and the sidecar
+        # written: the timings go last, after the CSV and the sidecar
         cfg = tmp_path / "cfg.json"
         write_config(cfg, sweep={"N": [4], "n": [1], "kT": [1.0]})
         out = tmp_path / "outdir"
@@ -1548,12 +1579,12 @@ class TestSweep:
         # one job run twice draws the same bath and thermal state: the cell
         # derives its seeds without spawning from the job's sequence
         job = (8, 4, 1.0, np.random.SeedSequence(12345).spawn(3)[1], 128)
-        first, _ = _sweep_cell(*job)
+        first = _sweep_cell(*job)
         assert first[5] == "ok"
-        assert _sweep_cell(*job)[0] == first
+        assert _sweep_cell(*job) == first
 
     def test_all_cells_failed(self, tmp_path, monkeypatch, capsys):
-        # a valid grid whose every cell fails numerically writes both files,
+        # a valid grid whose every cell fails numerically writes its outputs,
         # exits 5 and says so in one stderr line
         def breakdown(io, rows=None):
             raise Breakdown("coupling D_1 below 1e-12*max(omega^2)")
@@ -1567,6 +1598,7 @@ class TestSweep:
         assert out.read_text().count(",error,Breakdown\n") == 4
         side = json.loads((tmp_path / "sweep.csv.resolved.json").read_text())
         assert side["diagnostics"] == {"cells": 4, "failed": 4}
+        assert (tmp_path / "sweep.csv.timings.json").exists()
 
     @pytest.mark.parametrize("sweep", [
         {"N": [4], "n": [-1], "kT": [1.0]},
@@ -1612,6 +1644,25 @@ class TestRandomFamily:
             assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 0, cmd
         assert chain_builds and max(chain_builds) <= 4
         assert sizes and max(sizes) <= max(5, len(kernels._GL_X))
+
+
+class TestRunProtocol:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_run_says_where_its_time_went(self, tmp_path, monkeypatch, command):
+        # `main` times the command and the writing of its outputs, and writes
+        # the two times last, after the CSV and the sidecar
+        written = []
+        for name in ("write_csv", "write_json"):
+            writer = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda path, payload, writer=writer:
+                                written.append(Path(path).name) or writer(path, payload))
+        write_config(tmp_path / "cfg.json", sweep={"N": [4], "n": [1], "kT": [1.0]})
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 0
+        assert written == ["o.csv", "o.csv.resolved.json", "o.csv.timings.json"]
+        timings = json.loads(Path(f"{out}.timings.json").read_text())
+        assert sorted(timings) == ["command_s", "write_s"]
+        assert all(0.0 <= value < math.inf for value in timings.values()), timings
 
 
 class TestDeterminismAndRoundTrip:

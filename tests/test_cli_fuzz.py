@@ -10,12 +10,18 @@ traceback does.  An exit 2 names a `config.` path: the key refused, or
 the keys a bath or thermal draw was built from where float64 cannot hold
 it; a value refused for its range lies outside the interval the line
 prints.  Exits 2, 3 and 4 leave no output file; exits 0, 5 and 6 leave
-the CSV and its sidecar.
+the CSV, its sidecar and its timings.
 
 Every `kernels` exit 0 is accurate: on random in-regime baths, each K_i it
 certifies, on the grid asked for or on a refined one, lies within 2e-9
 max|K_i| (twice its tolerance) plus 1e-13 max|K_i| (rounding) of an
 80-digit Taylor series.
+
+Every trajectory column that `simulate` and `bound` write is accurate: on
+spread, clustered and strongly coupled baths of up to 48 modes, `x_full`,
+each `x_n`, and `bound`'s `eps_n` lie within 1e-11 max|x| of the dense
+routes of `tests/oracles.py`, and a certified `x_volterra` within its
+1e-9 max|x| tolerance plus that.
 """
 
 import collections
@@ -29,10 +35,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainbath.cli import _COMMANDS, CONVOLUTION_RTOL, build_model, main, resolve_config
+from chainbath import spectral
+from chainbath.cli import (
+    _COMMANDS,
+    CONVOLUTION_RTOL,
+    build_initial_state,
+    build_model,
+    main,
+    resolve_config,
+)
 from chainbath.spectral import chain_from_io
 from tests.conftest import assert_outside_printed_interval
-from tests.oracles import kernel_series_mp
+from tests.oracles import evolve_io, evolve_truncated, kernel_series_mp
 
 MAGNITUDES = st.integers(-300, 300).map(lambda e: 10.0 ** e)
 # an extreme or invalid number: a magnitude from 1e-300 to 1e300 of either
@@ -67,8 +81,9 @@ SIZES = mostly(st.integers(1, 8), st.integers(-1, 0))
 MODELS = st.one_of(
     st.fixed_dictionaries(
         {"family": st.sampled_from(["linear", "geometric"]), "N": SIZES,
-         "omega_min": numbers(0.5, 1.0), "omega_max": numbers(1.5, 3.0)},
-        optional={"c0": numbers(0.01, 0.3), "power": numbers(-1.0, 1.0)}),
+         "omega_min": numbers(0.5, 1.0), "omega_max": numbers(1.5, 3.0),
+         "c0": numbers(0.01, 0.3)},
+        optional={"power": numbers(-1.0, 1.0)}),
     st.fixed_dictionaries({"family": st.just("random"), "N": SIZES},
                           optional={"omega_range": pair(0.5, 3.0), "c_range": pair(0.01, 1.0)}),
     st.integers(1, 8).flatmap(lambda N: st.fixed_dictionaries(
@@ -148,7 +163,7 @@ def test_every_config_ends_in_a_documented_exit(tmp_path_factory, command, cfg):
     assert out.count("\n") == (code in (0, 5, 6))
     written = {path.name for path in tmp.glob("o.csv*")}
     if code in (0, 5, 6):
-        assert {"o.csv", "o.csv.resolved.json"} <= written, written
+        assert {"o.csv", "o.csv.resolved.json", "o.csv.timings.json"} <= written, written
     else:
         assert not written, written
 
@@ -202,3 +217,100 @@ def test_every_kernels_exit_0_is_accurate(tmp_path):
     check()
     assert codes[0] >= 50 and codes[6] >= 1 and codes["refined"] >= 10, codes
     assert codes["deep"] >= 2, codes
+
+
+BATH_KINDS = ("spread", "clustered", "strong")
+
+
+@st.composite
+def trajectory_configs(draw):
+    """(kind, config): an explicit bath of N <= 48 modes of one of
+    BATH_KINDS, a thermal or random state, t_max up to 100, 256 to 4096
+    samples (log-uniform by octave) and one to three cuts in [0, N].
+    Spread frequencies lie in [0.2, 3], at least 0.01 apart; clustered ones
+    in up to four clusters 1e-9 to 1e-3 wide; both couple within the regime
+    (sum c_k^2/omega_k^2 <= 0.81 Omega0^2).  A strong bath takes spread
+    frequencies and c_k in [1.5, 3], with Omega0 1.001 times the least
+    value that meets both regime limits, sum c_k^2/omega_k^2 < Omega0^2 and
+    D0 < Omega0 Omega1."""
+    kind = draw(st.sampled_from(BATH_KINDS))
+    N = draw(st.integers(1, 48))
+    if kind == "clustered":
+        m = draw(st.integers(1, min(4, N)))
+        centres = sorted(draw(st.lists(st.integers(0, 28), min_size=m, max_size=m, unique=True)))
+        width = 10.0 ** draw(st.floats(-9.0, -3.0))
+        sizes = [len(range(j, N, m)) for j in range(m)]
+        omega = [0.2 + k / 10 + width * i / max(size - 1, 1)
+                 for k, size in zip(centres, sizes) for i in range(size)]
+    else:
+        omega = [0.2 + k / 100 for k in sorted(draw(st.lists(st.integers(0, 280), min_size=N,
+                                                              max_size=N, unique=True)))]
+    if kind == "strong":
+        c = draw(st.lists(st.floats(1.5, 3.0), min_size=N, max_size=N))
+        c2 = np.square(c)
+        Omega0 = 1.001 * max(math.sqrt(np.sum(c2 / np.square(omega))),
+                             np.sum(c2) / math.sqrt(np.sum(c2 * np.square(omega))))
+    else:
+        Omega0 = draw(st.floats(0.5, 3.0))
+        c = [draw(st.floats(0.01, 0.9)) * w * Omega0 / math.sqrt(N) for w in omega]
+    state = draw(st.one_of(st.just({"kind": "thermal"}), st.fixed_dictionaries(
+        {"kind": st.just("random"), "scale": st.floats(0.1, 2.0)})))
+    return kind, {
+        "model": {"omega": omega, "c": [float(v) for v in c]}, "Omega0": float(Omega0),
+        "initial_state": state, "seed": draw(st.integers(0, 2**32 - 1)),
+        "truncations": draw(st.lists(st.integers(0, N), min_size=1, max_size=3, unique=True)),
+        "samples": draw(st.integers(8, 11).flatmap(lambda e: st.integers(2**e, 2**(e + 1)))),
+        "t_max": draw(st.floats(1.0, 100.0))}
+
+
+def read_table(path):
+    """The CSV's columns by name, as float arrays."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return dict(zip(header, data.T))
+
+
+def test_every_trajectory_column_is_accurate(tmp_path, monkeypatch):
+    # each run that writes its CSV (exit 0 or 6) is checked against the
+    # dense routes: x_full against the bath's, each x_n against the cut on
+    # the map the run built (n = N: the bath's), eps_n against their
+    # difference; and every bath kind writes some CSV
+    maps = []
+    monkeypatch.setattr(spectral, "chain_from_io",
+                        lambda io, rows=None: maps.append(chain_from_io(io, rows)) or maps[-1])
+    written = collections.Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(drawn=trajectory_configs())
+    def check(drawn):
+        kind, cfg = drawn
+        for command in ("simulate", "bound"):
+            maps.clear()
+            code, _, _ = run(command, cfg, tmp_path)
+            assert code in (0, 3, 4, 6), code
+            if code not in (0, 6):
+                continue
+            written[kind] += 1
+            conf = resolve_config(tmp_path / "cfg.json", {})
+            io = build_model(conf)
+            init = build_initial_state(conf, io)
+            times = np.linspace(0.0, conf["t_max"], conf["samples"])
+            x = evolve_io(io, init, times).x
+            scale = float(np.abs(x).max())
+            cols = read_table(tmp_path / "o.csv")
+            chain, O = maps[0] if maps else (None, None)
+            if command == "simulate":
+                assert np.abs(cols["x_full"] - x).max() <= 1e-11 * scale
+                if code == 0:
+                    assert (np.abs(cols["x_volterra"] - x).max()
+                            <= (CONVOLUTION_RTOL + 1e-11) * scale)
+            for n in conf["truncations"]:
+                x_n = x if n == io.N else evolve_truncated(chain, n, init, O, times).x
+                if command == "simulate":
+                    assert np.abs(cols[f"x_n{n}"] - x_n).max() <= 1e-11 * scale, n
+                else:
+                    assert np.abs(cols[f"eps_n{n}"] - np.abs(x - x_n)).max() <= 1e-11 * scale, n
+
+    check()
+    assert all(written[kind] for kind in BATH_KINDS), written
